@@ -35,8 +35,9 @@ use crate::study::{run_partition, StudyConfig, StudyResults};
 use analysis::StreamingAggregate;
 use netsim::Simulator;
 use std::fmt;
-use std::io::Write;
-use std::path::PathBuf;
+use std::fs::{self, File};
+use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use worldgen::{PopulationSpec, WorldPlan};
@@ -62,7 +63,8 @@ pub struct StreamOptions {
     /// Where to stream host journals (JSONL, one line per host). Each
     /// `(shard, batch)` cell's journals are drained from the recorder
     /// and appended as soon as the batch completes, so journaling never
-    /// grows peak memory past O(batch). Requires
+    /// grows peak memory past O(batch). A resumed run keeps the lines of
+    /// the cells its checkpoints cover and appends the rest. Requires
     /// [`obs::ObsConfig::journal`] to be set; `None` disables flushing
     /// (journals then surface in [`StreamResults::obs`] at shard end).
     pub journal_path: Option<PathBuf>,
@@ -189,36 +191,84 @@ struct ShardRun {
 
 /// Shared append-only sink for per-batch journal flushes. Shards drain
 /// their recorder's journals after every batch and append under the
-/// lock; lines within a batch are in ip order (the recorder drains a
-/// `BTreeMap`), so a single-shard run's file is fully deterministic.
+/// lock. The recorder sorts its log by address when it renders, so
+/// lines within a batch are in ip order and a single-shard run's file
+/// is fully deterministic.
 struct JournalSink {
-    out: Mutex<std::io::BufWriter<std::fs::File>>,
+    out: Mutex<BufWriter<File>>,
 }
 
 impl JournalSink {
-    fn create(path: &std::path::Path) -> Result<Self, StreamError> {
-        let file = std::fs::File::create(path).map_err(StreamError::Io)?;
-        Ok(JournalSink { out: Mutex::new(std::io::BufWriter::new(file)) })
+    /// Opens the journal for a run whose shards start at batches
+    /// `next_batches` of `batches`. A fresh run truncates the file. A
+    /// resumed run keeps the lines of the `(shard, batch)` cells its
+    /// checkpoints cover (every line carries both tags) and drops the
+    /// rest: lines of a batch flushed but never checkpointed, or a torn
+    /// last line. Resuming a finished run leaves the file as it is.
+    fn open(path: &Path, next_batches: &[u64], batches: u64) -> Result<Self, StreamError> {
+        let file = if next_batches.iter().all(|&next| next == 0) {
+            File::create(path)
+        } else {
+            if next_batches.iter().any(|&next| next < batches) {
+                keep_checkpointed_lines(path, next_batches).map_err(StreamError::Io)?;
+            }
+            File::options().create(true).append(true).open(path)
+        };
+        Ok(JournalSink { out: Mutex::new(BufWriter::new(file.map_err(StreamError::Io)?)) })
     }
 
-    /// Drains the installed recorder's finished journals into the file.
-    fn flush_batch(&self) -> Result<(), StreamError> {
-        let mut lines = Vec::new();
-        obs::drain_journal(&mut lines);
-        if lines.is_empty() {
+    /// Drains the installed recorder's journals into `buf`, a scratch
+    /// buffer the shard reuses across batches, and appends it to the
+    /// file in one write.
+    fn flush_batch(&self, buf: &mut obs::JournalBuf) -> Result<(), StreamError> {
+        buf.clear();
+        obs::drain_journal(buf);
+        if buf.is_empty() {
             return Ok(());
         }
         let mut out = self.out.lock().expect("journal sink poisoned");
-        for line in &lines {
-            out.write_all(line.as_bytes()).map_err(StreamError::Io)?;
-            out.write_all(b"\n").map_err(StreamError::Io)?;
-        }
-        Ok(())
+        out.write_all(buf.as_str().as_bytes()).map_err(StreamError::Io)
     }
 
-    fn finish(&self) -> Result<(), StreamError> {
+    /// Pushes buffered lines to the file. Shards call this before
+    /// saving a checkpoint, so a checkpoint never covers a line that is
+    /// not on disk.
+    fn flush(&self) -> Result<(), StreamError> {
         self.out.lock().expect("journal sink poisoned").flush().map_err(StreamError::Io)
     }
+}
+
+/// Rewrites the journal at `path` with only its complete lines whose
+/// shard `s` and batch `b` satisfy `b < next_batches[s]`. A missing
+/// file is left missing.
+fn keep_checkpointed_lines(path: &Path, next_batches: &[u64]) -> std::io::Result<()> {
+    let mut input = match File::open(path) {
+        Ok(file) => BufReader::new(file),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
+        Err(e) => return Err(e),
+    };
+    let mut tmp_name = path.as_os_str().to_owned();
+    tmp_name.push(".resume");
+    let tmp = PathBuf::from(tmp_name);
+    let mut output = BufWriter::new(File::create(&tmp)?);
+    let mut line = Vec::new();
+    while input.read_until(b'\n', &mut line)? > 0 {
+        let checkpointed = line.ends_with(b"\n")
+            && std::str::from_utf8(&line).ok().and_then(obs::ParsedJournal::cell).is_some_and(
+                |(shard, batch)| {
+                    usize::try_from(shard)
+                        .ok()
+                        .and_then(|s| next_batches.get(s))
+                        .is_some_and(|&next| batch < next)
+                },
+            );
+        if checkpointed {
+            output.write_all(&line)?;
+        }
+        line.clear();
+    }
+    output.into_inner().map_err(std::io::IntoInnerError::into_error)?.sync_all()?;
+    fs::rename(&tmp, path)
 }
 
 /// Wall-clock heartbeat state shared by every shard. All fields are
@@ -263,6 +313,30 @@ struct StreamHooks<'a> {
     progress: Option<&'a Progress>,
 }
 
+/// Where a shard starts: the aggregate over the batches its checkpoint
+/// covers, and the next batch to run.
+type ResumePoint = (StreamingAggregate, u64);
+
+/// Shard `index`'s resume point: its checkpoint in `dir` when one
+/// exists and matches this exact configuration, otherwise a fresh start.
+fn resume_point(
+    dir: Option<&Path>,
+    index: u64,
+    fingerprint: u64,
+    shards: u64,
+    batches: u64,
+) -> Result<ResumePoint, StreamError> {
+    let Some(ckpt) = dir.map(|dir| Checkpoint::load(dir, index)).transpose()?.flatten() else {
+        return Ok((StreamingAggregate::default(), 0));
+    };
+    if ckpt.config != fingerprint || ckpt.shards != shards || ckpt.batches != batches {
+        return Err(
+            CheckpointError::ConfigMismatch { found: ckpt.config, expected: fingerprint }.into()
+        );
+    }
+    Ok((ckpt.aggregate, ckpt.next_batch))
+}
+
 /// Installs the shard's recorder (when configured), runs the batch
 /// loop, and always uninstalls — errors included — so a failed shard
 /// never leaks a recorder into the worker thread.
@@ -274,13 +348,15 @@ fn run_stream_shard(
     shards: u64,
     batches: u64,
     fingerprint: u64,
+    start: ResumePoint,
     opts: &StreamOptions,
     hooks: StreamHooks<'_>,
 ) -> Result<ShardRun, StreamError> {
     if cfg.obs.any() {
         obs::install(Box::new(obs::CollectingRecorder::with_config(index, cfg.obs)));
     }
-    let result = stream_shard_batches(cfg, plan, index, shards, batches, fingerprint, opts, hooks);
+    let result =
+        stream_shard_batches(cfg, plan, index, shards, batches, fingerprint, start, opts, hooks);
     let report = obs::uninstall().map(|r| r.finish());
     result.map(|(aggregate, next_batch)| ShardRun { aggregate, next_batch, obs: report })
 }
@@ -293,32 +369,14 @@ fn stream_shard_batches(
     shards: u64,
     batches: u64,
     fingerprint: u64,
+    (mut aggregate, start_batch): ResumePoint,
     opts: &StreamOptions,
     hooks: StreamHooks<'_>,
 ) -> Result<(StreamingAggregate, u64), StreamError> {
     let shard_span = obs::span!("shard.run");
     obs::event!("shard.start", shards = shards);
     let seed = cfg.population.seed;
-
-    // Resume from a checkpoint when one exists and matches this exact
-    // configuration; otherwise start fresh.
-    let (mut aggregate, start_batch) = match &opts.checkpoint_dir {
-        Some(dir) => match Checkpoint::load(dir, index)? {
-            Some(ckpt) => {
-                if ckpt.config != fingerprint || ckpt.shards != shards || ckpt.batches != batches
-                {
-                    return Err(CheckpointError::ConfigMismatch {
-                        found: ckpt.config,
-                        expected: fingerprint,
-                    }
-                    .into());
-                }
-                (ckpt.aggregate, ckpt.next_batch)
-            }
-            None => (StreamingAggregate::default(), 0),
-        },
-        None => (StreamingAggregate::default(), 0),
-    };
+    let mut journal_buf = obs::JournalBuf::default();
 
     // Per-shard state hoisted out of the batch loop: one simulator arena
     // reset between batches (retaining its allocation caches), the plan
@@ -387,13 +445,16 @@ fn stream_shard_batches(
         // Flush this cell's journals to disk now so the recorder never
         // holds more than one batch's worth of them.
         if let Some(sink) = hooks.journal {
-            sink.flush_batch()?;
+            sink.flush_batch(&mut journal_buf)?;
         }
         if let Some(progress) = hooks.progress {
             progress.tick(out.records.len() as u64);
         }
 
         if let Some(dir) = &opts.checkpoint_dir {
+            if let Some(sink) = hooks.journal {
+                sink.flush()?;
+            }
             Checkpoint {
                 config: fingerprint,
                 shard: index,
@@ -447,19 +508,32 @@ pub fn run_study_streamed(
     let plan = worldgen::plan_world(&cfg.population);
     let batches = (plan.planned_host_count() as u64).div_ceil(opts.batch_size as u64).max(1);
     let fingerprint = config_fingerprint(cfg, opts.shards, batches, opts.batch_size);
+    // Every shard's resume point is loaded before any shard runs, so the
+    // journal can be cut back to exactly the cells the checkpoints cover.
+    let starts = (0..opts.shards)
+        .map(|index| {
+            let dir = opts.checkpoint_dir.as_deref();
+            resume_point(dir, index, fingerprint, opts.shards, batches)
+        })
+        .collect::<Result<Vec<_>, _>>()?;
     let journal_sink = match &opts.journal_path {
-        Some(path) => Some(JournalSink::create(path)?),
+        Some(path) => {
+            let next_batches: Vec<u64> = starts.iter().map(|&(_, next)| next).collect();
+            Some(JournalSink::open(path, &next_batches, batches)?)
+        }
         None => None,
     };
     let progress = opts.progress.then(|| Progress::new(batches * opts.shards));
     let hooks = StreamHooks { journal: journal_sink.as_ref(), progress: progress.as_ref() };
 
     let runs: Vec<Result<ShardRun, StreamError>> = if opts.shards == 1 {
-        vec![run_stream_shard(cfg, &plan, 0, 1, batches, fingerprint, opts, hooks)]
+        let start = starts.into_iter().next().expect("one resume point per shard");
+        vec![run_stream_shard(cfg, &plan, 0, 1, batches, fingerprint, start, opts, hooks)]
     } else {
         std::thread::scope(|scope| {
             let workers: Vec<_> = (0..opts.shards)
-                .map(|index| {
+                .zip(starts)
+                .map(|(index, start)| {
                     let plan = &plan;
                     scope.spawn(move || {
                         run_stream_shard(
@@ -469,6 +543,7 @@ pub fn run_study_streamed(
                             opts.shards,
                             batches,
                             fingerprint,
+                            start,
                             opts,
                             hooks,
                         )
@@ -482,7 +557,7 @@ pub fn run_study_streamed(
         })
     };
     if let Some(sink) = &journal_sink {
-        sink.finish()?;
+        sink.flush()?;
     }
 
     let merge_start = std::time::Instant::now();

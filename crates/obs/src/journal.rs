@@ -4,9 +4,11 @@
 //! journal answers "what happened to host 10.3.7.9?". Every instrumented
 //! stage feeds one [`JournalEvent`] stream per host — probe tx/rx from
 //! the scanner, fault encounters from the network layer, phase
-//! transitions / replies / retries from the enumerator — and the
-//! recorder folds them into one [`HostJournal`] wide record per host,
-//! rendered as a single versioned JSONL line.
+//! transitions / replies / retries from the enumerator. The recorder
+//! appends each event to a flat [`JournalLog`] as it arrives; draining
+//! sorts the log by host once and folds each host's run of events into
+//! one [`HostJournal`] wide record, rendered as a single versioned JSONL
+//! line.
 //!
 //! Everything in a journal line is **sim-time data**: there are no
 //! wall-clock fields, so a journal is deterministic for a fixed
@@ -95,8 +97,8 @@ pub enum JournalEvent {
 }
 
 /// The accumulated wide record for one host: every journal event folded
-/// into per-category timelines and tallies. Owned by the recorder,
-/// rendered to one JSONL line at flush time.
+/// into per-category timelines and tallies, rendered to one JSONL line.
+/// A drain reuses one record for every host in its log.
 #[derive(Debug, Clone, Default)]
 pub struct HostJournal {
     ip: u32,
@@ -124,6 +126,27 @@ impl HostJournal {
     #[must_use]
     pub fn new(ip: Ipv4Addr, shard: u64, batch: u64) -> Self {
         HostJournal { ip: u32::from(ip), shard, batch, ..HostJournal::default() }
+    }
+
+    /// Empties the record for another host, keeping the lists' capacity.
+    fn reset(&mut self, ip: u32, shard: u64, batch: u64) {
+        self.ip = ip;
+        self.shard = shard;
+        self.batch = batch;
+        self.probe_tx.clear();
+        self.probe_rx.clear();
+        self.verdict = None;
+        self.faults.clear();
+        self.phases.clear();
+        self.retries.clear();
+        self.replies = [0; REPLY_CLASSES];
+        self.listing_bytes = 0;
+        self.requests = 0;
+        self.files = 0;
+        self.login = None;
+        self.gave_up = None;
+        self.start_us = None;
+        self.end_us = None;
     }
 
     /// Folds one event, stamped at `sim_us`, into the record.
@@ -159,57 +182,110 @@ impl HostJournal {
     /// Renders the journal as one versioned JSONL line (no trailing
     /// newline). Key order is part of the v1 schema and pinned by the
     /// golden test — do not reorder without bumping [`JOURNAL_VERSION`].
+    ///
+    /// Integers and the address are formatted by hand, not with
+    /// `write!`: a study renders one line per probed address, and the
+    /// formatting machinery per field would dominate that cost.
     pub fn render(&self, out: &mut String) {
-        let ip = Ipv4Addr::from(self.ip);
-        let _ = write!(
-            out,
-            "{{\"v\":{JOURNAL_VERSION},\"ip\":\"{ip}\",\"shard\":{},\"batch\":{}",
-            self.shard, self.batch
-        );
+        out.push_str("{\"v\":");
+        push_u64(out, JOURNAL_VERSION);
+        out.push_str(",\"ip\":\"");
+        for (i, octet) in self.ip.to_be_bytes().into_iter().enumerate() {
+            if i > 0 {
+                out.push('.');
+            }
+            push_u64(out, u64::from(octet));
+        }
+        out.push_str("\",\"shard\":");
+        push_u64(out, self.shard);
+        out.push_str(",\"batch\":");
+        push_u64(out, self.batch);
         out.push_str(",\"probe_tx\":[");
-        for (i, (us, attempt)) in self.probe_tx.iter().enumerate() {
-            let _ = write!(out, "{}[{us},{attempt}]", if i == 0 { "" } else { "," });
+        for (i, &(us, attempt)) in self.probe_tx.iter().enumerate() {
+            push_pair_head(out, i, us);
+            push_u64(out, u64::from(attempt));
+            out.push(']');
         }
         out.push_str("],\"probe_rx\":[");
-        for (i, (us, status)) in self.probe_rx.iter().enumerate() {
-            let _ = write!(out, "{}[{us},\"{status}\"]", if i == 0 { "" } else { "," });
-        }
+        push_labelled(out, &self.probe_rx);
         out.push_str("],\"verdict\":");
-        render_opt_str(self.verdict, out);
+        push_opt_str(out, self.verdict);
         out.push_str(",\"faults\":[");
-        for (i, (us, kind)) in self.faults.iter().enumerate() {
-            let _ = write!(out, "{}[{us},\"{kind}\"]", if i == 0 { "" } else { "," });
-        }
+        push_labelled(out, &self.faults);
         out.push_str("],\"phases\":[");
-        for (i, (us, phase)) in self.phases.iter().enumerate() {
-            let _ = write!(out, "{}[{us},\"{phase}\"]", if i == 0 { "" } else { "," });
-        }
+        push_labelled(out, &self.phases);
         out.push_str("],\"retries\":[");
-        for (i, (us, attempt, backoff)) in self.retries.iter().enumerate() {
-            let _ = write!(out, "{}[{us},{attempt},{backoff}]", if i == 0 { "" } else { "," });
+        for (i, &(us, attempt, backoff)) in self.retries.iter().enumerate() {
+            push_pair_head(out, i, us);
+            push_u64(out, u64::from(attempt));
+            out.push(',');
+            push_u64(out, backoff);
+            out.push(']');
         }
         out.push_str("],\"replies\":[");
-        for (i, n) in self.replies.iter().enumerate() {
-            let _ = write!(out, "{}{n}", if i == 0 { "" } else { "," });
+        for (i, &n) in self.replies.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            push_u64(out, n);
         }
-        let _ = write!(
-            out,
-            "],\"listing_bytes\":{},\"requests\":{},\"files\":{}",
-            self.listing_bytes, self.requests, self.files
-        );
+        out.push_str("],\"listing_bytes\":");
+        push_u64(out, self.listing_bytes);
+        out.push_str(",\"requests\":");
+        push_u64(out, u64::from(self.requests));
+        out.push_str(",\"files\":");
+        push_u64(out, self.files);
         out.push_str(",\"login\":");
-        render_opt_str(self.login, out);
+        push_opt_str(out, self.login);
         out.push_str(",\"gave_up\":");
-        render_opt_str(self.gave_up, out);
+        push_opt_str(out, self.gave_up);
         out.push_str(",\"start_us\":");
-        render_opt_num(self.start_us, out);
+        push_opt_u64(out, self.start_us);
         out.push_str(",\"end_us\":");
-        render_opt_num(self.end_us, out);
+        push_opt_u64(out, self.end_us);
         out.push('}');
     }
 }
 
-fn render_opt_str(v: Option<&str>, out: &mut String) {
+/// Appends `n` in decimal.
+fn push_u64(out: &mut String, mut n: u64) {
+    if n < 10 {
+        // Most numbers on a silent address's line: tags and zeros.
+        out.push(char::from(b'0' + n as u8));
+        return;
+    }
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("decimal digits are ASCII"));
+}
+
+/// Opens the `i`th `[sim_us,…]` tuple of a timeline array.
+fn push_pair_head(out: &mut String, i: usize, us: u64) {
+    out.push_str(if i == 0 { "[" } else { ",[" });
+    push_u64(out, us);
+    out.push(',');
+}
+
+/// Appends a `[[sim_us,"label"],…]` timeline body. Labels are
+/// `'static` identifiers written verbatim, as v1 always has.
+fn push_labelled(out: &mut String, items: &[(u64, &'static str)]) {
+    for (i, &(us, label)) in items.iter().enumerate() {
+        push_pair_head(out, i, us);
+        out.push('"');
+        out.push_str(label);
+        out.push_str("\"]");
+    }
+}
+
+fn push_opt_str(out: &mut String, v: Option<&str>) {
     match v {
         Some(s) => {
             out.push('"');
@@ -220,13 +296,210 @@ fn render_opt_str(v: Option<&str>, out: &mut String) {
     }
 }
 
-fn render_opt_num(v: Option<u64>, out: &mut String) {
+fn push_opt_u64(out: &mut String, v: Option<u64>) {
     match v {
-        Some(n) => {
-            let _ = write!(out, "{n}");
-        }
+        Some(n) => push_u64(out, n),
         None => out.push_str("null"),
     }
+}
+
+/// Rendered journal lines in one contiguous buffer, each line ending in
+/// `\n`. [`crate::Report::journal`] holds one; `len()` counts lines and
+/// `&buf` iterates them as `&str` without the newline.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct JournalBuf {
+    text: String,
+    lines: usize,
+}
+
+impl JournalBuf {
+    /// Number of lines (one per journaled host).
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.lines
+    }
+
+    /// True when no line has been rendered.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.lines == 0
+    }
+
+    /// The whole buffer as JSONL text, every line newline-terminated.
+    #[must_use]
+    pub fn as_str(&self) -> &str {
+        &self.text
+    }
+
+    /// The lines, without their newlines.
+    pub fn iter(&self) -> std::str::SplitTerminator<'_, char> {
+        self.text.split_terminator('\n')
+    }
+
+    /// Appends `other`'s lines after this buffer's; moves instead of
+    /// copying when this buffer is empty.
+    pub fn append(&mut self, other: JournalBuf) {
+        if self.text.is_empty() {
+            *self = other;
+        } else {
+            self.text.push_str(&other.text);
+            self.lines += other.lines;
+        }
+    }
+
+    /// Empties the buffer, keeping its capacity.
+    pub fn clear(&mut self) {
+        self.text.clear();
+        self.lines = 0;
+    }
+
+    fn push(&mut self, journal: &HostJournal) {
+        journal.render(&mut self.text);
+        self.text.push('\n');
+        self.lines += 1;
+    }
+}
+
+impl<'a> IntoIterator for &'a JournalBuf {
+    type Item = &'a str;
+    type IntoIter = std::str::SplitTerminator<'a, char>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+/// One logged event: 16 bytes, no pointers. `word` holds the event kind
+/// in its low [`KIND_BITS`] bits and a payload above them: an attempt
+/// number, a reply code, a byte count, an index into
+/// [`JournalLog::labels`], or an index into [`JournalLog::wide`].
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    sim_us: u64,
+    ip: u32,
+    word: u32,
+}
+
+const KIND_BITS: u32 = 4;
+const PAYLOAD_LIMIT: u64 = 1 << (32 - KIND_BITS);
+const PROBE_SENT: u32 = 0;
+const PROBE_REPLY: u32 = 1;
+const PROBE_VERDICT: u32 = 2;
+const FAULT_HIT: u32 = 3;
+const SESSION_START: u32 = 4;
+const PHASE: u32 = 5;
+const REPLY: u32 = 6;
+const DATA_BYTES: u32 = 7;
+const WIDE: u32 = 8;
+
+/// A recorder's journal: every event appended in arrival order to one
+/// flat log, with no per-host state until [`JournalLog::drain_into`]
+/// sorts the log by host and renders it. Almost every probed address
+/// never answers, so per-address maps and buffers on the hot path cost
+/// far more than the few fixed-size entries each address produces.
+#[derive(Debug, Default)]
+pub(crate) struct JournalLog {
+    entries: Vec<Entry>,
+    /// Events too wide for an entry's payload (retries, session ends,
+    /// deliveries of `PAYLOAD_LIMIT` bytes or more).
+    wide: Vec<JournalEvent>,
+    /// Every distinct label seen, indexed by the ids entries carry.
+    labels: Vec<&'static str>,
+    /// `(first entry, batch)` for each run of entries logged under one
+    /// batch tag, in log order.
+    batches: Vec<(usize, u64)>,
+    /// Sort scratch: `(ip << 32) | entry index`, kept between drains.
+    keys: Vec<u64>,
+}
+
+impl JournalLog {
+    /// Appends one event for `ip`, stamped at `sim_us` in `batch`.
+    pub(crate) fn push(&mut self, ip: u32, sim_us: u64, batch: u64, ev: &JournalEvent) {
+        if self.batches.last().is_none_or(|&(_, b)| b != batch) {
+            self.batches.push((self.entries.len(), batch));
+        }
+        let (kind, payload) = match *ev {
+            JournalEvent::ProbeSent { attempt } => (PROBE_SENT, u32::from(attempt)),
+            JournalEvent::ProbeReply { status } => (PROBE_REPLY, self.label_id(status)),
+            JournalEvent::ProbeVerdict { verdict } => (PROBE_VERDICT, self.label_id(verdict)),
+            JournalEvent::FaultHit { kind } => (FAULT_HIT, self.label_id(kind)),
+            JournalEvent::SessionStart => (SESSION_START, 0),
+            JournalEvent::Phase { phase } => (PHASE, self.label_id(phase)),
+            JournalEvent::Reply { code } => (REPLY, u32::from(code)),
+            JournalEvent::DataBytes { n } if n < PAYLOAD_LIMIT => (DATA_BYTES, n as u32),
+            JournalEvent::DataBytes { .. }
+            | JournalEvent::Retry { .. }
+            | JournalEvent::SessionEnd { .. } => {
+                self.wide.push(*ev);
+                (WIDE, payload(self.wide.len() - 1))
+            }
+        };
+        self.entries.push(Entry { sim_us, ip, word: kind | payload << KIND_BITS });
+    }
+
+    /// The id of `label`, interning it on first sight. Labels are
+    /// `'static`, so identity is the pointer; the handful of distinct
+    /// labels keeps the scan short.
+    fn label_id(&mut self, label: &'static str) -> u32 {
+        let ix = match self.labels.iter().position(|&l| std::ptr::eq(l, label)) {
+            Some(ix) => ix,
+            None => {
+                self.labels.push(label);
+                self.labels.len() - 1
+            }
+        };
+        payload(ix)
+    }
+
+    fn event(&self, word: u32) -> JournalEvent {
+        let payload = (word >> KIND_BITS) as usize;
+        match word & ((1 << KIND_BITS) - 1) {
+            PROBE_SENT => JournalEvent::ProbeSent { attempt: payload as u8 },
+            PROBE_REPLY => JournalEvent::ProbeReply { status: self.labels[payload] },
+            PROBE_VERDICT => JournalEvent::ProbeVerdict { verdict: self.labels[payload] },
+            FAULT_HIT => JournalEvent::FaultHit { kind: self.labels[payload] },
+            SESSION_START => JournalEvent::SessionStart,
+            PHASE => JournalEvent::Phase { phase: self.labels[payload] },
+            REPLY => JournalEvent::Reply { code: payload as u16 },
+            DATA_BYTES => JournalEvent::DataBytes { n: payload as u64 },
+            _ => self.wide[payload],
+        }
+    }
+
+    /// Renders one line per host into `out`, hosts in address order and
+    /// each host's events in arrival order; a line's batch tag is the
+    /// batch of its host's first event. Empties the log, keeping its
+    /// capacity for the next batch.
+    pub(crate) fn drain_into(&mut self, shard: u64, out: &mut JournalBuf) {
+        assert!(self.entries.len() <= u32::MAX as usize, "journal log exceeds 2^32 events");
+        self.keys.clear();
+        self.keys.extend(
+            self.entries.iter().enumerate().map(|(ix, e)| u64::from(e.ip) << 32 | ix as u64),
+        );
+        // Keys are unique, so the unstable sort orders each host's
+        // events by arrival exactly.
+        self.keys.sort_unstable();
+        let mut journal = HostJournal::default();
+        for host in self.keys.chunk_by(|a, b| a >> 32 == b >> 32) {
+            let first = host[0] as u32 as usize;
+            let batch_run = self.batches.partition_point(|&(start, _)| start <= first) - 1;
+            journal.reset((host[0] >> 32) as u32, shard, self.batches[batch_run].1);
+            for &key in host {
+                let entry = self.entries[key as u32 as usize];
+                journal.note(entry.sim_us, &self.event(entry.word));
+            }
+            out.push(&journal);
+        }
+        self.entries.clear();
+        self.wide.clear();
+        self.batches.clear();
+    }
+}
+
+/// An entry payload from an index that must fit in its bits.
+fn payload(ix: usize) -> u32 {
+    assert!((ix as u64) < PAYLOAD_LIMIT, "journal log payload index overflow");
+    ix as u32
 }
 
 // ---------------------------------------------------------------------
@@ -322,6 +595,18 @@ impl ParsedJournal {
             start_us: get("start_us")?.as_u64(),
             end_us: get("end_us")?.as_u64(),
         })
+    }
+
+    /// Reads the `(shard, batch)` tags of a v1 line from its fixed
+    /// prefix, without parsing the rest; `None` for anything else.
+    #[must_use]
+    pub fn cell(line: &str) -> Option<(u64, u64)> {
+        let (version, rest) = leading_u64(line.strip_prefix("{\"v\":")?)?;
+        let rest = rest.strip_prefix(",\"ip\":\"")?;
+        let rest = &rest[rest.find('"')?..];
+        let (shard, rest) = leading_u64(rest.strip_prefix("\",\"shard\":")?)?;
+        let (batch, rest) = leading_u64(rest.strip_prefix(",\"batch\":")?)?;
+        (version == JOURNAL_VERSION && rest.starts_with(',')).then_some((shard, batch))
     }
 
     /// Parses a whole journal file (one line per host), skipping blank
@@ -429,6 +714,12 @@ impl ParsedJournal {
         );
         out
     }
+}
+
+/// Splits the decimal number leading `s` from what follows it.
+fn leading_u64(s: &str) -> Option<(u64, &str)> {
+    let end = s.bytes().position(|b| !b.is_ascii_digit()).unwrap_or(s.len());
+    Some((s[..end].parse().ok()?, &s[end..]))
 }
 
 /// Aggregate view over a parsed journal file: the `--top` summaries and
@@ -693,6 +984,63 @@ mod tests {
         j
     }
 
+    /// A journal with every list holding at least two entries and every
+    /// number at its type's extreme, for `ip`.
+    fn extremes(ip: Ipv4Addr) -> HostJournal {
+        let mut j = HostJournal::new(ip, u64::MAX, u64::MAX);
+        j.note(0, &JournalEvent::ProbeSent { attempt: 1 });
+        j.note(u64::MAX, &JournalEvent::ProbeSent { attempt: u8::MAX });
+        j.note(7, &JournalEvent::ProbeReply { status: "filtered" });
+        j.note(u64::MAX, &JournalEvent::ProbeReply { status: "open" });
+        j.note(u64::MAX, &JournalEvent::ProbeVerdict { verdict: "open" });
+        j.note(0, &JournalEvent::SessionStart);
+        j.note(10, &JournalEvent::FaultHit { kind: "tarpit" });
+        j.note(u64::MAX, &JournalEvent::FaultHit { kind: "syn_blackhole" });
+        j.note(0, &JournalEvent::Phase { phase: "connecting" });
+        j.note(u64::MAX, &JournalEvent::Phase { phase: "banner" });
+        j.note(99, &JournalEvent::Retry { attempt: 1, backoff_us: 0 });
+        j.note(u64::MAX, &JournalEvent::Retry { attempt: u32::MAX, backoff_us: u64::MAX });
+        for code in [100, 199, 220, 331, 450, 599, 0, 99, 600, u16::MAX] {
+            j.note(5, &JournalEvent::Reply { code });
+        }
+        j.replies[1] = u64::MAX;
+        j.note(5, &JournalEvent::DataBytes { n: u64::MAX });
+        j.note(
+            u64::MAX,
+            &JournalEvent::SessionEnd {
+                login: "denied",
+                gave_up: Some("step_timeout"),
+                requests: u32::MAX,
+                files: u64::MAX,
+            },
+        );
+        j
+    }
+
+    /// The renderer's exact bytes, pinned to lines produced by the
+    /// original `write!`-based renderer: the hand-written integer and
+    /// address formatting must not change a byte of the v1 format.
+    #[test]
+    fn render_bytes_are_pinned() {
+        const BODY: &str = r#""shard":18446744073709551615,"batch":18446744073709551615,"probe_tx":[[0,1],[18446744073709551615,255]],"probe_rx":[[7,"filtered"],[18446744073709551615,"open"]],"verdict":"open","faults":[[10,"tarpit"],[18446744073709551615,"syn_blackhole"]],"phases":[[0,"connecting"],[18446744073709551615,"banner"]],"retries":[[99,1,0],[18446744073709551615,4294967295,18446744073709551615]],"replies":[2,18446744073709551615,1,1,1,4],"listing_bytes":18446744073709551615,"requests":4294967295,"files":18446744073709551615,"login":"denied","gave_up":"step_timeout","start_us":0,"end_us":18446744073709551615}"#;
+        for (ip, text) in [
+            (Ipv4Addr::new(0, 0, 0, 0), "0.0.0.0"),
+            (Ipv4Addr::new(255, 255, 255, 255), "255.255.255.255"),
+        ] {
+            let mut line = String::new();
+            extremes(ip).render(&mut line);
+            assert_eq!(line, format!(r#"{{"v":1,"ip":"{text}",{BODY}"#));
+        }
+
+        // Rendering appends: an empty journal after existing text.
+        let mut out = String::from("x");
+        HostJournal::new(Ipv4Addr::new(10, 3, 7, 9), 0, 0).render(&mut out);
+        assert_eq!(
+            out,
+            r#"x{"v":1,"ip":"10.3.7.9","shard":0,"batch":0,"probe_tx":[],"probe_rx":[],"verdict":null,"faults":[],"phases":[],"retries":[],"replies":[0,0,0,0,0,0],"listing_bytes":0,"requests":0,"files":0,"login":null,"gave_up":null,"start_us":null,"end_us":null}"#
+        );
+    }
+
     #[test]
     fn render_parse_roundtrip() {
         let mut line = String::new();
@@ -776,5 +1124,18 @@ mod tests {
         sample().render(&mut line);
         assert!(ParsedJournal::parse_file(&format!("{line}\n\n{line}\n")).is_some());
         assert!(ParsedJournal::parse_file("{}\n").is_none());
+    }
+
+    #[test]
+    fn cell_reads_the_partition_tags() {
+        let mut line = String::new();
+        sample().render(&mut line);
+        assert_eq!(ParsedJournal::cell(&line), Some((2, 5)));
+        let mut line = String::new();
+        extremes(Ipv4Addr::new(255, 255, 255, 255)).render(&mut line);
+        assert_eq!(ParsedJournal::cell(&line), Some((u64::MAX, u64::MAX)));
+        assert_eq!(ParsedJournal::cell(&line[..40]), None, "torn inside the tags");
+        assert_eq!(ParsedJournal::cell(&line.replacen("\"v\":1", "\"v\":2", 1)), None);
+        assert_eq!(ParsedJournal::cell("not json"), None);
     }
 }

@@ -41,8 +41,8 @@ mod metrics;
 mod recorder;
 
 pub use journal::{
-    summarize, HostJournal, JournalEvent, JournalSummary, ParsedJournal, JOURNAL_VERSION,
-    REPLY_CLASSES,
+    summarize, HostJournal, JournalBuf, JournalEvent, JournalSummary, ParsedJournal,
+    JOURNAL_VERSION, REPLY_CLASSES,
 };
 pub use metrics::{
     reply_class_counter, Counter, Gauge, Hist, Histogram, MetricsSnapshot, HIST_BUCKETS,
@@ -374,12 +374,12 @@ pub fn journal_event(ip: std::net::Ipv4Addr, ev: &JournalEvent) {
     }
 }
 
-/// Drains the current thread's accumulated host journals as rendered
-/// JSONL lines (sorted by host address), clearing the recorder's
-/// buffer. The stream runner calls this after every batch so journal
+/// Renders the current thread's accumulated host journals into `out`
+/// as JSONL lines (sorted by host address), clearing the recorder's
+/// log. The stream runner calls this after every batch so journal
 /// memory never outlives a `(shard, batch)` slice; journals still
 /// buffered at [`Recorder::finish`] time ride out in the [`Report`].
-pub fn drain_journal(out: &mut Vec<String>) {
+pub fn drain_journal(out: &mut JournalBuf) {
     #[cfg(feature = "enabled")]
     {
         if enabled() {
@@ -602,12 +602,13 @@ mod tests {
         set_sim_now(1_500);
         journal!(ip, JournalEvent::SessionStart);
         journal!(ip, JournalEvent::Phase { phase: "banner" });
-        let mut drained = Vec::new();
+        let mut drained = JournalBuf::default();
         drain_journal(&mut drained);
         assert_eq!(drained.len(), 1);
-        assert!(drained[0].contains("\"ip\":\"10.0.0.9\""), "{}", drained[0]);
-        assert!(drained[0].contains("\"shard\":3,\"batch\":4"), "{}", drained[0]);
-        assert!(drained[0].contains("\"start_us\":1500"), "{}", drained[0]);
+        let line = drained.iter().next().expect("one line drained");
+        assert!(line.contains("\"ip\":\"10.0.0.9\""), "{line}");
+        assert!(line.contains("\"shard\":3,\"batch\":4"), "{line}");
+        assert!(line.contains("\"start_us\":1500"), "{line}");
         // Drained journals are gone from the final report.
         let report = uninstall().unwrap().finish();
         assert!(report.journal.is_empty());

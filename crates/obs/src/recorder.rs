@@ -8,7 +8,7 @@
 //! the simulation, which is how the determinism contract ("tracing
 //! observes, never perturbs") is kept.
 
-use crate::journal::{HostJournal, JournalEvent};
+use crate::journal::{JournalBuf, JournalEvent, JournalLog};
 use crate::metrics::{Counter, Gauge, Hist, MetricsSnapshot};
 use crate::ObsConfig;
 use std::cell::{Cell, RefCell};
@@ -127,9 +127,9 @@ pub trait Recorder {
         let _ = (ip, sim_us, batch, ev);
     }
 
-    /// Moves the accumulated host journals out as rendered JSONL lines
-    /// (sorted by host address), clearing the buffer. Default: no-op.
-    fn drain_journal(&self, out: &mut Vec<String>) {
+    /// Renders the accumulated host journals into `out` as JSONL lines
+    /// (sorted by host address), clearing them. Default: no-op.
+    fn drain_journal(&self, out: &mut JournalBuf) {
         let _ = out;
     }
 
@@ -183,10 +183,11 @@ pub struct Report {
     pub spans: Vec<SpanStat>,
     /// Pre-rendered JSONL trace lines (empty unless tracing was on).
     pub trace: Vec<String>,
-    /// Rendered host-journal JSONL lines still buffered at finish time
-    /// (the whole run for in-memory studies; empty for streamed runs,
-    /// which drain per batch). Sorted by host address per shard.
-    pub journal: Vec<String>,
+    /// Host-journal JSONL lines still buffered at finish time (the
+    /// whole run for in-memory studies; empty for streamed runs that
+    /// drain per batch), rendered into one buffer. Sorted by host
+    /// address per shard.
+    pub journal: JournalBuf,
     /// Rendered telemetry CSV rows (no header), in sample order per
     /// shard; empty unless the sampler was armed.
     pub series: Vec<String>,
@@ -209,7 +210,7 @@ impl Report {
         }
         self.spans.sort_by(|a, b| a.name.cmp(b.name));
         self.trace.extend(other.trace);
-        self.journal.extend(other.journal);
+        self.journal.append(other.journal);
         self.series.extend(other.series);
     }
 
@@ -244,16 +245,12 @@ impl Report {
     }
 
     /// The buffered host journals as one JSONL string (one host per
-    /// line). In-memory runs export through this; streamed runs write
-    /// incrementally per batch instead.
+    /// line): a copy of [`Report::journal`]'s text, which callers that
+    /// only write it out can borrow with [`JournalBuf::as_str`] instead.
+    /// Streamed runs write incrementally per batch.
     #[must_use]
     pub fn journal_jsonl(&self) -> String {
-        let mut out = String::with_capacity(self.journal.iter().map(|l| l.len() + 1).sum());
-        for line in &self.journal {
-            out.push_str(line);
-            out.push('\n');
-        }
-        out
+        self.journal.as_str().to_owned()
     }
 
     /// The header line for the telemetry CSV: partition coordinates
@@ -335,9 +332,9 @@ pub struct CollectingRecorder {
     stack: RefCell<Vec<Frame>>,
     agg: RefCell<BTreeMap<&'static str, SpanStat>>,
     trace: Option<RefCell<Vec<String>>>,
-    /// Host journals keyed by the host's u32 address, so drains render
-    /// in deterministic address order regardless of event arrival order.
-    journal: Option<RefCell<BTreeMap<u32, HostJournal>>>,
+    /// Journal events in arrival order; drains sort them by host, so
+    /// output is in address order whatever order events arrived in.
+    journal: Option<RefCell<JournalLog>>,
     /// Rendered telemetry CSV rows, in sample order.
     series: Option<RefCell<Vec<String>>>,
     /// Telemetry sampling interval (sim-µs); 0 when sampling is off.
@@ -367,7 +364,7 @@ impl CollectingRecorder {
             stack: RefCell::new(Vec::with_capacity(8)),
             agg: RefCell::new(BTreeMap::new()),
             trace: cfg.trace.then(|| RefCell::new(Vec::new())),
-            journal: cfg.journal.then(|| RefCell::new(BTreeMap::new())),
+            journal: cfg.journal.then(|| RefCell::new(JournalLog::default())),
             series: (cfg.timeseries_every_us > 0).then(|| RefCell::new(Vec::new())),
             sample_every_us: cfg.timeseries_every_us,
             seq: Cell::new(0),
@@ -517,19 +514,10 @@ impl Recorder for CollectingRecorder {
         let metrics = self.metrics.into_inner();
         let spans: Vec<SpanStat> = self.agg.into_inner().into_values().collect();
         let trace = self.trace.map(RefCell::into_inner).unwrap_or_default();
-        let journal = self
-            .journal
-            .map(|map| {
-                map.into_inner()
-                    .into_values()
-                    .map(|j| {
-                        let mut line = String::with_capacity(256);
-                        j.render(&mut line);
-                        line
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
+        let mut journal = JournalBuf::default();
+        if let Some(log) = self.journal {
+            log.into_inner().drain_into(self.shard, &mut journal);
+        }
         let series = self.series.map(RefCell::into_inner).unwrap_or_default();
         Report { metrics, spans, trace, journal, series }
     }
@@ -543,21 +531,14 @@ impl Recorder for CollectingRecorder {
     }
 
     fn journal(&self, ip: Ipv4Addr, sim_us: u64, batch: u64, ev: &JournalEvent) {
-        if let Some(map) = &self.journal {
-            map.borrow_mut()
-                .entry(u32::from(ip))
-                .or_insert_with(|| HostJournal::new(ip, self.shard, batch))
-                .note(sim_us, ev);
+        if let Some(log) = &self.journal {
+            log.borrow_mut().push(u32::from(ip), sim_us, batch, ev);
         }
     }
 
-    fn drain_journal(&self, out: &mut Vec<String>) {
-        if let Some(map) = &self.journal {
-            for j in std::mem::take(&mut *map.borrow_mut()).into_values() {
-                let mut line = String::with_capacity(256);
-                j.render(&mut line);
-                out.push(line);
-            }
+    fn drain_journal(&self, out: &mut JournalBuf) {
+        if let Some(log) = &self.journal {
+            log.borrow_mut().drain_into(self.shard, out);
         }
     }
 
@@ -609,6 +590,52 @@ mod tests {
         assert!(line.contains("\"msg\":\"a\\\"b\\\\c\""));
         assert!(line.contains("\"n\":7"));
         assert!(line.ends_with('}'));
+    }
+
+    /// The journal log is appended in arrival order and sorted only at
+    /// drain time: lines come out in address order, each host's events
+    /// keep their arrival order, and a line's batch tag is the batch of
+    /// its host's first event, even when the batch changed with no drain
+    /// in between.
+    #[test]
+    fn journal_orders_hosts_by_address_and_events_by_arrival() {
+        use crate::journal::ParsedJournal;
+        let cfg = ObsConfig { journal: true, ..ObsConfig::default() };
+        let rec = CollectingRecorder::with_config(5, cfg);
+        let (a, b, c) =
+            (Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2), Ipv4Addr::new(192, 168, 1, 1));
+        rec.journal(c, 10, 0, &JournalEvent::ProbeSent { attempt: 1 });
+        rec.journal(a, 20, 0, &JournalEvent::ProbeSent { attempt: 1 });
+        rec.journal(c, 30, 0, &JournalEvent::ProbeReply { status: "open" });
+        // The batch changes with no drain: `b` opens in batch 1, while
+        // `a` and `c` keep the batch of their first events.
+        rec.journal(b, 5, 1, &JournalEvent::ProbeSent { attempt: 1 });
+        rec.journal(a, 40, 1, &JournalEvent::ProbeSent { attempt: 2 });
+        rec.journal(c, 50, 1, &JournalEvent::Phase { phase: "banner" });
+        rec.journal(a, 60, 1, &JournalEvent::ProbeReply { status: "filtered" });
+        rec.journal(c, 45, 1, &JournalEvent::Phase { phase: "user" });
+        rec.journal(b, 70, 2, &JournalEvent::Retry { attempt: 1, backoff_us: u64::MAX });
+        rec.journal(a, 80, 2, &JournalEvent::ProbeReply { status: "closed" });
+
+        let report = Box::new(rec).finish();
+        let lines: Vec<ParsedJournal> =
+            report.journal.iter().map(|l| ParsedJournal::parse_line(l).expect("parses")).collect();
+        assert_eq!(report.journal.len(), 3);
+        assert_eq!(lines.iter().map(|j| j.ip).collect::<Vec<_>>(), vec![a, b, c]);
+        assert!(lines.iter().all(|j| j.shard == 5));
+        assert_eq!(lines.iter().map(|j| j.batch).collect::<Vec<_>>(), vec![0, 1, 0]);
+        assert_eq!(lines[0].probe_tx, vec![(20, 1), (40, 2)]);
+        assert_eq!(
+            lines[0].probe_rx,
+            vec![(60, "filtered".to_owned()), (80, "closed".to_owned())],
+            "arrival order, not sorted by label"
+        );
+        assert_eq!(lines[1].retries, vec![(70, 1, u64::MAX)]);
+        assert_eq!(
+            lines[2].phases,
+            vec![(50, "banner".to_owned()), (45, "user".to_owned())],
+            "arrival order, not sim-time order"
+        );
     }
 
     #[test]

@@ -40,6 +40,10 @@
 //! ftpcloud notify [--servers N]              responsible-disclosure digests (§III-A)
 //! ftpcloud verdicts [--servers N]            paper-vs-measured scoreboard
 //! ```
+//!
+//! Every subcommand except `explain` also takes `--seed S`. A flag the
+//! subcommand does not take, a value that does not parse, or a missing
+//! value is an error (exit code 2) that names the flag.
 
 use ftp_study::{
     run_study, run_study_sharded, run_study_streamed, tables, StreamOptions, StreamOutcome,
@@ -47,23 +51,139 @@ use ftp_study::{
 };
 use worldgen::PopulationSpec;
 
-fn flag(args: &[String], name: &str) -> Option<u64> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|ix| args.get(ix + 1))
-        .and_then(|v| v.parse().ok())
+/// What a flag takes after it.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Takes {
+    /// A whole number (`u64`).
+    Number,
+    /// Any text: a path or a keyword.
+    Text,
+    /// Nothing: the flag is a switch.
+    Nothing,
 }
 
-fn str_flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|ix| args.get(ix + 1))
-        .map(String::as_str)
+use Takes::{Nothing, Number, Text};
+
+/// The observability flags `study` and `funnel` share.
+const OBS_FLAGS: [(&str, Takes); 6] = [
+    ("--trace", Text),
+    ("--metrics", Text),
+    ("--profile", Nothing),
+    ("--journal", Text),
+    ("--timeseries", Text),
+    ("--timeseries-every", Number),
+];
+
+/// What one subcommand takes.
+struct Grammar {
+    /// Its flags, besides the observability ones.
+    flags: &'static [(&'static str, Takes)],
+    /// Whether it takes [`OBS_FLAGS`] too.
+    obs: bool,
+    /// Whether it takes a positional argument.
+    positional: bool,
 }
 
-fn switch(args: &[String], name: &str) -> bool {
-    args.iter().any(|a| a == name)
+/// The grammar of `command`; `None` for an unknown subcommand.
+fn grammar(command: &str) -> Option<Grammar> {
+    let (flags, obs, positional): (&'static [(&'static str, Takes)], _, _) = match command {
+        "study" => (
+            &[
+                ("--scale", Number),
+                ("--servers", Number),
+                ("--seed", Number),
+                ("--shards", Number),
+                ("--batch-size", Number),
+                ("--checkpoint-dir", Text),
+                ("--resume", Text),
+                ("--progress", Nothing),
+            ],
+            true,
+            false,
+        ),
+        "funnel" => (
+            &[
+                ("--servers", Number),
+                ("--seed", Number),
+                ("--faults", Number),
+                ("--shards", Number),
+            ],
+            true,
+            false,
+        ),
+        "explain" => (&[("--journal", Text), ("--top", Text)], false, true),
+        "honeypot" => (&[("--days", Number), ("--pots", Number), ("--seed", Number)], false, false),
+        "certify" | "verdicts" | "notify" => {
+            (&[("--servers", Number), ("--seed", Number)], false, false)
+        }
+        _ => return None,
+    };
+    Some(Grammar { flags, obs, positional })
 }
+
+/// A subcommand's arguments, checked against what it takes.
+struct Args<'a> {
+    /// Flags given, with their values (`""` for switches).
+    flags: Vec<(&'static str, &'a str)>,
+    /// The positional argument, for the subcommand that takes one.
+    positional: Option<&'a str>,
+}
+
+impl<'a> Args<'a> {
+    /// Parses `rest` (everything after the subcommand name), rejecting
+    /// unknown, repeated, or value-less flags, numbers that do not
+    /// parse, and stray positional arguments.
+    fn parse(command: &str, rest: &'a [String]) -> Result<Args<'a>, String> {
+        let grammar = grammar(command).ok_or_else(|| format!("unknown subcommand `{command}`"))?;
+        let obs: &[(&str, Takes)] = if grammar.obs { &OBS_FLAGS } else { &[] };
+        let mut args = Args { flags: Vec::new(), positional: None };
+        let mut tokens = rest.iter().map(String::as_str);
+        while let Some(token) = tokens.next() {
+            if !token.starts_with("--") {
+                if !grammar.positional || args.positional.is_some() {
+                    return Err(format!("unexpected argument `{token}` for `ftpcloud {command}`"));
+                }
+                args.positional = Some(token);
+                continue;
+            }
+            let Some(&(name, takes)) =
+                grammar.flags.iter().chain(obs).find(|&&(name, _)| name == token)
+            else {
+                return Err(format!("`ftpcloud {command}` does not take {token}"));
+            };
+            if args.flags.iter().any(|&(given, _)| given == name) {
+                return Err(format!("{name} given more than once"));
+            }
+            let value = match takes {
+                Nothing => "",
+                Number | Text => match tokens.next() {
+                    Some(v) if !v.starts_with("--") => v,
+                    _ => return Err(format!("{name} needs a value")),
+                },
+            };
+            if takes == Number && value.parse::<u64>().is_err() {
+                return Err(format!("{name} takes a whole number, not `{value}`"));
+            }
+            args.flags.push((name, value));
+        }
+        Ok(args)
+    }
+
+    fn text(&self, name: &str) -> Option<&'a str> {
+        self.flags.iter().find(|&&(given, _)| given == name).map(|&(_, v)| v)
+    }
+
+    /// A numeric flag's value; parsing already checked it.
+    fn number(&self, name: &str) -> Option<u64> {
+        self.text(name).map(|v| v.parse().expect("numeric flags are checked when parsed"))
+    }
+
+    fn switch(&self, name: &str) -> bool {
+        self.text(name).is_some()
+    }
+}
+
+const USAGE: &str = "usage: ftpcloud <study|funnel|explain|honeypot|certify|notify|verdicts> [--scale N] [--seed S] [--shards K] [--servers N] [--batch-size B] [--checkpoint-dir DIR] [--resume DIR] [--faults PCT] [--days D] [--pots N] [--trace OUT.jsonl] [--metrics OUT.json] [--profile] [--journal OUT.jsonl] [--timeseries OUT.csv] [--timeseries-every MS] [--progress] [--top gave-up|faults]";
 
 /// The observability flags shared by `study` and `funnel`: the sink
 /// paths to write plus the pipeline-facing [`obs::ObsConfig`].
@@ -76,13 +196,13 @@ struct ObsCli<'a> {
     cfg: obs::ObsConfig,
 }
 
-fn obs_flags(args: &[String]) -> ObsCli<'_> {
-    let trace = str_flag(args, "--trace");
-    let metrics = str_flag(args, "--metrics");
-    let profile = switch(args, "--profile");
-    let journal = str_flag(args, "--journal");
-    let timeseries = str_flag(args, "--timeseries");
-    let every_ms = flag(args, "--timeseries-every").unwrap_or(500).max(1);
+fn obs_flags<'a>(args: &Args<'a>) -> ObsCli<'a> {
+    let trace = args.text("--trace");
+    let metrics = args.text("--metrics");
+    let profile = args.switch("--profile");
+    let journal = args.text("--journal");
+    let timeseries = args.text("--timeseries");
+    let every_ms = args.number("--timeseries-every").unwrap_or(500).max(1);
     let cfg = obs::ObsConfig {
         // A metrics file is always worth collecting alongside a trace;
         // the snapshot rides in the same recorder for free.
@@ -90,7 +210,7 @@ fn obs_flags(args: &[String]) -> ObsCli<'_> {
         trace: trace.is_some(),
         profile,
         journal: journal.is_some(),
-        timeseries_every_us: if timeseries.is_some() { every_ms * 1_000 } else { 0 },
+        timeseries_every_us: if timeseries.is_some() { every_ms.saturating_mul(1_000) } else { 0 },
     };
     ObsCli { trace, metrics, profile, journal, timeseries, cfg }
 }
@@ -116,7 +236,7 @@ fn write_obs_outputs(report: Option<&obs::Report>, cli: &ObsCli, journal: Option
         }
     }
     if let Some(path) = journal {
-        if let Err(e) = std::fs::write(path, report.journal_jsonl()) {
+        if let Err(e) = std::fs::write(path, report.journal.as_str()) {
             eprintln!("warning: could not write journal {path}: {e}");
         } else {
             eprintln!("host journal written to {path} ({} hosts)", report.journal.len());
@@ -136,8 +256,8 @@ fn write_obs_outputs(report: Option<&obs::Report>, cli: &ObsCli, journal: Option
 
 /// `ftpcloud explain`: reconstructs host timelines (or a whole-journal
 /// summary) from a `--journal` file alone — no rerun needed.
-fn explain(args: &[String]) {
-    let Some(path) = str_flag(args, "--journal") else {
+fn explain(args: &Args) {
+    let Some(path) = args.text("--journal") else {
         eprintln!("explain needs --journal FILE (written by `study --journal FILE`)");
         std::process::exit(2);
     };
@@ -153,9 +273,9 @@ fn explain(args: &[String]) {
         std::process::exit(1);
     };
 
-    // A bare positional argument after the subcommand is the host to
-    // explain; without one the whole journal is summarized.
-    if let Some(raw) = args.get(1).filter(|a| !a.starts_with("--")) {
+    // The positional argument is the host to explain; without one the
+    // whole journal is summarized.
+    if let Some(raw) = args.positional {
         let Ok(ip) = raw.parse::<std::net::Ipv4Addr>() else {
             eprintln!("error: {raw} is not an IPv4 address");
             std::process::exit(2);
@@ -172,7 +292,7 @@ fn explain(args: &[String]) {
     }
 
     let s = obs::summarize(&journals);
-    let top = str_flag(args, "--top");
+    let top = args.text("--top");
     let gave_up_total: u64 = s.gave_up.iter().map(|&(_, n)| n).sum();
     if top.is_none() {
         println!(
@@ -216,20 +336,29 @@ fn explain(args: &[String]) {
 
 fn main() {
     obs::diag_to_stderr();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let seed = flag(&args, "--seed").unwrap_or(42);
-    match args.first().map(String::as_str) {
-        Some("study") => {
-            let scale = flag(&args, "--scale").unwrap_or(4_096);
-            let shards = flag(&args, "--shards").unwrap_or(1).max(1);
-            let batch_size = flag(&args, "--batch-size");
-            let checkpoint_dir = str_flag(&args, "--checkpoint-dir");
-            let resume = str_flag(&args, "--resume");
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let Some((command, rest)) = argv.split_first() else {
+        eprintln!("{USAGE}");
+        std::process::exit(2);
+    };
+    // Every argument is checked before any work starts.
+    let args = Args::parse(command, rest).unwrap_or_else(|e| {
+        eprintln!("error: {e}\n{USAGE}");
+        std::process::exit(2);
+    });
+    let seed = args.number("--seed").unwrap_or(42);
+    match command.as_str() {
+        "study" => {
+            let scale = args.number("--scale").unwrap_or(4_096);
+            let shards = args.number("--shards").unwrap_or(1).max(1);
+            let batch_size = args.number("--batch-size");
+            let checkpoint_dir = args.text("--checkpoint-dir");
+            let resume = args.text("--resume");
             let obs_cli = obs_flags(&args);
 
             // --servers sizes the world directly (the million-host
             // entry point); --scale keeps the paper-ratio sizing.
-            let spec = match flag(&args, "--servers") {
+            let spec = match args.number("--servers") {
                 Some(n) => PopulationSpec::sized(seed, n as usize),
                 None => PopulationSpec::study(seed, scale),
             };
@@ -259,7 +388,7 @@ fn main() {
                 shards,
                 checkpoint_dir: checkpoint_dir.or(resume).map(std::path::PathBuf::from),
                 journal_path: obs_cli.journal.map(std::path::PathBuf::from),
-                progress: switch(&args, "--progress"),
+                progress: args.switch("--progress"),
                 ..StreamOptions::new(batch_size as usize)
             };
             match run_study_streamed(&cfg, &opts) {
@@ -284,10 +413,10 @@ fn main() {
                 }
             }
         }
-        Some("funnel") => {
-            let servers = flag(&args, "--servers").unwrap_or(800) as usize;
-            let faults = flag(&args, "--faults").unwrap_or(0);
-            let shards = flag(&args, "--shards").unwrap_or(1).max(1);
+        "funnel" => {
+            let servers = args.number("--servers").unwrap_or(800) as usize;
+            let faults = args.number("--faults").unwrap_or(0);
+            let shards = args.number("--shards").unwrap_or(1).max(1);
             let obs_cli = obs_flags(&args);
             let mut cfg =
                 StudyConfig::small(seed, servers).with_fault_fraction(faults as f64 / 100.0);
@@ -296,17 +425,15 @@ fn main() {
             println!("{}", tables::table01_funnel(&results));
             write_obs_outputs(results.obs.as_ref(), &obs_cli, obs_cli.journal);
         }
-        Some("explain") => {
-            explain(&args);
-        }
-        Some("honeypot") => {
-            let days = flag(&args, "--days").unwrap_or(90);
-            let pots = flag(&args, "--pots").unwrap_or(8) as usize;
+        "explain" => explain(&args),
+        "honeypot" => {
+            let days = args.number("--days").unwrap_or(90);
+            let pots = args.number("--pots").unwrap_or(8) as usize;
             let report = ftp_study::run_honeypot_experiment(seed, pots, days);
             println!("{report:#?}");
         }
-        Some("certify") => {
-            let servers = flag(&args, "--servers").unwrap_or(800) as usize;
+        "certify" => {
+            let servers = args.number("--servers").unwrap_or(800) as usize;
             let results = run_study(&StudyConfig::small(seed, servers));
             let (rate, failing) = analysis::cyberul::fleet_summary(&results.records);
             println!("CyberUL pass rate: {:.1}%", rate * 100.0);
@@ -314,15 +441,15 @@ fn main() {
                 println!("{count:>6}  {check}");
             }
         }
-        Some("verdicts") => {
-            let servers = flag(&args, "--servers").unwrap_or(900) as usize;
+        "verdicts" => {
+            let servers = args.number("--servers").unwrap_or(900) as usize;
             let results = run_study(&StudyConfig::small(seed, servers));
             println!("{}", ftp_study::verdicts::render(&results));
             let (ok, approx, noise) = ftp_study::verdicts::scoreboard(&results);
             println!("{ok} reproduced, {approx} approximate, {noise} small-N");
         }
-        Some("notify") => {
-            let servers = flag(&args, "--servers").unwrap_or(800) as usize;
+        "notify" => {
+            let servers = args.number("--servers").unwrap_or(800) as usize;
             let results = run_study(&StudyConfig::small(seed, servers));
             let digests =
                 analysis::notify::build_digests(&results.records, &results.truth.registry);
@@ -331,11 +458,6 @@ fn main() {
                 println!("{}", d.render());
             }
         }
-        _ => {
-            eprintln!(
-                "usage: ftpcloud <study|funnel|explain|honeypot|certify|notify|verdicts> [--scale N] [--seed S] [--shards K] [--servers N] [--batch-size B] [--checkpoint-dir DIR] [--resume DIR] [--faults PCT] [--days D] [--pots N] [--trace OUT.jsonl] [--metrics OUT.json] [--profile] [--journal OUT.jsonl] [--timeseries OUT.csv] [--timeseries-every MS] [--progress] [--top gave-up|faults]"
-            );
-            std::process::exit(2);
-        }
+        _ => unreachable!("Args::parse rejects unknown subcommands"),
     }
 }

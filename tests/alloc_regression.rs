@@ -334,3 +334,48 @@ fn streamed_study_allocation_count_stays_near_in_memory_path() {
          (ceiling 1.5×) — the streaming allocation diet regressed"
     );
 }
+
+/// Allocation-count ceiling for the flight recorder: a study with the
+/// journal on, rendered to JSONL, makes at most 1.5× the allocations of
+/// the same study with it off (metrics on in both). The recorder appends
+/// fixed-size entries to one flat log and renders every line into one
+/// buffer, so journaling costs a few dozen buffer growths, not
+/// allocations per probed address; a per-address record or per-line
+/// `String` multiplies the count (by ~40× on this world).
+#[test]
+fn journaled_study_allocation_count_stays_near_unjournaled() {
+    let _guard = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+
+    let mut cfg = StudyConfig::small(SEED, 150).with_fault_fraction(0.5);
+    cfg.obs = obs::ObsConfig { metrics: true, ..obs::ObsConfig::default() };
+    let mut journaled = cfg.clone();
+    journaled.obs.journal = true;
+
+    // Warm both configurations once so lazy initialization doesn't count.
+    drop(run_study(&cfg));
+    drop(run_study(&journaled));
+
+    bench::reset();
+    let results = run_study(&cfg);
+    let plain_allocs = bench::snapshot().allocs;
+    drop(results);
+
+    bench::reset();
+    let results = run_study(&journaled);
+    let journal = results.obs.as_ref().expect("journaling requested").journal_jsonl();
+    let journaled_allocs = bench::snapshot().allocs;
+    assert_eq!(
+        journal.lines().count() as u64,
+        results.ips_scanned,
+        "one journal line per probed address"
+    );
+    drop(results);
+
+    assert!(plain_allocs > 0, "allocator saw no allocations — counter broken?");
+    let ceiling = (plain_allocs as f64 * 1.5) as u64;
+    assert!(
+        journaled_allocs <= ceiling,
+        "journaled study made {journaled_allocs} allocs vs {plain_allocs} without the journal \
+         (ceiling 1.5×) — the flight recorder allocates per address again"
+    );
+}

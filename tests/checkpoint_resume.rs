@@ -233,3 +233,82 @@ fn checkpoint_from_other_configuration_is_refused() {
     assert!(msg.contains("different study configuration"), "diagnostic should explain: {msg}");
     fs::remove_dir_all(&dir).ok();
 }
+
+/// `--journal` survives a resume: the lines of checkpointed cells stay,
+/// anything else in the file is dropped, and the resumed run appends
+/// the rest, ending equal to an uninterrupted run's journal —
+/// byte-identical at one shard, the same lines at two (shards append
+/// concurrently). Resuming a finished run leaves the journal untouched.
+#[test]
+fn resumed_journal_equals_an_uninterrupted_run() {
+    let mut cfg = config();
+    cfg.obs = obs::ObsConfig { journal: true, ..obs::ObsConfig::default() };
+    // Smaller batches than the other tests, so some remain after three.
+    let opts = |shards, checkpoint_dir: Option<&Path>, interrupt, journal: &Path| StreamOptions {
+        shards,
+        checkpoint_dir: checkpoint_dir.map(Path::to_path_buf),
+        interrupt_after_batches: interrupt,
+        journal_path: Some(journal.to_path_buf()),
+        ..StreamOptions::new(BATCH_SIZE / 3)
+    };
+    let stream =
+        |opts: &StreamOptions| run_study_streamed(&cfg, opts).expect("streamed study runs");
+    let sorted_lines = |text: &str| {
+        let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+        lines.sort();
+        lines
+    };
+
+    for shards in [1, 2] {
+        let dir = scratch(&format!("journal-k{shards}"));
+        fs::create_dir_all(&dir).unwrap();
+        let reference_path = dir.join("reference.jsonl");
+        let reference_run = complete(stream(&opts(shards, None, None, &reference_path)));
+        assert!(reference_run.batches > 3, "need batches left after the interrupt");
+        let reference = fs::read_to_string(&reference_path).unwrap();
+        assert!(!reference.is_empty(), "journaling requested, lines written");
+
+        let checkpoints = dir.join("checkpoints");
+        let path = dir.join("resumed.jsonl");
+        match stream(&opts(shards, Some(&checkpoints), Some(3), &path)) {
+            StreamOutcome::Interrupted { next_batches } => {
+                assert_eq!(next_batches, vec![3; shards as usize], "cursors after the interrupt")
+            }
+            StreamOutcome::Complete(_) => panic!("interrupt after 3 batches did not fire"),
+        }
+        if shards == 1 {
+            // A crash after flushing batch 3 but before checkpointing it
+            // leaves that batch's lines, possibly torn, after the
+            // checkpointed ones; the resume must drop them.
+            let unfinished = reference
+                .lines()
+                .find(|line| obs::ParsedJournal::cell(line) == Some((0, 3)))
+                .expect("batch 3 journals a host");
+            let mut text = fs::read_to_string(&path).unwrap();
+            text.push_str(unfinished);
+            text.push('\n');
+            text.push_str(&unfinished[..unfinished.len() / 2]);
+            fs::write(&path, text).unwrap();
+        }
+
+        complete(stream(&opts(shards, Some(&checkpoints), None, &path)));
+        let resumed = fs::read_to_string(&path).unwrap();
+        if shards == 1 {
+            assert_eq!(resumed, reference, "resumed single-shard journal must be byte-identical");
+        } else {
+            assert_eq!(
+                sorted_lines(&resumed),
+                sorted_lines(&reference),
+                "resumed {shards}-shard journal must hold the same lines"
+            );
+        }
+
+        complete(stream(&opts(shards, Some(&checkpoints), None, &path)));
+        assert_eq!(
+            fs::read_to_string(&path).unwrap(),
+            resumed,
+            "resuming a finished run must leave the journal untouched"
+        );
+        fs::remove_dir_all(&dir).ok();
+    }
+}
