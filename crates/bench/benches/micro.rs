@@ -61,16 +61,16 @@ fn listing_parse_bench(c: &mut Criterion) {
     ] {
         let mut body = String::new();
         for i in 0..1_000 {
-            let entry = listing::ListingEntry {
-                name: format!("file-{i:05}.dat"),
+            let name = format!("file-{i:05}.dat");
+            let entry = listing::ListingEntryRef {
+                name: &name,
                 is_dir: rng.random_bool(0.1),
                 size: Some(rng.random_range(0..1_000_000_000)),
                 permissions: Some(ftp_proto::listing::Permissions::public_file()),
-                owner: Some("ftp".into()),
-                mtime: Some("Jun 18  2015".into()),
-                is_symlink: false,
+                owner: Some("ftp"),
+                mtime: Some("Jun 18  2015"),
             };
-            body.push_str(&listing::render_line(&entry, fmt));
+            listing::render_line_into(entry, fmt, &mut body);
             body.push_str("\r\n");
         }
         bodies.insert(label, (fmt, body));
@@ -78,7 +78,20 @@ fn listing_parse_bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("listing_parse_1k_lines");
     for (label, (fmt, body)) in &bodies {
         g.bench_function(*label, |b| {
-            b.iter(|| black_box(listing::parse_body(black_box(body), *fmt)))
+            b.iter(|| {
+                let (mut entries, mut failures) = (0usize, 0usize);
+                for line in black_box(body).lines() {
+                    match listing::parse_line_ref(line, *fmt) {
+                        Ok(Some(e)) => {
+                            black_box(e);
+                            entries += 1;
+                        }
+                        Ok(None) => {}
+                        Err(_) => failures += 1,
+                    }
+                }
+                black_box((entries, failures))
+            })
         });
     }
     g.finish();

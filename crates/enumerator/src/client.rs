@@ -153,8 +153,8 @@ struct Session {
     queue: VecDeque<(Rc<str>, usize)>,
     visited: FastSet<Rc<str>>,
     listing_hint: ListingFormat,
-    /// Scratch for the rare listing line that needs a lossy re-decode.
-    line_scratch: String,
+    /// Scratch for the rare listing body that needs a lossy re-decode.
+    lossy_scratch: String,
     /// Sim time (µs) when the session's first connect was issued; only
     /// read by the observability layer for the session-latency histogram.
     started_us: u64,
@@ -185,7 +185,7 @@ impl Session {
             queue: VecDeque::new(),
             visited: FastSet::default(),
             listing_hint: ListingFormat::Unix,
-            line_scratch: String::new(),
+            lossy_scratch: String::new(),
             started_us: 0,
         }
     }
@@ -556,32 +556,24 @@ impl Enumerator {
         let max_depth = self.cfg.max_depth;
         let Some(s) = self.sessions[slot].as_mut() else { return };
         let dir = s.cur_dir.clone();
-        // Parse straight out of the raw transfer bytes, one line at a
-        // time: no whole-body decode, no per-entry owned strings.
-        // Splitting on the byte level and lossy-decoding only the rare
-        // invalid line is equivalent to lossy-decoding the whole body
-        // first — multi-byte UTF-8 sequences never contain '\n', and
-        // replacement-character insertion is local to the bad sequence.
+        // Parse straight out of the raw transfer bytes: one UTF-8 check
+        // for the whole body, no per-entry owned strings. Only a body
+        // holding invalid bytes is lossy-decoded, into session scratch;
+        // that equals lossy-decoding each line, since a replacement
+        // covers only the bad sequence, which never includes a '\n'.
         let data_buf = std::mem::take(&mut s.data_buf);
-        let mut rest = data_buf.as_slice();
-        while !rest.is_empty() {
-            let (mut line, tail) = match rest.iter().position(|&b| b == b'\n') {
-                Some(p) => (&rest[..p], &rest[p + 1..]),
-                None => (rest, &rest[rest.len()..]),
-            };
-            rest = tail;
-            if line.last() == Some(&b'\r') {
-                line = &line[..line.len() - 1];
+        let body = match std::str::from_utf8(&data_buf) {
+            Ok(text) => text,
+            Err(_) => {
+                s.lossy_scratch.clear();
+                ftp_proto::lossy_append(&mut s.lossy_scratch, &data_buf);
+                s.lossy_scratch.as_str()
             }
-            let parsed = match std::str::from_utf8(line) {
-                Ok(text) => listing::parse_line_ref(text, s.listing_hint),
-                Err(_) => {
-                    s.line_scratch.clear();
-                    ftp_proto::lossy_append(&mut s.line_scratch, line);
-                    listing::parse_line_ref(&s.line_scratch, s.listing_hint)
-                }
-            };
-            match parsed {
+        };
+        // `lines` splits at '\n' and drops a '\r' before it; the parser
+        // trims any other trailing '\r'.
+        for line in body.lines() {
+            match listing::parse_line_ref(line, s.listing_hint) {
                 Ok(Some(e)) => {
                     if e.name == "." || e.name == ".." {
                         continue;

@@ -180,43 +180,56 @@ impl<'a> FileEntryRef<'a> {
     }
 }
 
-/// Struct-of-arrays storage for a host's observed files.
+/// Arena-backed storage for a host's observed files.
 ///
-/// The AoS form (`Vec<FileEntry>`) cost four-plus heap allocations per
-/// row (path `String`, optional owner `String`, and a fresh lowercase
-/// `String` per `extension()` call in every analysis pass). This table
-/// stores all paths in one arena string with end offsets, interns the
-/// handful of distinct owner names per host, and precomputes lowercase
-/// extensions into a side arena — row access hands out [`FileEntryRef`]
-/// slices and never allocates.
+/// A `Vec<FileEntry>` costs four-plus heap allocations per row (path
+/// `String`, optional owner `String`, and a fresh lowercase `String` per
+/// `extension()` call in every analysis pass). This table stores all
+/// paths in one arena string, interns the handful of distinct owner
+/// names per host, and precomputes lowercase extensions into a side
+/// arena; each row's offsets and scalar fields sit together in one
+/// fixed-size [`Row`], so a row costs one push to `rows` rather than
+/// one per column. Row access hands out [`FileEntryRef`] slices and
+/// never allocates.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FileTable {
-    /// Every path, concatenated; row `i` is `paths[path_end[i-1]..path_end[i]]`.
+    /// Every path, concatenated; row `i` is
+    /// `paths[rows[i-1].path_end..rows[i].path_end]`.
     paths: String,
-    path_end: Vec<u32>,
-    /// Byte offset into `paths` where row `i`'s final component begins.
-    name_start: Vec<u32>,
     /// Lower-cased extensions, concatenated; zero-length slice = none.
     ext_buf: String,
-    ext_end: Vec<u32>,
-    is_dir: Vec<bool>,
-    size: Vec<Option<u64>>,
-    readability: Vec<Readability>,
-    /// Index into `owners`, or `u32::MAX` for "owner column absent".
-    owner_ix: Vec<u32>,
+    rows: Vec<Row>,
     owners: Vec<String>,
-    other_writable: Vec<Option<bool>>,
+}
+
+/// One [`FileTable`] row: arena offsets plus the scalar columns.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+struct Row {
+    /// End of the row's path in `paths` (it starts at the previous
+    /// row's end).
+    path_end: u32,
+    /// Byte offset into `paths` where the row's final component begins.
+    name_start: u32,
+    /// End of the row's extension in `ext_buf` (it starts at the
+    /// previous row's end).
+    ext_end: u32,
+    /// Index into `owners`, or `u32::MAX` for "owner column absent".
+    owner_ix: u32,
+    size: Option<u64>,
+    is_dir: bool,
+    readability: Readability,
+    other_writable: Option<bool>,
 }
 
 impl FileTable {
     /// Number of rows (files and directories).
     pub fn len(&self) -> usize {
-        self.path_end.len()
+        self.rows.len()
     }
 
     /// True when no entries have been recorded.
     pub fn is_empty(&self) -> bool {
-        self.path_end.is_empty()
+        self.rows.is_empty()
     }
 
     /// Appends a row from its parts without materializing the joined
@@ -267,18 +280,16 @@ impl FileTable {
         owner: Option<&str>,
         other_writable: Option<bool>,
     ) {
-        self.path_end.push(self.paths.len() as u32);
-        self.name_start.push(name_start);
         let name = &self.paths[name_start as usize..];
         if let Some(dot) = name.rfind('.') {
             if dot != 0 && dot + 1 != name.len() {
-                self.ext_buf.extend(name[dot + 1..].chars().map(|c| c.to_ascii_lowercase()));
+                // ASCII lowercasing leaves every other byte alone, so it
+                // can run on the copied bytes in place.
+                let ext_start = self.ext_buf.len();
+                self.ext_buf.push_str(&name[dot + 1..]);
+                self.ext_buf[ext_start..].make_ascii_lowercase();
             }
         }
-        self.ext_end.push(self.ext_buf.len() as u32);
-        self.is_dir.push(is_dir);
-        self.size.push(size);
-        self.readability.push(readability);
         let owner_ix = match owner {
             None => u32::MAX,
             // Hosts expose a handful of distinct owners at most, so a
@@ -291,27 +302,38 @@ impl FileTable {
                 }
             },
         };
-        self.owner_ix.push(owner_ix);
-        self.other_writable.push(other_writable);
+        self.rows.push(Row {
+            path_end: self.paths.len() as u32,
+            name_start,
+            ext_end: self.ext_buf.len() as u32,
+            owner_ix,
+            size,
+            is_dir,
+            readability,
+            other_writable,
+        });
     }
 
     /// The row at `ix`. Panics when out of bounds, like slice indexing.
     pub fn get(&self, ix: usize) -> FileEntryRef<'_> {
-        let path_start = if ix == 0 { 0 } else { self.path_end[ix - 1] as usize };
-        let path_end = self.path_end[ix] as usize;
-        let ext_start = if ix == 0 { 0 } else { self.ext_end[ix - 1] as usize };
+        let row = self.rows[ix];
+        let (path_start, ext_start) = match ix.checked_sub(1).map(|p| self.rows[p]) {
+            Some(prev) => (prev.path_end as usize, prev.ext_end as usize),
+            None => (0, 0),
+        };
+        let path_end = row.path_end as usize;
         FileEntryRef {
             path: &self.paths[path_start..path_end],
-            name: &self.paths[self.name_start[ix] as usize..path_end],
-            ext: &self.ext_buf[ext_start..self.ext_end[ix] as usize],
-            is_dir: self.is_dir[ix],
-            size: self.size[ix],
-            readability: self.readability[ix],
-            owner: match self.owner_ix[ix] {
+            name: &self.paths[row.name_start as usize..path_end],
+            ext: &self.ext_buf[ext_start..row.ext_end as usize],
+            is_dir: row.is_dir,
+            size: row.size,
+            readability: row.readability,
+            owner: match row.owner_ix {
                 u32::MAX => None,
                 i => Some(self.owners[i as usize].as_str()),
             },
-            other_writable: self.other_writable[ix],
+            other_writable: row.other_writable,
         }
     }
 
@@ -324,8 +346,7 @@ impl FileTable {
     /// build its visited/queue keys without re-joining the path.
     pub fn last_path(&self) -> Option<&str> {
         let ix = self.len().checked_sub(1)?;
-        let start = if ix == 0 { 0 } else { self.path_end[ix - 1] as usize };
-        Some(&self.paths[start..self.path_end[ix] as usize])
+        Some(self.get(ix).path)
     }
 }
 
@@ -565,6 +586,9 @@ mod tests {
         assert_eq!(parts, pushed);
         assert_eq!(parts[0], ("/readme.TXT".to_owned(), "readme.TXT".to_owned(), Some("txt".to_owned())));
         assert_eq!(parts[2].2, None, ".hidden has no extension");
+        // Only ASCII letters fold; other characters keep their case.
+        by_parts.push_parts("/", "ÜBER.TÄR", false, None, Readability::Unknown, None, None);
+        assert_eq!(by_parts.get(3).extension(), Some("tÄr"));
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub use codec::{lossy_append, strip_iac, LineCodec};
 pub use command::Command;
 pub use error::ProtoError;
 pub use hostport::HostPort;
-pub use listing::{ListingEntry, ListingFormat, Permissions};
+pub use listing::{ListingFormat, Permissions};
 pub use path::FtpPath;
 pub use reply::{Reply, ReplyBuf, ReplyCode, ReplyRef};
 pub use robots::Robots;

@@ -45,6 +45,9 @@ pub enum Readability {
     Unknown,
 }
 
+/// The `rwx` text of one permission triple, indexed by its three bits.
+const RWX: [&str; 8] = ["---", "--x", "-w-", "-wx", "r--", "r-x", "rw-", "rwx"];
+
 /// UNIX permission bits as shown in an `ls -l` mode string.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Permissions {
@@ -91,18 +94,26 @@ impl Permissions {
 
     /// Renders the nine-character `rwxr-xr-x` suffix of a mode string.
     pub fn to_rwx(&self) -> String {
-        let mut s = String::with_capacity(9);
-        let _ = fmt::Write::write_fmt(&mut s, format_args!("{self}"));
-        s
+        self.rwx_triples().concat()
+    }
+
+    /// The owner, group and other `rwx` triples of the mode string.
+    fn rwx_triples(self) -> [&'static str; 3] {
+        [6u16, 3, 0].map(|shift| RWX[usize::from((self.bits >> shift) & 0o7)])
     }
 
     /// Parses the nine-character `rwx` triple-group; returns `None` on
     /// unexpected characters (setuid `s`/`t` letters are accepted).
     pub fn parse_rwx(s: &str) -> Option<Self> {
-        // Mode strings are ASCII; a multi-byte character can never match
-        // an expected letter, so byte-wise inspection rejects exactly the
-        // same inputs a char-wise scan would.
-        let bytes = s.as_bytes();
+        Self::parse_rwx_bytes(s.as_bytes())
+    }
+
+    /// [`Permissions::parse_rwx`] over raw bytes. Mode strings are
+    /// ASCII, so a byte of a multi-byte character never matches an
+    /// expected letter: this rejects exactly what a char-wise scan
+    /// would, and lets a caller read a mode out of a line without first
+    /// knowing where its characters begin.
+    fn parse_rwx_bytes(bytes: &[u8]) -> Option<Self> {
         if bytes.len() != 9 {
             return None;
         }
@@ -126,62 +137,12 @@ impl Permissions {
 
 impl fmt::Display for Permissions {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        use fmt::Write as _;
-        for shift in [6u16, 3, 0] {
-            let trio = (self.bits >> shift) & 0o7;
-            f.write_char(if trio & 0o4 != 0 { 'r' } else { '-' })?;
-            f.write_char(if trio & 0o2 != 0 { 'w' } else { '-' })?;
-            f.write_char(if trio & 0o1 != 0 { 'x' } else { '-' })?;
-        }
-        Ok(())
-    }
-}
-
-/// One parsed entry from a directory listing.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ListingEntry {
-    /// File or directory name (final component only).
-    pub name: String,
-    /// True for directories.
-    pub is_dir: bool,
-    /// Size in bytes when the format exposes it.
-    pub size: Option<u64>,
-    /// UNIX permissions when the format exposes them.
-    pub permissions: Option<Permissions>,
-    /// Owner name when the format exposes it (e.g. `ftp`).
-    pub owner: Option<String>,
-    /// Raw modification-time text as shown in the listing.
-    pub mtime: Option<String>,
-    /// True for symlinks (UNIX `l` type); the link target is stripped.
-    pub is_symlink: bool,
-}
-
-impl ListingEntry {
-    /// Creates a directory entry with only a name (as from `NLST`).
-    pub fn bare(name: impl Into<String>, is_dir: bool) -> Self {
-        ListingEntry {
-            name: name.into(),
-            is_dir,
-            size: None,
-            permissions: None,
-            owner: None,
-            mtime: None,
-            is_symlink: false,
-        }
-    }
-
-    /// The paper's three-way readability classification for this entry.
-    pub fn readability(&self) -> Readability {
-        match self.permissions {
-            Some(p) if p.other_read() => Readability::Readable,
-            Some(_) => Readability::NonReadable,
-            None => Readability::Unknown,
-        }
+        self.rwx_triples().into_iter().try_for_each(|t| f.write_str(t))
     }
 }
 
 /// Modification-time text as parsed from a listing line, kept as slices
-/// of the source columns so the borrowed parse path allocates nothing.
+/// of the source columns so parsing allocates nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MtimeRef<'a> {
     /// Format exposes no mtime.
@@ -206,22 +167,10 @@ pub enum MtimeRef<'a> {
     },
 }
 
-impl MtimeRef<'_> {
-    /// The owned single-string form [`ListingEntry::mtime`] carries.
-    pub fn to_owned_string(self) -> Option<String> {
-        match self {
-            MtimeRef::None => None,
-            MtimeRef::Raw(s) => Some(s.to_owned()),
-            MtimeRef::Unix { month, day, tail } => Some(format!("{month} {day} {tail}")),
-            MtimeRef::Dos { date, time } => Some(format!("{date} {time}")),
-        }
-    }
-}
-
-/// A borrowed parsed listing entry: every text field is a slice of the
-/// source line, so parsing a 10 000-entry directory body allocates
-/// nothing — the enumerator copies the fields it keeps straight into its
-/// columnar `FileTable` arenas.
+/// A parsed listing entry: every text field is a slice of the source
+/// line, so parsing a 10 000-entry directory body allocates nothing —
+/// the enumerator copies the fields it keeps straight into its columnar
+/// `FileTable` arenas.
 #[derive(Debug, Clone, Copy)]
 pub struct ParsedEntryRef<'a> {
     /// File or directory name (final component only).
@@ -249,38 +198,15 @@ impl ParsedEntryRef<'_> {
             None => Readability::Unknown,
         }
     }
-
-    /// Copies into an owned [`ListingEntry`].
-    pub fn to_owned_entry(&self) -> ListingEntry {
-        ListingEntry {
-            name: self.name.to_owned(),
-            is_dir: self.is_dir,
-            size: self.size,
-            permissions: self.permissions,
-            owner: self.owner.map(str::to_owned),
-            mtime: self.mtime.to_owned_string(),
-            is_symlink: self.is_symlink,
-        }
-    }
 }
 
 /// Parses one listing line, trying the given format first and falling
 /// back to sniffing the others — the tolerance strategy the paper's
 /// enumerator converged on after iterative testing against live servers.
+/// The returned entry's text fields are slices of `line`.
 ///
 /// Lines that are recognized as noise (e.g. `total 52` headers) return
 /// `Ok(None)`.
-///
-/// # Errors
-///
-/// Returns [`ProtoError::BadListing`] if no parser recognizes the line.
-pub fn parse_line(line: &str, hint: ListingFormat) -> Result<Option<ListingEntry>, ProtoError> {
-    Ok(parse_line_ref(line, hint)?.map(|e| e.to_owned_entry()))
-}
-
-/// Borrowed-view variant of [`parse_line`]: the returned entry's text
-/// fields are slices of `line`, so the per-line hot path allocates
-/// nothing.
 ///
 /// # Errors
 ///
@@ -324,20 +250,75 @@ pub fn parse_line_ref(
     Err(ProtoError::bad_listing(line))
 }
 
-/// Parses a full multi-line listing body, skipping noise lines and
-/// collecting per-line failures separately so a single weird line does
-/// not abort a 10 000-entry directory (a real-world lesson from §III).
-pub fn parse_body(body: &str, hint: ListingFormat) -> (Vec<ListingEntry>, usize) {
-    let mut entries = Vec::new();
-    let mut failures = 0;
-    for line in body.lines() {
-        match parse_line(line, hint) {
-            Ok(Some(e)) => entries.push(e),
-            Ok(None) => {}
-            Err(_) => failures += 1,
-        }
+/// The whitespace-separated tokens of a string from a byte offset on,
+/// split exactly where `str::split_whitespace` splits. ASCII bytes are
+/// classified directly; a `char` is decoded only at a byte ≥ 0x80, so a
+/// listing line is tokenized in one pass over its bytes.
+struct Tokens<'a> {
+    s: &'a str,
+    pos: usize,
+}
+
+impl<'a> Tokens<'a> {
+    /// Tokens of `s[from..]`; `from` must be a char boundary.
+    fn new(s: &'a str, from: usize) -> Self {
+        Tokens { s, pos: from }
     }
-    (entries, failures)
+
+    /// Whether the non-ASCII `char` starting at byte `i` is whitespace,
+    /// and its length in bytes.
+    #[cold]
+    fn wide_char(&self, i: usize) -> (bool, usize) {
+        let c = self.s[i..].chars().next().expect("tokenizer stays on char boundaries");
+        (c.is_whitespace(), c.len_utf8())
+    }
+}
+
+/// ASCII whitespace as `char::is_whitespace` defines it: the space and
+/// `\t`..=`\r` (`u8::is_ascii_whitespace` leaves out `\x0B`).
+fn is_ascii_space(b: u8) -> bool {
+    b == b' ' || (b'\t'..=b'\r').contains(&b)
+}
+
+impl<'a> Iterator for Tokens<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        let bytes = self.s.as_bytes();
+        let mut i = self.pos;
+        let start = loop {
+            let &b = bytes.get(i)?;
+            if b >= 0x80 {
+                let (space, n) = self.wide_char(i);
+                if !space {
+                    break i;
+                }
+                i += n;
+            } else if is_ascii_space(b) {
+                i += 1;
+            } else {
+                break i;
+            }
+        };
+        while let Some(&b) = bytes.get(i) {
+            if b > b' ' && b < 0x80 {
+                // Printable ASCII: nearly every byte of a listing.
+                i += 1;
+            } else if b >= 0x80 {
+                let (space, n) = self.wide_char(i);
+                if space {
+                    break;
+                }
+                i += n;
+            } else if is_ascii_space(b) {
+                break;
+            } else {
+                i += 1;
+            }
+        }
+        self.pos = i;
+        Some(&self.s[start..i])
+    }
 }
 
 fn parse_unix(line: &str) -> Option<ParsedEntryRef<'_>> {
@@ -348,18 +329,18 @@ fn parse_unix(line: &str) -> Option<ParsedEntryRef<'_>> {
     if bytes.len() < 11 {
         return None;
     }
-    let type_ch = bytes[0] as char;
-    let (is_dir, is_symlink) = match type_ch {
-        'd' => (true, false),
-        '-' => (false, false),
-        'l' => (false, true),
-        'b' | 'c' | 'p' | 's' => (false, false),
+    let (is_dir, is_symlink) = match bytes[0] {
+        b'd' => (true, false),
+        b'-' => (false, false),
+        b'l' => (false, true),
+        b'b' | b'c' | b'p' | b's' => (false, false),
         _ => return None,
     };
-    let perms = Permissions::parse_rwx(&line[1..10])?;
-    let rest = &line[10..];
+    // Read from the bytes: a valid mode is ASCII, so byte 10 is then a
+    // char boundary; a mode cut by a multi-byte character is rejected.
+    let perms = Permissions::parse_rwx_bytes(&bytes[1..10])?;
     // Tokenize: links owner group size month day time-or-year name...
-    let mut tokens = rest.split_whitespace();
+    let mut tokens = Tokens::new(line, 10);
     let _links = tokens.next()?;
     let owner = tokens.next()?;
     let group_or_size = tokens.next()?;
@@ -420,24 +401,29 @@ fn is_month(s: &str) -> bool {
 }
 
 /// Byte offset just past the *time column* occurrence of `tok` in `line`.
+///
+/// Searches from the right — the name may itself contain month-like
+/// text, but the time/year column precedes the name — for an occurrence
+/// bounded by spaces (or the line's ends) with something after it. Once
+/// an occurrence is rejected, the search resumes left of its start, so
+/// occurrences never overlap. Both strings are UTF-8, so every byte-level
+/// match of a non-empty `tok` starts and ends on char boundaries.
 fn find_token_end(line: &str, tok: &str) -> Option<usize> {
-    // Search from the right: the name may itself contain month-like text,
-    // but the time/year column precedes the name.
-    let mut search_end = line.len();
-    while let Some(pos) = line[..search_end].rfind(tok) {
-        let before_ok = pos == 0 || line.as_bytes()[pos - 1] == b' ';
-        let after = pos + tok.len();
-        let after_ok = after >= line.len() || line.as_bytes()[after] == b' ';
-        if before_ok && after_ok {
-            // Heuristic: the name follows; ensure something follows.
-            if after < line.len() {
-                return Some(after);
-            }
+    let (hay, needle) = (line.as_bytes(), tok.as_bytes());
+    let (&last, head) = needle.split_last()?;
+    // `end` is one past the last byte a match may cover.
+    let mut end = hay.len();
+    while end >= needle.len() {
+        if hay[end - 1] != last || &hay[end - needle.len()..end - 1] != head {
+            end -= 1;
+            continue;
         }
-        if pos == 0 {
-            break;
+        let pos = end - needle.len();
+        let before_ok = pos == 0 || hay[pos - 1] == b' ';
+        if before_ok && end < hay.len() && hay[end] == b' ' {
+            return Some(end);
         }
-        search_end = pos;
+        end = pos;
     }
     None
 }
@@ -445,7 +431,7 @@ fn find_token_end(line: &str, tok: &str) -> Option<usize> {
 fn parse_dos(line: &str) -> Option<ParsedEntryRef<'_>> {
     // 06-18-15  09:43AM       <DIR>          aspnet_client
     // 06-18-15  09:43AM              1043901 products.mdb
-    let mut tokens = line.split_whitespace();
+    let mut tokens = Tokens::new(line, 0);
     let date = tokens.next()?;
     let time = tokens.next()?;
     if !looks_like_dos_date(date) || !looks_like_dos_time(time) {
@@ -485,8 +471,12 @@ fn looks_like_dos_date(s: &str) -> bool {
 }
 
 fn looks_like_dos_time(s: &str) -> bool {
-    let s = s.to_ascii_uppercase();
-    (s.ends_with("AM") || s.ends_with("PM")) && s.contains(':')
+    let b = s.as_bytes();
+    let meridiem = b.len() >= 2 && {
+        let suffix = &b[b.len() - 2..];
+        suffix.eq_ignore_ascii_case(b"AM") || suffix.eq_ignore_ascii_case(b"PM")
+    };
+    meridiem && s.contains(':')
 }
 
 fn parse_eplf(line: &str) -> Option<ParsedEntryRef<'_>> {
@@ -557,9 +547,8 @@ fn parse_mlsd(line: &str) -> Option<ParsedEntryRef<'_>> {
     })
 }
 
-/// A borrowed view of a listing entry, for rendering without building an
-/// owned [`ListingEntry`] first — the simulated servers render straight
-/// from their VFS metadata through this.
+/// A listing entry to render: borrowed fields, so the simulated servers
+/// render straight from their VFS metadata.
 #[derive(Debug, Clone, Copy)]
 pub struct ListingEntryRef<'a> {
     /// File or directory name (final component only).
@@ -576,94 +565,129 @@ pub struct ListingEntryRef<'a> {
     pub mtime: Option<&'a str>,
 }
 
-impl ListingEntry {
-    /// The borrowed view of this entry, as [`render_line_into`] takes.
-    pub fn as_entry_ref(&self) -> ListingEntryRef<'_> {
-        ListingEntryRef {
-            name: &self.name,
-            is_dir: self.is_dir,
-            size: self.size,
-            permissions: self.permissions,
-            owner: self.owner.as_deref(),
-            mtime: self.mtime.as_deref(),
-        }
-    }
-}
-
-/// Renders a listing line in the given format — used by the simulated
-/// servers so the enumerator parses realistic output it did not itself
-/// produce.
-pub fn render_line(entry: &ListingEntry, format: ListingFormat) -> String {
-    let mut out = String::new();
-    render_line_into(entry.as_entry_ref(), format, &mut out);
-    out
-}
-
 /// Appends one rendered listing line (no trailing CRLF) to `out`.
 ///
-/// This is the allocation-free path behind [`render_line`]: the hot
-/// server loop renders whole directory bodies into one reused buffer.
+/// Servers render whole directory bodies into one reused buffer, so
+/// this writes bytes directly rather than going through `fmt`; each
+/// column is padded exactly as the `ls -l`-style format string
+/// `"{t}{perms}   1 {owner:<8} {owner:<8} {size:>12} {mtime} {name}"`
+/// would pad it.
 pub fn render_line_into(entry: ListingEntryRef<'_>, format: ListingFormat, out: &mut String) {
-    use fmt::Write as _;
     match format {
         ListingFormat::Unix => {
             let perms = entry.permissions.unwrap_or_else(Permissions::public_file);
-            let t = if entry.is_dir { 'd' } else { '-' };
             let owner = entry.owner.unwrap_or("ftp");
             let size = entry.size.unwrap_or(if entry.is_dir { 4096 } else { 0 });
-            let mtime = entry.mtime.unwrap_or("Jun 18  2015");
-            let _ = write!(
-                out,
-                "{t}{perms}   1 {owner:<8} {owner:<8} {size:>12} {mtime} {}",
-                entry.name
-            );
+            out.push(if entry.is_dir { 'd' } else { '-' });
+            for triple in perms.rwx_triples() {
+                out.push_str(triple);
+            }
+            out.push_str("   1 ");
+            push_left_aligned(out, owner, 8);
+            out.push(' ');
+            push_left_aligned(out, owner, 8);
+            out.push(' ');
+            push_u64(out, size, 12);
+            out.push(' ');
+            out.push_str(entry.mtime.unwrap_or("Jun 18  2015"));
+            out.push(' ');
         }
         ListingFormat::Dos => {
             // Only reuse the entry's mtime when it is already DOS-shaped;
             // a UNIX "Jun 18  2015" string would render an unparseable line.
             let mtime = match entry.mtime {
-                Some(m)
-                    if m.split_whitespace().next().map(looks_like_dos_date).unwrap_or(false) =>
-                {
-                    m
-                }
+                Some(m) if Tokens::new(m, 0).next().is_some_and(looks_like_dos_date) => m,
                 _ => "06-18-15 09:43AM",
             };
+            out.push_str(mtime);
             if entry.is_dir {
-                let _ = write!(out, "{mtime}       <DIR>          {}", entry.name);
+                out.push_str("       <DIR>          ");
             } else {
-                let _ = write!(out, "{mtime} {:>20} {}", entry.size.unwrap_or(0), entry.name);
+                out.push(' ');
+                push_u64(out, entry.size.unwrap_or(0), 20);
+                out.push(' ');
             }
         }
         ListingFormat::Eplf => {
             out.push('+');
             out.push_str(if entry.is_dir { "/," } else { "r," });
             if let Some(s) = entry.size {
-                let _ = write!(out, "s{s},");
+                out.push('s');
+                push_u64(out, s, 0);
+                out.push(',');
             }
             out.push('\t');
-            out.push_str(entry.name);
         }
         ListingFormat::Mlsd => {
-            let t = if entry.is_dir { "dir" } else { "file" };
-            let _ = write!(out, "type={t};");
+            out.push_str(if entry.is_dir { "type=dir;" } else { "type=file;" });
             if let Some(s) = entry.size {
-                let _ = write!(out, "size={s};");
+                out.push_str("size=");
+                push_u64(out, s, 0);
+                out.push(';');
             }
-            let _ = write!(out, "modify=20150618094300; {}", entry.name);
+            out.push_str("modify=20150618094300; ");
         }
     }
+    out.push_str(entry.name);
+}
+
+/// Enough spaces for the widest padded column (a DOS size).
+const SPACES: &str = "                    ";
+
+/// Appends `s` padded with spaces to `width` chars, as `{s:<width$}`
+/// does: the width counts `char`s, not bytes.
+fn push_left_aligned(out: &mut String, s: &str, width: usize) {
+    out.push_str(s);
+    let chars = s.chars().count();
+    if chars < width {
+        out.push_str(&SPACES[..width - chars]);
+    }
+}
+
+/// Appends `n` in decimal, right-aligned in `width` columns as
+/// `{n:>width$}` does (`width` 0 means no padding).
+fn push_u64(out: &mut String, mut n: u64, width: usize) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    let len = digits.len() - start;
+    if len < width {
+        out.push_str(&SPACES[..width - len]);
+    }
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("decimal digits are ASCII"));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    fn parse(line: &str, hint: ListingFormat) -> ParsedEntryRef<'_> {
+        parse_line_ref(line, hint).unwrap().unwrap()
+    }
+
+    fn render(entry: ListingEntryRef<'_>, format: ListingFormat) -> String {
+        let mut out = String::new();
+        render_line_into(entry, format, &mut out);
+        out
+    }
+
+    const FORMATS: [ListingFormat; 4] =
+        [ListingFormat::Unix, ListingFormat::Dos, ListingFormat::Eplf, ListingFormat::Mlsd];
 
     #[test]
     fn permissions_roundtrip() {
         for mode in [0o777u16, 0o755, 0o644, 0o600, 0o000, 0o700] {
             let p = Permissions::from_mode(mode);
             assert_eq!(Permissions::parse_rwx(&p.to_rwx()).unwrap(), p);
+            assert_eq!(p.to_string(), p.to_rwx());
         }
     }
 
@@ -678,144 +702,182 @@ mod tests {
 
     #[test]
     fn unix_dir_line() {
-        let e = parse_line("drwxr-xr-x   2 ftp      ftp          4096 Jun 18  2015 pub", ListingFormat::Unix)
-            .unwrap()
-            .unwrap();
+        let e = parse("drwxr-xr-x   2 ftp      ftp          4096 Jun 18  2015 pub", ListingFormat::Unix);
         assert!(e.is_dir);
         assert_eq!(e.name, "pub");
         assert_eq!(e.readability(), Readability::Readable);
-        assert_eq!(e.owner.as_deref(), Some("ftp"));
+        assert_eq!(e.owner, Some("ftp"));
     }
 
     #[test]
     fn unix_file_with_spaces_in_name() {
-        let e = parse_line(
+        let e = parse(
             "-rw-r--r--   1 user     user      1048576 Jun 18 09:43 Tax Return 2014.pdf",
             ListingFormat::Unix,
-        )
-        .unwrap()
-        .unwrap();
+        );
         assert_eq!(e.name, "Tax Return 2014.pdf");
         assert_eq!(e.size, Some(1_048_576));
     }
 
     #[test]
     fn unix_private_file_nonreadable() {
-        let e = parse_line(
+        let e = parse(
             "-rw-------   1 root     root          718 Jan  5  2015 shadow",
             ListingFormat::Unix,
-        )
-        .unwrap()
-        .unwrap();
+        );
         assert_eq!(e.readability(), Readability::NonReadable);
     }
 
     #[test]
     fn unix_symlink_strips_target() {
-        let e = parse_line(
+        let e = parse(
             "lrwxrwxrwx   1 root     root           11 Jan  1  2014 www -> /var/www",
             ListingFormat::Unix,
-        )
-        .unwrap()
-        .unwrap();
+        );
         assert!(e.is_symlink);
         assert_eq!(e.name, "www");
     }
 
     #[test]
     fn unix_total_header_skipped() {
-        assert_eq!(parse_line("total 52", ListingFormat::Unix).unwrap(), None);
+        assert!(parse_line_ref("total 52", ListingFormat::Unix).unwrap().is_none());
+    }
+
+    /// A mode string whose tenth byte falls inside a multi-byte
+    /// character used to panic on a byte-offset slice.
+    #[test]
+    fn mode_cut_by_a_multibyte_char_is_rejected() {
+        let line = "-rw-r--r-é 1 ftp ftp 10 Jun 18  2015 x";
+        assert!(!line.is_char_boundary(10));
+        for hint in FORMATS {
+            assert!(parse_line_ref(line, hint).is_err(), "{hint:?}");
+        }
     }
 
     #[test]
     fn dos_lines() {
-        let d = parse_line(
-            "06-18-15  09:43AM       <DIR>          aspnet_client",
-            ListingFormat::Dos,
-        )
-        .unwrap()
-        .unwrap();
+        let d = parse("06-18-15  09:43AM       <DIR>          aspnet_client", ListingFormat::Dos);
         assert!(d.is_dir);
         assert_eq!(d.name, "aspnet_client");
         assert_eq!(d.readability(), Readability::Unknown);
 
-        let f = parse_line("06-18-15  09:43AM              1043901 products.mdb", ListingFormat::Dos)
-            .unwrap()
-            .unwrap();
+        let f = parse("06-18-15  09:43AM              1043901 products.mdb", ListingFormat::Dos);
         assert!(!f.is_dir);
         assert_eq!(f.size, Some(1_043_901));
         assert_eq!(f.readability(), Readability::Unknown);
+
+        let lower = parse("06-18-15  09:43pm              7 late.txt", ListingFormat::Dos);
+        assert_eq!(lower.mtime, MtimeRef::Dos { date: "06-18-15", time: "09:43pm" });
+        for not_a_time in ["09:43", "0943AM", "M", "09:43AN"] {
+            let line = format!("06-18-15  {not_a_time}              7 x.txt");
+            assert!(parse_line_ref(&line, ListingFormat::Dos).is_err(), "{line}");
+        }
     }
 
     #[test]
     fn eplf_lines() {
-        let f = parse_line("+i8388621.48594,m825718503,r,s280,\tdjb.html", ListingFormat::Eplf)
-            .unwrap()
-            .unwrap();
+        let f = parse("+i8388621.48594,m825718503,r,s280,\tdjb.html", ListingFormat::Eplf);
         assert_eq!(f.name, "djb.html");
         assert_eq!(f.size, Some(280));
         assert!(!f.is_dir);
 
-        let d = parse_line("+i8388621.50690,m824255907,/,\t514", ListingFormat::Eplf)
-            .unwrap()
-            .unwrap();
+        let d = parse("+i8388621.50690,m824255907,/,\t514", ListingFormat::Eplf);
         assert!(d.is_dir);
         assert_eq!(d.name, "514");
     }
 
     #[test]
     fn mlsd_lines() {
-        let e = parse_line("type=dir;modify=20150618094300;perm=el; pub", ListingFormat::Mlsd)
-            .unwrap()
-            .unwrap();
+        let e = parse("type=dir;modify=20150618094300;perm=el; pub", ListingFormat::Mlsd);
         assert!(e.is_dir);
         assert_eq!(e.name, "pub");
-        let f = parse_line("type=file;size=1024;modify=20150618094300; a.txt", ListingFormat::Mlsd)
-            .unwrap()
-            .unwrap();
+        let f = parse("type=file;size=1024;modify=20150618094300; a.txt", ListingFormat::Mlsd);
         assert_eq!(f.size, Some(1024));
     }
 
     #[test]
     fn sniffing_falls_back_across_formats() {
         // Ask for DOS but feed UNIX.
-        let e = parse_line(
-            "drwxr-xr-x   2 ftp      ftp          4096 Jun 18  2015 pub",
-            ListingFormat::Dos,
-        )
-        .unwrap()
-        .unwrap();
+        let e = parse("drwxr-xr-x   2 ftp      ftp          4096 Jun 18  2015 pub", ListingFormat::Dos);
         assert!(e.is_dir);
     }
 
     #[test]
     fn unparseable_line_is_error() {
-        assert!(parse_line("not a listing at all %%%", ListingFormat::Unix).is_err());
+        assert!(parse_line_ref("not a listing at all %%%", ListingFormat::Unix).is_err());
     }
 
     #[test]
     fn parse_body_counts_failures() {
         let body = "total 8\r\ndrwxr-xr-x   2 ftp ftp 4096 Jun 18  2015 pub\r\n???garbage???\r\n";
-        let (entries, failures) = parse_body(body, ListingFormat::Unix);
-        assert_eq!(entries.len(), 1);
-        assert_eq!(failures, 1);
+        let (mut entries, mut failures) = (0, 0);
+        for line in body.lines() {
+            match parse_line_ref(line, ListingFormat::Unix) {
+                Ok(Some(_)) => entries += 1,
+                Ok(None) => {}
+                Err(_) => failures += 1,
+            }
+        }
+        assert_eq!((entries, failures), (1, 1));
+    }
+
+    /// Every field of a parsed line, for each format's sample line.
+    #[test]
+    fn parse_line_ref_reads_every_field() {
+        let unix = parse(
+            "lrwxrwxrwx   1 root     root           11 Jan  1  2014 www -> /var/www",
+            ListingFormat::Unix,
+        );
+        assert_eq!(
+            (unix.name, unix.is_dir, unix.size, unix.owner, unix.is_symlink),
+            ("www", false, Some(11), Some("root"), true)
+        );
+        assert_eq!(unix.permissions, Some(Permissions::from_mode(0o777)));
+        assert_eq!(unix.mtime, MtimeRef::Unix { month: "Jan", day: "1", tail: "2014" });
+
+        // No group column: the month follows the size directly.
+        let nogroup = parse("-rw-r--r--   1 ftp 512 Jun 18 09:43 a.txt", ListingFormat::Unix);
+        assert_eq!((nogroup.owner, nogroup.size), (Some("ftp"), Some(512)));
+        // Device files carry "maj, min" where the size goes.
+        let dev = parse("crw-rw-rw-   1 root root 1, 3 Jun 18  2015 null", ListingFormat::Unix);
+        assert_eq!((dev.name, dev.size), ("null", Some(3)));
+
+        let dos = parse("06-18-15  09:43AM              1043901 products.mdb", ListingFormat::Unix);
+        assert_eq!((dos.name, dos.size, dos.owner), ("products.mdb", Some(1_043_901), None));
+        assert_eq!(dos.mtime, MtimeRef::Dos { date: "06-18-15", time: "09:43AM" });
+
+        let eplf = parse("+i8388621.48594,m825718503,r,s280,\tdjb.html", ListingFormat::Unix);
+        assert_eq!(eplf.mtime, MtimeRef::Raw("825718503"));
+        assert_eq!(eplf.permissions, None);
+
+        let mlsd = parse("type=dir;modify=20150618094300;perm=el; pub", ListingFormat::Unix);
+        assert_eq!((mlsd.name, mlsd.is_dir, mlsd.size), ("pub", true, None));
+        assert_eq!(mlsd.mtime, MtimeRef::Raw("20150618094300"));
+    }
+
+    /// The name is whatever follows the rightmost space-bounded copy of
+    /// the time column, even when that copy sits inside the name.
+    #[test]
+    fn name_follows_the_rightmost_time_column_copy() {
+        let e = parse("-rw-r--r--   1 ftp ftp 9 Jun 18  2015 report 2015 final.txt", ListingFormat::Unix);
+        assert_eq!(e.name, "final.txt");
+        let e = parse("-rw-r--r--   1 ftp ftp 9 Jun 18  2015 x2015 y.txt", ListingFormat::Unix);
+        assert_eq!(e.name, "x2015 y.txt");
     }
 
     #[test]
     fn render_parse_roundtrip_all_formats() {
-        let entry = ListingEntry {
-            name: "backup.tar.gz".into(),
+        let entry = ListingEntryRef {
+            name: "backup.tar.gz",
             is_dir: false,
             size: Some(123_456),
             permissions: Some(Permissions::public_file()),
-            owner: Some("ftp".into()),
-            mtime: Some("Jun 18  2015".into()),
-            is_symlink: false,
+            owner: Some("ftp"),
+            mtime: Some("Jun 18  2015"),
         };
-        for fmt in [ListingFormat::Unix, ListingFormat::Dos, ListingFormat::Eplf, ListingFormat::Mlsd]
-        {
-            let line = render_line(&entry, fmt);
-            let back = parse_line(&line, fmt).unwrap().unwrap();
+        for fmt in FORMATS {
+            let line = render(entry, fmt);
+            let back = parse(&line, fmt);
             assert_eq!(back.name, entry.name, "{fmt:?}: {line}");
             assert_eq!(back.size, entry.size, "{fmt:?}: {line}");
             assert!(!back.is_dir);
@@ -823,43 +885,201 @@ mod tests {
     }
 
     #[test]
-    fn borrowed_parse_matches_owned_parse() {
-        let lines = [
-            "drwxr-xr-x   2 ftp      ftp          4096 Jun 18  2015 pub",
-            "-rw-r--r--   1 user     user      1048576 Jun 18 09:43 photo.jpg",
-            "lrwxrwxrwx   1 root     root           11 Jan  1  2014 www -> /var/www",
-            "06-18-15  09:43AM       <DIR>          aspnet_client",
-            "06-18-15  09:43AM              1043901 products.mdb",
-            "+i8388621.48594,m825718503,r,s280,\tdjb.html",
-            "type=dir;modify=20150618094300;perm=el; pub",
-        ];
-        for line in lines {
-            let owned = parse_line(line, ListingFormat::Unix).unwrap().unwrap();
-            let borrowed = parse_line_ref(line, ListingFormat::Unix).unwrap().unwrap();
-            assert_eq!(borrowed.to_owned_entry(), owned, "{line}");
-            assert_eq!(borrowed.readability(), owned.readability(), "{line}");
-        }
-        assert!(parse_line_ref("total 52", ListingFormat::Unix).unwrap().is_none());
-        assert!(parse_line_ref("garbage %%%", ListingFormat::Unix).is_err());
-    }
-
-    #[test]
     fn render_parse_roundtrip_dir() {
-        let entry = ListingEntry {
-            name: "pub".into(),
+        let entry = ListingEntryRef {
+            name: "pub",
             is_dir: true,
             size: None,
             permissions: Some(Permissions::public_dir()),
-            owner: Some("ftp".into()),
+            owner: Some("ftp"),
             mtime: None,
-            is_symlink: false,
         };
-        for fmt in [ListingFormat::Unix, ListingFormat::Dos, ListingFormat::Eplf, ListingFormat::Mlsd]
-        {
-            let line = render_line(&entry, fmt);
-            let back = parse_line(&line, fmt).unwrap().unwrap();
+        for fmt in FORMATS {
+            let line = render(entry, fmt);
+            let back = parse(&line, fmt);
             assert!(back.is_dir, "{fmt:?}: {line}");
             assert_eq!(back.name, "pub");
+        }
+    }
+
+    /// Literal lines captured from the `write!`-based renderer this one
+    /// replaced: padding by `char` count, sizes wider than their column,
+    /// and every `None` default.
+    #[test]
+    fn render_bytes_are_pinned() {
+        use ListingFormat::{Dos, Eplf, Mlsd, Unix};
+        let p = |mode| Some(Permissions::from_mode(mode));
+        let e = |name, is_dir, size, permissions, owner, mtime| ListingEntryRef {
+            name,
+            is_dir,
+            size,
+            permissions,
+            owner,
+            mtime,
+        };
+        let cases = [
+            (
+                e("pub", true, Some(4096), p(0o755), Some("ftp"), Some("Jun 18  2015")),
+                Unix,
+                "drwxr-xr-x   1 ftp      ftp              4096 Jun 18  2015 pub",
+            ),
+            (
+                e("Tax Return.pdf", false, Some(0), p(0o600), Some("administrator"), Some("Jan  5 09:43")),
+                Unix,
+                "-rw-------   1 administrator administrator            0 Jan  5 09:43 Tax Return.pdf",
+            ),
+            (
+                e("x", false, Some(u64::MAX), p(0o777), Some("jörg"), Some("Dec 31  1999")),
+                Unix,
+                "-rwxrwxrwx   1 jörg     jörg     18446744073709551615 Dec 31  1999 x",
+            ),
+            (
+                e("日本", false, Some(123_456_789_012), p(0o000), Some("日本語"), Some("Feb  1 00:00")),
+                Unix,
+                "----------   1 日本語      日本語      123456789012 Feb  1 00:00 日本",
+            ),
+            (
+                e("y", false, Some(1_234_567_890_123), p(0o751), Some("exactly8"), Some("Mar 10  2010")),
+                Unix,
+                "-rwxr-x--x   1 exactly8 exactly8 1234567890123 Mar 10  2010 y",
+            ),
+            (
+                e("nothing", false, None, None, None, None),
+                Unix,
+                "-rw-r--r--   1 ftp      ftp                 0 Jun 18  2015 nothing",
+            ),
+            (
+                e("nodir", true, None, None, None, None),
+                Unix,
+                "drw-r--r--   1 ftp      ftp              4096 Jun 18  2015 nodir",
+            ),
+            (
+                e("", false, Some(7), p(0o644), Some(""), Some("")),
+                Unix,
+                "-rw-r--r--   1                              7  ",
+            ),
+            (
+                e("aspnet_client", true, Some(4096), p(0o755), Some("ftp"), Some("06-18-15 09:43AM")),
+                Dos,
+                "06-18-15 09:43AM       <DIR>          aspnet_client",
+            ),
+            (
+                e("zero.bin", false, Some(0), None, None, Some("01-02-03 11:11PM")),
+                Dos,
+                "01-02-03 11:11PM                    0 zero.bin",
+            ),
+            (
+                e("max.bin", false, Some(u64::MAX), None, None, Some("Jun 18  2015")),
+                Dos,
+                "06-18-15 09:43AM 18446744073709551615 max.bin",
+            ),
+            (
+                e("nothing", false, None, None, None, None),
+                Dos,
+                "06-18-15 09:43AM                    0 nothing",
+            ),
+            (e("nodir", true, None, None, None, None), Dos, "06-18-15 09:43AM       <DIR>          nodir"),
+            (e("djb.html", false, Some(280), None, None, None), Eplf, "+r,s280,\tdjb.html"),
+            (e("514", true, Some(4096), None, None, None), Eplf, "+/,s4096,\t514"),
+            (e("nosize", false, None, None, None, None), Eplf, "+r,\tnosize"),
+            (e("max", false, Some(u64::MAX), None, None, None), Eplf, "+r,s18446744073709551615,\tmax"),
+            (
+                e("pub", true, None, p(0o755), Some("ftp"), Some("Jun 18  2015")),
+                Mlsd,
+                "type=dir;modify=20150618094300; pub",
+            ),
+            (e("a.txt", false, Some(0), None, None, None), Mlsd, "type=file;size=0;modify=20150618094300; a.txt"),
+            (
+                e("max", false, Some(u64::MAX), None, None, None),
+                Mlsd,
+                "type=file;size=18446744073709551615;modify=20150618094300; max",
+            ),
+        ];
+        for (entry, fmt, want) in cases {
+            assert_eq!(render(entry, fmt), want, "{fmt:?} {entry:?}");
+        }
+    }
+
+    /// The search `find_token_end` replaced: `str::rfind` from the
+    /// right, each next search ending where the rejected match began.
+    fn find_token_end_oracle(line: &str, tok: &str) -> Option<usize> {
+        let mut search_end = line.len();
+        while let Some(pos) = line[..search_end].rfind(tok) {
+            let before_ok = pos == 0 || line.as_bytes()[pos - 1] == b' ';
+            let after = pos + tok.len();
+            let after_ok = after >= line.len() || line.as_bytes()[after] == b' ';
+            if before_ok && after_ok && after < line.len() {
+                return Some(after);
+            }
+            if pos == 0 {
+                break;
+            }
+            search_end = pos;
+        }
+        None
+    }
+
+    /// Characters the generated strings draw from: every ASCII and
+    /// non-ASCII whitespace class `split_whitespace` knows, multi-byte
+    /// letters, and the letters of mode strings, months and DOS times.
+    const ALPHABET: &str =
+        "[ \t\n\u{b}\u{c}\r\u{85}\u{a0}\u{1680}\u{2000}\u{200a}\u{2028}\u{202f}\u{3000}\u{200b}é日a-dA-Drwxlst0-9:+,;=<>/-]{0,48}";
+
+    /// Listing-shaped fragments, so generated lines reach deep into each
+    /// parser instead of failing at the first byte.
+    const FRAGMENTS: [&str; 28] = [
+        "-", "d", "l", "c", "rw-r--r--", "rwxr-xr-x", "rw-r--r-", "é", "日本", " ", "   ", "\t",
+        "\u{a0}", "\u{3000}", "1", "ftp", "Jun", "18", "2015", "09:43", "06-18-15", "09:43AM",
+        "<DIR>", "+r,s5,\t", "type=dir;", "; ", "total ", " -> ",
+    ];
+
+    fn fragments() -> impl Strategy<Value = String> {
+        proptest::collection::vec(0..FRAGMENTS.len(), 0..14)
+            .prop_map(|ix| ix.into_iter().map(|i| FRAGMENTS[i]).collect())
+    }
+
+    /// Any Unicode scalar values, weighted toward ASCII.
+    fn scalars() -> impl Strategy<Value = String> {
+        proptest::collection::vec(any::<u32>(), 0..40).prop_map(|v| {
+            v.into_iter()
+                .filter_map(|x| match x % 4 {
+                    0 => char::from_u32(x / 4 % 0x11_0000),
+                    _ => char::from_u32(x / 4 % 0x80),
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn tokens_split_where_split_whitespace_does(a in ALPHABET, b in scalars(), c in fragments()) {
+            for s in [&a, &b, &c] {
+                let ours: Vec<&str> = Tokens::new(s, 0).collect();
+                let want: Vec<&str> = s.split_whitespace().collect();
+                prop_assert_eq!(ours, want, "{:?}", s);
+            }
+        }
+
+        #[test]
+        fn find_token_end_matches_the_rfind_search(line in "[ ab]{0,24}", tok in "[ ab]{1,4}",
+                                                   words in fragments()) {
+            prop_assert_eq!(find_token_end(&line, &tok), find_token_end_oracle(&line, &tok),
+                            "{:?} in {:?}", tok, line);
+            for tok in Tokens::new(&words, 0) {
+                prop_assert_eq!(find_token_end(&words, tok), find_token_end_oracle(&words, tok),
+                                "{:?} in {:?}", tok, words);
+            }
+        }
+
+        #[test]
+        fn parse_line_ref_never_panics(a in ALPHABET, b in scalars(), c in fragments()) {
+            for s in [&a, &b, &c] {
+                for hint in FORMATS {
+                    let _ = parse_line_ref(s, hint);
+                }
+            }
         }
     }
 }

@@ -144,65 +144,17 @@ pub struct FtpServerEngine {
     help_wire: Vec<u8>,
     /// `211` STAT reply wire bytes (fixed text).
     stat_wire: Vec<u8>,
-    /// Rendered `LIST` bodies interned by directory path; see
-    /// [`ListCache`]. Directories are re-listed by every enumerator
-    /// visit but mutate only on uploads, so bodies are rendered once
-    /// and invalidated wholesale when [`Vfs::generation`] moves.
-    list_cache: ListCache,
+    /// Scratch for rendering one `LIST` body: an enumerator lists each
+    /// directory once, so bodies are rendered per `LIST` into this one
+    /// reused buffer rather than kept.
+    list_body: String,
     /// Scratch for synthesized RETR payloads (files without content).
     payload_scratch: Vec<u8>,
     /// Scratch for decoding control-channel lines (one per engine, not
     /// one `String` per line).
     line_scratch: String,
-    /// Scratch for rendering the `Owner` enum of each listing entry.
+    /// Scratch for the `user<N>` owner names of listing entries.
     owner_scratch: String,
-}
-
-/// Interned `LIST` cache: keys and bodies live end-to-end in two
-/// per-engine arena strings, so a repeat `LIST` of the same directory
-/// is a borrow — no per-directory key/body `String`s. Invalidation
-/// (on a VFS generation move) clears the arenas but keeps their
-/// capacity, so a steady-state engine stops allocating for listings
-/// entirely. Lookup is a linear scan: a host VFS holds tens of
-/// directories, not thousands.
-#[derive(Debug, Default)]
-struct ListCache {
-    keys: String,
-    bodies: String,
-    /// `(key_end, body_end)` prefix offsets into the arenas: entry
-    /// `i`'s key spans `keys[spans[i-1].0..spans[i].0]` (from 0 for
-    /// the first entry), and likewise for bodies.
-    spans: Vec<(usize, usize)>,
-    /// The [`Vfs::generation`] the cached bodies were rendered for.
-    gen: u64,
-}
-
-impl ListCache {
-    fn clear(&mut self) {
-        self.keys.clear();
-        self.bodies.clear();
-        self.spans.clear();
-    }
-
-    fn find(&self, key: &str) -> Option<usize> {
-        (0..self.spans.len()).find(|&i| {
-            let start = if i == 0 { 0 } else { self.spans[i - 1].0 };
-            &self.keys[start..self.spans[i].0] == key
-        })
-    }
-
-    fn body(&self, i: usize) -> &str {
-        let start = if i == 0 { 0 } else { self.spans[i - 1].1 };
-        &self.bodies[start..self.spans[i].1]
-    }
-
-    /// Seals everything appended to `bodies` since the last entry as
-    /// the cached body for `key`, returning its index.
-    fn commit(&mut self, key: &str) -> usize {
-        self.keys.push_str(key);
-        self.spans.push((self.keys.len(), self.bodies.len()));
-        self.spans.len() - 1
-    }
 }
 
 impl FtpServerEngine {
@@ -253,7 +205,7 @@ impl FtpServerEngine {
             feat_wire,
             help_wire,
             stat_wire,
-            list_cache: ListCache::default(),
+            list_body: String::new(),
             payload_scratch: Vec::new(),
             line_scratch: String::new(),
             owner_scratch: String::new(),
@@ -336,36 +288,30 @@ impl FtpServerEngine {
         }
     }
 
-    /// Renders the listing of `path` straight into `body` (the cache's
-    /// body arena on the caller side). Appends nothing and returns
-    /// `false` when `path` is not a listable directory. Takes the
-    /// pieces of `self` it reads so the caller can hold the cache
-    /// arena mutably at the same time.
+    /// Renders the listing of `path` into `body`, one line per child.
+    /// Appends nothing and returns `false` when `path` is not a listable
+    /// directory. Takes the pieces of `self` it reads so the caller can
+    /// hold the body buffer mutably at the same time.
     fn render_listing_into(
         vfs: &Vfs,
         format: listing::ListingFormat,
-        owner: &mut String,
+        owner_scratch: &mut String,
         path: &FtpPath,
         body: &mut String,
     ) -> bool {
-        use fmt::Write as _;
         let Ok(children) = vfs.list(path.as_str()) else { return false };
-        // One owner scratch reused across the loop: `Owner` is an enum,
-        // so rendering it is the only per-entry string work left.
         for (name, node) in children {
-            let (is_dir, size, perms, node_owner, mtime) = match node {
+            let (is_dir, size, perms, owner, mtime) = match node {
                 NodeRef::File(f) => (false, Some(f.size), f.perms, f.owner, f.mtime),
                 NodeRef::Dir(d) => (true, Some(4096), d.perms, d.owner, d.mtime),
             };
-            owner.clear();
-            let _ = write!(owner, "{node_owner}");
             listing::render_line_into(
                 ListingEntryRef {
                     name,
                     is_dir,
                     size,
                     permissions: Some(perms),
-                    owner: Some(owner),
+                    owner: Some(owner.name(owner_scratch)),
                     mtime: Some(mtime),
                 },
                 format,
@@ -374,31 +320,6 @@ impl FtpServerEngine {
             body.push_str("\r\n");
         }
         true
-    }
-
-    /// The rendered `LIST` body for `path`, from the interned cache
-    /// when the VFS is unchanged since it was rendered — a repeat
-    /// `LIST` is a borrow of the arena, with zero allocations.
-    fn listing_body(&mut self, path: &FtpPath) -> Option<&str> {
-        if self.vfs.generation() != self.list_cache.gen {
-            self.list_cache.clear();
-            self.list_cache.gen = self.vfs.generation();
-        }
-        if let Some(i) = self.list_cache.find(path.as_str()) {
-            obs::counter(obs::Counter::ListCacheHits, 1);
-            return Some(self.list_cache.body(i));
-        }
-        if !Self::render_listing_into(
-            &self.vfs,
-            self.profile.listing_format,
-            &mut self.owner_scratch,
-            path,
-            &mut self.list_cache.bodies,
-        ) {
-            return None;
-        }
-        let i = self.list_cache.commit(path.as_str());
-        Some(self.list_cache.body(i))
     }
 
     /// Executes a transfer on an established data connection, then closes
@@ -412,13 +333,17 @@ impl FtpServerEngine {
     ) {
         match transfer {
             Transfer::List(path) => {
-                let ok = match self.listing_body(&path) {
-                    Some(body) => {
-                        ctx.send(data_conn, body.as_bytes());
-                        true
-                    }
-                    None => false,
-                };
+                self.list_body.clear();
+                let ok = Self::render_listing_into(
+                    &self.vfs,
+                    self.profile.listing_format,
+                    &mut self.owner_scratch,
+                    &path,
+                    &mut self.list_body,
+                );
+                if ok {
+                    ctx.send(data_conn, self.list_body.as_bytes());
+                }
                 ctx.close(data_conn);
                 self.forget_data_conn(ctx, control, data_conn);
                 if ok {
@@ -651,19 +576,16 @@ impl FtpServerEngine {
             Command::List(arg) | Command::Nlst(arg) | Command::Mlsd(arg) => {
                 let arg = arg.unwrap_or_default();
                 let resolved = self.sessions.get(&conn).and_then(|s| self.resolve(s, &arg));
-                match resolved {
-                    Some(p) if self.vfs.is_dir(p.as_str()) => {
-                        if self.profile.enforce_dir_perms {
-                            if let Ok(NodeRef::Dir(d)) = self.vfs.node(p.as_str()) {
-                                if !d.perms.other_read() {
-                                    Self::reply(ctx, conn, 550, "Permission denied.");
-                                    return;
-                                }
-                            }
-                        }
-                        self.start_transfer_command(ctx, conn, Transfer::List(p));
+                let dir = resolved.and_then(|p| match self.vfs.node(p.as_str()) {
+                    Ok(NodeRef::Dir(d)) => Some((p, d.perms)),
+                    _ => None,
+                });
+                match dir {
+                    Some((_, perms)) if self.profile.enforce_dir_perms && !perms.other_read() => {
+                        Self::reply(ctx, conn, 550, "Permission denied.");
                     }
-                    _ => Self::reply(ctx, conn, 550, "No such directory."),
+                    Some((p, _)) => self.start_transfer_command(ctx, conn, Transfer::List(p)),
+                    None => Self::reply(ctx, conn, 550, "No such directory."),
                 }
             }
             Command::Retr(arg) => {

@@ -176,6 +176,46 @@ fn list_via_pasv_returns_unix_listing() {
     assert!(c.codes().contains(&226));
 }
 
+/// `LIST` bodies for every `Owner` variant, in both formats the
+/// engine's profiles use, pinned to literal bytes captured from the
+/// `write!`-based renderer the engine used to call.
+#[test]
+fn list_bodies_are_pinned_for_every_owner() {
+    use ftp_proto::listing::ListingFormat;
+    use simvfs::Owner;
+    let mut v = Vfs::new();
+    v.add_file("/o/u7.txt", FileMeta::public(12).with_owner(Owner::User(7))).unwrap();
+    v.add_file("/o/umax.dat", FileMeta::public(0).with_owner(Owner::User(u16::MAX))).unwrap();
+    v.add_file(
+        "/o/root.cfg",
+        FileMeta::private(718).with_owner(Owner::Root).with_mtime("Jan  5  2015"),
+    )
+    .unwrap();
+    v.add_file("/o/anon.bin", FileMeta::public(5).with_owner(Owner::Anonymous)).unwrap();
+    v.add_file("/o/ftp.txt", FileMeta::public(1_048_576).with_owner(Owner::Ftp)).unwrap();
+    v.mkdir_p("/o/sub").unwrap();
+    let unix = "-rw-r--r--   1 ftp      ftp                 5 Jun 18  2015 anon.bin\r\n\
+                -rw-r--r--   1 ftp      ftp           1048576 Jun 18  2015 ftp.txt\r\n\
+                -rw-------   1 root     root              718 Jan  5  2015 root.cfg\r\n\
+                drwxr-xr-x   1 ftp      ftp              4096 Jun 18  2015 sub\r\n\
+                -rw-r--r--   1 user7    user7              12 Jun 18  2015 u7.txt\r\n\
+                -rw-r--r--   1 user65535 user65535            0 Jun 18  2015 umax.dat\r\n";
+    let dos = "06-18-15 09:43AM                    5 anon.bin\r\n\
+               06-18-15 09:43AM              1048576 ftp.txt\r\n\
+               06-18-15 09:43AM                  718 root.cfg\r\n\
+               06-18-15 09:43AM       <DIR>          sub\r\n\
+               06-18-15 09:43AM                   12 u7.txt\r\n\
+               06-18-15 09:43AM                    0 umax.dat\r\n";
+    for (format, want) in [(ListingFormat::Unix, unix), (ListingFormat::Dos, dos)] {
+        let mut script = login();
+        script.extend([Action::OpenPasv, Action::TransferGet("LIST /o".into()), Action::Quit]);
+        let (client, _) = run(anon_profile().with_listing_format(format), v.clone(), script);
+        let c = client.borrow();
+        let (_, bytes) = &c.downloads()[0];
+        assert_eq!(String::from_utf8_lossy(bytes), want, "{format:?}");
+    }
+}
+
 #[test]
 fn retr_downloads_file_content() {
     let mut script = login();

@@ -114,9 +114,6 @@ registry_enum! {
         /// Control-channel lines that fell back to the lossy scratch
         /// copy (invalid UTF-8 after IAC stripping).
         CodecLinesCopied => "codec_lines_copied",
-        /// LIST bodies served from the ftpd per-engine listing arena
-        /// without re-rendering.
-        ListCacheHits => "list_cache_hits",
         /// Slab slots orphaned by `simvfs` subtree removal: `remove`
         /// detaches the subtree but nothing frees the slots (DESIGN.md
         /// §8), so this counts the garbage a long-lived VFS carries.

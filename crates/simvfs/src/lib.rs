@@ -74,14 +74,27 @@ pub enum Owner {
 impl serde::Serialize for Owner {}
 impl serde::Deserialize for Owner {}
 
+impl Owner {
+    /// The account name a listing's owner column shows: a static string,
+    /// except for [`Owner::User`], whose `user<N>` is formatted into
+    /// `scratch` (so only that variant writes anything).
+    pub fn name(self, scratch: &mut String) -> &str {
+        use fmt::Write as _;
+        match self {
+            Owner::Root => "root",
+            Owner::Ftp | Owner::Anonymous => "ftp",
+            Owner::User(n) => {
+                scratch.clear();
+                let _ = write!(scratch, "user{n}");
+                scratch
+            }
+        }
+    }
+}
+
 impl fmt::Display for Owner {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Owner::Root => f.write_str("root"),
-            Owner::Ftp => f.write_str("ftp"),
-            Owner::Anonymous => f.write_str("ftp"),
-            Owner::User(n) => write!(f, "user{n}"),
-        }
+        f.write_str(self.name(&mut String::new()))
     }
 }
 
@@ -500,10 +513,6 @@ pub struct Vfs {
     /// File contents (write probes, scripts, robots.txt) — rare, so
     /// they live out-of-line from the slots.
     contents: Vec<Box<str>>,
-    /// Bumped on every successful mutation. Callers caching data derived
-    /// from the tree (e.g. rendered `LIST` bodies) compare generations
-    /// to invalidate in O(1) instead of re-walking.
-    generation: u64,
 }
 
 // The serde stubs are marker traits (nothing in the workspace
@@ -574,12 +583,7 @@ impl Vfs {
                 children: Vec::new(),
             }),
         };
-        Vfs { nodes: vec![root], strings, contents: Vec::new(), generation: 0 }
-    }
-
-    /// Mutation counter; changes whenever the tree may have changed.
-    pub fn generation(&self) -> u64 {
-        self.generation
+        Vfs { nodes: vec![root], strings, contents: Vec::new() }
     }
 
     /// Node slots ever created (the root included; detached slots too —
@@ -753,7 +757,6 @@ impl Vfs {
 
     fn mkdir_p_canonical(&mut self, path: &str) -> Result<(), VfsError> {
         self.descend_creating(path)?;
-        self.generation += 1;
         Ok(())
     }
 
@@ -802,7 +805,6 @@ impl Vfs {
                 let name = name.to_owned();
                 let slot = self.new_dir_slot();
                 self.insert_child(parent, pos, &name, slot);
-                self.generation += 1;
                 Ok(())
             }
         }
@@ -902,7 +904,6 @@ impl Vfs {
                 self.insert_child(dir.0, pos, name, Slot::File(data));
             }
         }
-        self.generation += 1;
         Ok(())
     }
 
@@ -932,7 +933,6 @@ impl Vfs {
             }
             Err(pos) => self.insert_child(parent, pos, name, Slot::File(data)),
         };
-        self.generation += 1;
         Ok(id)
     }
 
@@ -986,7 +986,6 @@ impl Vfs {
         if let Err(pos) = self.find_child(parent, name) {
             let data = self.file_data(attrs);
             let id = self.insert_child(parent, pos, name, Slot::File(data));
-            self.generation += 1;
             return Ok(NodeId(id));
         }
         // Candidate names are probed inside the already-resolved parent:
@@ -998,7 +997,6 @@ impl Vfs {
             if let Err(pos) = self.find_child(parent, &candidate) {
                 let data = self.file_data(attrs);
                 let id = self.insert_child(parent, pos, &candidate, Slot::File(data));
-                self.generation += 1;
                 return Ok(NodeId(id));
             }
         }
@@ -1057,7 +1055,6 @@ impl Vfs {
                 if obs::enabled() {
                     obs::counter(obs::Counter::VfsDeadNodes, self.subtree_slots(node));
                 }
-                self.generation += 1;
                 Ok(())
             }
             None => Err(VfsError::NotFound { path: path.to_owned() }),
@@ -1118,7 +1115,6 @@ impl Vfs {
                 Slot::File(_) => unreachable!("descend_creating returns dirs"),
             },
         }
-        self.generation += 1;
         Ok(())
     }
 
@@ -1170,9 +1166,6 @@ impl Vfs {
     ///
     /// [`VfsError::NotFound`] if absent or a directory.
     pub fn file_mut(&mut self, path: &str) -> Result<FileMut<'_>, VfsError> {
-        // Conservative: the caller receives mutable access, so any
-        // cached derived data must be considered stale.
-        self.generation += 1;
         let ix = self.resolve(path)?;
         match &mut self.nodes[ix as usize].kind {
             Slot::File(f) => Ok(FileMut { size: &mut f.size, perms: &mut f.perms, owner: &mut f.owner }),

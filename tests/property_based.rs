@@ -2,7 +2,7 @@
 //! invariants the whole reproduction leans on.
 
 use analysis::StreamingAggregate;
-use ftp_proto::listing::{self, ListingEntry, ListingFormat, Permissions};
+use ftp_proto::listing::{self, ListingEntryRef, ListingFormat, Permissions};
 use ftp_proto::reply::ReplyParser;
 use ftp_proto::{Command, FtpPath, HostPort, LineCodec, Reply, Robots};
 use proptest::prelude::*;
@@ -189,19 +189,19 @@ proptest! {
     #[test]
     fn listing_render_parse(name in "[a-zA-Z0-9_.-]{1,20}", size in 0u64..10_000_000_000,
                             is_dir in any::<bool>()) {
-        let entry = ListingEntry {
-            name: name.clone(),
+        let entry = ListingEntryRef {
+            name: &name,
             is_dir,
             size: Some(size),
             permissions: Some(Permissions::public_file()),
-            owner: Some("ftp".into()),
-            mtime: Some("Jun 18  2015".into()),
-            is_symlink: false,
+            owner: Some("ftp"),
+            mtime: Some("Jun 18  2015"),
         };
         for fmt in [ListingFormat::Unix, ListingFormat::Dos, ListingFormat::Eplf, ListingFormat::Mlsd] {
-            let line = listing::render_line(&entry, fmt);
-            let parsed = listing::parse_line(&line, fmt).unwrap().unwrap();
-            prop_assert_eq!(&parsed.name, &name, "{:?}: {}", fmt, line);
+            let mut line = String::new();
+            listing::render_line_into(entry, fmt, &mut line);
+            let parsed = listing::parse_line_ref(&line, fmt).unwrap().unwrap();
+            prop_assert_eq!(parsed.name, name.as_str(), "{:?}: {}", fmt, line);
             prop_assert_eq!(parsed.is_dir, is_dir);
             if !is_dir {
                 prop_assert_eq!(parsed.size, Some(size));
