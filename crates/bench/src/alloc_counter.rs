@@ -25,8 +25,7 @@
 //! a measurable tax on allocation-heavy stages). The deterministic
 //! simulation runs single-threaded, where this is exact; if several
 //! threads allocate concurrently the counters may drop increments,
-//! which is acceptable for a benchmark-pressure gauge and is why
-//! `bench-guard` only compares runs with matching `threads_available`.
+//! which is acceptable for a benchmark-pressure gauge.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

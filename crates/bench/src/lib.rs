@@ -1,18 +1,14 @@
-//! Criterion benchmark targets live in `benches/`; see DESIGN.md §4 for the experiment index.
+//! Benchmark support shared by the workspace.
 //!
-//! This library crate additionally hosts the pieces shared by the
-//! `bench-json` and `bench-guard` binaries:
-//!
-//! - [`alloc_counter`]: a counting [`std::alloc::GlobalAlloc`] wrapper so
-//!   benchmarks report allocations per operation alongside wall-clock
-//!   time (DESIGN.md §8 "Event engine and memory model").
-//! - [`pipeline`]: the per-stage pipeline benchmark runner and its JSON
-//!   rendering, so the guard binary measures exactly what the report
-//!   binary measures.
+//! [`alloc_counter`] is a counting [`std::alloc::GlobalAlloc`] wrapper,
+//! so a measurement can report allocations alongside wall-clock time
+//! (DESIGN.md §8 "Event engine and memory model"). The allocation
+//! regression tests and the study benchmark's traced pass install it.
+//! The criterion micro-benchmarks live in `benches/micro.rs`; DESIGN.md
+//! §4 indexes them.
 
 #![warn(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod alloc_counter;
-pub mod pipeline;
 
 pub use alloc_counter::{peak_growth_since_reset, reset, snapshot, AllocStats, CountingAlloc};

@@ -18,7 +18,7 @@
 //! let results = run_study(&StudyConfig::small(7, 150));
 //! let funnel = results.funnel();
 //! assert!(funnel.anonymous > 0);
-//! println!("{}", ftp_study::tables::table01_funnel(&results));
+//! println!("{}", ftp_study::tables::table01_funnel(&funnel));
 //! ```
 
 #![forbid(unsafe_code)]

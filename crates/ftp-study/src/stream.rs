@@ -596,10 +596,11 @@ pub fn run_study_streamed(
     })))
 }
 
-/// Builds the streaming aggregate from legacy in-memory results with a
-/// single pass over the record vector — the bridge the equivalence
-/// tests (and the legacy CLI path) use to compare both pipelines'
-/// reports byte for byte.
+/// Folds in-memory results into a streaming aggregate with a single
+/// pass over the record vector. This is [`crate::tables::full_report`]'s
+/// fold: the in-memory report renders every section it shares with the
+/// streamed report from this aggregate, so both runners print those
+/// sections through the same functions.
 pub fn aggregate_of(results: &StudyResults) -> StreamingAggregate {
     let mut agg = StreamingAggregate::default();
     agg.fold_scan(results.ips_scanned, results.open_port);

@@ -1,26 +1,29 @@
 //! Renders every table and figure of the paper from measured results.
 //!
-//! Each `table_*` function regenerates one artifact of the evaluation;
-//! [`full_report`] concatenates them all — this is what the
-//! `full_study` example and the benchmark harness print.
+//! Each section has exactly one renderer. The sections both reports
+//! print — Tables I, II, IV, V, VII, VIII, IX and XI, §VI, §VII-B and
+//! §IX — render from a [`StreamingAggregate`] (Table I from its
+//! [`Funnel`]). [`full_report`] folds its records once with
+//! [`aggregate_of`] and calls the same functions [`stream_report`]
+//! calls. The sections that need whole-world state (Tables III, VI, X,
+//! XII and XIII, Figure 1, §X and §III-A) read the records and print
+//! only in the in-memory report.
 
+use crate::stream::aggregate_of;
+use crate::study::StudyResults;
+use analysis::ases::{self, AsTally};
 use analysis::report::{pct, thousands, Table};
 use analysis::stream::{CAMPAIGN_ORDER, CLASS_ORDER, DEVICE_CLASS_ORDER, REQUEST_BUCKETS};
-use analysis::StreamingAggregate;
-use analysis::{ases, bounce, campaigns, cve, exposure, fingerprint, ftps, writable};
-use crate::study::StudyResults;
+use analysis::{campaigns, cve, exposure, ftps, writable, Funnel, StreamingAggregate};
+use netsim::{AsKind, AsRegistry, Asn};
+use std::collections::HashMap;
 use worldgen::PopulationSpec;
 
 /// Table I: the discovery funnel.
-pub fn table01_funnel(r: &StudyResults) -> String {
-    let f = r.funnel();
+pub fn table01_funnel(f: &Funnel) -> String {
     let mut t = Table::new("TABLE I. GENERAL METRICS FROM FTP ENUMERATION");
     t.row(["IPs scanned", &thousands(f.ips_scanned), ""]);
-    t.row([
-        "Open port 21",
-        &thousands(f.open_port),
-        &pct(f.open_port, f.ips_scanned),
-    ]);
+    t.row(["Open port 21", &thousands(f.open_port), &pct(f.open_port, f.ips_scanned)]);
     t.row(["FTP servers", &thousands(f.ftp_servers), &pct(f.ftp_servers, f.open_port)]);
     t.row([
         "Anonymous FTP servers",
@@ -28,14 +31,13 @@ pub fn table01_funnel(r: &StudyResults) -> String {
         &pct(f.anonymous, f.ftp_servers),
     ]);
     t.row(["Gave up (hostile/dead)", &thousands(f.gave_up), &pct(f.gave_up, f.open_port)]);
-    t.row(["Funnel invariants", &funnel_invariants_cell(&f), ""]);
+    t.row(["Funnel invariants", &funnel_invariants_cell(f), ""]);
     t.render()
 }
 
 /// Renders the funnel's monotonicity self-check for Table I: "ok" when
-/// every stage is consistent, else the violated invariants. A pure
-/// function of the funnel, so every runner prints the same cell.
-fn funnel_invariants_cell(f: &analysis::Funnel) -> String {
+/// every stage is consistent, else the violated invariants.
+fn funnel_invariants_cell(f: &Funnel) -> String {
     let violations = f.invariant_violations();
     if violations.is_empty() {
         "ok".to_owned()
@@ -45,70 +47,98 @@ fn funnel_invariants_cell(f: &analysis::Funnel) -> String {
 }
 
 /// Table II: server classification.
-pub fn table02_classes(r: &StudyResults) -> String {
-    let b = fingerprint::class_breakdown(&r.records);
+pub fn table02_classes(agg: &StreamingAggregate) -> String {
+    let total = agg.class_total();
+    let total_anon = agg.class_total_anon();
     let mut t = Table::new("TABLE II. BREAKOUT OF SERVERS IN EACH CATEGORY")
         .headers(["Server Classification", "All FTP Servers", "Anonymous FTP Servers"]);
-    for (name, all, anon) in &b.rows {
+    for (class, &(all, anon)) in CLASS_ORDER.iter().zip(agg.classes.iter()) {
         t.row([
-            name.clone(),
-            format!("{} {}", thousands(*all), pct(*all, b.total)),
-            format!("{} {}", thousands(*anon), pct(*anon, b.total_anon)),
+            class.to_string(),
+            format!("{} {}", thousands(all), pct(all, total)),
+            format!("{} {}", thousands(anon), pct(anon, total_anon)),
         ]);
     }
     t.render()
 }
 
+/// Per-AS tallies behind Tables III and VI and Figure 1, with the
+/// writable column filled from one reference-set detection.
+pub fn as_tallies(r: &StudyResults) -> HashMap<Asn, AsTally> {
+    let writable = writable::detect(&r.records, None);
+    ases::tally_by_as(&r.records, &r.truth.registry, &writable.servers)
+}
+
 /// Table III: ASes accounting for 50% of each FTP type.
-pub fn table03_as50(r: &StudyResults) -> String {
-    let wr = writable::detect(&r.records, Some(&r.truth.registry));
-    let tallies = ases::tally_by_as(&r.records, &r.truth.registry, &wr.servers);
+pub fn table03_as50(tallies: &HashMap<Asn, AsTally>, registry: &AsRegistry) -> String {
     let mut t = Table::new("TABLE III. ASES ACCOUNTING FOR 50% OF ALL FTP TYPES")
         .headers(["AS Type", "All FTP", "Anonymous FTP"]);
-    let all_mix = ases::kind_mix_of_top(&tallies, &r.truth.registry, |t| t.ftp);
-    let anon_mix = ases::kind_mix_of_top(&tallies, &r.truth.registry, |t| t.anonymous);
-    for kind in [netsim::AsKind::Hosting, netsim::AsKind::Isp, netsim::AsKind::Academic, netsim::AsKind::Other]
-    {
+    let all_mix = ases::kind_mix_of_top(tallies, registry, |t| t.ftp);
+    let anon_mix = ases::kind_mix_of_top(tallies, registry, |t| t.anonymous);
+    for kind in [AsKind::Hosting, AsKind::Isp, AsKind::Academic, AsKind::Other] {
         t.row([
             kind.to_string(),
             all_mix.get(&kind).copied().unwrap_or(0).to_string(),
             anon_mix.get(&kind).copied().unwrap_or(0).to_string(),
         ]);
     }
-    let n_all = ases::ases_covering(&tallies, |t| t.ftp, 0.5);
-    let n_anon = ases::ases_covering(&tallies, |t| t.anonymous, 0.5);
+    let n_all = ases::ases_covering(tallies, |t| t.ftp, 0.5);
+    let n_anon = ases::ases_covering(tallies, |t| t.anonymous, 0.5);
     t.row(["(total ASes at 50%)", &n_all.to_string(), &n_anon.to_string()]);
     t.render()
 }
 
+/// Sorts `(name, total, anonymous)` device rows by total descending,
+/// then name ascending, with zero rows dropped.
+fn device_rows(rows: Vec<(String, u64, u64)>) -> Vec<(String, u64, u64)> {
+    let mut rows: Vec<_> = rows.into_iter().filter(|&(_, total, _)| total > 0).collect();
+    rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    rows
+}
+
 /// Table IV: classes of embedded devices.
-pub fn table04_device_classes(r: &StudyResults) -> String {
+pub fn table04_device_classes(agg: &StreamingAggregate) -> String {
+    let rows = device_rows(
+        DEVICE_CLASS_ORDER
+            .iter()
+            .zip(agg.device_classes.iter())
+            .map(|(class, &(total, anon))| (class.to_string(), total, anon))
+            .collect(),
+    );
     let mut t = Table::new("TABLE IV. CLASSES OF EMBEDDED DEVICES")
         .headers(["Device Type", "All FTP", "Anonymous FTP"]);
-    for (class, total, anon) in fingerprint::device_class_breakdown(&r.records) {
+    for (class, total, anon) in rows {
         t.row([class, thousands(total), thousands(anon)]);
     }
     t.render()
 }
 
-/// Table V: provider-deployed devices.
-pub fn table05_provider_devices(r: &StudyResults) -> String {
-    let mut t = Table::new("TABLE V. COMMON PROVIDER DEPLOYED DEVICES")
-        .headers(["Device", "# Found", "# Anonymous"]);
-    for (name, total, anon) in fingerprint::device_breakdown(&r.records, true) {
-        t.row([name, thousands(total), format!("{} {}", thousands(anon), pct(anon, total))]);
+/// Tables V and VII: the provider-deployed or the standalone devices.
+fn devices_table(agg: &StreamingAggregate, provider: bool, caption: &str) -> String {
+    let rows = device_rows(
+        agg.devices
+            .iter()
+            .filter(|&(_, &(_, _, p))| p == provider)
+            .map(|(name, &(total, anon, _))| (name.clone(), total, anon))
+            .collect(),
+    );
+    let mut t = Table::new(caption).headers(["Device", "# Found", "# Anonymous"]);
+    for (name, found, anon) in rows {
+        t.row([name, thousands(found), format!("{} {}", thousands(anon), pct(anon, found))]);
     }
     t.render()
 }
 
+/// Table V: provider-deployed devices.
+pub fn table05_provider_devices(agg: &StreamingAggregate) -> String {
+    devices_table(agg, true, "TABLE V. COMMON PROVIDER DEPLOYED DEVICES")
+}
+
 /// Table VI: top ASes by anonymous-server count.
-pub fn table06_top_ases(r: &StudyResults) -> String {
-    let wr = writable::detect(&r.records, Some(&r.truth.registry));
-    let tallies = ases::tally_by_as(&r.records, &r.truth.registry, &wr.servers);
-    let rows = ases::top_ases_by_anonymous(&tallies, &r.truth.registry, 10);
+pub fn table06_top_ases(tallies: &HashMap<Asn, AsTally>, registry: &AsRegistry) -> String {
     let mut t = Table::new("TABLE VI. TOP 10 ASES BY NUMBER OF ANONYMOUS FTP SERVERS")
         .headers(["AS", "IPs advertised", "FTP servers", "Anonymous FTP servers"]);
-    for row in rows {
+    for row in ases::top_ases_by_anonymous(tallies, registry, 10) {
         t.row([
             format!("AS{} {}", row.asn, row.name),
             format!("{} ", thousands(row.advertised)),
@@ -120,36 +150,33 @@ pub fn table06_top_ases(r: &StudyResults) -> String {
 }
 
 /// Table VII: standalone embedded devices.
-pub fn table07_consumer_devices(r: &StudyResults) -> String {
-    let mut t = Table::new(
+pub fn table07_consumer_devices(agg: &StreamingAggregate) -> String {
+    devices_table(
+        agg,
+        false,
         "TABLE VII. SAMPLE OF EMBEDDED SERVER DEVICES THAT ARE DEPLOYED AS STANDALONE",
     )
-    .headers(["Device", "# Found", "# Anonymous"]);
-    for (name, total, anon) in fingerprint::device_breakdown(&r.records, false) {
-        t.row([name, thousands(total), format!("{} {}", thousands(anon), pct(anon, total))]);
-    }
-    t.render()
 }
 
 /// Table VIII: most common file extensions across SOHO devices.
-pub fn table08_extensions(r: &StudyResults) -> String {
-    let rows = exposure::extension_histogram(&r.records, exposure::is_soho);
-    let soho_total = r.records.iter().filter(|rec| exposure::is_soho(rec)).count() as u64;
+pub fn table08_extensions(agg: &StreamingAggregate) -> String {
+    let mut rows: Vec<(&String, u64, u64)> =
+        agg.extensions.iter().map(|(e, &(files, servers))| (e, files, servers)).collect();
+    rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
     let mut t = Table::new("TABLE VIII. MOST COMMON FILE EXTENSIONS ACROSS KNOWN SOHO DEVICES")
         .headers(["Extension", "# Files", "# Servers"]);
-    for row in rows.iter().take(10) {
+    for (ext, files, servers) in rows.into_iter().take(10) {
         t.row([
-            format!(".{}", row.extension),
-            thousands(row.files),
-            format!("{} {}", thousands(row.servers), pct(row.servers, soho_total)),
+            format!(".{ext}"),
+            thousands(files),
+            format!("{} {}", thousands(servers), pct(servers, agg.soho_servers)),
         ]);
     }
     t.render()
 }
 
 /// Table IX: sensitive exposure with readability splits.
-pub fn table09_sensitive(r: &StudyResults) -> String {
-    let table = exposure::sensitive_exposure(&r.records);
+pub fn table09_sensitive(agg: &StreamingAggregate) -> String {
     let mut t = Table::new("TABLE IX. EXAMPLES OF SENSITIVE EXPOSURE VIA ANONYMOUS FTP").headers([
         "File",
         "# Servers",
@@ -158,8 +185,7 @@ pub fn table09_sensitive(r: &StudyResults) -> String {
         "# Non-readable",
         "# Unk-readable",
     ]);
-    for class in exposure::SensitiveClass::ALL {
-        let row = table.get(&class).cloned().unwrap_or_default();
+    for (class, row) in exposure::SensitiveClass::ALL.iter().zip(agg.sensitive.iter()) {
         t.row([
             class.label().to_owned(),
             thousands(row.servers),
@@ -200,14 +226,15 @@ pub fn table10_breakout(r: &StudyResults) -> String {
 }
 
 /// Table XI: CVE exposure from banner versions.
-pub fn table11_cves(r: &StudyResults) -> String {
+pub fn table11_cves(agg: &StreamingAggregate) -> String {
     let mut t = Table::new("TABLE XI. NUMBER OF SERVERS VULNERABLE TO CVES").headers([
         "Implementation",
         "Vulnerability",
         "CVSS Score",
         "Number IPs",
     ]);
-    for (rule, count) in cve::table(&r.records) {
+    for (rule, _, _) in cve::rules() {
+        let count = agg.cves.get(rule.id).copied().unwrap_or(0);
         t.row([
             rule.family_name.to_owned(),
             rule.id.to_owned(),
@@ -245,104 +272,93 @@ pub fn table13_device_certs(r: &StudyResults) -> String {
     t.render()
 }
 
+/// Figure 1's CDF series: all, anonymous and writable FTP servers.
+fn fig01_series(tallies: &HashMap<Asn, AsTally>) -> [Vec<(usize, f64)>; 3] {
+    [
+        ases::cdf_series(tallies, |t| t.ftp),
+        ases::cdf_series(tallies, |t| t.anonymous),
+        ases::cdf_series(tallies, |t| t.writable),
+    ]
+}
+
+/// The share of servers the largest `n` ASes hold in one CDF series
+/// (1 past the series' end).
+fn cdf_at(series: &[(usize, f64)], n: usize) -> f64 {
+    series.iter().take_while(|&&(i, _)| i <= n).last().map(|&(_, f)| f).unwrap_or(1.0)
+}
+
 /// Figure 1 as CSV (`ases,all,anonymous,writable` series) for plotting.
-pub fn fig01_cdf_csv(r: &StudyResults) -> String {
-    let wr = writable::detect(&r.records, Some(&r.truth.registry));
-    let tallies = ases::tally_by_as(&r.records, &r.truth.registry, &wr.servers);
-    let all = ases::cdf_series(&tallies, |t| t.ftp);
-    let anon = ases::cdf_series(&tallies, |t| t.anonymous);
-    let writable_series = ases::cdf_series(&tallies, |t| t.writable);
-    let at = |series: &[(usize, f64)], n: usize| -> f64 {
-        series.iter().take_while(|&&(i, _)| i <= n).last().map(|&(_, f)| f).unwrap_or(1.0)
-    };
-    let max_n = all.len().max(anon.len()).max(writable_series.len()).max(1);
+pub fn fig01_cdf_csv(tallies: &HashMap<Asn, AsTally>) -> String {
+    let series = fig01_series(tallies);
+    let max_n = series.iter().map(Vec::len).max().unwrap_or(0).max(1);
     let mut out = String::from("ases,all_ftp,anonymous_ftp,writable_ftp\n");
     for n in 1..=max_n {
-        out.push_str(&format!(
-            "{n},{:.6},{:.6},{:.6}\n",
-            at(&all, n),
-            at(&anon, n),
-            at(&writable_series, n)
-        ));
+        let [all, anon, writable] = series.each_ref().map(|s| cdf_at(s, n));
+        out.push_str(&format!("{n},{all:.6},{anon:.6},{writable:.6}\n"));
     }
     out
 }
 
 /// Figure 1: the AS CDF, as a text table of sample points.
-pub fn fig01_cdf(r: &StudyResults) -> String {
-    let wr = writable::detect(&r.records, Some(&r.truth.registry));
-    let tallies = ases::tally_by_as(&r.records, &r.truth.registry, &wr.servers);
-    let all = ases::cdf_series(&tallies, |t| t.ftp);
-    let anon = ases::cdf_series(&tallies, |t| t.anonymous);
-    let writable_series = ases::cdf_series(&tallies, |t| t.writable);
+pub fn fig01_cdf(tallies: &HashMap<Asn, AsTally>) -> String {
+    let series = fig01_series(tallies);
     let mut t = Table::new("FIGURE 1. CDF OF FTP SERVERS BY AS (sampled points)").headers([
         "# ASes",
         "All FTP",
         "Anonymous FTP",
         "Writable FTP",
     ]);
-    let sample = |series: &[(usize, f64)], n: usize| -> String {
-        series
-            .iter()
-            .take_while(|&&(i, _)| i <= n)
-            .last()
-            .map(|&(_, f)| format!("{:.3}", f))
-            .unwrap_or_else(|| "1.000".to_owned())
-    };
     for n in [1usize, 2, 5, 10, 20, 50, 100, 200, 500] {
-        t.row([
-            n.to_string(),
-            sample(&all, n),
-            sample(&anon, n),
-            sample(&writable_series, n),
-        ]);
+        let [all, anon, writable] = series.each_ref().map(|s| format!("{:.3}", cdf_at(s, n)));
+        t.row([n.to_string(), all, anon, writable]);
     }
     t.render()
 }
 
 /// §VI summaries: writability, campaigns, and the HTTP overlap.
-pub fn section6_malice(r: &StudyResults) -> String {
-    let wr = writable::detect(&r.records, Some(&r.truth.registry));
-    let cs = campaigns::detect(&r.records);
+pub fn section6_malice(agg: &StreamingAggregate) -> String {
     let mut t = Table::new("SECTION VI. MALICIOUS USE (measured)").headers(["Metric", "Value"]);
     t.row([
         "World-writable servers (reference set)".to_owned(),
-        format!("{} in {} ASes", thousands(wr.servers.len() as u64), wr.as_count),
+        format!("{} in {} ASes", thousands(agg.writable_servers), agg.writable_asns.len()),
     ]);
-    let count = |c: campaigns::CampaignClass| {
-        cs.servers.get(&c).map(|s| s.len() as u64).unwrap_or(0)
-    };
-    t.row(["ftpchk3 campaign servers".to_owned(), thousands(count(campaigns::CampaignClass::Ftpchk3))]);
-    t.row(["RAT servers (reference-set sourced)".to_owned(), thousands(count(campaigns::CampaignClass::Rat))]);
-    t.row(["UDP DDoS script servers".to_owned(), thousands(count(campaigns::CampaignClass::Ddos))]);
-    t.row([
-        "Holy Bible SEO servers".to_owned(),
-        format!(
-            "{} ({:.2}% also writable)",
-            thousands(count(campaigns::CampaignClass::HolyBible)),
-            cs.holy_bible_writable_share * 100.0
-        ),
-    ]);
-    t.row(["Keygen-flier servers".to_owned(), thousands(count(campaigns::CampaignClass::KeygenFlier))]);
-    t.row(["WaReZ transport servers".to_owned(), thousands(count(campaigns::CampaignClass::Warez))]);
-    t.row(["Ramnit-banner servers".to_owned(), thousands(count(campaigns::CampaignClass::Ramnit))]);
-    let ftp_total = r.records.iter().filter(|x| x.ftp_compliant).count() as u64;
-    let both = r.http.len() as u64;
-    let scripting = r.http.values().filter(|o| o.powered_by.is_some()).count() as u64;
+    for (class, &count) in CAMPAIGN_ORDER.iter().zip(agg.campaigns.iter()) {
+        let label = match class {
+            campaigns::CampaignClass::Ftpchk3 => "ftpchk3 campaign servers",
+            campaigns::CampaignClass::Rat => "RAT servers (reference-set sourced)",
+            campaigns::CampaignClass::Ddos => "UDP DDoS script servers",
+            campaigns::CampaignClass::HolyBible => "Holy Bible SEO servers",
+            campaigns::CampaignClass::KeygenFlier => "Keygen-flier servers",
+            campaigns::CampaignClass::Warez => "WaReZ transport servers",
+            campaigns::CampaignClass::Ramnit => "Ramnit-banner servers",
+        };
+        let value = if *class == campaigns::CampaignClass::HolyBible {
+            let share = if agg.hb_total == 0 {
+                0.0
+            } else {
+                agg.hb_writable as f64 / agg.hb_total as f64
+            };
+            format!("{} ({:.2}% also writable)", thousands(count), share * 100.0)
+        } else {
+            thousands(count)
+        };
+        t.row([label.to_owned(), value]);
+    }
+    let ftp_total = agg.summary.ftp;
     t.row([
         "FTP hosts also serving HTTP".to_owned(),
-        format!("{} {}", thousands(both), pct(both, ftp_total)),
+        format!("{} {}", thousands(agg.http_both), pct(agg.http_both, ftp_total)),
     ]);
     t.row([
         "FTP hosts with server-side scripting".to_owned(),
-        format!("{} {}", thousands(scripting), pct(scripting, ftp_total)),
+        format!("{} {}", thousands(agg.http_scripting), pct(agg.http_scripting, ftp_total)),
     ]);
     t.render()
 }
 
 /// §VII-B: PORT validation summary.
-pub fn section7_bounce(r: &StudyResults) -> String {
-    let s = bounce::summarize(&r.records, &r.bounce_hits);
+pub fn section7_bounce(agg: &StreamingAggregate) -> String {
+    let s = &agg.bounce;
     let mut t = Table::new("SECTION VII-B. PORT BOUNCING (measured)").headers(["Metric", "Value"]);
     t.row([
         "Anonymous servers failing PORT validation".to_owned(),
@@ -356,22 +372,34 @@ pub fn section7_bounce(r: &StudyResults) -> String {
     t.render()
 }
 
-/// §IX: FTPS summary.
-pub fn section9_ftps(r: &StudyResults) -> String {
-    let s = ftps::summarize(&r.records);
+/// §IX: FTPS summary. `unique_certs` is the number of distinct
+/// certificates collected, a whole-world statistic only the in-memory
+/// run has; without it the row reports the collected count alone.
+pub fn section9_ftps(agg: &StreamingAggregate, unique_certs: Option<u64>) -> String {
     let mut t = Table::new("SECTION IX. FTPS IMPACT (measured)").headers(["Metric", "Value"]);
     t.row([
         "FTP servers supporting FTPS".to_owned(),
-        format!("{} {}", thousands(s.ftps_supported), pct(s.ftps_supported, s.ftp_total)),
+        format!("{} {}", thousands(agg.ftps_supported), pct(agg.ftps_supported, agg.summary.ftp)),
     ]);
-    t.row(["FTPS required before login".to_owned(), thousands(s.required_before_login)]);
-    t.row([
-        "Unique certificates".to_owned(),
-        format!("{} of {} collected", thousands(s.unique_certs), thousands(s.certs_seen)),
-    ]);
+    t.row(["FTPS required before login".to_owned(), thousands(agg.ftps_required)]);
+    t.row(match unique_certs {
+        Some(unique) => [
+            "Unique certificates".to_owned(),
+            format!("{} of {} collected", thousands(unique), thousands(agg.certs_seen)),
+        ],
+        None => [
+            "Certificates collected".to_owned(),
+            format!("{} (uniqueness not tracked in streamed mode)", thousands(agg.certs_seen)),
+        ],
+    });
+    let self_signed_share = if agg.certs_seen == 0 {
+        0.0
+    } else {
+        agg.certs_self_signed as f64 / agg.certs_seen as f64
+    };
     t.row([
         "Self-signed certificates".to_owned(),
-        format!("{:.1}%", s.self_signed_share * 100.0),
+        format!("{:.1}%", self_signed_share * 100.0),
     ]);
     t.render()
 }
@@ -403,43 +431,6 @@ pub fn section3_notifications(r: &StudyResults) -> String {
     t.render()
 }
 
-/// The complete paper reproduction report.
-pub fn full_report(r: &StudyResults) -> String {
-    let scale = r.truth.spec.scale;
-    let boost = r.truth.spec.rare_boost;
-    let mut out = String::new();
-    out.push_str(&format!(
-        "FTP: THE FORGOTTEN CLOUD — reproduction run\n\
-         population scale 1:{scale} (multiply counts by {scale} for paper scale);\n\
-         rare-phenomenon boost {boost:.0}x (divide rare counts by {boost:.0} first)\n\n"
-    ));
-    for section in [
-        table01_funnel(r),
-        table02_classes(r),
-        table03_as50(r),
-        table04_device_classes(r),
-        table05_provider_devices(r),
-        table06_top_ases(r),
-        table07_consumer_devices(r),
-        table08_extensions(r),
-        table09_sensitive(r),
-        table10_breakout(r),
-        table11_cves(r),
-        table12_certs(r),
-        table13_device_certs(r),
-        fig01_cdf(r),
-        section6_malice(r),
-        section7_bounce(r),
-        section9_ftps(r),
-        section10_cyberul(r),
-        section3_notifications(r),
-    ] {
-        out.push_str(&section);
-        out.push('\n');
-    }
-    out
-}
-
 /// Label for one log₂ request-histogram bucket.
 fn hist_label(i: usize) -> String {
     match i {
@@ -450,162 +441,8 @@ fn hist_label(i: usize) -> String {
     }
 }
 
-/// Sorts `(name, total, anonymous)` device rows the way the legacy
-/// tables do: by total descending, then name ascending, zero rows
-/// dropped.
-fn device_rows(rows: Vec<(String, u64, u64)>) -> Vec<(String, u64, u64)> {
-    let mut rows: Vec<_> = rows.into_iter().filter(|&(_, total, _)| total > 0).collect();
-    rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    rows
-}
-
-/// The streamed-mode study report, rendered purely from the
-/// bounded-memory [`StreamingAggregate`] (plus the population spec for
-/// the scale/boost header).
-///
-/// Deliberately a function of the aggregate's *measured* fields only —
-/// never of the shard/batch geometry or the `batches` bookkeeping
-/// counter — so a streamed run, a resumed run, and a legacy in-memory
-/// run bridged through [`crate::stream::aggregate_of`] all render
-/// byte-identical text. Tables that need per-host state unbounded in
-/// world size (per-AS tallies, certificate dedup, device/exposure
-/// cross-products) are listed as omitted at the end.
-pub fn stream_report(agg: &StreamingAggregate, spec: &PopulationSpec) -> String {
-    let scale = spec.scale;
-    let boost = spec.rare_boost;
-    let mut out = String::new();
-    out.push_str(&format!(
-        "FTP: THE FORGOTTEN CLOUD — reproduction run (streamed)\n\
-         population scale 1:{scale} (multiply counts by {scale} for paper scale);\n\
-         rare-phenomenon boost {boost:.0}x (divide rare counts by {boost:.0} first)\n\n"
-    ));
-
-    // Table I.
-    let f = agg.funnel();
-    let mut t = Table::new("TABLE I. GENERAL METRICS FROM FTP ENUMERATION");
-    t.row(["IPs scanned", &thousands(f.ips_scanned), ""]);
-    t.row(["Open port 21", &thousands(f.open_port), &pct(f.open_port, f.ips_scanned)]);
-    t.row(["FTP servers", &thousands(f.ftp_servers), &pct(f.ftp_servers, f.open_port)]);
-    t.row([
-        "Anonymous FTP servers",
-        &thousands(f.anonymous),
-        &pct(f.anonymous, f.ftp_servers),
-    ]);
-    t.row(["Gave up (hostile/dead)", &thousands(f.gave_up), &pct(f.gave_up, f.open_port)]);
-    t.row(["Funnel invariants", &funnel_invariants_cell(&f), ""]);
-    out.push_str(&t.render());
-    out.push('\n');
-
-    // Table II.
-    let total = agg.class_total();
-    let total_anon = agg.class_total_anon();
-    let mut t = Table::new("TABLE II. BREAKOUT OF SERVERS IN EACH CATEGORY")
-        .headers(["Server Classification", "All FTP Servers", "Anonymous FTP Servers"]);
-    for (class, &(all, anon)) in CLASS_ORDER.iter().zip(agg.classes.iter()) {
-        t.row([
-            class.to_string(),
-            format!("{} {}", thousands(all), pct(all, total)),
-            format!("{} {}", thousands(anon), pct(anon, total_anon)),
-        ]);
-    }
-    out.push_str(&t.render());
-    out.push('\n');
-
-    // Table IV.
-    let rows = device_rows(
-        DEVICE_CLASS_ORDER
-            .iter()
-            .zip(agg.device_classes.iter())
-            .map(|(class, &(total, anon))| (class.to_string(), total, anon))
-            .collect(),
-    );
-    let mut t = Table::new("TABLE IV. CLASSES OF EMBEDDED DEVICES")
-        .headers(["Device Type", "All FTP", "Anonymous FTP"]);
-    for (class, total, anon) in rows {
-        t.row([class, thousands(total), thousands(anon)]);
-    }
-    out.push_str(&t.render());
-    out.push('\n');
-
-    // Tables V and VII.
-    for (provider, caption) in [
-        (true, "TABLE V. COMMON PROVIDER DEPLOYED DEVICES"),
-        (false, "TABLE VII. SAMPLE OF EMBEDDED SERVER DEVICES THAT ARE DEPLOYED AS STANDALONE"),
-    ] {
-        let rows = device_rows(
-            agg.devices
-                .iter()
-                .filter(|&(_, &(_, _, p))| p == provider)
-                .map(|(name, &(total, anon, _))| (name.clone(), total, anon))
-                .collect(),
-        );
-        let mut t = Table::new(caption).headers(["Device", "# Found", "# Anonymous"]);
-        for (name, found, anon) in rows {
-            t.row([name, thousands(found), format!("{} {}", thousands(anon), pct(anon, found))]);
-        }
-        out.push_str(&t.render());
-        out.push('\n');
-    }
-
-    // Table VIII.
-    let mut ext_rows: Vec<(&String, u64, u64)> =
-        agg.extensions.iter().map(|(e, &(files, servers))| (e, files, servers)).collect();
-    ext_rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
-    let mut t = Table::new("TABLE VIII. MOST COMMON FILE EXTENSIONS ACROSS KNOWN SOHO DEVICES")
-        .headers(["Extension", "# Files", "# Servers"]);
-    for (ext, files, servers) in ext_rows.into_iter().take(10) {
-        t.row([
-            format!(".{ext}"),
-            thousands(files),
-            format!("{} {}", thousands(servers), pct(servers, agg.soho_servers)),
-        ]);
-    }
-    out.push_str(&t.render());
-    out.push('\n');
-
-    // Table IX.
-    let mut t = Table::new("TABLE IX. EXAMPLES OF SENSITIVE EXPOSURE VIA ANONYMOUS FTP").headers([
-        "File",
-        "# Servers",
-        "# Files",
-        "# Readable",
-        "# Non-readable",
-        "# Unk-readable",
-    ]);
-    for (class, row) in exposure::SensitiveClass::ALL.iter().zip(agg.sensitive.iter()) {
-        t.row([
-            class.label().to_owned(),
-            thousands(row.servers),
-            thousands(row.files),
-            thousands(row.readable),
-            thousands(row.non_readable),
-            thousands(row.unk_readable),
-        ]);
-    }
-    out.push_str(&t.render());
-    out.push('\n');
-
-    // Table XI.
-    let mut t = Table::new("TABLE XI. NUMBER OF SERVERS VULNERABLE TO CVES").headers([
-        "Implementation",
-        "Vulnerability",
-        "CVSS Score",
-        "Number IPs",
-    ]);
-    for (rule, _, _) in cve::rules() {
-        let count = agg.cves.get(rule.id).copied().unwrap_or(0);
-        t.row([
-            rule.family_name.to_owned(),
-            rule.id.to_owned(),
-            format!("{:.1}", rule.cvss),
-            thousands(count),
-        ]);
-    }
-    out.push_str(&t.render());
-    out.push('\n');
-
-    // Request-depth histogram (streamed bonus: the batch pipeline keeps
-    // it for free, where the legacy path would need the record vector).
+/// The request-depth histogram the streamed report prints.
+fn requests_histogram(agg: &StreamingAggregate) -> String {
     let mut t = Table::new("ENUMERATION REQUESTS PER HOST (log2 buckets)")
         .headers(["Requests", "# Hosts"]);
     for (i, &n) in agg.requests_hist.iter().enumerate() {
@@ -613,94 +450,11 @@ pub fn stream_report(agg: &StreamingAggregate, spec: &PopulationSpec) -> String 
             t.row([hist_label(i), thousands(n)]);
         }
     }
-    out.push_str(&t.render());
-    out.push('\n');
+    t.render()
+}
 
-    // §VI.
-    let mut t = Table::new("SECTION VI. MALICIOUS USE (measured)").headers(["Metric", "Value"]);
-    t.row([
-        "World-writable servers (reference set)".to_owned(),
-        format!(
-            "{} in {} ASes",
-            thousands(agg.writable_servers),
-            agg.writable_asns.len()
-        ),
-    ]);
-    let campaign_label = |c: campaigns::CampaignClass| match c {
-        campaigns::CampaignClass::Ftpchk3 => "ftpchk3 campaign servers",
-        campaigns::CampaignClass::Rat => "RAT servers (reference-set sourced)",
-        campaigns::CampaignClass::Ddos => "UDP DDoS script servers",
-        campaigns::CampaignClass::HolyBible => "Holy Bible SEO servers",
-        campaigns::CampaignClass::KeygenFlier => "Keygen-flier servers",
-        campaigns::CampaignClass::Warez => "WaReZ transport servers",
-        campaigns::CampaignClass::Ramnit => "Ramnit-banner servers",
-    };
-    for (class, &count) in CAMPAIGN_ORDER.iter().zip(agg.campaigns.iter()) {
-        if *class == campaigns::CampaignClass::HolyBible {
-            let share = if agg.hb_total == 0 {
-                0.0
-            } else {
-                agg.hb_writable as f64 / agg.hb_total as f64
-            };
-            t.row([
-                campaign_label(*class).to_owned(),
-                format!("{} ({:.2}% also writable)", thousands(count), share * 100.0),
-            ]);
-        } else {
-            t.row([campaign_label(*class).to_owned(), thousands(count)]);
-        }
-    }
-    let ftp_total = agg.summary.ftp;
-    t.row([
-        "FTP hosts also serving HTTP".to_owned(),
-        format!("{} {}", thousands(agg.http_both), pct(agg.http_both, ftp_total)),
-    ]);
-    t.row([
-        "FTP hosts with server-side scripting".to_owned(),
-        format!("{} {}", thousands(agg.http_scripting), pct(agg.http_scripting, ftp_total)),
-    ]);
-    out.push_str(&t.render());
-    out.push('\n');
-
-    // §VII-B.
-    let s = &agg.bounce;
-    let mut t = Table::new("SECTION VII-B. PORT BOUNCING (measured)").headers(["Metric", "Value"]);
-    t.row([
-        "Anonymous servers failing PORT validation".to_owned(),
-        format!("{} ({:.2}% of probed)", thousands(s.accepted), s.acceptance_rate() * 100.0),
-    ]);
-    t.row(["…confirmed at collector".to_owned(), thousands(s.confirmed)]);
-    t.row(["Servers behind NAT".to_owned(), thousands(s.nat)]);
-    t.row(["NAT + invalid PORT".to_owned(), thousands(s.nat_and_vulnerable)]);
-    t.row(["Writable + invalid PORT".to_owned(), thousands(s.writable_and_vulnerable)]);
-    t.row(["FileZilla servers observed".to_owned(), thousands(s.filezilla_total)]);
-    out.push_str(&t.render());
-    out.push('\n');
-
-    // §IX (certificate *uniqueness* needs whole-world state; omitted).
-    let mut t = Table::new("SECTION IX. FTPS IMPACT (measured)").headers(["Metric", "Value"]);
-    t.row([
-        "FTP servers supporting FTPS".to_owned(),
-        format!("{} {}", thousands(agg.ftps_supported), pct(agg.ftps_supported, ftp_total)),
-    ]);
-    t.row(["FTPS required before login".to_owned(), thousands(agg.ftps_required)]);
-    t.row([
-        "Certificates collected".to_owned(),
-        format!("{} (uniqueness not tracked in streamed mode)", thousands(agg.certs_seen)),
-    ]);
-    let self_signed_share = if agg.certs_seen == 0 {
-        0.0
-    } else {
-        agg.certs_self_signed as f64 / agg.certs_seen as f64
-    };
-    t.row([
-        "Self-signed certificates".to_owned(),
-        format!("{:.1}%", self_signed_share * 100.0),
-    ]);
-    out.push_str(&t.render());
-    out.push('\n');
-
-    // Operational telemetry, folded for free by the aggregate.
+/// The operational telemetry the streamed report prints.
+fn telemetry(agg: &StreamingAggregate) -> String {
     let sm = &agg.summary;
     let mut t = Table::new("ENUMERATION TELEMETRY (measured)").headers(["Metric", "Value"]);
     t.row(["Hosts contacted".to_owned(), thousands(sm.hosts)]);
@@ -712,9 +466,95 @@ pub fn stream_report(agg: &StreamingAggregate, spec: &PopulationSpec) -> String 
     t.row(["Data-channel failures".to_owned(), thousands(sm.data_conn_failures)]);
     t.row(["Garbage control lines".to_owned(), thousands(sm.garbage_lines)]);
     t.row(["Mean requests per host".to_owned(), format!("{:.2}", sm.mean_requests())]);
-    out.push_str(&t.render());
-    out.push('\n');
+    t.render()
+}
 
+/// A report: the title and the scale/boost header, then every section
+/// followed by a blank line.
+fn render_report(
+    title: &str,
+    spec: &PopulationSpec,
+    sections: impl IntoIterator<Item = String>,
+) -> String {
+    let scale = spec.scale;
+    let boost = spec.rare_boost;
+    let mut out = format!(
+        "{title}\n\
+         population scale 1:{scale} (multiply counts by {scale} for paper scale);\n\
+         rare-phenomenon boost {boost:.0}x (divide rare counts by {boost:.0} first)\n\n"
+    );
+    for section in sections {
+        out.push_str(&section);
+        out.push('\n');
+    }
+    out
+}
+
+/// The complete paper reproduction report.
+pub fn full_report(r: &StudyResults) -> String {
+    let agg = aggregate_of(r);
+    let tallies = as_tallies(r);
+    let registry = &r.truth.registry;
+    let unique_certs = ftps::summarize(&r.records).unique_certs;
+    render_report(
+        "FTP: THE FORGOTTEN CLOUD — reproduction run",
+        &r.truth.spec,
+        [
+            // Equal to `agg.funnel()`, and also reports a broken funnel
+            // on the diagnostics channel.
+            table01_funnel(&r.funnel()),
+            table02_classes(&agg),
+            table03_as50(&tallies, registry),
+            table04_device_classes(&agg),
+            table05_provider_devices(&agg),
+            table06_top_ases(&tallies, registry),
+            table07_consumer_devices(&agg),
+            table08_extensions(&agg),
+            table09_sensitive(&agg),
+            table10_breakout(r),
+            table11_cves(&agg),
+            table12_certs(r),
+            table13_device_certs(r),
+            fig01_cdf(&tallies),
+            section6_malice(&agg),
+            section7_bounce(&agg),
+            section9_ftps(&agg, Some(unique_certs)),
+            section10_cyberul(r),
+            section3_notifications(r),
+        ],
+    )
+}
+
+/// The streamed-mode study report, rendered purely from the
+/// bounded-memory [`StreamingAggregate`] (plus the population spec for
+/// the scale/boost header).
+///
+/// Deliberately a function of the aggregate's *measured* fields only —
+/// never of the shard/batch geometry or the `batches` bookkeeping
+/// counter — so a streamed run, a resumed run, and an in-memory run
+/// folded through [`aggregate_of`] all render byte-identical text.
+/// Sections that need whole-world state are listed as omitted at the
+/// end.
+pub fn stream_report(agg: &StreamingAggregate, spec: &PopulationSpec) -> String {
+    let mut out = render_report(
+        "FTP: THE FORGOTTEN CLOUD — reproduction run (streamed)",
+        spec,
+        [
+            table01_funnel(&agg.funnel()),
+            table02_classes(agg),
+            table04_device_classes(agg),
+            table05_provider_devices(agg),
+            table07_consumer_devices(agg),
+            table08_extensions(agg),
+            table09_sensitive(agg),
+            table11_cves(agg),
+            requests_histogram(agg),
+            section6_malice(agg),
+            section7_bounce(agg),
+            section9_ftps(agg, None),
+            telemetry(agg),
+        ],
+    );
     out.push_str(
         "Omitted in streamed mode (state unbounded in world size): Table III and Table VI \
          (per-AS tallies), Figure 1 (AS CDF), Table X (exposure × device cross-product), \

@@ -227,20 +227,72 @@ mod tests {
     use super::*;
     use crate::study::{run_study, StudyConfig};
 
+    use Grade::{Approximate as A, Noise as N, Reproduced as R};
+
+    /// Every check's grade by name, at `small(1_234, 900)` and at
+    /// `small(42, 900)`, the world `ftpcloud verdicts` runs by default.
+    const PINNED_GRADES: [(&str, Grade, Grade); 19] = [
+        ("FTP servers / open port 21", R, R),
+        ("anonymous / FTP servers", R, R),
+        ("class share: Generic", R, R),
+        ("class share: Hosted", R, R),
+        ("class share: Embedded", R, R),
+        ("class share: Unknown", R, R),
+        ("world-writable / anonymous (÷boost)", R, R),
+        ("ftpchk3 / anonymous (÷boost)", N, N),
+        ("DDoS scripts / anonymous (÷boost)", N, N),
+        ("WaReZ dirs / anonymous (÷boost)", R, R),
+        ("keygen fliers / anonymous (÷boost)", N, N),
+        ("PORT bounce / probed", R, R),
+        ("FTPS support / FTP", R, R),
+        ("self-signed / FTPS certs", R, R),
+        ("FTP ∩ HTTP / FTP", R, R),
+        ("server-side scripting / FTP", R, R),
+        ("photo libraries / anonymous (÷boost)", A, A),
+        ("CVE-vulnerable / FTP", R, A),
+        ("ASes for 50% of FTP / all ASes", A, A),
+    ];
+
+    fn rank(g: Grade) -> u8 {
+        match g {
+            Grade::Noise => 0,
+            Grade::Approximate => 1,
+            Grade::Reproduced => 2,
+        }
+    }
+
+    /// Grades `small(seed, 900)` and fails when any check's grade
+    /// differs from its pin: a drop is a regression, and a rise must
+    /// raise the pin so the gain cannot be lost unnoticed.
+    fn assert_pinned_grades(seed: u64, pinned: fn(&(&str, Grade, Grade)) -> Grade) -> StudyResults {
+        let results = run_study(&StudyConfig::small(seed, 900));
+        let measured = checks(&results);
+        let names: Vec<&str> = measured.iter().map(|c| c.name).collect();
+        let pinned_names: Vec<&str> = PINNED_GRADES.iter().map(|p| p.0).collect();
+        assert_eq!(names, pinned_names, "the check battery changed; update PINNED_GRADES");
+        let moved: Vec<String> = measured
+            .iter()
+            .zip(PINNED_GRADES.iter())
+            .filter(|(c, p)| c.grade != pinned(p))
+            .map(|(c, p)| {
+                let how = if rank(c.grade) < rank(pinned(p)) { "dropped" } else { "rose" };
+                format!("{} {how} to {} (pinned {})", c.name, c.grade, pinned(p))
+            })
+            .collect();
+        assert!(moved.is_empty(), "seed {seed}: {moved:#?}");
+        results
+    }
+
     #[test]
     fn most_checks_reproduce_at_modest_scale() {
-        let results = run_study(&StudyConfig::small(1_234, 900));
-        let (reproduced, approx, noise) = scoreboard(&results);
-        let total = reproduced + approx + noise;
-        assert!(total >= 15, "check battery present: {total}");
-        assert!(
-            reproduced * 2 >= total,
-            "at least half the checks reproduce: {reproduced}/{total} (approx {approx}, noise {noise})"
-        );
-        // And the funnel specifically must always reproduce.
-        let all = checks(&results);
-        let funnel = all.iter().find(|c| c.name.contains("anonymous / FTP")).expect("check");
-        assert_eq!(funnel.grade, Grade::Reproduced, "{funnel:?}");
+        assert_pinned_grades(1_234, |p| p.1);
+    }
+
+    /// The scoreboard EXPERIMENTS.md reports for `ftpcloud verdicts`.
+    #[test]
+    fn documented_scoreboard_holds_at_seed_42() {
+        let results = assert_pinned_grades(42, |p| p.2);
+        assert_eq!(scoreboard(&results), (13, 3, 3));
     }
 
     #[test]

@@ -95,11 +95,13 @@ impl PopulationSpec {
     /// `study(seed, scale)` pins the space at a /12, which caps the
     /// population around a quarter-million hosts; streaming runs ask
     /// for the population directly (`--servers 1000000`), so this
-    /// constructor picks the smallest prefix whose size is at least 4×
-    /// the server count — room for the non-FTP port-21 population and
-    /// the AS allocator's alignment slack.
+    /// constructor picks the smallest prefix whose size is at least 16×
+    /// the server count, and never smaller than a /14 — room for the
+    /// non-FTP port-21 population and the AS allocator's alignment
+    /// slack (at 4× the allocator runs out of room from about 17,000
+    /// servers).
     pub fn sized(seed: u64, n: usize) -> Self {
-        let need = (n as u64).saturating_mul(4).next_power_of_two().max(1 << 18);
+        let need = (n as u64).saturating_mul(16).next_power_of_two().max(1 << 18);
         let prefix_len = 32 - need.trailing_zeros() as u8;
         PopulationSpec {
             seed,
@@ -1489,9 +1491,26 @@ mod tests {
     fn sized_spec_fits_requested_population() {
         let spec = PopulationSpec::sized(3, 300_000);
         assert_eq!(spec.ftp_servers, 300_000);
-        assert!(spec.space.size() >= 4 * 300_000, "space {} too small", spec.space);
+        assert!(spec.space.size() >= 16 * 300_000, "space {} too small", spec.space);
         let small = PopulationSpec::sized(3, 100);
         assert!(small.space.size() >= 1 << 18);
+        // Up to 16,384 servers the floor holds: every benchmark and test
+        // world sized this way is a /14.
+        assert_eq!(PopulationSpec::sized(3, 16_384).space.prefix_len(), 14);
+        assert_eq!(PopulationSpec::sized(3, 16_385).space.prefix_len(), 13);
+    }
+
+    /// Sized worlds past 16,384 servers plan without running out of
+    /// address space (a 4× space fails for some of these seeds from
+    /// 17,000 servers and for all of them at 30,000).
+    #[test]
+    fn sized_worlds_past_16384_servers_plan() {
+        for n in [17_000, 20_000, 30_000] {
+            for seed in [42, 2, 3, 4, 5] {
+                let plan = plan_world(&PopulationSpec::sized(seed, n));
+                assert_eq!(plan.plans.len(), n, "seed {seed}, {n} servers");
+            }
+        }
     }
 
     #[test]

@@ -40,7 +40,7 @@ fn main() {
     println!("Scoreboard: {ok} reproduced, {approx} approximate, {noise} small-N.\n");
     // Machine-readable Figure 1 for plotting.
     let csv_path = std::env::temp_dir().join("fig01_cdf.csv");
-    if std::fs::write(&csv_path, tables::fig01_cdf_csv(&results)).is_ok() {
+    if std::fs::write(&csv_path, tables::fig01_cdf_csv(&tables::as_tallies(&results))).is_ok() {
         eprintln!("Figure 1 series written to {}", csv_path.display());
     }
 

@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use ftp_study::{run_study, tables, StudyConfig};
+use ftp_study::{aggregate_of, run_study, tables, StudyConfig};
 
 fn main() {
     // A 1 000-server world with deterministic seed 42. `small` boosts
@@ -18,10 +18,10 @@ fn main() {
     );
     let results = run_study(&cfg);
 
-    println!("{}", tables::table01_funnel(&results));
-    println!("{}", tables::table02_classes(&results));
-
     let funnel = results.funnel();
+    println!("{}", tables::table01_funnel(&funnel));
+    println!("{}", tables::table02_classes(&aggregate_of(&results)));
+
     println!(
         "Anonymous rate: {:.2}% (paper: 8.15%) — ground truth had {} anonymous servers, the pipeline measured {}.",
         funnel.anonymous_rate() * 100.0,

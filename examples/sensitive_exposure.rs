@@ -6,13 +6,14 @@
 //! ```
 
 use analysis::exposure::{self, SensitiveClass};
-use ftp_study::{run_study, tables, StudyConfig};
+use ftp_study::{aggregate_of, run_study, tables, StudyConfig};
 
 fn main() {
     let results = run_study(&StudyConfig::small(99, 1_200));
 
-    println!("{}", tables::table09_sensitive(&results));
-    println!("{}", tables::table08_extensions(&results));
+    let aggregate = aggregate_of(&results);
+    println!("{}", tables::table09_sensitive(&aggregate));
+    println!("{}", tables::table08_extensions(&aggregate));
     println!("{}", tables::table10_breakout(&results));
 
     // Headline §V numbers.

@@ -43,7 +43,11 @@
 //!
 //! Every subcommand except `explain` also takes `--seed S`. A flag the
 //! subcommand does not take, a value that does not parse, or a missing
-//! value is an error (exit code 2) that names the flag.
+//! value is an error (exit code 2) that names the flag. So is input that
+//! would be ignored or cannot run: a zero `--shards`, `--batch-size` or
+//! `--timeseries-every`; `--servers` with `--scale`, or `--checkpoint-dir`
+//! with `--resume`; and `--checkpoint-dir`, `--resume` or `--progress`
+//! without `--batch-size`, or `--timeseries-every` without `--timeseries`.
 
 use ftp_study::{
     run_study, run_study_sharded, run_study_streamed, tables, StreamOptions, StreamOutcome,
@@ -166,7 +170,36 @@ impl<'a> Args<'a> {
             }
             args.flags.push((name, value));
         }
+        args.check_combinations()?;
         Ok(args)
+    }
+
+    /// Refuses values and flag combinations that parse but would be
+    /// ignored or cannot run: a zero count, two flags that set the same
+    /// thing, or a flag without the one it only works with.
+    fn check_combinations(&self) -> Result<(), String> {
+        let given = |name| self.text(name).is_some();
+        for name in ["--shards", "--batch-size", "--timeseries-every"] {
+            if self.number(name) == Some(0) {
+                return Err(format!("{name} must be at least 1"));
+            }
+        }
+        for (a, b) in [("--servers", "--scale"), ("--checkpoint-dir", "--resume")] {
+            if given(a) && given(b) {
+                return Err(format!("{a} and {b} cannot be given together"));
+            }
+        }
+        for (flag, needs) in [
+            ("--checkpoint-dir", "--batch-size"),
+            ("--resume", "--batch-size"),
+            ("--progress", "--batch-size"),
+            ("--timeseries-every", "--timeseries"),
+        ] {
+            if given(flag) && !given(needs) {
+                return Err(format!("{flag} needs {needs}"));
+            }
+        }
+        Ok(())
     }
 
     fn text(&self, name: &str) -> Option<&'a str> {
@@ -202,7 +235,7 @@ fn obs_flags<'a>(args: &Args<'a>) -> ObsCli<'a> {
     let profile = args.switch("--profile");
     let journal = args.text("--journal");
     let timeseries = args.text("--timeseries");
-    let every_ms = args.number("--timeseries-every").unwrap_or(500).max(1);
+    let every_ms = args.number("--timeseries-every").unwrap_or(500);
     let cfg = obs::ObsConfig {
         // A metrics file is always worth collecting alongside a trace;
         // the snapshot rides in the same recorder for free.
@@ -350,7 +383,7 @@ fn main() {
     match command.as_str() {
         "study" => {
             let scale = args.number("--scale").unwrap_or(4_096);
-            let shards = args.number("--shards").unwrap_or(1).max(1);
+            let shards = args.number("--shards").unwrap_or(1);
             let batch_size = args.number("--batch-size");
             let checkpoint_dir = args.text("--checkpoint-dir");
             let resume = args.text("--resume");
@@ -371,10 +404,6 @@ fn main() {
             cfg.obs = obs_cli.cfg;
 
             let Some(batch_size) = batch_size else {
-                if checkpoint_dir.is_some() || resume.is_some() {
-                    eprintln!("--checkpoint-dir/--resume need --batch-size (streamed mode)");
-                    std::process::exit(2);
-                }
                 let results = run_study_sharded(&cfg, shards);
                 println!("{}", tables::full_report(&results));
                 write_obs_outputs(results.obs.as_ref(), &obs_cli, obs_cli.journal);
@@ -416,13 +445,13 @@ fn main() {
         "funnel" => {
             let servers = args.number("--servers").unwrap_or(800) as usize;
             let faults = args.number("--faults").unwrap_or(0);
-            let shards = args.number("--shards").unwrap_or(1).max(1);
+            let shards = args.number("--shards").unwrap_or(1);
             let obs_cli = obs_flags(&args);
             let mut cfg =
                 StudyConfig::small(seed, servers).with_fault_fraction(faults as f64 / 100.0);
             cfg.obs = obs_cli.cfg;
             let results = run_study_sharded(&cfg, shards);
-            println!("{}", tables::table01_funnel(&results));
+            println!("{}", tables::table01_funnel(&results.funnel()));
             write_obs_outputs(results.obs.as_ref(), &obs_cli, obs_cli.journal);
         }
         "explain" => explain(&args),

@@ -1,7 +1,7 @@
 //! The `ftpcloud` command line is strict: a flag the subcommand does
-//! not take, a value that does not parse, or a missing value exits with
-//! code 2 and names the flag, before any world is built. Each case runs
-//! the real binary.
+//! not take, a value that does not parse, a missing value, or input the
+//! run would ignore exits with code 2 and names the flag, before any
+//! world is built. Each case runs the real binary.
 
 use std::process::{Command, Output};
 
@@ -54,6 +54,28 @@ fn repeats_and_stray_arguments_are_refused() {
     refused(&["study", "paper"], "paper");
     refused(&["frobnicate"], "frobnicate");
     refused(&[], "usage");
+}
+
+#[test]
+fn input_that_would_be_ignored_is_refused() {
+    // Each of these used to run, dropping part of what was asked.
+    refused(&["study", "--servers", "600", "--scale", "100"], "--servers and --scale");
+    refused(
+        &["study", "--batch-size", "200", "--checkpoint-dir", "a", "--resume", "b"],
+        "--checkpoint-dir and --resume",
+    );
+    refused(&["study", "--checkpoint-dir", "a"], "--checkpoint-dir needs --batch-size");
+    refused(&["study", "--resume", "a"], "--resume needs --batch-size");
+    refused(&["study", "--progress"], "--progress needs --batch-size");
+    refused(&["study", "--timeseries-every", "100"], "--timeseries-every needs --timeseries");
+    refused(&["funnel", "--timeseries-every", "100"], "--timeseries-every needs --timeseries");
+    refused(&["study", "--shards", "0"], "--shards must be at least 1");
+    refused(&["funnel", "--shards", "0"], "--shards must be at least 1");
+    refused(
+        &["funnel", "--servers", "100", "--timeseries", "ts.csv", "--timeseries-every", "0"],
+        "--timeseries-every must be at least 1",
+    );
+    refused(&["study", "--batch-size", "0"], "--batch-size must be at least 1");
 }
 
 /// `explain` keeps its positional address, before or after the flags.

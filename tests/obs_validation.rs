@@ -52,6 +52,49 @@ fn recorder_is_invisible_under_fault_injection() {
     assert_identical(&off, &study(0.5, 8, true), "50% faults, K=8");
 }
 
+/// Every counter of the K=1, 50%-fault study's snapshot, by name, in
+/// registry order. The counts are pure functions of the seed, so a
+/// mismatch is a behaviour change; a deliberate one updates this table,
+/// with the reason, in the same change.
+const PINNED_COUNTERS: [(&str, u64); obs::Counter::COUNT] = [
+    ("sim_events", 23_398),
+    ("sim_ev_data", 9335),
+    ("sim_ev_timer", 6969),
+    ("sim_ev_connect", 4811),
+    ("sim_ev_close", 1534),
+    ("sim_ev_probe", 262_144),
+    ("connects", 1616),
+    ("connect_failures", 27),
+    ("connect_retries", 18),
+    ("backoff_wait_us", 27_000_000),
+    ("replies_total", 4316),
+    ("reply_1xx", 1232),
+    ("reply_2xx", 2763),
+    ("reply_3xx", 106),
+    ("reply_4xx", 0),
+    ("reply_5xx", 215),
+    ("reply_other", 0),
+    ("sessions_started", 237),
+    ("sessions_finished", 237),
+    ("gave_ups", 121),
+    ("step_timeouts", 63),
+    ("listing_bytes", 1_563_563),
+    ("probes_sent", 262_144),
+    ("vfs_ops", 48_900),
+    ("vfs_nodes", 45_503),
+    ("vfs_interned_bytes", 58_633),
+    ("scan_slots", 262_144),
+    ("wheel_inserts", 23_398),
+    ("wheel_cascades", 29_940),
+    ("wheel_cascaded_entries", 58_954),
+    ("hosts_materialized", 237),
+    ("http_observations", 67),
+    ("funnel_invariant_violations", 0),
+    ("codec_lines_borrowed", 7424),
+    ("codec_lines_copied", 4),
+    ("vfs_dead_nodes", 0),
+];
+
 #[test]
 fn metrics_snapshot_is_coherent_and_shard_invariant() {
     let k1 = study(0.5, 1, true);
@@ -87,6 +130,17 @@ fn metrics_snapshot_is_coherent_and_shard_invariant() {
         m1.counter(obs::Counter::SessionsFinished),
         "one latency observation per session"
     );
+
+    // Absolute pin: every counter equals its committed value.
+    let drifted: Vec<String> = obs::Counter::ALL
+        .iter()
+        .zip(PINNED_COUNTERS)
+        .filter(|&(c, (name, pinned))| c.name() != name || m1.counter(*c) != pinned)
+        .map(|(c, (name, pinned))| {
+            format!("{} = {} (pinned: {name} = {pinned})", c.name(), m1.counter(*c))
+        })
+        .collect();
+    assert!(drifted.is_empty(), "counters drifted from PINNED_COUNTERS: {drifted:#?}");
 
     // Per-host behavior counters sum over a partition of the hosts, so
     // they are invariant under resharding.
