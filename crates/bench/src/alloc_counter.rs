@@ -19,13 +19,14 @@
 //! ceiling tests are built on that mark: a stage's peak footprint is
 //! `high_water - live_bytes_at_reset`, independent of what the OS maps.
 //!
-//! Counting must not distort the timings it annotates, so the counters
-//! are bumped with unsynchronized load+store pairs rather than atomic
-//! read-modify-write instructions (a `lock xadd` on every allocation is
-//! a measurable tax on allocation-heavy stages). The deterministic
-//! simulation runs single-threaded, where this is exact; if several
-//! threads allocate concurrently the counters may drop increments,
-//! which is acceptable for a benchmark-pressure gauge.
+//! The counts must stay exact when several threads allocate at once:
+//! world building runs on every core, inside the regions the
+//! allocation tests and studybench's traced pass measure. Every update
+//! is therefore one atomic read-modify-write — `fetch_add` for the
+//! counts and the live-bytes gauge, `fetch_max` for the high-water mark,
+//! and a compare-and-swap loop where the gauge saturates at zero.
+//! Relaxed ordering suffices: the counters are independent, and readers
+//! snapshot them only after the measured work has finished.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -38,26 +39,23 @@ static LIVE_AT_RESET: AtomicU64 = AtomicU64::new(0);
 
 #[inline(always)]
 fn bump(counter: &AtomicU64, delta: u64) {
-    // Deliberately not `fetch_add`: see the module docs.
-    counter.store(counter.load(Ordering::Relaxed).wrapping_add(delta), Ordering::Relaxed);
+    counter.fetch_add(delta, Ordering::Relaxed);
 }
 
 /// Grows the live-bytes gauge and ratchets the high-water mark.
 #[inline(always)]
 fn live_grow(delta: u64) {
-    let live = LIVE_BYTES.load(Ordering::Relaxed).wrapping_add(delta);
-    LIVE_BYTES.store(live, Ordering::Relaxed);
-    if live > HIGH_WATER.load(Ordering::Relaxed) {
-        HIGH_WATER.store(live, Ordering::Relaxed);
-    }
+    let live = LIVE_BYTES.fetch_add(delta, Ordering::Relaxed).wrapping_add(delta);
+    HIGH_WATER.fetch_max(live, Ordering::Relaxed);
 }
 
 /// Shrinks the live-bytes gauge. Saturating: frees of memory allocated
 /// before the gauge was zeroed must not wrap it.
 #[inline(always)]
 fn live_shrink(delta: u64) {
-    let live = LIVE_BYTES.load(Ordering::Relaxed).saturating_sub(delta);
-    LIVE_BYTES.store(live, Ordering::Relaxed);
+    let _ = LIVE_BYTES.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |live| {
+        Some(live.saturating_sub(delta))
+    });
 }
 
 /// Counters captured by [`snapshot`].
@@ -152,11 +150,17 @@ pub fn peak_growth_since_reset() -> u64 {
 mod tests {
     use super::*;
 
+    use std::sync::Mutex;
+
+    /// Serializes the tests here: they share the module's statics.
+    static STATICS: Mutex<()> = Mutex::new(());
+
     /// The gauge arithmetic, exercised directly (the test binary does
     /// not install the allocator, so the statics only move when we move
     /// them).
     #[test]
     fn high_water_ratchets_and_reset_rearms() {
+        let _guard = STATICS.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         reset();
         let base = LIVE_BYTES.load(Ordering::Relaxed);
         live_grow(1000);
@@ -170,5 +174,33 @@ mod tests {
         assert_eq!(LIVE_BYTES.load(Ordering::Relaxed), 0, "shrink saturates at zero");
         live_shrink(base + 700);
         assert_eq!(peak_growth_since_reset(), 0, "shrinking never raises the peak");
+    }
+
+    /// Updates from several threads at once all land: none is lost to
+    /// a racing read-modify-write.
+    #[test]
+    fn concurrent_updates_are_exact() {
+        let _guard = STATICS.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        reset();
+        let before = snapshot();
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    // All four threads update at once, not one by one.
+                    start.wait();
+                    for _ in 0..20_000 {
+                        bump(&ALLOCS, 1);
+                        live_grow(8);
+                        live_shrink(8);
+                    }
+                });
+            }
+        });
+        let after = snapshot();
+        assert_eq!(after.allocs - before.allocs, 80_000);
+        assert_eq!(after.live_bytes, before.live_bytes, "every grow was matched by a shrink");
+        let peak = peak_growth_since_reset();
+        assert!((8..=32).contains(&peak), "at most four 8-byte grows overlap: {peak}");
     }
 }

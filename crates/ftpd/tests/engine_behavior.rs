@@ -557,3 +557,29 @@ fn rename_in_writable_tree() {
     assert!(engine.borrow().vfs().exists("/incoming/b.txt"));
     assert!(!engine.borrow().vfs().exists("/incoming/a.txt"));
 }
+
+/// A rejected `RNTO` (its parent is a file) answers 550 and leaves the
+/// `RNFR` source where it was: the next `LIST` still shows it.
+#[test]
+fn rejected_rename_keeps_the_source() {
+    let mut v = sample_vfs();
+    v.add_file("/incoming/a.txt", FileMeta::public(1)).unwrap();
+    v.add_file("/incoming/b.txt", FileMeta::public(2)).unwrap();
+    let mut script = login();
+    script.extend([
+        Action::Send("RNFR /incoming/a.txt".into()),
+        Action::Send("RNTO /incoming/b.txt/c".into()),
+        Action::Send("CWD /incoming".into()),
+        Action::OpenPasv,
+        Action::TransferGet("LIST".into()),
+        Action::Quit,
+    ]);
+    let (client, engine) = run(anon_profile().with_writable("/incoming"), v, script);
+    let c = client.borrow();
+    assert_eq!(&c.codes()[..5], &[220, 331, 230, 350, 550], "{:?}", c.codes());
+    let (_, bytes) = &c.downloads()[0];
+    let body = String::from_utf8_lossy(bytes);
+    assert!(body.contains("a.txt"), "{body}");
+    assert!(body.contains("b.txt"), "{body}");
+    assert!(engine.borrow().vfs().file("/incoming/a.txt").is_ok());
+}

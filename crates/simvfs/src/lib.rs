@@ -27,6 +27,11 @@
 //! only when an arena grows (amortized ~0 per file) instead of one
 //! owned `String` key plus tree nodes per path segment.
 //!
+//! Generated trees insert most names in ascending order and give long
+//! runs of files one mtime, so the insert paths compare a name with the
+//! directory's last child before binary-searching, and a one-entry
+//! cache skips re-interning a repeated mtime. Lookups search as usual.
+//!
 //! Lookups return borrowed views ([`NodeRef`], [`FileRef`], [`DirRef`])
 //! rather than `&Node`: plain `Copy` structs whose string fields borrow
 //! from the arena, mirroring the enumerator's columnar `FileTable`.
@@ -296,11 +301,22 @@ struct Interner {
 
 const EMPTY: u32 = u32::MAX;
 
-fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
+/// Multiplicative hash over 8-byte words (the tail zero-padded). The
+/// multiply carries every input bit into the high half, so the table
+/// index is taken from the top bits ([`Interner::slot`]).
+fn word_hash(s: &str) -> u64 {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mut h = (s.len() as u64).wrapping_mul(K);
+    let mut words = s.as_bytes().chunks_exact(8);
+    for w in &mut words {
+        let w = u64::from_le_bytes(w.try_into().expect("chunks_exact yields 8 bytes"));
+        h = (h.rotate_left(23) ^ w).wrapping_mul(K);
+    }
+    let rest = words.remainder();
+    if !rest.is_empty() {
+        let mut tail = [0u8; 8];
+        tail[..rest.len()].copy_from_slice(rest);
+        h = (h.rotate_left(23) ^ u64::from_le_bytes(tail)).wrapping_mul(K);
     }
     h
 }
@@ -311,9 +327,21 @@ impl Interner {
         &self.buf[off as usize..(off + len) as usize]
     }
 
+    /// [`Self::get`] as bytes: name comparisons need no char-boundary
+    /// checks, and byte order is `str` order.
+    fn bytes_of(&self, id: StrId) -> &[u8] {
+        let (off, len) = self.spans[id as usize];
+        &self.buf.as_bytes()[off as usize..(off + len) as usize]
+    }
+
     /// Total bytes held by the arena (unique strings only).
     fn bytes(&self) -> usize {
         self.buf.len()
+    }
+
+    /// Home slot of hash `h` in a table of `len` (a power of two) slots.
+    fn slot(h: u64, len: usize) -> usize {
+        (h >> (64 - len.trailing_zeros())) as usize
     }
 
     fn intern(&mut self, s: &str) -> StrId {
@@ -321,11 +349,11 @@ impl Interner {
             self.table = vec![EMPTY; 16];
         }
         let mask = self.table.len() - 1;
-        let mut ix = (fnv1a(s) as usize) & mask;
+        let mut ix = Self::slot(word_hash(s), self.table.len());
         loop {
             match self.table[ix] {
                 EMPTY => break,
-                id if self.get(id) == s => return id,
+                id if self.bytes_of(id) == s.as_bytes() => return id,
                 _ => ix = (ix + 1) & mask,
             }
         }
@@ -349,7 +377,7 @@ impl Interner {
         let mut table = vec![EMPTY; new_cap];
         let mask = new_cap - 1;
         for id in 0..self.spans.len() as u32 {
-            let mut ix = (fnv1a(self.get(id)) as usize) & mask;
+            let mut ix = Self::slot(word_hash(self.get(id)), new_cap);
             while table[ix] != EMPTY {
                 ix = (ix + 1) & mask;
             }
@@ -513,6 +541,9 @@ pub struct Vfs {
     /// File contents (write probes, scripts, robots.txt) — rare, so
     /// they live out-of-line from the slots.
     contents: Vec<Box<str>>,
+    /// The last file mtime interned: generators give runs of files one
+    /// mtime (a deep tree ~7,000 of them), which then skip the hash.
+    last_mtime: StrId,
 }
 
 // The serde stubs are marker traits (nothing in the workspace
@@ -583,7 +614,7 @@ impl Vfs {
                 children: Vec::new(),
             }),
         };
-        Vfs { nodes: vec![root], strings, contents: Vec::new() }
+        Vfs { nodes: vec![root], strings, contents: Vec::new(), last_mtime: default_mtime }
     }
 
     /// Node slots ever created (the root included; detached slots too —
@@ -640,15 +671,40 @@ impl Vfs {
         }
     }
 
-    /// Binary search for `name` among `dir`'s children. `Ok(child slot)`
+    fn children(&self, dir: u32) -> &[u32] {
+        match &self.nodes[dir as usize].kind {
+            Slot::Dir(d) => &d.children,
+            Slot::File(_) => unreachable!("children of a file slot"),
+        }
+    }
+
+    fn name_bytes(&self, node: u32) -> &[u8] {
+        self.strings.bytes_of(self.nodes[node as usize].name)
+    }
+
+    /// Binary search for `name` among `dir`'s children: `Ok(position)`
     /// when present, `Err(insertion position)` when not.
+    fn child_pos(&self, dir: u32, name: &str) -> Result<usize, usize> {
+        self.children(dir).binary_search_by(|&c| self.name_bytes(c).cmp(name.as_bytes()))
+    }
+
+    /// `Ok(child slot)` when `dir` has a child `name`, `Err(insertion
+    /// position)` when not.
     fn find_child(&self, dir: u32, name: &str) -> Result<u32, usize> {
-        let Slot::Dir(d) = &self.nodes[dir as usize].kind else {
-            unreachable!("find_child on a file slot");
-        };
-        d.children
-            .binary_search_by(|&c| self.strings.get(self.nodes[c as usize].name).cmp(name))
-            .map(|pos| d.children[pos])
+        self.child_pos(dir, name).map(|pos| self.children(dir)[pos])
+    }
+
+    /// [`Self::find_child`] for the insert paths. Generators mostly add
+    /// names in ascending order, so the last child is compared first:
+    /// an append, or a repeat of the last name, skips the search.
+    fn find_child_for_insert(&self, dir: u32, name: &str) -> Result<u32, usize> {
+        let children = self.children(dir);
+        let Some(&last) = children.last() else { return Err(0) };
+        match self.name_bytes(last).cmp(name.as_bytes()) {
+            std::cmp::Ordering::Less => Err(children.len()),
+            std::cmp::Ordering::Equal => Ok(last),
+            std::cmp::Ordering::Greater => self.find_child(dir, name),
+        }
     }
 
     /// Walks canonical `path` segments from the root; `Ok(slot)` or the
@@ -675,7 +731,7 @@ impl Vfs {
     }
 
     /// Allocates a node slot and links it into `dir`'s children at
-    /// `pos` (from a failed [`Self::find_child`] search for `name`).
+    /// `pos` (from a failed [`Self::find_child_for_insert`] for `name`).
     fn insert_child(&mut self, dir: u32, pos: usize, name: &str, kind: Slot) -> u32 {
         let name = self.strings.intern(name);
         let id = self.nodes.len() as u32;
@@ -707,11 +763,14 @@ impl Vfs {
             }
             None => NO_CONTENT,
         };
+        if self.strings.bytes_of(self.last_mtime) != attrs.mtime.as_bytes() {
+            self.last_mtime = self.strings.intern(attrs.mtime);
+        }
         FileData {
             size: attrs.size,
             perms: attrs.perms,
             owner: attrs.owner,
-            mtime: self.strings.intern(attrs.mtime),
+            mtime: self.last_mtime,
             content,
         }
     }
@@ -768,7 +827,7 @@ impl Vfs {
             if !matches!(self.nodes[cur as usize].kind, Slot::Dir(_)) {
                 return Err(VfsError::NotADirectory { path: path.to_owned() });
             }
-            cur = match self.find_child(cur, comp) {
+            cur = match self.find_child_for_insert(cur, comp) {
                 Ok(child) => {
                     if matches!(self.nodes[child as usize].kind, Slot::File(_)) {
                         return Err(VfsError::NotADirectory { path: path.to_owned() });
@@ -893,7 +952,7 @@ impl Vfs {
             return Err(VfsError::BadPath { path: name.to_owned() });
         }
         let data = self.file_data(attrs);
-        match self.find_child(dir.0, name) {
+        match self.find_child_for_insert(dir.0, name) {
             Ok(child) => {
                 if matches!(self.nodes[child as usize].kind, Slot::Dir(_)) {
                     return Err(VfsError::NotADirectory { path: name.to_owned() });
@@ -923,7 +982,7 @@ impl Vfs {
             other => other,
         })?;
         let data = self.file_data(attrs);
-        let id = match self.find_child(parent, name) {
+        let id = match self.find_child_for_insert(parent, name) {
             Ok(child) => {
                 if matches!(self.nodes[child as usize].kind, Slot::Dir(_)) {
                     return Err(VfsError::NotADirectory { path: path.to_owned() });
@@ -983,7 +1042,7 @@ impl Vfs {
             VfsError::NotADirectory { .. } => VfsError::NotADirectory { path: path.to_owned() },
             other => other,
         })?;
-        if let Err(pos) = self.find_child(parent, name) {
+        if let Err(pos) = self.find_child_for_insert(parent, name) {
             let data = self.file_data(attrs);
             let id = self.insert_child(parent, pos, name, Slot::File(data));
             return Ok(NodeId(id));
@@ -994,7 +1053,7 @@ impl Vfs {
         for n in 1u32.. {
             candidate.clear();
             let _ = write!(candidate, "{name}.{n}");
-            if let Err(pos) = self.find_child(parent, &candidate) {
+            if let Err(pos) = self.find_child_for_insert(parent, &candidate) {
                 let data = self.file_data(attrs);
                 let id = self.insert_child(parent, pos, &candidate, Slot::File(data));
                 return Ok(NodeId(id));
@@ -1075,12 +1134,17 @@ impl Vfs {
     }
 
     /// Renames `from` to `to` (FTP `RNFR`/`RNTO`). The subtree keeps its
-    /// slots; only the parent links and the node's name change.
+    /// slots; only the parent links and the node's name change. Missing
+    /// parents of `to` are created. The whole target is checked before
+    /// `from` is unlinked, so a rename that fails changes nothing.
     ///
     /// # Errors
     ///
     /// [`VfsError::NotFound`] if `from` is missing,
-    /// [`VfsError::AlreadyExists`] if `to` is taken.
+    /// [`VfsError::AlreadyExists`] if `to` is taken,
+    /// [`VfsError::NotADirectory`] if a file blocks `to`'s parent, and
+    /// [`VfsError::BadPath`] for a malformed path, `/`, or a `to` inside
+    /// `from`.
     pub fn rename(&mut self, from: &str, to: &str) -> Result<(), VfsError> {
         if self.exists(to) {
             return Err(VfsError::AlreadyExists { path: to.to_owned() });
@@ -1089,45 +1153,61 @@ impl Vfs {
         let Some(name) = pf.file_name() else {
             return Err(VfsError::BadPath { path: from.to_owned() });
         };
-        let parent = self.resolve(pf.parent().as_str())?;
-        if !matches!(self.nodes[parent as usize].kind, Slot::Dir(_)) {
-            return Err(VfsError::NotADirectory { path: from.to_owned() });
-        }
-        let node = self
-            .detach_child(parent, name)
-            .ok_or_else(|| VfsError::NotFound { path: from.to_owned() })?;
         let pt = Self::canon(to)?;
         let Some(to_name) = pt.file_name() else {
             return Err(VfsError::BadPath { path: to.to_owned() });
         };
-        let to_name = to_name.to_owned();
-        let new_parent = self.descend_creating(pt.parent().as_str()).map_err(|e| match e {
-            VfsError::NotADirectory { .. } => VfsError::NotADirectory { path: to.to_owned() },
-            other => other,
-        })?;
-        self.nodes[node as usize].name = self.strings.intern(&to_name);
-        match self.find_child(new_parent, &to_name) {
-            // `exists(to)` was checked above and nothing has been
-            // created at `to` since; insert at the sorted position.
-            Ok(_) => return Err(VfsError::AlreadyExists { path: to.to_owned() }),
-            Err(pos) => match &mut self.nodes[new_parent as usize].kind {
-                Slot::Dir(d) => d.children.insert(pos, node),
-                Slot::File(_) => unreachable!("descend_creating returns dirs"),
-            },
+        // A directory cannot move into its own subtree.
+        if pt.as_str().strip_prefix(pf.as_str()).is_some_and(|rest| rest.starts_with('/')) {
+            return Err(VfsError::BadPath { path: to.to_owned() });
+        }
+        let parent = self.resolve(pf.parent().as_str())?;
+        if !matches!(self.nodes[parent as usize].kind, Slot::Dir(_)) {
+            return Err(VfsError::NotADirectory { path: from.to_owned() });
+        }
+        if self.descent_blocked(pt.parent().as_str()) {
+            return Err(VfsError::NotADirectory { path: to.to_owned() });
+        }
+        let node = self
+            .detach_child(parent, name)
+            .ok_or_else(|| VfsError::NotFound { path: from.to_owned() })?;
+        // `to` lies outside `from`, so unlinking `from` left the target
+        // path exactly as checked: the descent succeeds and `to` is free.
+        let new_parent =
+            self.descend_creating(pt.parent().as_str()).expect("target parent checked above");
+        self.nodes[node as usize].name = self.strings.intern(to_name);
+        let Err(pos) = self.child_pos(new_parent, to_name) else {
+            unreachable!("`to` was checked absent");
+        };
+        match &mut self.nodes[new_parent as usize].kind {
+            Slot::Dir(d) => d.children.insert(pos, node),
+            Slot::File(_) => unreachable!("descend_creating returns dirs"),
         }
         Ok(())
     }
 
+    /// True if [`Self::descend_creating`] would fail on canonical `path`:
+    /// a file stands where one of its directories must be. Creates
+    /// nothing.
+    fn descent_blocked(&self, path: &str) -> bool {
+        let mut cur = ROOT;
+        for comp in path.split('/').filter(|s| !s.is_empty()) {
+            match self.find_child(cur, comp) {
+                Ok(child) if matches!(self.nodes[child as usize].kind, Slot::Dir(_)) => cur = child,
+                Ok(_) => return true,
+                // Everything from here down would be created.
+                Err(_) => return false,
+            }
+        }
+        false
+    }
+
     /// Unlinks `name` from `dir`'s child list, returning its slot.
     fn detach_child(&mut self, dir: u32, name: &str) -> Option<u32> {
-        let Slot::Dir(d) = &self.nodes[dir as usize].kind else { return None };
-        let pos = d
-            .children
-            .binary_search_by(|&c| self.strings.get(self.nodes[c as usize].name).cmp(name))
-            .ok()?;
+        let pos = self.child_pos(dir, name).ok()?;
         match &mut self.nodes[dir as usize].kind {
             Slot::Dir(d) => Some(d.children.remove(pos)),
-            Slot::File(_) => None,
+            Slot::File(_) => unreachable!("child_pos searched a directory"),
         }
     }
 
@@ -1308,6 +1388,49 @@ mod tests {
         assert!(matches!(v.rename("/missing", "/x"), Err(VfsError::NotFound { .. })));
         v.add_file("/taken", FileMeta::public(1)).unwrap();
         assert!(matches!(v.rename("/c", "/taken"), Err(VfsError::AlreadyExists { .. })));
+    }
+
+    #[test]
+    fn rejected_rename_keeps_the_source() {
+        let mut v = Vfs::new();
+        v.add_file("/incoming/a.txt", FileMeta::public(1)).unwrap();
+        v.add_file("/incoming/b.txt", FileMeta::public(2)).unwrap();
+        let before = v.clone();
+        assert!(matches!(
+            v.rename("/incoming/a.txt", "/incoming/b.txt/c"),
+            Err(VfsError::NotADirectory { .. })
+        ));
+        assert!(matches!(v.rename("/incoming/a.txt", "/../x"), Err(VfsError::BadPath { .. })));
+        assert!(matches!(v.rename("/incoming", "/incoming/sub/x"), Err(VfsError::BadPath { .. })));
+        assert_eq!(v, before, "a failed rename changes nothing");
+        assert_eq!(v.file("/incoming/a.txt").unwrap().size, 1);
+        // The same source still renames once the target is valid.
+        v.rename("/incoming/a.txt", "/incoming/sub/c").unwrap();
+        assert_eq!(v.file("/incoming/sub/c").unwrap().size, 1);
+    }
+
+    #[test]
+    fn inserts_in_any_order_keep_children_sorted() {
+        // The insert paths try an append before searching; every order
+        // must still produce the one name-sorted tree.
+        let names = ["m", "a", "z", "b", "y", "m", "c", "zz", "0"];
+        let mut forward = Vfs::new();
+        let dir = forward.dir_handle("/d").unwrap();
+        for n in names {
+            forward.add_file_in(dir, n, FileAttrs::public(1, "Jan  1  2014")).unwrap();
+        }
+        let mut sorted_names = names.to_vec();
+        sorted_names.sort_unstable();
+        sorted_names.dedup();
+        let listed: Vec<&str> = forward.list("/d").unwrap().map(|(n, _)| n).collect();
+        assert_eq!(listed, sorted_names);
+        let mut reverse = Vfs::new();
+        for n in names.iter().rev() {
+            reverse
+                .add_file(&format!("/d/{n}"), FileMeta::public(1).with_mtime("Jan  1  2014"))
+                .unwrap();
+        }
+        assert_eq!(forward, reverse);
     }
 
     #[test]

@@ -6,10 +6,11 @@
 //! archetype — honoring the joint distributions of Tables I–IX and the
 //! §VI–§IX rates. Phase two materializes the plans into `ftpd` engines
 //! bound inside a [`netsim::Simulator`], plus the non-FTP port-21
-//! population and co-hosted HTTP services. The returned [`WorldTruth`]
-//! is ground truth for validation: analyses must *measure* their numbers
-//! through the scanner and enumerator, and tests compare measurement
-//! against this truth.
+//! population and co-hosted HTTP services: hosts are built on every
+//! core, then installed by the calling thread in plan order. The
+//! returned [`WorldTruth`] is ground truth for validation: analyses must
+//! *measure* their numbers through the scanner and enumerator, and tests
+//! compare measurement against this truth.
 
 use crate::campaigns;
 use crate::catalog::{self, Daemon, DeviceKind, DeviceModel};
@@ -25,8 +26,10 @@ use rand::{Rng, SeedableRng};
 use simtls::SimCertificate;
 use simvfs::Vfs;
 use std::collections::HashSet;
-use std::fmt::Write as _;
 use std::net::Ipv4Addr;
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Parameters of a generated world.
 #[derive(Debug, Clone)]
@@ -399,6 +402,40 @@ struct HostPlan {
     banner_multiline: bool,
     flaky: bool,
     robots_some: bool,
+}
+
+/// One FTP host built off the simulator thread, waiting to be installed.
+/// The engine is boxed on the worker, so the build buffer holds a
+/// pointer rather than the engine itself.
+struct BuiltHost {
+    truth: HostTruth,
+    engine: Box<FtpServerEngine>,
+    /// The internal address a NAT'd host leaks through `PASV`.
+    internal_ip: Option<Ipv4Addr>,
+    /// The co-hosted web server on port 80.
+    http: Option<HttpService>,
+}
+
+impl BuiltHost {
+    /// Installs the host into `sim` — register, bind, fault, NAT, HTTP —
+    /// and returns its ground truth.
+    fn install(self, spec: &PopulationSpec, sim: &mut Simulator) -> HostTruth {
+        let BuiltHost { mut truth, engine, internal_ip, http } = self;
+        let id = sim.register_endpoint(engine);
+        sim.bind(truth.ip, 21, id);
+        if let Some(fault) = sample_fault(spec, truth.ip) {
+            truth.fault = Some(fault.kind);
+            sim.set_fault(truth.ip, fault);
+        }
+        if let Some(internal) = internal_ip {
+            sim.set_internal_ip(truth.ip, internal);
+        }
+        if let Some(svc) = http {
+            let hid = sim.register_endpoint(Box::new(svc));
+            sim.bind(truth.ip, 80, hid);
+        }
+        truth
+    }
 }
 
 /// What a planned non-FTP port-21 responder answers with.
@@ -807,7 +844,9 @@ impl WorldPlan {
     /// Each host is built with its own [`host_rng`], so the subset
     /// chosen has no effect on what any individual host looks like:
     /// materializing the full plan in one simulator and materializing a
-    /// partition of it across K simulators yield identical hosts.
+    /// partition of it across K simulators yield identical hosts. The
+    /// builds run on `available_parallelism()` threads, which never
+    /// touch `sim`; this thread installs the results in plan order.
     pub fn materialize(
         &self,
         sim: &mut Simulator,
@@ -863,6 +902,8 @@ impl WorldPlan {
         )
     }
 
+    /// Builds the listed plan entries on every core, then installs them,
+    /// and the listed non-FTP responders, into `sim` in plan order.
     fn materialize_indices(
         &self,
         sim: &mut Simulator,
@@ -870,60 +911,10 @@ impl WorldPlan {
         non_ftp_ix: impl Iterator<Item = usize>,
     ) -> (Vec<HostTruth>, Vec<Ipv4Addr>) {
         let _span = obs::span!("worldgen.materialize");
-        let spec = &self.spec;
-        let hosting_cert_weights: Vec<f64> =
-            catalog::HOSTING_CERTS.iter().map(|&(_, w, _)| w).collect();
-        // One set of path/mtime render buffers reused across every host
-        // this call materializes.
-        let mut scratch = content::GenScratch::default();
-        let mut truths = Vec::new();
-        for i in plan_ix {
-            let plan = &self.plans[i];
-            let mut rng = host_rng(spec.seed, plan.truth.ip);
-            let profile = {
-                let _s = obs::span!("worldgen.profile");
-                build_profile(plan, &mut rng, &hosting_cert_weights)
-            };
-            let vfs = {
-                let _s = obs::span!("worldgen.vfs");
-                build_vfs(plan, &mut rng, &mut scratch)
-            };
-            let mut truth = plan.truth.clone();
-            // `clone_from` reuses the just-cloned banner buffer instead
-            // of dropping it for a fresh allocation.
-            truth.banner.clone_from(&profile.banner);
-            truth.drop_after = profile.drop_after_commands;
-            if let Some(ftps) = &profile.ftps {
-                truth.cert_fp = Some(ftps.cert.fingerprint());
-            }
-            let engine = {
-                let _s = obs::span!("worldgen.engine");
-                FtpServerEngine::new(truth.ip, profile, vfs)
-            };
-            let id = sim.register_endpoint(Box::new(engine));
-            sim.bind(truth.ip, 21, id);
-            if let Some(fault) = sample_fault(spec, truth.ip) {
-                truth.fault = Some(fault.kind);
-                sim.set_fault(truth.ip, fault);
-            }
-            if truth.nat {
-                sim.set_internal_ip(
-                    truth.ip,
-                    Ipv4Addr::new(192, 168, rng.random_range(0..5), rng.random_range(2..250)),
-                );
-            }
-            if truth.http && spec.include_http {
-                let svc = if truth.scripting {
-                    let engine_name =
-                        if rng.random_bool(0.8) { "PHP/5.4.45" } else { "ASP.NET" };
-                    HttpService::new("Apache/2.2.22 (Debian)").with_powered_by(engine_name)
-                } else {
-                    HttpService::new("nginx/1.2.1")
-                };
-                let hid = sim.register_endpoint(Box::new(svc));
-                sim.bind(truth.ip, 80, hid);
-            }
-            truths.push(truth);
+        let plan_ix: Vec<usize> = plan_ix.collect();
+        let mut truths = Vec::with_capacity(plan_ix.len());
+        for built in self.build_hosts(&plan_ix) {
+            truths.push(built.install(&self.spec, sim));
         }
         let mut non_ftp_open = Vec::new();
         for i in non_ftp_ix {
@@ -953,6 +944,101 @@ impl WorldPlan {
             );
         }
         (truths, non_ftp_open)
+    }
+
+    /// Builds the hosts of `plan_ix` on `available_parallelism()` scoped
+    /// workers, which pull positions from one atomic cursor, and returns
+    /// them in `plan_ix` order. Each host is a pure function of its plan
+    /// and its own [`host_rng`], so which worker builds it changes
+    /// nothing.
+    ///
+    /// Recorders are per-thread: when the caller has one, each worker
+    /// collects its counters (the `vfs_*` family) on a metrics-only
+    /// recorder, and they are added to the caller's before this returns.
+    fn build_hosts(&self, plan_ix: &[usize]) -> Vec<BuiltHost> {
+        let hosting_cert_weights: Vec<f64> =
+            catalog::HOSTING_CERTS.iter().map(|&(_, w, _)| w).collect();
+        let slots: Vec<OnceLock<BuiltHost>> = plan_ix.iter().map(|_| OnceLock::new()).collect();
+        let cursor = AtomicUsize::new(0);
+        let record = obs::enabled();
+        let workers =
+            std::thread::available_parallelism().map_or(1, NonZeroUsize::get).min(plan_ix.len());
+        let worker_metrics: Vec<Option<obs::Report>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        if record {
+                            obs::install(Box::new(obs::CollectingRecorder::new(0, false)));
+                        }
+                        // One set of path/mtime render buffers per worker,
+                        // reused across every host it builds.
+                        let mut scratch = content::GenScratch::default();
+                        loop {
+                            // Relaxed: the cursor only hands out positions;
+                            // built hosts reach the caller through their
+                            // `OnceLock` slots and the scope's join.
+                            let at = cursor.fetch_add(1, Ordering::Relaxed);
+                            let Some(&i) = plan_ix.get(at) else { break };
+                            let plan = &self.plans[i];
+                            let mut rng = host_rng(self.spec.seed, plan.truth.ip);
+                            let built = self.build_host(
+                                plan,
+                                &mut rng,
+                                &hosting_cert_weights,
+                                &mut scratch,
+                            );
+                            let _ = slots[at].set(built);
+                        }
+                        obs::uninstall().map(|r| r.finish())
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("world-building worker panicked")).collect()
+        });
+        for report in worker_metrics.into_iter().flatten() {
+            for c in obs::Counter::ALL {
+                let n = report.metrics.counter(c);
+                if n > 0 {
+                    obs::counter(c, n);
+                }
+            }
+        }
+        slots.into_iter().map(|s| s.into_inner().expect("every position built")).collect()
+    }
+
+    /// Builds one host from its own [`host_rng`] stream: profile,
+    /// filesystem, engine, NAT address, and HTTP service, drawn in that
+    /// order.
+    fn build_host(
+        &self,
+        plan: &HostPlan,
+        rng: &mut StdRng,
+        hosting_cert_weights: &[f64],
+        scratch: &mut content::GenScratch,
+    ) -> BuiltHost {
+        let profile = build_profile(plan, rng, hosting_cert_weights);
+        let vfs = build_vfs(plan, rng, scratch);
+        let mut truth = plan.truth.clone();
+        // `clone_from` reuses the just-cloned banner buffer instead of
+        // dropping it for a fresh allocation.
+        truth.banner.clone_from(&profile.banner);
+        truth.drop_after = profile.drop_after_commands;
+        if let Some(ftps) = &profile.ftps {
+            truth.cert_fp = Some(ftps.cert.fingerprint());
+        }
+        let engine = Box::new(FtpServerEngine::new(truth.ip, profile, vfs));
+        let internal_ip = truth
+            .nat
+            .then(|| Ipv4Addr::new(192, 168, rng.random_range(0..5), rng.random_range(2..250)));
+        let http = (truth.http && self.spec.include_http).then(|| {
+            if truth.scripting {
+                let engine_name = if rng.random_bool(0.8) { "PHP/5.4.45" } else { "ASP.NET" };
+                HttpService::new("Apache/2.2.22 (Debian)").with_powered_by(engine_name)
+            } else {
+                HttpService::new("nginx/1.2.1")
+            }
+        });
+        BuiltHost { truth, engine, internal_ip, http }
     }
 
     /// Assembles ground truth from (possibly merged) materialization
@@ -1220,21 +1306,30 @@ fn build_vfs(plan: &HostPlan, rng: &mut StdRng, scratch: &mut content::GenScratc
         // Enough distinct directories that PASV+LIST per directory
         // overruns the 500-request budget (~250+ dirs), shaped like the
         // giant photo archives the study actually hit.
-        let rolls = rng.random_range(300..500);
+        let rolls: u16 = rng.random_range(300..500);
         // Static attrs (no per-file RNG draws, matching the legacy
         // `FileMeta::public` default mtime).
         let attrs = simvfs::FileAttrs::public(2_000_000, "Jun 18  2015");
-        let mut name = String::new();
+        // `roll-{roll:03}` and `IMG_{i:04}.jpg`, rendered by hand: rolls
+        // stay below 1,000 and files per roll below 100.
+        let mut roll_name = *b"roll-000";
+        let mut name = *b"IMG_0000.jpg";
         for roll in 0..rolls {
-            let per_dir = rng.random_range(8..28);
+            let per_dir: u8 = rng.random_range(8..28);
+            roll_name[5..].copy_from_slice(&[
+                b'0' + (roll / 100) as u8,
+                b'0' + (roll / 10 % 10) as u8,
+                b'0' + (roll % 10) as u8,
+            ]);
             scratch.path.set("/share/photos");
-            scratch.path.push_fmt(format_args!("roll-{roll:03}"));
+            scratch.path.push(std::str::from_utf8(&roll_name).expect("ASCII digits"));
             let dir = vfs.dir_handle(scratch.path.as_str()).ok();
             for i in 0..per_dir {
-                name.clear();
-                let _ = write!(name, "IMG_{i:04}.jpg");
+                name[6] = b'0' + i / 10;
+                name[7] = b'0' + i % 10;
                 if let Some(d) = dir {
-                    let _ = vfs.add_file_in(d, &name, attrs);
+                    let name = std::str::from_utf8(&name).expect("ASCII digits");
+                    let _ = vfs.add_file_in(d, name, attrs);
                 }
             }
         }
@@ -1547,5 +1642,119 @@ mod tests {
     fn deep_trees_exist_and_are_large() {
         let (_, truth) = small_world();
         assert!(truth.hosts.iter().any(|h| h.deep_tree));
+    }
+
+    /// Word-at-a-time hash for the world pins below (fast enough in
+    /// debug builds to hash a few million nodes).
+    struct Fingerprint(u64);
+
+    impl Fingerprint {
+        fn new() -> Self {
+            Fingerprint(0xcbf2_9ce4_8422_2325)
+        }
+
+        fn u64(&mut self, v: u64) {
+            self.0 = (self.0 ^ v).wrapping_mul(0x0000_0100_0000_01b3);
+            self.0 ^= self.0 >> 29;
+        }
+
+        fn bytes(&mut self, b: &[u8]) {
+            let mut words = b.chunks_exact(8);
+            for w in &mut words {
+                self.u64(u64::from_le_bytes(w.try_into().expect("8 bytes")));
+            }
+            let mut tail = [0u8; 8];
+            tail[..words.remainder().len()].copy_from_slice(words.remainder());
+            self.u64(u64::from_le_bytes(tail));
+        }
+
+        fn str(&mut self, s: &str) {
+            self.u64(s.len() as u64);
+            self.bytes(s.as_bytes());
+        }
+
+        fn node(&mut self, path: &str, node: simvfs::NodeRef<'_>) {
+            use simvfs::{NodeRef, Owner};
+            let owner = |o: Owner| match o {
+                Owner::Root => 0,
+                Owner::Ftp => 1,
+                Owner::Anonymous => 2,
+                Owner::User(n) => 3 + u64::from(n),
+            };
+            self.str(path);
+            match node {
+                NodeRef::File(f) => {
+                    self.u64(0);
+                    self.u64(f.size);
+                    self.u64(f.perms.mode().into());
+                    self.u64(owner(f.owner));
+                    self.str(f.mtime);
+                    match f.content {
+                        Some(c) => self.str(c),
+                        None => self.u64(u64::MAX),
+                    }
+                }
+                NodeRef::Dir(d) => {
+                    self.u64(1);
+                    self.u64(d.perms.mode().into());
+                    self.u64(owner(d.owner));
+                    self.str(d.mtime);
+                    self.u64(d.len as u64);
+                }
+            }
+        }
+    }
+
+    impl std::fmt::Write for Fingerprint {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            self.bytes(s.as_bytes());
+            Ok(())
+        }
+    }
+
+    /// Fingerprints every planned host of `spec` — banner, NAT address,
+    /// HTTP service, arena sizes, every `walk` entry with its fields, and
+    /// the next `host_rng` draw after the build — and, separately, the
+    /// ground truth `materialize` returns.
+    fn world_fingerprint(spec: &PopulationSpec) -> (u64, u64) {
+        use std::fmt::Write as _;
+        let plan = plan_world(spec);
+        let weights: Vec<f64> = catalog::HOSTING_CERTS.iter().map(|&(_, w, _)| w).collect();
+        let mut scratch = content::GenScratch::default();
+        let mut hosts = Fingerprint::new();
+        for p in &plan.plans {
+            let mut rng = host_rng(spec.seed, p.truth.ip);
+            let built = plan.build_host(p, &mut rng, &weights, &mut scratch);
+            let _ =
+                write!(hosts, "{}|{:?}|{:?}|", built.truth.banner, built.internal_ip, built.http);
+            let vfs = built.engine.vfs();
+            hosts.u64(vfs.node_count() as u64);
+            hosts.u64(vfs.interned_bytes() as u64);
+            hosts.u64(rng.random::<u64>());
+            vfs.walk(|path, node| hosts.node(path, node));
+            hosts.u64(0xff);
+        }
+        let mut sim = Simulator::new(spec.seed);
+        let (truths, non_ftp) = plan.materialize(&mut sim, |_| true);
+        let mut truth = Fingerprint::new();
+        let _ = write!(truth, "{truths:?}|{non_ftp:?}");
+        (hosts.0, truth.0)
+    }
+
+    /// Generated worlds, pinned absolutely. Report digests only see what
+    /// the enumerator lists, and most of a deep tree never reaches a
+    /// report; these pins see every node of every host. A deliberate
+    /// change to what worlds contain updates them, with the reason.
+    #[test]
+    fn small_world_is_pinned() {
+        let pins = world_fingerprint(&PopulationSpec::small(1_234, 900));
+        assert_eq!(pins, (0xe965_fa74_2b81_9064, 0x7af6_09f3_9bad_7471), "{pins:#018x?}");
+    }
+
+    #[test]
+    fn sized_hostile_world_is_pinned() {
+        let spec = PopulationSpec::sized(7, 3_000).with_fault_fraction(0.5);
+        let pins = world_fingerprint(&spec);
+        assert_eq!(pins, (0x44f6_aa80_6ef4_bfec, 0x0eef_3484_0f15_017a), "{pins:#018x?}");
     }
 }

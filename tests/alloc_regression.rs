@@ -6,10 +6,11 @@
 //!
 //! 1. **Allocation pressure.** Enumerating a fixed 50-host world costs
 //!    a bounded number of allocations per host. The zero-copy work in
-//!    the server engine, enumerator, and codec (pooled reply buffers,
-//!    cached LIST bodies, reused line strings) is what keeps this low;
-//!    a change that reintroduces per-event or per-reply heap churn
-//!    fails here long before it shows up on a wall clock.
+//!    the server engine, enumerator, and codec (stack-rendered replies,
+//!    LIST bodies rendered into one reused buffer, borrowed reply
+//!    lines) is what keeps this low; a change that reintroduces
+//!    per-event or per-reply heap churn fails here long before it shows
+//!    up on a wall clock.
 //! 2. **Peak live bytes.** A streamed study's live-heap high-water mark
 //!    stays a fraction of the in-memory path's on the same world. This
 //!    is the streaming pipeline's whole reason to exist — O(batch)
@@ -20,9 +21,10 @@
 //! trip on structural regressions — an accidental `format!` in a
 //! per-reply path multiplies the count, it doesn't nudge it.
 //!
-//! The allocator's counters are process-wide and the bumps are
-//! unsynchronized load+store pairs (see `bench::alloc_counter`), so the
-//! tests serialize on a mutex and only measure single-threaded runs.
+//! The allocator's counters are process-wide, so the tests serialize on
+//! a mutex. Within one test they are exact even though world building
+//! runs on several threads: every counter update is an atomic
+//! read-modify-write (see `bench::alloc_counter`).
 
 use enumerator::{EnumConfig, Enumerator};
 use ftp_study::{run_study, run_study_streamed, StreamOptions, StreamOutcome, StudyConfig};
@@ -197,8 +199,7 @@ fn scan_stays_under_allocation_budget() {
 /// Peak-live-bytes ceiling for the streaming pipeline: on the same
 /// world, a streamed run's live-heap high-water mark must stay well
 /// under the in-memory path's, which holds every `HostRecord` (file
-/// listings included) until the end. One shard on both sides — the
-/// counter bumps are unsynchronized.
+/// listings included) until the end. One shard on both sides.
 #[test]
 fn streamed_study_peak_heap_stays_bounded() {
     let _guard = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());

@@ -7,7 +7,9 @@
 //! deterministic: the same seed yields the same metrics snapshot and
 //! the same JSONL trace modulo wall-clock fields.
 
-use ftp_study::{run_study_sharded, StudyConfig, StudyResults};
+use ftp_study::{
+    run_study_sharded, run_study_streamed, StreamOptions, StreamOutcome, StudyConfig, StudyResults,
+};
 
 const SEED: u64 = 7177;
 const SERVERS: usize = 150;
@@ -156,8 +158,24 @@ fn metrics_snapshot_is_coherent_and_shard_invariant() {
         obs::Counter::HostsMaterialized,
         obs::Counter::HttpObservations,
         obs::Counter::ProbesSent,
+        obs::Counter::VfsNodes,
+        obs::Counter::VfsOps,
+        obs::Counter::VfsInternedBytes,
     ] {
         assert_eq!(m1.counter(c), m8.counter(c), "counter {} not shard-invariant", c.name());
+    }
+
+    // World building runs on worker threads; their counters must reach
+    // the runner's recorder in the streamed runner too, batch by batch.
+    let mut cfg = StudyConfig::small(SEED, SERVERS).with_fault_fraction(0.5);
+    cfg.obs = obs::ObsConfig::all();
+    let streamed = match run_study_streamed(&cfg, &StreamOptions::new(40)).expect("streamed run") {
+        StreamOutcome::Complete(r) => r,
+        StreamOutcome::Interrupted { .. } => panic!("no interrupt requested"),
+    };
+    let ms = &streamed.obs.as_ref().expect("collection requested").metrics;
+    for c in [obs::Counter::VfsNodes, obs::Counter::VfsOps, obs::Counter::VfsInternedBytes] {
+        assert_eq!(m1.counter(c), ms.counter(c), "counter {} differs when streamed", c.name());
     }
 
     // Determinism: the same run again yields the same snapshot.
