@@ -60,7 +60,8 @@ pub struct StreamOptions {
     /// executing this many batches *in this invocation* (checkpoints
     /// already written stay on disk). `None` runs to completion.
     pub interrupt_after_batches: Option<u64>,
-    /// Where to stream host journals (JSONL, one line per host). Each
+    /// Where to stream host journals (JSONL: a row per answering host
+    /// and a silent tally per `(shard, batch)`; DESIGN.md §9). Each
     /// `(shard, batch)` cell's journals are drained from the recorder
     /// and appended as soon as the batch completes, so journaling never
     /// grows peak memory past O(batch). A resumed run keeps the lines of
@@ -192,8 +193,8 @@ struct ShardRun {
 /// Shared append-only sink for per-batch journal flushes. Shards drain
 /// their recorder's journals after every batch and append under the
 /// lock. The recorder sorts its log by address when it renders, so
-/// lines within a batch are in ip order and a single-shard run's file
-/// is fully deterministic.
+/// host rows within a batch are in ip order, followed by the batch's
+/// silent tally, and a single-shard run's file is fully deterministic.
 struct JournalSink {
     out: Mutex<BufWriter<File>>,
 }
@@ -202,9 +203,10 @@ impl JournalSink {
     /// Opens the journal for a run whose shards start at batches
     /// `next_batches` of `batches`. A fresh run truncates the file. A
     /// resumed run keeps the lines of the `(shard, batch)` cells its
-    /// checkpoints cover (every line carries both tags) and drops the
-    /// rest: lines of a batch flushed but never checkpointed, or a torn
-    /// last line. Resuming a finished run leaves the file as it is.
+    /// checkpoints cover (host rows and tally rows both carry the two
+    /// tags) and drops the rest: lines of a batch flushed but never
+    /// checkpointed, or a torn last line. Resuming a finished run leaves
+    /// the file as it is.
     fn open(path: &Path, next_batches: &[u64], batches: u64) -> Result<Self, StreamError> {
         let file = if next_batches.iter().all(|&next| next == 0) {
             File::create(path)

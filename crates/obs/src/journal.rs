@@ -8,7 +8,13 @@
 //! appends each event to a flat [`JournalLog`] as it arrives; draining
 //! sorts the log by host once and folds each host's run of events into
 //! one [`HostJournal`] wide record, rendered as a single versioned JSONL
-//! line.
+//! *host row*.
+//!
+//! Almost every probed address never answers. An address whose only
+//! events are probes ending in a `filtered` verdict gets no row: the
+//! drain counts it, and writes one *tally row* per `(shard, batch)`
+//! after its host rows, so rows plus tallies still account for every
+//! probed address.
 //!
 //! Everything in a journal line is **sim-time data**: there are no
 //! wall-clock fields, so a journal is deterministic for a fixed
@@ -20,15 +26,16 @@
 //! final outcome. [`ParsedJournal::normalized`] strips the
 //! geometry-dependent coordinates so tests can assert that invariance.
 //!
-//! The line format is versioned (`"v":1` leads every line) and the key
-//! order is pinned by a golden schema test, so downstream consumers can
-//! parse by position or by name and CI catches drift.
+//! The line format is versioned (`"v":2` leads every row) and the key
+//! order of both row kinds is pinned by a golden schema test, so
+//! downstream consumers can parse by position or by name and CI catches
+//! drift.
 
 use std::fmt::Write as _;
 use std::net::Ipv4Addr;
 
 /// Journal line format version; bumped on any schema change.
-pub const JOURNAL_VERSION: u64 = 1;
+pub const JOURNAL_VERSION: u64 = 2;
 
 /// Reply-class slots in a journal's `replies` array: 1xx–5xx plus
 /// out-of-range codes.
@@ -179,13 +186,13 @@ impl HostJournal {
         }
     }
 
-    /// Renders the journal as one versioned JSONL line (no trailing
-    /// newline). Key order is part of the v1 schema and pinned by the
+    /// Renders the journal as one versioned JSONL host row (no trailing
+    /// newline). Key order is part of the schema and pinned by the
     /// golden test — do not reorder without bumping [`JOURNAL_VERSION`].
     ///
     /// Integers and the address are formatted by hand, not with
-    /// `write!`: a study renders one line per probed address, and the
-    /// formatting machinery per field would dominate that cost.
+    /// `write!`: the formatting machinery per field would dominate the
+    /// cost of a row.
     pub fn render(&self, out: &mut String) {
         out.push_str("{\"v\":");
         push_u64(out, JOURNAL_VERSION);
@@ -250,7 +257,7 @@ impl HostJournal {
 /// Appends `n` in decimal.
 fn push_u64(out: &mut String, mut n: u64) {
     if n < 10 {
-        // Most numbers on a silent address's line: tags and zeros.
+        // Most numbers on a row: tags, zeros and small tallies.
         out.push(char::from(b'0' + n as u8));
         return;
     }
@@ -275,7 +282,7 @@ fn push_pair_head(out: &mut String, i: usize, us: u64) {
 }
 
 /// Appends a `[[sim_us,"label"],…]` timeline body. Labels are
-/// `'static` identifiers written verbatim, as v1 always has.
+/// `'static` identifiers written verbatim.
 fn push_labelled(out: &mut String, items: &[(u64, &'static str)]) {
     for (i, &(us, label)) in items.iter().enumerate() {
         push_pair_head(out, i, us);
@@ -313,7 +320,7 @@ pub struct JournalBuf {
 }
 
 impl JournalBuf {
-    /// Number of lines (one per journaled host).
+    /// Number of lines: host rows plus tally rows.
     #[must_use]
     pub fn len(&self) -> usize {
         self.lines
@@ -358,6 +365,22 @@ impl JournalBuf {
         self.text.push('\n');
         self.lines += 1;
     }
+
+    /// Appends the tally row of `silent` addresses in one `(shard,
+    /// batch)` cell: `{"v":2,"shard":S,"batch":B,"silent":N}`.
+    fn push_tally(&mut self, shard: u64, batch: u64, silent: u64) {
+        let out = &mut self.text;
+        out.push_str("{\"v\":");
+        push_u64(out, JOURNAL_VERSION);
+        out.push_str(",\"shard\":");
+        push_u64(out, shard);
+        out.push_str(",\"batch\":");
+        push_u64(out, batch);
+        out.push_str(",\"silent\":");
+        push_u64(out, silent);
+        out.push_str("}\n");
+        self.lines += 1;
+    }
 }
 
 impl<'a> IntoIterator for &'a JournalBuf {
@@ -381,6 +404,7 @@ struct Entry {
 }
 
 const KIND_BITS: u32 = 4;
+const KIND_MASK: u32 = (1 << KIND_BITS) - 1;
 const PAYLOAD_LIMIT: u64 = 1 << (32 - KIND_BITS);
 const PROBE_SENT: u32 = 0;
 const PROBE_REPLY: u32 = 1;
@@ -453,7 +477,7 @@ impl JournalLog {
 
     fn event(&self, word: u32) -> JournalEvent {
         let payload = (word >> KIND_BITS) as usize;
-        match word & ((1 << KIND_BITS) - 1) {
+        match word & KIND_MASK {
             PROBE_SENT => JournalEvent::ProbeSent { attempt: payload as u8 },
             PROBE_REPLY => JournalEvent::ProbeReply { status: self.labels[payload] },
             PROBE_VERDICT => JournalEvent::ProbeVerdict { verdict: self.labels[payload] },
@@ -466,35 +490,76 @@ impl JournalLog {
         }
     }
 
-    /// Renders one line per host into `out`, hosts in address order and
-    /// each host's events in arrival order; a line's batch tag is the
-    /// batch of its host's first event. Empties the log, keeping its
-    /// capacity for the next batch.
+    /// Renders one host row per answering host into `out`, hosts in
+    /// address order and each host's events in arrival order; a row's
+    /// batch tag is the batch of its host's first event. A silent host,
+    /// whose events are probes only with every answer and verdict
+    /// `filtered` and a verdict among them, is only counted; each batch
+    /// tag with silent hosts gets one tally row after the host rows.
+    /// Empties the log, keeping its capacity for the next batch.
     pub(crate) fn drain_into(&mut self, shard: u64, out: &mut JournalBuf) {
-        assert!(self.entries.len() <= u32::MAX as usize, "journal log exceeds 2^32 events");
+        assert!(self.entries.len() <= (u32::MAX >> 2) as usize, "journal log exceeds 2^30 events");
+        let filtered: Vec<bool> = self.labels.iter().map(|&label| label == "filtered").collect();
         self.keys.clear();
-        self.keys.extend(
-            self.entries.iter().enumerate().map(|(ix, e)| u64::from(e.ip) << 32 | ix as u64),
-        );
+        self.keys.extend(self.entries.iter().enumerate().map(|(ix, e)| sort_key(ix, e, &filtered)));
         // Keys are unique, so the unstable sort orders each host's
         // events by arrival exactly.
         self.keys.sort_unstable();
         let mut journal = HostJournal::default();
+        // `(batch, silent hosts)`; the runners drain once per batch, so
+        // this holds one entry.
+        let mut silent: Vec<(u64, u64)> = Vec::new();
+        let entry_of = |key: u64| (key as u32 >> 2) as usize;
         for host in self.keys.chunk_by(|a, b| a >> 32 == b >> 32) {
-            let first = host[0] as u32 as usize;
+            let first = entry_of(host[0]);
             let batch_run = self.batches.partition_point(|&(start, _)| start <= first) - 1;
-            journal.reset((host[0] >> 32) as u32, shard, self.batches[batch_run].1);
+            let batch = self.batches[batch_run].1;
+            let tags = host.iter().fold(0, |tags, key| tags | key & (LOUD | FILTERED_VERDICT));
+            if tags == FILTERED_VERDICT {
+                match silent.iter_mut().find(|&&mut (b, _)| b == batch) {
+                    Some((_, n)) => *n += 1,
+                    None => silent.push((batch, 1)),
+                }
+                continue;
+            }
+            journal.reset((host[0] >> 32) as u32, shard, batch);
             for &key in host {
-                let entry = self.entries[key as u32 as usize];
+                let entry = self.entries[entry_of(key)];
                 journal.note(entry.sim_us, &self.event(entry.word));
             }
             out.push(&journal);
+        }
+        silent.sort_unstable();
+        for (batch, n) in silent {
+            out.push_tally(shard, batch, n);
         }
         self.entries.clear();
         self.wide.clear();
         self.batches.clear();
     }
 }
+
+/// The drain's sort key for entry `ix`: `(ip << 32) | (ix << 2) | tag`.
+/// The tag marks the entry [`LOUD`] (anything but a probe sent or a
+/// `filtered` probe answer or verdict) or a [`FILTERED_VERDICT`], so a
+/// host's run of keys tells whether it was silent without reading its
+/// entries again. `filtered[id]` says whether label `id` is `filtered`.
+fn sort_key(ix: usize, entry: &Entry, filtered: &[bool]) -> u64 {
+    let filtered = || filtered[(entry.word >> KIND_BITS) as usize];
+    let tag = match entry.word & KIND_MASK {
+        PROBE_SENT => 0,
+        PROBE_REPLY if filtered() => 0,
+        PROBE_VERDICT if filtered() => FILTERED_VERDICT,
+        _ => LOUD,
+    };
+    u64::from(entry.ip) << 32 | (ix as u64) << 2 | tag
+}
+
+/// Sort-key tag: the entry shows its host answered, retried, hit a
+/// fault or had a session.
+const LOUD: u64 = 1;
+/// Sort-key tag: the entry is a `filtered` probe verdict.
+const FILTERED_VERDICT: u64 = 2;
 
 /// An entry payload from an index that must fit in its bits.
 fn payload(ix: usize) -> u32 {
@@ -505,8 +570,57 @@ fn payload(ix: usize) -> u32 {
 // ---------------------------------------------------------------------
 // Parsing: owned journal records, reconstructed from the JSONL file
 // alone (the vendored serde is a stub, so this is a hand-rolled reader
-// for the pinned v1 schema).
+// for the pinned v2 schema).
 // ---------------------------------------------------------------------
+
+/// A journal file parsed back: its host rows and its silent tallies.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct JournalFile {
+    /// One record per host row, in file order.
+    pub hosts: Vec<ParsedJournal>,
+    /// One entry per tally row, in file order.
+    pub tallies: Vec<SilentTally>,
+}
+
+impl JournalFile {
+    /// Silent addresses tallied over every `(shard, batch)` cell.
+    #[must_use]
+    pub fn silent(&self) -> u64 {
+        self.tallies.iter().map(|t| t.silent).sum()
+    }
+}
+
+/// A tally row: how many addresses of one `(shard, batch)` cell were
+/// probed and never answered, and so have no host row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SilentTally {
+    /// Shard that probed them.
+    pub shard: u64,
+    /// Batch (streamed runs; 0 in-memory) that probed them.
+    pub batch: u64,
+    /// Silent addresses counted.
+    pub silent: u64,
+}
+
+impl SilentTally {
+    /// Parses one tally row; `None` for anything else.
+    #[must_use]
+    pub fn parse_line(line: &str) -> Option<SilentTally> {
+        let fields = row_fields(line)?;
+        if fields.len() != 4 {
+            return None;
+        }
+        let get = |k: &str| fields.iter().find(|(key, _)| key == k)?.1.as_u64();
+        Some(SilentTally { shard: get("shard")?, batch: get("batch")?, silent: get("silent")? })
+    }
+}
+
+/// The top-level fields of a row of this journal version.
+fn row_fields(line: &str) -> Option<Vec<(String, Json)>> {
+    let Json::Obj(fields) = Json::parse(line)? else { return None };
+    let version = fields.iter().find(|(key, _)| key == "v")?.1.as_u64()?;
+    (version == JOURNAL_VERSION).then_some(fields)
+}
 
 /// A journal line parsed back into owned data; everything `ftpcloud
 /// explain` needs to reconstruct a host's timeline.
@@ -549,16 +663,12 @@ pub struct ParsedJournal {
 }
 
 impl ParsedJournal {
-    /// Parses one v1 journal line; `None` on malformed input or an
-    /// unsupported version.
+    /// Parses one host row; `None` for a tally row, malformed input or
+    /// another version.
     #[must_use]
     pub fn parse_line(line: &str) -> Option<ParsedJournal> {
-        let json = Json::parse(line)?;
-        let obj = json.as_obj()?;
+        let obj = row_fields(line)?;
         let get = |k: &str| obj.iter().find(|(key, _)| key == k).map(|(_, v)| v);
-        if get("v")?.as_u64()? != JOURNAL_VERSION {
-            return None;
-        }
         let ip: Ipv4Addr = get("ip")?.as_str()?.parse().ok()?;
         let pair_num = |v: &Json| -> Option<(u64, u64)> {
             let a = v.as_arr()?;
@@ -597,26 +707,42 @@ impl ParsedJournal {
         })
     }
 
-    /// Reads the `(shard, batch)` tags of a v1 line from its fixed
-    /// prefix, without parsing the rest; `None` for anything else.
+    /// Reads the `(shard, batch)` tags of a host or tally row from its
+    /// fixed prefix, without parsing the rest; `None` for anything else.
     #[must_use]
     pub fn cell(line: &str) -> Option<(u64, u64)> {
-        let (version, rest) = leading_u64(line.strip_prefix("{\"v\":")?)?;
-        let rest = rest.strip_prefix(",\"ip\":\"")?;
-        let rest = &rest[rest.find('"')?..];
-        let (shard, rest) = leading_u64(rest.strip_prefix("\",\"shard\":")?)?;
+        let (version, rest) = leading_version(line)?;
+        let rest = match rest.strip_prefix(",\"ip\":\"") {
+            Some(ip) => ip.split_once('"')?.1,
+            None => rest,
+        };
+        let (shard, rest) = leading_u64(rest.strip_prefix(",\"shard\":")?)?;
         let (batch, rest) = leading_u64(rest.strip_prefix(",\"batch\":")?)?;
         (version == JOURNAL_VERSION && rest.starts_with(',')).then_some((shard, batch))
     }
 
-    /// Parses a whole journal file (one line per host), skipping blank
-    /// lines; `None` if any non-blank line fails to parse.
-    #[must_use]
-    pub fn parse_file(text: &str) -> Option<Vec<ParsedJournal>> {
-        text.lines()
-            .filter(|l| !l.trim().is_empty())
-            .map(ParsedJournal::parse_line)
-            .collect()
+    /// Parses a whole journal file into its host rows and tallies,
+    /// skipping blank lines. Any other line that is neither row kind of
+    /// this version is an error naming the line (and its version, when
+    /// it leads with another one).
+    pub fn parse_file(text: &str) -> Result<JournalFile, String> {
+        let mut file = JournalFile::default();
+        for (n, line) in text.lines().enumerate().filter(|(_, l)| !l.trim().is_empty()) {
+            if let Some(host) = ParsedJournal::parse_line(line) {
+                file.hosts.push(host);
+            } else if let Some(tally) = SilentTally::parse_line(line) {
+                file.tallies.push(tally);
+            } else {
+                return Err(match leading_version(line) {
+                    Some((v, _)) if v != JOURNAL_VERSION => format!(
+                        "line {} is a v{v} journal row; this reader reads v{JOURNAL_VERSION} only",
+                        n + 1
+                    ),
+                    _ => format!("line {} is not a v{JOURNAL_VERSION} journal row", n + 1),
+                });
+            }
+        }
+        Ok(file)
     }
 
     /// The partition-invariant projection of this journal: shard, batch,
@@ -716,6 +842,11 @@ impl ParsedJournal {
     }
 }
 
+/// The version a row leads with, and the text after it.
+fn leading_version(line: &str) -> Option<(u64, &str)> {
+    leading_u64(line.strip_prefix("{\"v\":")?)
+}
+
 /// Splits the decimal number leading `s` from what follows it.
 fn leading_u64(s: &str) -> Option<(u64, &str)> {
     let end = s.bytes().position(|b| !b.is_ascii_digit()).unwrap_or(s.len());
@@ -726,7 +857,7 @@ fn leading_u64(s: &str) -> Option<(u64, &str)> {
 /// the counts `ftpcloud explain` turns into a funnel check.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct JournalSummary {
-    /// Journaled hosts (= addresses the scanner touched).
+    /// Probed addresses: host rows plus tallied silent addresses.
     pub hosts: u64,
     /// Hosts whose scan verdict was `open`.
     pub open: u64,
@@ -744,14 +875,16 @@ pub struct JournalSummary {
     pub retries: u64,
 }
 
-/// Builds the aggregate summary from parsed journal records.
+/// Builds the aggregate summary from a parsed journal file. A silent
+/// address counts as probed and adds nothing else.
 #[must_use]
-pub fn summarize(journals: &[ParsedJournal]) -> JournalSummary {
+pub fn summarize(file: &JournalFile) -> JournalSummary {
     use std::collections::BTreeMap;
     let mut gave: BTreeMap<String, u64> = BTreeMap::new();
     let mut faults: BTreeMap<String, u64> = BTreeMap::new();
-    let mut s = JournalSummary { hosts: journals.len() as u64, ..JournalSummary::default() };
-    for j in journals {
+    let hosts = file.hosts.len() as u64 + file.silent();
+    let mut s = JournalSummary { hosts, ..JournalSummary::default() };
+    for j in &file.hosts {
         if j.verdict.as_deref() == Some("open") {
             s.open += 1;
         }
@@ -824,13 +957,6 @@ impl Json {
     fn as_arr(&self) -> Option<&[Json]> {
         match self {
             Json::Arr(a) => Some(a),
-            _ => None,
-        }
-    }
-
-    fn as_obj(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(o) => Some(o),
             _ => None,
         }
     }
@@ -1019,7 +1145,7 @@ mod tests {
 
     /// The renderer's exact bytes, pinned to lines produced by the
     /// original `write!`-based renderer: the hand-written integer and
-    /// address formatting must not change a byte of the v1 format.
+    /// address formatting must not change a byte of the row format.
     #[test]
     fn render_bytes_are_pinned() {
         const BODY: &str = r#""shard":18446744073709551615,"batch":18446744073709551615,"probe_tx":[[0,1],[18446744073709551615,255]],"probe_rx":[[7,"filtered"],[18446744073709551615,"open"]],"verdict":"open","faults":[[10,"tarpit"],[18446744073709551615,"syn_blackhole"]],"phases":[[0,"connecting"],[18446744073709551615,"banner"]],"retries":[[99,1,0],[18446744073709551615,4294967295,18446744073709551615]],"replies":[2,18446744073709551615,1,1,1,4],"listing_bytes":18446744073709551615,"requests":4294967295,"files":18446744073709551615,"login":"denied","gave_up":"step_timeout","start_us":0,"end_us":18446744073709551615}"#;
@@ -1029,7 +1155,7 @@ mod tests {
         ] {
             let mut line = String::new();
             extremes(ip).render(&mut line);
-            assert_eq!(line, format!(r#"{{"v":1,"ip":"{text}",{BODY}"#));
+            assert_eq!(line, format!(r#"{{"v":2,"ip":"{text}",{BODY}"#));
         }
 
         // Rendering appends: an empty journal after existing text.
@@ -1037,7 +1163,7 @@ mod tests {
         HostJournal::new(Ipv4Addr::new(10, 3, 7, 9), 0, 0).render(&mut out);
         assert_eq!(
             out,
-            r#"x{"v":1,"ip":"10.3.7.9","shard":0,"batch":0,"probe_tx":[],"probe_rx":[],"verdict":null,"faults":[],"phases":[],"retries":[],"replies":[0,0,0,0,0,0],"listing_bytes":0,"requests":0,"files":0,"login":null,"gave_up":null,"start_us":null,"end_us":null}"#
+            r#"x{"v":2,"ip":"10.3.7.9","shard":0,"batch":0,"probe_tx":[],"probe_rx":[],"verdict":null,"faults":[],"phases":[],"retries":[],"replies":[0,0,0,0,0,0],"listing_bytes":0,"requests":0,"files":0,"login":null,"gave_up":null,"start_us":null,"end_us":null}"#
         );
     }
 
@@ -1045,7 +1171,7 @@ mod tests {
     fn render_parse_roundtrip() {
         let mut line = String::new();
         sample().render(&mut line);
-        assert!(line.starts_with("{\"v\":1,\"ip\":\"10.3.7.9\",\"shard\":2,\"batch\":5,"));
+        assert!(line.starts_with("{\"v\":2,\"ip\":\"10.3.7.9\",\"shard\":2,\"batch\":5,"));
         let p = ParsedJournal::parse_line(&line).expect("line parses");
         assert_eq!(p.ip, Ipv4Addr::new(10, 3, 7, 9));
         assert_eq!(p.shard, 2);
@@ -1105,7 +1231,8 @@ mod tests {
         other.gave_up = None;
         other.login = Some("anonymous".to_owned());
         other.faults.clear();
-        let s = summarize(&[p, other]);
+        let mut file = JournalFile { hosts: vec![p, other], tallies: vec![] };
+        let s = summarize(&file);
         assert_eq!(s.hosts, 2);
         assert_eq!(s.open, 2);
         assert_eq!(s.sessions, 2);
@@ -1114,6 +1241,14 @@ mod tests {
         assert_eq!(s.gave_up, vec![("step_timeout".to_owned(), 1)]);
         assert_eq!(s.faults, vec![("tarpit".to_owned(), 1)]);
         assert_eq!(s.retries, 2);
+
+        // Silent addresses count as probed and add nothing else.
+        file.tallies = vec![
+            SilentTally { shard: 0, batch: 0, silent: 3 },
+            SilentTally { shard: 1, batch: 4, silent: 5 },
+        ];
+        let with_silent = summarize(&file);
+        assert_eq!(with_silent, JournalSummary { hosts: 10, ..s });
     }
 
     #[test]
@@ -1122,8 +1257,24 @@ mod tests {
         assert!(ParsedJournal::parse_line("{\"v\":99,\"ip\":\"1.2.3.4\"}").is_none());
         let mut line = String::new();
         sample().render(&mut line);
-        assert!(ParsedJournal::parse_file(&format!("{line}\n\n{line}\n")).is_some());
-        assert!(ParsedJournal::parse_file("{}\n").is_none());
+        let tally = r#"{"v":2,"shard":1,"batch":3,"silent":40}"#;
+        let file = ParsedJournal::parse_file(&format!("{line}\n\n{line}\n{tally}\n"))
+            .expect("rows and a tally parse");
+        assert_eq!(file.hosts.len(), 2);
+        assert_eq!(file.tallies, vec![SilentTally { shard: 1, batch: 3, silent: 40 }]);
+        assert_eq!(file.silent(), 40);
+        assert!(ParsedJournal::parse_line(tally).is_none(), "a tally is not a host row");
+        assert!(SilentTally::parse_line(&line).is_none(), "a host row is not a tally");
+        assert!(SilentTally::parse_line(r#"{"v":1,"shard":1,"batch":3,"silent":40}"#).is_none());
+        assert!(SilentTally::parse_line(r#"{"v":2,"shard":1,"batch":3}"#).is_none());
+        assert_eq!(ParsedJournal::parse_file("{}\n"), Err("line 1 is not a v2 journal row".into()));
+
+        // A v1 journal is refused with both versions named.
+        let v1 = line.replacen("\"v\":2", "\"v\":1", 1);
+        assert_eq!(
+            ParsedJournal::parse_file(&format!("\n{v1}\n")),
+            Err("line 2 is a v1 journal row; this reader reads v2 only".into())
+        );
     }
 
     #[test]
@@ -1135,7 +1286,82 @@ mod tests {
         extremes(Ipv4Addr::new(255, 255, 255, 255)).render(&mut line);
         assert_eq!(ParsedJournal::cell(&line), Some((u64::MAX, u64::MAX)));
         assert_eq!(ParsedJournal::cell(&line[..40]), None, "torn inside the tags");
-        assert_eq!(ParsedJournal::cell(&line.replacen("\"v\":1", "\"v\":2", 1)), None);
+        assert_eq!(ParsedJournal::cell(&line.replacen("\"v\":2", "\"v\":1", 1)), None);
         assert_eq!(ParsedJournal::cell("not json"), None);
+
+        // Tally rows carry the same tags at the same place.
+        let mut buf = JournalBuf::default();
+        buf.push_tally(3, 11, 250);
+        buf.push_tally(u64::MAX, u64::MAX, u64::MAX);
+        let rows: Vec<&str> = buf.iter().collect();
+        assert_eq!(rows[0], r#"{"v":2,"shard":3,"batch":11,"silent":250}"#);
+        assert_eq!(ParsedJournal::cell(rows[0]), Some((3, 11)));
+        assert_eq!(ParsedJournal::cell(rows[1]), Some((u64::MAX, u64::MAX)));
+        assert_eq!(ParsedJournal::cell(&rows[0][..26]), None, "torn inside the tags");
+        assert_eq!(ParsedJournal::cell(&rows[0].replacen("\"v\":2", "\"v\":1", 1)), None);
+    }
+
+    /// Logs `events` for `ip` in batch `batch`, at ascending sim times.
+    fn log(journal: &mut JournalLog, ip: [u8; 4], batch: u64, events: &[JournalEvent]) {
+        for (t, ev) in events.iter().enumerate() {
+            journal.push(u32::from(Ipv4Addr::from(ip)), t as u64, batch, ev);
+        }
+    }
+
+    const SENT: JournalEvent = JournalEvent::ProbeSent { attempt: 1 };
+    const RESENT: JournalEvent = JournalEvent::ProbeSent { attempt: 2 };
+    const NO_ANSWER: JournalEvent = JournalEvent::ProbeReply { status: "filtered" };
+    const FILTERED: JournalEvent = JournalEvent::ProbeVerdict { verdict: "filtered" };
+    const FAULT: JournalEvent = JournalEvent::FaultHit { kind: "syn_blackhole" };
+
+    /// An address whose only events are probes that ended in a
+    /// `filtered` verdict is tallied; anything that answered, hit a
+    /// fault, or opened a session keeps its row. The tally comes once
+    /// per drain, after the drain's rows.
+    #[test]
+    fn drain_tallies_silent_addresses_and_keeps_every_answer() {
+        let mut journal = JournalLog::default();
+        let silent = [SENT, NO_ANSWER, RESENT, NO_ANSWER, FILTERED];
+        log(&mut journal, [10, 0, 0, 1], 6, &silent);
+        log(&mut journal, [10, 0, 0, 9], 6, &[SENT, NO_ANSWER, FILTERED]);
+        let reply = |status| JournalEvent::ProbeReply { status };
+        let verdict = |verdict| JournalEvent::ProbeVerdict { verdict };
+        let kept: [(&str, [u8; 4], Vec<JournalEvent>); 6] = [
+            ("open", [10, 0, 0, 2], vec![SENT, reply("open"), verdict("open")]),
+            ("closed", [10, 0, 0, 3], vec![SENT, reply("closed"), verdict("closed")]),
+            ("fault", [10, 0, 0, 4], vec![SENT, FAULT, NO_ANSWER, FILTERED]),
+            ("session", [10, 0, 0, 5], vec![SENT, NO_ANSWER, FILTERED, JournalEvent::SessionStart]),
+            ("retry", [10, 0, 0, 6], vec![SENT, NO_ANSWER, RESENT, reply("open"), verdict("open")]),
+            ("no verdict", [10, 0, 0, 7], vec![SENT, NO_ANSWER]),
+        ];
+        for (_, ip, events) in &kept {
+            log(&mut journal, *ip, 6, events);
+        }
+
+        let mut out = JournalBuf::default();
+        journal.drain_into(2, &mut out);
+        let rows: Vec<&str> = out.iter().collect();
+        assert_eq!(out.len(), kept.len() + 1, "one row per kept address, one tally:\n{rows:#?}");
+        for (row, (why, ip, _)) in rows.iter().zip(&kept) {
+            let host = ParsedJournal::parse_line(row).unwrap_or_else(|| panic!("{why}: {row}"));
+            assert_eq!(host.ip, Ipv4Addr::from(*ip), "{why} keeps its row, in address order");
+        }
+        assert_eq!(rows[kept.len()], r#"{"v":2,"shard":2,"batch":6,"silent":2}"#);
+
+        // The next drain tallies only its own silent addresses.
+        log(&mut journal, [10, 0, 0, 1], 7, &silent);
+        log(&mut journal, [10, 0, 0, 2], 7, &kept[0].2);
+        journal.drain_into(2, &mut out);
+        let rows: Vec<&str> = out.iter().skip(kept.len() + 1).collect();
+        assert_eq!(rows.len(), 2);
+        assert_eq!(ParsedJournal::cell(rows[0]), Some((2, 7)));
+        assert_eq!(rows[1], r#"{"v":2,"shard":2,"batch":7,"silent":1}"#);
+
+        // A drain with no silent address writes no tally.
+        log(&mut journal, [10, 0, 0, 2], 8, &kept[0].2);
+        let mut only_rows = JournalBuf::default();
+        journal.drain_into(2, &mut only_rows);
+        assert_eq!(only_rows.len(), 1);
+        assert!(ParsedJournal::parse_line(only_rows.as_str().trim_end()).is_some());
     }
 }

@@ -41,8 +41,8 @@ mod metrics;
 mod recorder;
 
 pub use journal::{
-    summarize, HostJournal, JournalBuf, JournalEvent, JournalSummary, ParsedJournal,
-    JOURNAL_VERSION, REPLY_CLASSES,
+    summarize, HostJournal, JournalBuf, JournalEvent, JournalFile, JournalSummary, ParsedJournal,
+    SilentTally, JOURNAL_VERSION, REPLY_CLASSES,
 };
 pub use metrics::{
     reply_class_counter, Counter, Gauge, Hist, Histogram, MetricsSnapshot, HIST_BUCKETS,
@@ -375,10 +375,11 @@ pub fn journal_event(ip: std::net::Ipv4Addr, ev: &JournalEvent) {
 }
 
 /// Renders the current thread's accumulated host journals into `out`
-/// as JSONL lines (sorted by host address), clearing the recorder's
-/// log. The stream runner calls this after every batch so journal
-/// memory never outlives a `(shard, batch)` slice; journals still
-/// buffered at [`Recorder::finish`] time ride out in the [`Report`].
+/// as JSONL host rows (sorted by host address) followed by their silent
+/// tally rows, clearing the recorder's log. The stream runner calls
+/// this after every batch so journal memory never outlives a `(shard,
+/// batch)` slice; journals still buffered at [`Recorder::finish`] time
+/// ride out in the [`Report`].
 pub fn drain_journal(out: &mut JournalBuf) {
     #[cfg(feature = "enabled")]
     {

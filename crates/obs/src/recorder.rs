@@ -127,8 +127,9 @@ pub trait Recorder {
         let _ = (ip, sim_us, batch, ev);
     }
 
-    /// Renders the accumulated host journals into `out` as JSONL lines
-    /// (sorted by host address), clearing them. Default: no-op.
+    /// Renders the accumulated host journals into `out` as JSONL host
+    /// rows (sorted by host address) and silent tally rows, clearing
+    /// them. Default: no-op.
     fn drain_journal(&self, out: &mut JournalBuf) {
         let _ = out;
     }
@@ -185,8 +186,8 @@ pub struct Report {
     pub trace: Vec<String>,
     /// Host-journal JSONL lines still buffered at finish time (the
     /// whole run for in-memory studies; empty for streamed runs that
-    /// drain per batch), rendered into one buffer. Sorted by host
-    /// address per shard.
+    /// drain per batch), rendered into one buffer. Per shard: host rows
+    /// sorted by address, then the silent tally rows.
     pub journal: JournalBuf,
     /// Rendered telemetry CSV rows (no header), in sample order per
     /// shard; empty unless the sampler was armed.
@@ -244,7 +245,7 @@ impl Report {
         out
     }
 
-    /// The buffered host journals as one JSONL string (one host per
+    /// The buffered host journals as one JSONL string (one row per
     /// line): a copy of [`Report::journal`]'s text, which callers that
     /// only write it out can borrow with [`JournalBuf::as_str`] instead.
     /// Streamed runs write incrementally per batch.

@@ -103,9 +103,13 @@ impl PopulationSpec {
     /// non-FTP port-21 population and the AS allocator's alignment
     /// slack (at 4× the allocator runs out of room from about 17,000
     /// servers).
+    ///
+    /// A population too large for any prefix gets the whole IPv4 space,
+    /// and [`check_space`](PopulationSpec::check_space) refuses it.
     pub fn sized(seed: u64, n: usize) -> Self {
-        let need = (n as u64).saturating_mul(16).next_power_of_two().max(1 << 18);
-        let prefix_len = 32 - need.trailing_zeros() as u8;
+        let need = (n as u64).saturating_mul(16).max(1 << 18);
+        let bits = (u64::BITS - (need - 1).leading_zeros()).min(32);
+        let prefix_len = 32 - bits as u8;
         PopulationSpec {
             seed,
             space: Ipv4Net::new(Ipv4Addr::new(4, 0, 0, 0), prefix_len),
@@ -123,6 +127,23 @@ impl PopulationSpec {
     pub fn with_fault_fraction(mut self, fraction: f64) -> Self {
         self.fault_fraction = fraction.clamp(0.0, 1.0);
         self
+    }
+
+    /// Checks that [`plan_world`] can place this population in its
+    /// address space, without planning it: more servers than addresses
+    /// fail at once, anything else runs the AS allocation `plan_world`
+    /// runs, without building the registry. The error says what did not
+    /// fit.
+    pub fn check_space(&self) -> Result<(), String> {
+        if self.ftp_servers as u64 > self.space.size() {
+            return Err(format!(
+                "address space {} has {} addresses, fewer than {} FTP servers",
+                self.space,
+                self.space.size(),
+                self.ftp_servers
+            ));
+        }
+        lay_out_ases(self, &mut StdRng::seed_from_u64(self.seed), |_, _| {})
     }
 }
 
@@ -227,16 +248,38 @@ struct AsSlot {
 }
 
 /// Builds the AS registry and per-AS quotas.
+///
+/// # Panics
+///
+/// Panics if the population does not fit (see [`lay_out_ases`]).
 fn build_ases(spec: &PopulationSpec, rng: &mut StdRng) -> (AsRegistry, Vec<AsSlot>) {
-    let n = spec.ftp_servers as f64;
-    let n_anon = n * rates::ANON_PER_FTP;
     let mut registry = AsRegistry::new();
     let mut slots = Vec::new();
+    lay_out_ases(spec, rng, |slot, name| {
+        registry.register(slot.asn, name.to_string(), slot.kind);
+        registry.announce(slot.asn, slot.prefix);
+        slots.push(slot);
+    })
+    .unwrap_or_else(|e| panic!("{e}"));
+    registry.freeze();
+    (registry, slots)
+}
+
+/// Draws every AS of the world in registry order, allocates its prefix,
+/// and hands it to `place` with its name. Fails when a prefix does not
+/// fit in what is left of the address space.
+fn lay_out_ases(
+    spec: &PopulationSpec,
+    rng: &mut StdRng,
+    mut place: impl FnMut(AsSlot, &dyn std::fmt::Display),
+) -> Result<(), String> {
+    let n = spec.ftp_servers as f64;
+    let n_anon = n * rates::ANON_PER_FTP;
     let mut cursor: u64 = 0;
     let space_base = u32::from(spec.space.network()) as u64;
     let space_size = spec.space.size();
 
-    let mut alloc = |advertised: u64, min_hosts: u64| -> Ipv4Net {
+    let mut alloc = |advertised: u64, min_hosts: u64| -> Result<Ipv4Net, String> {
         // Round up to a power of two and align; cap any single AS at a
         // sixteenth of the space, and shrink (never below what its hosts
         // need) if the space is filling up.
@@ -249,14 +292,14 @@ fn build_ases(spec: &PopulationSpec, rng: &mut StdRng) -> (AsRegistry, Vec<AsSlo
             if aligned + size <= space_size {
                 cursor = aligned + size;
                 let prefix_len = 32 - size.trailing_zeros() as u8;
-                return Ipv4Net::new(Ipv4Addr::from((space_base + aligned) as u32), prefix_len);
+                return Ok(Ipv4Net::new(Ipv4Addr::from((space_base + aligned) as u32), prefix_len));
             }
-            assert!(
-                size > floor,
-                "address space {} too small for the population (need {} more)",
-                spec.space,
-                size
-            );
+            if size <= floor {
+                return Err(format!(
+                    "address space {} too small for the population (need {} more)",
+                    spec.space, size
+                ));
+            }
             size /= 2;
         }
     };
@@ -268,17 +311,16 @@ fn build_ases(spec: &PopulationSpec, rng: &mut StdRng) -> (AsRegistry, Vec<AsSlo
         let anon_scaled = anon / rates::PAPER_FTP * n;
         let adv_scaled =
             ((adv / rates::PAPER_FTP * n) as u64).max((ftp_scaled * 2.0) as u64 + 8);
-        registry.register(asn, name, kind);
-        let prefix = alloc(adv_scaled, ftp_scaled.ceil() as u64 + 2);
-        registry.announce(asn, prefix);
-        slots.push(AsSlot {
+        let prefix = alloc(adv_scaled, ftp_scaled.ceil() as u64 + 2)?;
+        let slot = AsSlot {
             asn,
             kind,
             prefix,
             quota_anon: anon_scaled,
             quota_other: ftp_scaled - anon_scaled,
             next_offset: 0,
-        });
+        };
+        place(slot, &name);
     }
     let named_ftp: f64 = catalog::NAMED_ASES.iter().map(|a| a.4).sum::<f64>() / rates::PAPER_FTP * n;
     let named_anon: f64 =
@@ -304,22 +346,19 @@ fn build_ases(spec: &PopulationSpec, rng: &mut StdRng) -> (AsRegistry, Vec<AsSlo
             8 => AsKind::Academic,
             _ => AsKind::Other,
         };
-        let asn = Asn(64_000 + i as u32);
-        registry.register(asn, format!("Tail-AS-{i}"), kind);
         let adv = ((ftp_scaled * rng.random_range(2..12) as f64) as u64).max(16);
-        let prefix = alloc(adv, ftp_scaled.ceil() as u64 + 2);
-        registry.announce(asn, prefix);
-        slots.push(AsSlot {
-            asn,
+        let prefix = alloc(adv, ftp_scaled.ceil() as u64 + 2)?;
+        let slot = AsSlot {
+            asn: Asn(64_000 + i as u32),
             kind,
             prefix,
             quota_anon: anon_scaled,
             quota_other: (ftp_scaled - anon_scaled).max(0.0),
             next_offset: 0,
-        });
+        };
+        place(slot, &format_args!("Tail-AS-{i}"));
     }
-    registry.freeze();
-    (registry, slots)
+    Ok(())
 }
 
 /// Affinity between AS kinds and host categories, used as a weight
@@ -501,7 +540,8 @@ fn host_rng(seed: u64, ip: Ipv4Addr) -> StdRng {
 ///
 /// # Panics
 ///
-/// Panics if `spec.space` is too small to hold the population.
+/// Panics if `spec.space` is too small to hold the population;
+/// [`PopulationSpec::check_space`] tells without panicking.
 pub fn plan_world(spec: &PopulationSpec) -> WorldPlan {
     let mut rng = StdRng::seed_from_u64(spec.seed);
     let (registry, mut slots) = build_ases(spec, &mut rng);
@@ -1593,6 +1633,30 @@ mod tests {
         // world sized this way is a /14.
         assert_eq!(PopulationSpec::sized(3, 16_384).space.prefix_len(), 14);
         assert_eq!(PopulationSpec::sized(3, 16_385).space.prefix_len(), 13);
+        // Past 2^28 servers no prefix gives 16× room: the whole space.
+        assert_eq!(PopulationSpec::sized(3, 1 << 28).space.prefix_len(), 0);
+        assert_eq!(PopulationSpec::sized(3, 300_000_000).space.prefix_len(), 0);
+        assert_eq!(PopulationSpec::sized(3, usize::MAX).space.prefix_len(), 0);
+    }
+
+    /// `check_space` refuses exactly the worlds `plan_world` cannot
+    /// place, without planning them.
+    #[test]
+    fn check_space_agrees_with_plan_world() {
+        let fits = PopulationSpec::small(42, 600);
+        assert_eq!(fits.check_space(), Ok(()));
+        assert!(plan_world(&fits).planned_host_count() >= 600);
+
+        let crowded = PopulationSpec::small(42, 40_000);
+        let err = crowded.check_space().expect_err("40,000 servers overflow a /14");
+        assert!(err.contains("too small for the population"), "{err}");
+        let planned = std::panic::catch_unwind(|| plan_world(&crowded).planned_host_count());
+        let panic = planned.expect_err("plan_world panics");
+        assert_eq!(panic.downcast_ref::<String>(), Some(&err), "the same allocator decides");
+
+        let err = PopulationSpec::study(42, 0).check_space().expect_err("scale 0 overflows");
+        assert!(err.contains("fewer than 18446744073709551615 FTP servers"), "{err}");
+        assert!(PopulationSpec::sized(42, 300_000_000).check_space().is_err());
     }
 
     /// Sized worlds past 16,384 servers plan without running out of

@@ -20,20 +20,24 @@
 //!                                            directory to a byte-identical report;
 //!                                            --trace/--metrics/--profile turn on the
 //!                                            observability layer (never changes results);
-//!                                            --journal records one flight-recorder line
-//!                                            per host, --timeseries samples every metric
-//!                                            every MS sim-milliseconds (default 500), and
-//!                                            --progress prints a wall-clock heartbeat in
-//!                                            streamed mode — none of which changes results
+//!                                            --journal records a flight-recorder row per
+//!                                            address that answered, retried or hit a
+//!                                            fault, plus a count of the silent ones per
+//!                                            shard and batch; --timeseries samples every
+//!                                            metric every MS sim-milliseconds (default
+//!                                            500), and --progress prints a wall-clock
+//!                                            heartbeat in streamed mode — none of which
+//!                                            changes results
 //! ftpcloud funnel [--servers N] [--seed S] [--faults PCT] [--shards K]
 //!                [--trace OUT.jsonl] [--metrics OUT.json] [--profile]
 //!                [--journal OUT.jsonl] [--timeseries OUT.csv]
 //!                                            quick Table I funnel on a small world;
-//!                                            --faults makes PCT% of it hostile
+//!                                            --faults makes PCT% (0–100) of it hostile
 //! ftpcloud explain [IP] --journal J.jsonl [--top gave-up|faults]
 //!                                            reconstruct a host's timeline from a journal
-//!                                            written by `study --journal`; without an IP,
-//!                                            summarize the whole journal (funnel, top
+//!                                            written by `study --journal` (an address with
+//!                                            no row was silent or not probed); without an
+//!                                            IP, summarize the whole journal (funnel, top
 //!                                            gave-up reasons, fault encounters)
 //! ftpcloud honeypot [--days D] [--pots N]    run the §VIII experiment
 //! ftpcloud certify [--servers N]             CyberUL fleet audit (§X)
@@ -44,10 +48,13 @@
 //! Every subcommand except `explain` also takes `--seed S`. A flag the
 //! subcommand does not take, a value that does not parse, or a missing
 //! value is an error (exit code 2) that names the flag. So is input that
-//! would be ignored or cannot run: a zero `--shards`, `--batch-size` or
-//! `--timeseries-every`; `--servers` with `--scale`, or `--checkpoint-dir`
-//! with `--resume`; and `--checkpoint-dir`, `--resume` or `--progress`
-//! without `--batch-size`, or `--timeseries-every` without `--timeseries`.
+//! would be ignored or cannot run: a zero `--shards`, `--batch-size`,
+//! `--timeseries-every` or `--pots`; `--faults` above 100; `--top` with
+//! anything but `gave-up` or `faults`, or with an address; `--servers`
+//! with `--scale`, or `--checkpoint-dir` with `--resume`;
+//! `--checkpoint-dir`, `--resume` or `--progress` without `--batch-size`,
+//! or `--timeseries-every` without `--timeseries`; and a `--servers` or
+//! `--scale` whose world does not fit its address space.
 
 use ftp_study::{
     run_study, run_study_sharded, run_study_streamed, tables, StreamOptions, StreamOutcome,
@@ -179,9 +186,25 @@ impl<'a> Args<'a> {
     /// thing, or a flag without the one it only works with.
     fn check_combinations(&self) -> Result<(), String> {
         let given = |name| self.text(name).is_some();
-        for name in ["--shards", "--batch-size", "--timeseries-every"] {
+        for name in ["--shards", "--batch-size", "--timeseries-every", "--pots"] {
             if self.number(name) == Some(0) {
                 return Err(format!("{name} must be at least 1"));
+            }
+        }
+        if self.number("--faults").is_some_and(|pct| pct > 100) {
+            return Err("--faults takes a percentage, at most 100".to_owned());
+        }
+        if let Some(raw) = self.positional {
+            if raw.parse::<std::net::Ipv4Addr>().is_err() {
+                return Err(format!("{raw} is not an IPv4 address"));
+            }
+            if given("--top") {
+                return Err("--top summarizes the whole journal, not one address".to_owned());
+            }
+        }
+        if let Some(top) = self.text("--top") {
+            if top != "gave-up" && top != "faults" {
+                return Err(format!("--top takes gave-up or faults, not {top}"));
             }
         }
         for (a, b) in [("--servers", "--scale"), ("--checkpoint-dir", "--resume")] {
@@ -200,6 +223,11 @@ impl<'a> Args<'a> {
             }
         }
         Ok(())
+    }
+
+    /// `explain`'s positional address; parsing already checked it.
+    fn address(&self) -> Option<std::net::Ipv4Addr> {
+        self.positional.map(|raw| raw.parse().expect("the address is checked when parsed"))
     }
 
     fn text(&self, name: &str) -> Option<&'a str> {
@@ -272,7 +300,7 @@ fn write_obs_outputs(report: Option<&obs::Report>, cli: &ObsCli, journal: Option
         if let Err(e) = std::fs::write(path, report.journal.as_str()) {
             eprintln!("warning: could not write journal {path}: {e}");
         } else {
-            eprintln!("host journal written to {path} ({} hosts)", report.journal.len());
+            eprintln!("host journal written to {path} ({} lines)", report.journal.len());
         }
     }
     if let Some(path) = cli.timeseries {
@@ -285,6 +313,24 @@ fn write_obs_outputs(report: Option<&obs::Report>, cli: &ObsCli, journal: Option
     if cli.profile {
         println!("{}", report.render_profile());
     }
+}
+
+/// Exits 2, naming `flag`, when `spec`'s world cannot be planned: its
+/// address space cannot hold the population `flag` asked for.
+fn refuse_unplannable(spec: &PopulationSpec, flag: &str) {
+    if let Err(e) = spec.check_space() {
+        eprintln!("error: {flag} asks for a world that cannot be planned: {e}");
+        std::process::exit(2);
+    }
+}
+
+/// The small-world study of `funnel`, `certify`, `verdicts` and
+/// `notify`: `--servers` hosts (`default` without it), refused before
+/// it is built if it cannot be planned.
+fn small_world(args: &Args, seed: u64, default: u64) -> StudyConfig {
+    let cfg = StudyConfig::small(seed, args.number("--servers").unwrap_or(default) as usize);
+    refuse_unplannable(&cfg.population, "--servers");
+    cfg
 }
 
 /// `ftpcloud explain`: reconstructs host timelines (or a whole-journal
@@ -301,21 +347,22 @@ fn explain(args: &Args) {
             std::process::exit(1);
         }
     };
-    let Some(journals) = obs::ParsedJournal::parse_file(&text) else {
-        eprintln!("error: {path} is not a v{} host journal", obs::JOURNAL_VERSION);
+    let journal = obs::ParsedJournal::parse_file(&text).unwrap_or_else(|e| {
+        eprintln!("error: {path}: {e}");
         std::process::exit(1);
-    };
+    });
 
     // The positional argument is the host to explain; without one the
     // whole journal is summarized.
-    if let Some(raw) = args.positional {
-        let Ok(ip) = raw.parse::<std::net::Ipv4Addr>() else {
-            eprintln!("error: {raw} is not an IPv4 address");
-            std::process::exit(2);
-        };
-        let matched: Vec<_> = journals.iter().filter(|j| j.ip == ip).collect();
+    if let Some(ip) = args.address() {
+        let matched: Vec<_> = journal.hosts.iter().filter(|j| j.ip == ip).collect();
         if matched.is_empty() {
-            eprintln!("no journal entry for {ip} in {path} ({} hosts)", journals.len());
+            eprintln!(
+                "no journal row for {ip} in {path}: it was silent or not probed \
+                 ({} rows, {} silent addresses tallied)",
+                journal.hosts.len(),
+                journal.silent()
+            );
             std::process::exit(1);
         }
         for j in matched {
@@ -324,7 +371,7 @@ fn explain(args: &Args) {
         return;
     }
 
-    let s = obs::summarize(&journals);
+    let s = obs::summarize(&journal);
     let top = args.text("--top");
     let gave_up_total: u64 = s.gave_up.iter().map(|&(_, n)| n).sum();
     if top.is_none() {
@@ -359,12 +406,6 @@ fn explain(args: &Args) {
             println!("{n:>8}  {kind}");
         }
     }
-    if let Some(other) = top {
-        if other != "gave-up" && other != "faults" {
-            eprintln!("error: --top takes gave-up or faults, not {other}");
-            std::process::exit(2);
-        }
-    }
 }
 
 fn main() {
@@ -395,6 +436,8 @@ fn main() {
                 Some(n) => PopulationSpec::sized(seed, n as usize),
                 None => PopulationSpec::study(seed, scale),
             };
+            let sized_by = if args.switch("--servers") { "--servers" } else { "--scale" };
+            refuse_unplannable(&spec, sized_by);
             eprintln!(
                 "building world with {} FTP servers, seed {seed}, {shards} shard(s)…",
                 spec.ftp_servers
@@ -443,12 +486,10 @@ fn main() {
             }
         }
         "funnel" => {
-            let servers = args.number("--servers").unwrap_or(800) as usize;
             let faults = args.number("--faults").unwrap_or(0);
             let shards = args.number("--shards").unwrap_or(1);
             let obs_cli = obs_flags(&args);
-            let mut cfg =
-                StudyConfig::small(seed, servers).with_fault_fraction(faults as f64 / 100.0);
+            let mut cfg = small_world(&args, seed, 800).with_fault_fraction(faults as f64 / 100.0);
             cfg.obs = obs_cli.cfg;
             let results = run_study_sharded(&cfg, shards);
             println!("{}", tables::table01_funnel(&results.funnel()));
@@ -462,8 +503,7 @@ fn main() {
             println!("{report:#?}");
         }
         "certify" => {
-            let servers = args.number("--servers").unwrap_or(800) as usize;
-            let results = run_study(&StudyConfig::small(seed, servers));
+            let results = run_study(&small_world(&args, seed, 800));
             let (rate, failing) = analysis::cyberul::fleet_summary(&results.records);
             println!("CyberUL pass rate: {:.1}%", rate * 100.0);
             for (check, count) in failing {
@@ -471,15 +511,13 @@ fn main() {
             }
         }
         "verdicts" => {
-            let servers = args.number("--servers").unwrap_or(900) as usize;
-            let results = run_study(&StudyConfig::small(seed, servers));
+            let results = run_study(&small_world(&args, seed, 900));
             println!("{}", ftp_study::verdicts::render(&results));
             let (ok, approx, noise) = ftp_study::verdicts::scoreboard(&results);
             println!("{ok} reproduced, {approx} approximate, {noise} small-N");
         }
         "notify" => {
-            let servers = args.number("--servers").unwrap_or(800) as usize;
-            let results = run_study(&StudyConfig::small(seed, servers));
+            let results = run_study(&small_world(&args, seed, 800));
             let digests =
                 analysis::notify::build_digests(&results.records, &results.truth.registry);
             println!("{} networks require notification\n", digests.len());

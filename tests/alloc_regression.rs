@@ -260,6 +260,12 @@ fn streamed_study_peak_heap_stays_bounded_with_journaling() {
         ..StreamOptions::new(25)
     };
 
+    // Host rows and silent addresses: what a journal accounts for.
+    let addresses = |text: &str| {
+        let file = obs::ParsedJournal::parse_file(text).expect("journal parses");
+        (file.hosts.len(), file.silent())
+    };
+
     // Warm both paths once so lazy initialization doesn't count.
     drop(run_study(&cfg));
     drop(run_study_streamed(&cfg, &opts));
@@ -267,8 +273,8 @@ fn streamed_study_peak_heap_stays_bounded_with_journaling() {
     bench::reset();
     let results = run_study(&cfg);
     let legacy_peak = bench::peak_growth_since_reset();
-    let in_memory_journals = results.obs.as_ref().expect("journaling requested").journal.len();
-    assert!(in_memory_journals > 0, "in-memory path collected journals");
+    let in_memory = addresses(results.obs.as_ref().expect("journaling requested").journal.as_str());
+    assert!(in_memory.0 > 0, "in-memory path collected journals");
     drop(results);
 
     bench::reset();
@@ -281,9 +287,9 @@ fn streamed_study_peak_heap_stays_bounded_with_journaling() {
     let flushed = std::fs::read_to_string(&journal).expect("journal written");
     let _ = std::fs::remove_file(&journal);
     assert_eq!(
-        flushed.lines().count(),
-        in_memory_journals,
-        "streamed flushing must cover every journal the in-memory path collects"
+        addresses(&flushed),
+        in_memory,
+        "streamed flushing must cover every address the in-memory path journals"
     );
 
     let ceiling = (legacy_peak as f64 * 0.7) as u64;
@@ -365,10 +371,11 @@ fn journaled_study_allocation_count_stays_near_unjournaled() {
     let results = run_study(&journaled);
     let journal = results.obs.as_ref().expect("journaling requested").journal_jsonl();
     let journaled_allocs = bench::snapshot().allocs;
+    let file = obs::ParsedJournal::parse_file(&journal).expect("journal parses");
     assert_eq!(
-        journal.lines().count() as u64,
+        file.hosts.len() as u64 + file.silent(),
         results.ips_scanned,
-        "one journal line per probed address"
+        "rows plus tallies cover every probed address"
     );
     drop(results);
 

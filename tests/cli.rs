@@ -76,6 +76,31 @@ fn input_that_would_be_ignored_is_refused() {
         "--timeseries-every must be at least 1",
     );
     refused(&["study", "--batch-size", "0"], "--batch-size must be at least 1");
+    refused(&["honeypot", "--pots", "0"], "--pots must be at least 1");
+    refused(&["funnel", "--faults", "150"], "--faults");
+}
+
+/// `--top` is checked with the other flags, before the journal is
+/// opened: these paths do not exist, so a late check would exit 1.
+#[test]
+fn explain_checks_top_before_reading_the_journal() {
+    let missing = "/nonexistent/ftpcloud-journal.jsonl";
+    refused(&["explain", "--journal", missing, "--top", "bogus"], "--top");
+    refused(&["explain", "4.0.0.0", "--journal", missing, "--top", "faults"], "--top");
+    refused(&["explain", "4.0.0", "--journal", missing], "4.0.0");
+}
+
+/// A world whose address space cannot hold its population is refused
+/// before it is built; each of these used to hang or panic.
+#[test]
+fn worlds_that_cannot_be_planned_are_refused() {
+    for scale in ["0", "1", "16", "64", "100", "128"] {
+        refused(&["study", "--scale", scale], "--scale");
+    }
+    refused(&["study", "--servers", "300000000"], "--servers");
+    for command in ["funnel", "certify", "verdicts", "notify"] {
+        refused(&[command, "--servers", "40000"], "--servers");
+    }
 }
 
 /// `explain` keeps its positional address, before or after the flags.
@@ -105,4 +130,37 @@ fn explain_takes_a_positional_address() {
     refused(&["explain", "10.3.7.9", "10.3.7.10", "--journal", path], "10.3.7.10");
     refused(&["explain", "10.3.7.9", "--journal", path, "--top", "x", "--top", "y"], "--top");
     std::fs::remove_file(path).ok();
+}
+
+/// An address without a row was silent or never probed; `explain` says
+/// so with the journal's silent tally, and refuses a v1 journal by
+/// naming both versions. Both exit 1.
+#[test]
+fn explain_reports_silent_addresses_and_refuses_v1() {
+    let mut journal = obs::HostJournal::new(std::net::Ipv4Addr::new(10, 3, 7, 9), 0, 0);
+    journal.note(1_000, &obs::JournalEvent::ProbeVerdict { verdict: "open" });
+    let mut row = String::new();
+    journal.render(&mut row);
+    let path = std::env::temp_dir().join(format!("ftpcloud-cli-v2-{}.jsonl", std::process::id()));
+    std::fs::write(&path, format!("{row}\n{{\"v\":2,\"shard\":0,\"batch\":0,\"silent\":41}}\n"))
+        .unwrap();
+    let path_str = path.to_str().expect("temp path is UTF-8");
+
+    let out = ftpcloud(&["explain", "10.3.7.10", "--journal", path_str]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("silent or not probed"), "{stderr}");
+    assert!(stderr.contains("41 silent addresses"), "{stderr}");
+
+    let out = ftpcloud(&["explain", "--journal", path_str]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(stdout.starts_with("journal: 42 hosts probed, 1 open,"), "{stdout}");
+
+    std::fs::write(&path, row.replacen("\"v\":2", "\"v\":1", 1) + "\n").unwrap();
+    let out = ftpcloud(&["explain", "--journal", path_str]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("v1") && stderr.contains("v2"), "{stderr}");
+    std::fs::remove_file(&path).ok();
 }

@@ -6,14 +6,17 @@
 //! itself is a faithful, partition-invariant reconstruction of each
 //! host's journey: the same host produces the same record (modulo
 //! partition-relative timestamps) whichever `(shard, batch)` cell it
-//! lands in, and `explain`-style summaries rebuilt from the journal
-//! alone agree with the study's own funnel.
+//! lands in, rows plus silent tallies account for every probed address,
+//! and `explain`-style summaries rebuilt from the journal alone agree
+//! with the study's own funnel. The journal itself is pinned: its exact
+//! text at K=1, and its normalized content at every geometry.
 
+use ftp_study::checkpoint::fnv1a;
 use ftp_study::{
     run_study_sharded, run_study_streamed, tables, StreamOptions, StreamOutcome, StudyConfig,
     StudyResults,
 };
-use obs::ParsedJournal;
+use obs::{JournalFile, ParsedJournal};
 
 const SEED: u64 = 7177;
 const SERVERS: usize = 150;
@@ -96,31 +99,64 @@ fn streamed_report_is_identical_with_journaling_on() {
         );
         let text = std::fs::read_to_string(&path).expect("journal written");
         let parsed = ParsedJournal::parse_file(&text).expect("every flushed line parses");
-        assert!(!parsed.is_empty(), "streamed journal is non-empty");
+        assert!(!parsed.hosts.is_empty(), "streamed journal is non-empty");
         let _ = std::fs::remove_file(&path);
     }
+}
+
+/// fnv1a of `Report::journal`'s text for the K=1 hostile study: every
+/// host row and tally byte for byte.
+const JOURNAL_TEXT_DIGEST: u64 = 12_127_608_812_749_377_742;
+
+/// fnv1a of the normalized host rows in address order followed by the
+/// silent total; every shard count and batch geometry must hit it.
+const NORMALIZED_DIGEST: u64 = 5_978_285_795_313_635_603;
+
+/// The partition-invariant content of a journal: its host rows
+/// normalized and sorted by address, and its silent total.
+fn normalized(file: &JournalFile) -> (Vec<ParsedJournal>, u64) {
+    let mut rows: Vec<ParsedJournal> = file.hosts.iter().map(ParsedJournal::normalized).collect();
+    rows.sort_by_key(|j| u32::from(j.ip));
+    (rows, file.silent())
+}
+
+/// The pinned digest of [`normalized`]'s output: each row's `Debug`
+/// text, then the silent total.
+fn normalized_digest((rows, silent): &(Vec<ParsedJournal>, u64)) -> u64 {
+    let mut text = String::new();
+    for row in rows {
+        text.push_str(&format!("{row:?}\n"));
+    }
+    text.push_str(&format!("silent {silent}\n"));
+    fnv1a(text.as_bytes())
 }
 
 /// The same host's journal is identical — modulo the partition-relative
 /// wall/sim-time fields that [`ParsedJournal::normalized`] zeroes —
 /// whether it was recorded by the in-memory runner at K=1 or K=8, or by
-/// the streaming runner in any batch geometry.
+/// the streaming runner in any batch geometry; so is the number of
+/// silent addresses. Both the K=1 text and the normalized content are
+/// pinned.
 #[test]
 fn journal_content_is_partition_invariant_modulo_time() {
-    let normalize = |lines: Vec<ParsedJournal>| -> Vec<ParsedJournal> {
-        let mut out: Vec<ParsedJournal> = lines.iter().map(ParsedJournal::normalized).collect();
-        out.sort_by_key(|j| u32::from(j.ip));
-        out
-    };
-    let in_memory = |shards: u64| -> Vec<ParsedJournal> {
+    let in_memory = |shards: u64| -> (String, JournalFile) {
         let report = study(0.5, shards, true);
-        let report = report.obs.expect("collection requested");
-        ParsedJournal::parse_file(&report.journal_jsonl()).expect("in-memory journal parses")
+        let text = report.obs.expect("collection requested").journal_jsonl();
+        let file = ParsedJournal::parse_file(&text).expect("in-memory journal parses");
+        (text, file)
     };
 
-    let k1 = normalize(in_memory(1));
-    let k8 = normalize(in_memory(8));
-    assert_eq!(k1.len(), k8.len(), "one journal per probed address at any K");
+    let (k1_text, k1_file) = in_memory(1);
+    assert_eq!(fnv1a(k1_text.as_bytes()), JOURNAL_TEXT_DIGEST, "K=1 journal text drifted");
+    let k1 = normalized(&k1_file);
+    assert_eq!(normalized_digest(&k1), NORMALIZED_DIGEST, "K=1: normalized journal drifted");
+
+    let k8 = normalized(&in_memory(8).1);
+    assert_eq!(
+        k1.0.len() as u64 + k1.1,
+        k8.0.len() as u64 + k8.1,
+        "rows plus tallies cover every probed address at any K"
+    );
     assert_eq!(k1, k8, "journals must be shard-invariant modulo time fields");
 
     let mut cfg = StudyConfig::small(SEED, SERVERS).with_fault_fraction(0.5);
@@ -129,8 +165,11 @@ fn journal_content_is_partition_invariant_modulo_time() {
     let _ = streamed_report(&cfg, 1, Some(&path));
     let text = std::fs::read_to_string(&path).expect("journal written");
     let _ = std::fs::remove_file(&path);
-    let streamed = normalize(ParsedJournal::parse_file(&text).expect("streamed journal parses"));
+    let streamed = normalized(&ParsedJournal::parse_file(&text).expect("streamed journal parses"));
     assert_eq!(k1, streamed, "journals must be batch-invariant modulo time fields");
+    for (label, journal) in [("K=8", &k8), ("streamed batch 25", &streamed)] {
+        assert_eq!(normalized_digest(journal), NORMALIZED_DIGEST, "{label}: journal drifted");
+    }
 }
 
 /// `explain` reconstructs the study from the journal alone: the funnel
@@ -142,11 +181,14 @@ fn explain_summary_agrees_with_the_measured_funnel() {
     let results = study(0.5, 1, true);
     let funnel = results.funnel();
     let report = results.obs.expect("collection requested");
-    let journals =
-        ParsedJournal::parse_file(&report.journal_jsonl()).expect("every line parses");
+    let journal = ParsedJournal::parse_file(&report.journal_jsonl()).expect("every line parses");
 
-    assert_eq!(journals.len() as u64, results.ips_scanned, "one journal per probed address");
-    let summary = obs::summarize(&journals);
+    assert_eq!(
+        journal.hosts.len() as u64 + journal.silent(),
+        results.ips_scanned,
+        "rows plus tallies cover every probed address"
+    );
+    let summary = obs::summarize(&journal);
     assert_eq!(summary.hosts, results.ips_scanned);
     assert_eq!(summary.open, funnel.open_port, "open verdicts match the funnel");
     assert_eq!(summary.anonymous, funnel.anonymous, "anonymous logins match the funnel");
@@ -154,7 +196,7 @@ fn explain_summary_agrees_with_the_measured_funnel() {
     assert_eq!(gave_up, funnel.gave_up, "give-ups match the funnel");
     assert!(summary.sessions >= summary.ftp, "sessions cover every ftp host");
 
-    for j in journals.iter().take(64) {
+    for j in journal.hosts.iter().take(64) {
         let timeline = j.timeline();
         assert!(timeline.contains("journal timeline"), "timeline renders: {timeline}");
     }
@@ -178,12 +220,13 @@ fn streamed_600_server_journal_explains_a_gave_up_host() {
     }
     let text = std::fs::read_to_string(&path).expect("journal written");
     let _ = std::fs::remove_file(&path);
-    let journals = ParsedJournal::parse_file(&text).expect("every flushed line parses");
+    let journal = ParsedJournal::parse_file(&text).expect("every flushed line parses");
 
-    let batches: std::collections::HashSet<u64> = journals.iter().map(|j| j.batch).collect();
+    let batches: std::collections::HashSet<u64> = journal.hosts.iter().map(|j| j.batch).collect();
     assert!(batches.len() > 1, "journals span multiple batches");
 
-    let hostile = journals
+    let hostile = journal
+        .hosts
         .iter()
         .find(|j| j.gave_up.is_some() && !j.faults.is_empty() && !j.retries.is_empty())
         .expect("a hostile world yields a gave-up host with faults and retries");

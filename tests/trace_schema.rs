@@ -73,11 +73,12 @@ fn trace_jsonl_schema_is_pinned() {
     assert!(spans > 0, "no span records in trace");
 }
 
-/// The `--journal` golden schema: version tag first, then the pinned v1
-/// key order on every line.
+/// The `--journal` golden schema: version tag first, then the pinned
+/// key order of each row kind — a host row per answering address, a
+/// tally row per `(shard, batch)` with silent addresses.
 #[test]
 fn journal_jsonl_schema_is_pinned() {
-    const JOURNAL_KEYS: [&str; 18] = [
+    const HOST_KEYS: [&str; 18] = [
         "v",
         "ip",
         "shard",
@@ -97,16 +98,25 @@ fn journal_jsonl_schema_is_pinned() {
         "start_us",
         "end_us",
     ];
+    const TALLY_KEYS: [&str; 4] = ["v", "shard", "batch", "silent"];
 
     let report = study_report();
     assert!(!report.journal.is_empty(), "journal requested, lines collected");
+    let (mut hosts, mut tallies) = (0u64, 0u64);
     for line in &report.journal {
-        assert!(
-            line.starts_with(&format!("{{\"v\":{},\"ip\":\"", obs::JOURNAL_VERSION)),
-            "journal envelope drifted: {line}"
-        );
-        assert_eq!(keys(line), JOURNAL_KEYS, "journal schema drifted: {line}");
+        let got = keys(line);
+        if line.starts_with(&format!("{{\"v\":{},\"ip\":\"", obs::JOURNAL_VERSION)) {
+            hosts += 1;
+            assert_eq!(got, HOST_KEYS, "host row schema drifted: {line}");
+        } else if line.starts_with(&format!("{{\"v\":{},\"shard\":", obs::JOURNAL_VERSION)) {
+            tallies += 1;
+            assert_eq!(got, TALLY_KEYS, "tally row schema drifted: {line}");
+        } else {
+            panic!("journal envelope drifted: {line}");
+        }
     }
+    assert!(hosts > 0, "no host rows in journal");
+    assert_eq!(tallies, 2, "one tally row per shard of an in-memory run");
 }
 
 /// The `--timeseries` golden schema: the envelope columns followed by
