@@ -69,12 +69,6 @@ impl Funnel {
         v
     }
 
-    /// Give-up rate per open port — how much of the population actively
-    /// resisted enumeration.
-    pub fn gave_up_rate(&self) -> f64 {
-        ratio(self.gave_up, self.open_port)
-    }
-
     /// Port-21-open rate per scanned address.
     pub fn open_rate(&self) -> f64 {
         ratio(self.open_port, self.ips_scanned)

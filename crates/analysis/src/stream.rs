@@ -1,7 +1,7 @@
 //! Bounded-memory study aggregation for the streaming runner.
 //!
-//! The legacy pipeline keeps every [`HostRecord`] in memory and hands the
-//! full vector to each analysis module. That is O(world) RSS and caps
+//! The in-memory runner keeps every [`HostRecord`] and hands the full
+//! vector to each analysis module. That is O(world) RSS and caps
 //! study size. [`StreamingAggregate`] is the constant-size alternative:
 //! each record is folded exactly once (per-batch, as the streaming
 //! driver produces it) into plain counters, fixed-order arrays, and
@@ -14,10 +14,11 @@
 //! 1. **Fold/summarize agreement** — folding records one at a time
 //!    produces the same numbers as the batch analysis modules
 //!    ([`fingerprint`], [`campaigns`], [`bounce`], [`exposure`],
-//!    [`writable`], [`ftps`], [`cve`]) computed over the whole record
-//!    set. Every per-record predicate here is a transcription of the
-//!    corresponding module's loop body; hosts are unique per record, so
-//!    set-cardinality statistics degrade to counts.
+//!    [`writable`], [`ftps`](crate::ftps), [`cve`]) computed over the
+//!    whole record set. Every per-record predicate here is a
+//!    transcription of the corresponding module's loop body; hosts are
+//!    unique per record, so set-cardinality statistics degrade to
+//!    counts.
 //! 2. **Merge is commutative, associative, and order-insensitive** —
 //!    all state is integer sums, `BTreeMap`/`BTreeSet` unions of summed
 //!    values, and fixed-order arrays; there is no floating-point

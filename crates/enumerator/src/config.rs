@@ -113,18 +113,6 @@ impl EnumConfig {
         self.request_gap = gap;
         self
     }
-
-    /// Builder: set the connect-retry schedule.
-    pub fn with_retry(mut self, retry: RetrySchedule) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Builder: set the per-session wall-clock deadline.
-    pub fn with_session_deadline(mut self, deadline: SimDuration) -> Self {
-        self.session_deadline = deadline;
-        self
-    }
 }
 
 #[cfg(test)]

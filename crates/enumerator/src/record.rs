@@ -188,7 +188,7 @@ impl<'a> FileEntryRef<'a> {
 /// paths in one arena string, interns the handful of distinct owner
 /// names per host, and precomputes lowercase extensions into a side
 /// arena; each row's offsets and scalar fields sit together in one
-/// fixed-size [`Row`], so a row costs one push to `rows` rather than
+/// fixed-size `Row`, so a row costs one push to `rows` rather than
 /// one per column. Row access hands out [`FileEntryRef`] slices and
 /// never allocates.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]

@@ -10,6 +10,14 @@
 //! measurements; the §VIII honeypot experiment lives in the
 //! [`honeypot`] crate and is re-exported here for convenience.
 //!
+//! Every study runs through one shard loop ([`stream`]): K shards, one
+//! thread each, and each shard's batches one at a time in one reset
+//! simulator. [`run_study_sharded`] (and [`run_study`], its K=1 case)
+//! is that loop at one batch per shard and keeps every record;
+//! [`run_study_streamed`] runs `ceil(hosts / batch_size)` batches and
+//! folds each into a [`StreamingAggregate`](analysis::StreamingAggregate)
+//! for O(batch) memory, with checkpoint/resume ([`checkpoint`]).
+//!
 //! # Example
 //!
 //! ```

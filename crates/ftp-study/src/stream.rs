@@ -1,27 +1,30 @@
-//! Streaming study runner: bounded-memory batches with checkpoint/resume.
+//! The study's one shard loop, and the bounded-memory streamed runner
+//! built on it.
 //!
-//! The legacy runner ([`crate::study::run_study_sharded`]) materializes a
-//! shard's entire host slice and keeps every [`enumerator::HostRecord`]
-//! until the end — O(world) RSS, which caps study size. This runner
-//! splits each shard's address space into `batches` hash-partitioned
-//! sub-slices (the [`netsim::ip::batch_of`] axis, independent of the
-//! shard axis), runs the full scan → enumerate → HTTP-sweep pipeline on
-//! one batch at a time in a **reset simulator** (one arena per shard,
-//! [`netsim::Simulator::reset`] between batches — byte-identical to a
-//! fresh one, but reusing its allocation caches), folds the batch's
-//! records into a constant-size [`StreamingAggregate`], and drops
-//! everything else. Peak memory is O(batch), regardless of world size.
-//! Per-shard setup runs once, not per cell: the plan is bucketed by
-//! batch in a single pass ([`worldgen::WorldPlan::bucket_shard`]) and
-//! the scan permutation orbit is walked once and split per batch.
+//! A study runs on a `(shard, batch)` grid. Shards partition the
+//! address space by [`netsim::shard_of`], one thread each. Batches split
+//! a shard's slice again along the independent [`netsim::ip::batch_of`]
+//! axis, and a shard runs its batches one at a time in a **reset
+//! simulator** (one arena per shard, [`netsim::Simulator::reset`]
+//! between batches — byte-identical to a fresh one, but reusing its
+//! allocation caches): worldgen, then the scan → enumerate → HTTP-sweep
+//! pipeline, then the finished cell goes to the caller. Per-shard setup
+//! runs once, not per cell: the plan is bucketed by batch in a single
+//! pass ([`worldgen::WorldPlan::bucket_shard`]), and with more than one
+//! batch the scan permutation orbit is walked once and split per batch.
 //!
-//! Correctness rests on the same purity argument as sharding: every
-//! per-host outcome is a pure function of `(seed, ip)`, so a host
-//! observes identical behavior whichever simulator it lands in, and the
-//! `(shard, batch)` grid partitions the space exactly. The
-//! equivalence test suite checks byte-identity of the rendered report
-//! against the in-memory path at several batch sizes, shard counts, and
-//! fault fractions.
+//! Both runners are this loop. [`crate::run_study_sharded`] runs it at
+//! one batch per shard and keeps each cell whole. [`run_study_streamed`]
+//! runs `ceil(hosts / batch_size)` batches per shard, folds each cell
+//! into a constant-size [`StreamingAggregate`], and drops everything
+//! else, so its peak memory is O(batch), regardless of world size.
+//!
+//! Correctness rests on one purity argument: every per-host outcome is
+//! a pure function of `(seed, ip)`, so a host observes identical
+//! behavior whichever simulator it lands in, and the grid partitions
+//! the space exactly. The equivalence test suite checks byte-identity
+//! of the rendered report across batch sizes, shard counts, and fault
+//! fractions.
 //!
 //! With a checkpoint directory set, each shard persists its aggregate
 //! and next-batch cursor after every batch ([`crate::checkpoint`]); a
@@ -31,17 +34,22 @@
 //! no generator state to save.
 
 use crate::checkpoint::{Checkpoint, CheckpointError};
-use crate::study::{run_partition, StudyConfig, StudyResults};
+use crate::study::{run_partition, scan_config, PartitionOutput, StudyConfig, StudyResults};
+use crate::webprobe::HttpObservation;
 use analysis::StreamingAggregate;
-use netsim::Simulator;
+use enumerator::HostRecord;
+use netsim::{AsRegistry, Simulator};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::fs::{self, File};
 use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::net::Ipv4Addr;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use worldgen::{PopulationSpec, WorldPlan};
-use zscan::{Blocklist, HashBatch, HashShard, ScanConfig};
+use worldgen::{HostTruth, PopulationSpec, WorldPlan};
+use zscan::{HashBatch, HashShard};
 
 /// Streaming-specific knobs, on top of a [`StudyConfig`].
 #[derive(Debug, Clone)]
@@ -51,7 +59,8 @@ pub struct StreamOptions {
     /// realized batch populations approximately, not exactly, this
     /// size).
     pub batch_size: usize,
-    /// Shard (worker thread) count, exactly as in the legacy runner.
+    /// Shard (worker thread) count, exactly as in
+    /// [`crate::run_study_sharded`].
     pub shards: u64,
     /// Where to persist per-shard checkpoints; `None` disables
     /// checkpointing (and therefore resume).
@@ -182,14 +191,6 @@ pub fn config_fingerprint(cfg: &StudyConfig, shards: u64, batches: u64, batch_si
     crate::checkpoint::fnv1a(canon.as_bytes())
 }
 
-/// One shard's run: its aggregate, where it stopped, and what the
-/// observability layer (if enabled) collected along the way.
-struct ShardRun {
-    aggregate: StreamingAggregate,
-    next_batch: u64,
-    obs: Option<obs::Report>,
-}
-
 /// Shared append-only sink for per-batch journal flushes. Shards drain
 /// their recorder's journals after every batch and append under the
 /// lock. The recorder sorts its log by address when it renders, so
@@ -306,15 +307,6 @@ impl Progress {
     }
 }
 
-/// Per-run hooks threaded into each shard's batch loop: the journal
-/// sink (when `--journal` is set) and the heartbeat (when `--progress`
-/// is set).
-#[derive(Clone, Copy)]
-struct StreamHooks<'a> {
-    journal: Option<&'a JournalSink>,
-    progress: Option<&'a Progress>,
-}
-
 /// Where a shard starts: the aggregate over the batches its checkpoint
 /// covers, and the next batch to run.
 type ResumePoint = (StreamingAggregate, u64);
@@ -339,163 +331,150 @@ fn resume_point(
     Ok((ckpt.aggregate, ckpt.next_batch))
 }
 
-/// Installs the shard's recorder (when configured), runs the batch
-/// loop, and always uninstalls — errors included — so a failed shard
-/// never leaks a recorder into the worker thread.
-#[allow(clippy::too_many_arguments)]
-fn run_stream_shard(
-    cfg: &StudyConfig,
-    plan: &WorldPlan,
-    index: u64,
-    shards: u64,
-    batches: u64,
-    fingerprint: u64,
-    start: ResumePoint,
-    opts: &StreamOptions,
-    hooks: StreamHooks<'_>,
-) -> Result<ShardRun, StreamError> {
-    if cfg.obs.any() {
-        obs::install(Box::new(obs::CollectingRecorder::with_config(index, cfg.obs)));
-    }
-    let result =
-        stream_shard_batches(cfg, plan, index, shards, batches, fingerprint, start, opts, hooks);
-    let report = obs::uninstall().map(|r| r.finish());
-    result.map(|(aggregate, next_batch)| ShardRun { aggregate, next_batch, obs: report })
+/// One finished `(shard, batch)` cell, as the shard loop hands it over.
+pub(crate) struct Cell {
+    /// The cell's batch index within its shard.
+    pub(crate) batch: u64,
+    /// Ground truth of the FTP hosts the cell materialized, in plan
+    /// order.
+    pub(crate) hosts: Vec<HostTruth>,
+    /// The non-FTP port-21 responders it materialized.
+    pub(crate) non_ftp: Vec<Ipv4Addr>,
+    /// What its measurement stages produced.
+    pub(crate) out: PartitionOutput,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn stream_shard_batches(
+/// Runs `shard(index)` for every shard of a `shards`-way study, each
+/// inside the recorder [`StudyConfig::obs`] asks for: on the calling
+/// thread when there is one shard, else on one scoped thread per shard.
+/// Returns the outputs in shard order and the shard reports merged in
+/// shard order, so the merged trace is deterministic.
+///
+/// # Panics
+///
+/// Panics if a shard panics.
+pub(crate) fn run_shards<T: Send>(
+    cfg: &StudyConfig,
+    shards: u64,
+    shard: impl Fn(u64) -> T + Sync,
+) -> (Vec<T>, Option<obs::Report>) {
+    let run = |index| {
+        if cfg.obs.any() {
+            obs::install(Box::new(obs::CollectingRecorder::with_config(index, cfg.obs)));
+        }
+        let out = shard(index);
+        (out, obs::uninstall().map(|r| r.finish()))
+    };
+    let runs: Vec<(T, Option<obs::Report>)> = if shards == 1 {
+        vec![run(0)]
+    } else {
+        std::thread::scope(|scope| {
+            let workers: Vec<_> =
+                (0..shards).map(|index| scope.spawn(move || run(index))).collect();
+            workers.into_iter().map(|w| w.join().expect("shard worker panicked")).collect()
+        })
+    };
+    let (outputs, reports): (Vec<T>, Vec<_>) = runs.into_iter().unzip();
+    let merged = reports.into_iter().flatten().reduce(|mut merged, report| {
+        merged.absorb(report);
+        merged
+    });
+    (outputs, merged)
+}
+
+/// Runs the batches `range` of `shard`'s slice, cut into `batches`
+/// batches, one at a time in one reset simulator, and hands each
+/// finished [`Cell`] to `on_cell`. Stops at the first error `on_cell`
+/// returns.
+///
+/// Every simulator is seeded with the *master* seed — not a derived
+/// one — because per-path latency is a pure function of the simulator
+/// seed and the endpoint addresses, and merge identity requires a host
+/// to observe the same latencies whichever simulator it lands in.
+pub(crate) fn run_shard_batches<E>(
     cfg: &StudyConfig,
     plan: &WorldPlan,
-    index: u64,
-    shards: u64,
+    shard: HashShard,
     batches: u64,
-    fingerprint: u64,
-    (mut aggregate, start_batch): ResumePoint,
-    opts: &StreamOptions,
-    hooks: StreamHooks<'_>,
-) -> Result<(StreamingAggregate, u64), StreamError> {
+    range: Range<u64>,
+    mut on_cell: impl FnMut(Cell) -> Result<(), E>,
+) -> Result<(), E> {
     let shard_span = obs::span!("shard.run");
-    obs::event!("shard.start", shards = shards);
+    // The recorder stamps every line with the shard index, so events
+    // only carry what the envelope does not.
+    obs::event!("shard.start", shards = shard.shards);
     let seed = cfg.population.seed;
-    let mut journal_buf = obs::JournalBuf::default();
-
-    // Per-shard state hoisted out of the batch loop: one simulator arena
-    // reset between batches (retaining its allocation caches), the plan
-    // bucketed by batch in a single pass, and the scan permutation orbit
-    // walked once and split per batch — each of which the first streaming
-    // cut paid for from scratch at every `(shard, batch)` cell.
-    let mut sim = Simulator::new(seed);
-    let buckets = plan.bucket_shard((index, shards), batches);
-    let shard_order = {
-        let mut sc = ScanConfig::tcp21(cfg.population.space, seed ^ 0x5ca);
-        sc.blocklist = Blocklist::standard();
-        sc.hash_shard = Some(HashShard { seed, index, shards });
-        sc.materialize_order()
-    };
     let space = cfg.population.space;
 
-    for (executed, batch) in (start_batch..batches).enumerate() {
-        if opts.interrupt_after_batches.is_some_and(|limit| executed as u64 >= limit) {
-            harvest_shard_obs(&sim);
-            drop(shard_span);
-            return Ok((aggregate, batch));
-        }
+    // Per-shard state hoisted out of the batch loop: one simulator arena
+    // reset between batches (retaining its allocation caches), and the
+    // plan bucketed by batch in a single pass. With more than one batch,
+    // the scan permutation orbit is walked once here and split per
+    // batch; a single batch's scanner walks the shard's orbit itself.
+    let mut sim = Simulator::new(seed);
+    let buckets = plan.bucket_shard((shard.index, shard.shards), batches);
+    let shard_order = (batches > 1).then(|| scan_config(cfg, shard, None).materialize_order());
 
+    for batch in range {
         // Tag the recorder before any event of this batch: journals
-        // opened inside the cell carry `(shard, batch)`, and the
-        // sim-time sampler re-arms for the reset clock.
+        // opened inside the cell carry `(shard, batch)`, and the clock
+        // and sim-time sampler restart with the reset simulator's.
         obs::set_batch(batch);
         // Reset gives a byte-identical blank simulator: batch teardown
         // is the reset, so nothing observable survives to the next
         // batch (endpoints and queue cleared, RNG re-seeded).
         sim.reset(seed);
-        // Materialized ground truth is folded into the sim and
-        // immediately dropped — the streaming path never holds a host
-        // vector.
-        {
+        let (hosts, non_ftp) = {
             let _span = obs::span!("stage.worldgen");
-            let _ = plan.materialize_bucket(&mut sim, &buckets, batch);
-        }
-        let hash_batch = HashBatch { seed, index: batch, batches };
-        // Filtering the shard's orbit preserves relative order, so this
-        // equals the order a per-cell `materialize_order` would produce.
-        let batch_order: Vec<u64> = shard_order
-            .iter()
-            .copied()
-            .filter(|&ix| hash_batch.contains(space.addr_at(ix)))
-            .collect();
-        let out = run_partition(
-            cfg,
-            &mut sim,
-            Some(HashShard { seed, index, shards }),
-            Some(hash_batch),
-            Some(batch_order),
-        );
-
-        aggregate.fold_scan(out.ips_scanned, out.open_port);
-        for r in &out.records {
-            aggregate.fold_record(r, out.bounce_hits.contains(&r.ip), Some(plan.registry()));
-        }
-        for o in out.http.values() {
-            aggregate.fold_http(o.powered_by.is_some());
-        }
+            plan.materialize_bucket(&mut sim, &buckets, batch)
+        };
+        let (hash_batch, order) = match &shard_order {
+            None => (None, None),
+            Some(shard_order) => {
+                let hash_batch = HashBatch { seed, index: batch, batches };
+                // Filtering the shard's orbit preserves relative order,
+                // so this equals the order a per-cell
+                // `materialize_order` would produce.
+                let order = shard_order
+                    .iter()
+                    .copied()
+                    .filter(|&ix| hash_batch.contains(space.addr_at(ix)))
+                    .collect();
+                (Some(hash_batch), Some(order))
+            }
+        };
+        let out = run_partition(cfg, &mut sim, scan_config(cfg, shard, hash_batch), order);
         if obs::enabled() {
             obs::counter(obs::Counter::HttpObservations, out.http.len() as u64);
             obs::event!("batch.done", batch = batch, records = out.records.len());
         }
-        // Flush this cell's journals to disk now so the recorder never
-        // holds more than one batch's worth of them.
-        if let Some(sink) = hooks.journal {
-            sink.flush_batch(&mut journal_buf)?;
-        }
-        if let Some(progress) = hooks.progress {
-            progress.tick(out.records.len() as u64);
-        }
-
-        if let Some(dir) = &opts.checkpoint_dir {
-            if let Some(sink) = hooks.journal {
-                sink.flush()?;
-            }
-            Checkpoint {
-                config: fingerprint,
-                shard: index,
-                shards,
-                batches,
-                next_batch: batch + 1,
-                aggregate: aggregate.clone(),
-            }
-            .save(dir)?;
-        }
+        on_cell(Cell { batch, hosts, non_ftp, out })?;
     }
-    harvest_shard_obs(&sim);
+
+    if obs::enabled() {
+        // Harvest the timer wheel's unconditionally-maintained stats into
+        // the recorder at shard end; the wheel itself never calls obs.
+        // They accumulate across `Simulator::reset` by design, so one
+        // harvest covers every batch.
+        let ws = sim.wheel_stats();
+        obs::counter(obs::Counter::WheelInserts, ws.inserts);
+        obs::counter(obs::Counter::WheelCascades, ws.cascades);
+        obs::counter(obs::Counter::WheelCascadedEntries, ws.cascaded_entries);
+        obs::gauge_max(obs::Gauge::WheelMaxOccupancy, ws.max_occupancy);
+        obs::event!("shard.done", sim_us = sim.now().as_micros());
+    }
     drop(shard_span);
-    Ok((aggregate, batches))
-}
-
-/// Harvests the simulator's unconditionally-maintained wheel statistics
-/// into the installed recorder, mirroring the in-memory runner's
-/// shard-end harvest. Wheel stats accumulate across [`Simulator::reset`]
-/// by design, so one harvest at shard end covers every batch.
-fn harvest_shard_obs(sim: &Simulator) {
-    if !obs::enabled() {
-        return;
-    }
-    let ws = sim.wheel_stats();
-    obs::counter(obs::Counter::WheelInserts, ws.inserts);
-    obs::counter(obs::Counter::WheelCascades, ws.cascades);
-    obs::counter(obs::Counter::WheelCascadedEntries, ws.cascaded_entries);
-    obs::gauge_max(obs::Gauge::WheelMaxOccupancy, ws.max_occupancy);
-    obs::event!("shard.done", sim_us = sim.now().as_micros());
+    Ok(())
 }
 
 /// Runs the study in bounded-memory streaming mode.
 ///
 /// Partitions the world into `opts.shards × ceil(hosts/batch_size)`
-/// hash cells, pipelines each shard's batches sequentially through a
-/// per-batch simulator, and merges the per-shard aggregates in shard
-/// order. The merged report is byte-identical for every batch size and
-/// shard count, and — via checkpoints — across interrupt/resume cycles.
+/// hash cells, pipelines each shard's batches sequentially through one
+/// reset simulator, folds each cell into the shard's aggregate, and
+/// merges the per-shard aggregates in shard order. The merged report is
+/// byte-identical for every batch size and shard count, and — via
+/// checkpoints — across interrupt/resume cycles.
 pub fn run_study_streamed(
     cfg: &StudyConfig,
     opts: &StreamOptions,
@@ -526,64 +505,68 @@ pub fn run_study_streamed(
         None => None,
     };
     let progress = opts.progress.then(|| Progress::new(batches * opts.shards));
-    let hooks = StreamHooks { journal: journal_sink.as_ref(), progress: progress.as_ref() };
+    let seed = cfg.population.seed;
 
-    let runs: Vec<Result<ShardRun, StreamError>> = if opts.shards == 1 {
-        let start = starts.into_iter().next().expect("one resume point per shard");
-        vec![run_stream_shard(cfg, &plan, 0, 1, batches, fingerprint, start, opts, hooks)]
-    } else {
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..opts.shards)
-                .zip(starts)
-                .map(|(index, start)| {
-                    let plan = &plan;
-                    scope.spawn(move || {
-                        run_stream_shard(
-                            cfg,
-                            plan,
-                            index,
-                            opts.shards,
-                            batches,
-                            fingerprint,
-                            start,
-                            opts,
-                            hooks,
-                        )
-                    })
-                })
-                .collect();
-            workers
-                .into_iter()
-                .map(|w| w.join().expect("stream shard worker panicked"))
-                .collect()
-        })
-    };
+    let (runs, mut obs_report) = run_shards(cfg, opts.shards, |index| {
+        let (mut aggregate, start) = starts[index as usize].clone();
+        // The interrupt hook stops the shard cleanly after `limit`
+        // batches of this invocation.
+        let end = opts
+            .interrupt_after_batches
+            .map_or(batches, |limit| batches.min(start.saturating_add(limit)));
+        let shard = HashShard { seed, index, shards: opts.shards };
+        let mut journal_buf = obs::JournalBuf::default();
+        let fold_cell = |cell: Cell| -> Result<(), StreamError> {
+            let out = &cell.out;
+            fold_partition(
+                &mut aggregate,
+                out.ips_scanned,
+                out.open_port,
+                &out.records,
+                &out.bounce_hits,
+                &out.http,
+                plan.registry(),
+            );
+            // Flush this cell's journals to disk now so the recorder
+            // never holds more than one batch's worth of them.
+            if let Some(sink) = &journal_sink {
+                sink.flush_batch(&mut journal_buf)?;
+            }
+            if let Some(progress) = &progress {
+                progress.tick(out.records.len() as u64);
+            }
+            if let Some(dir) = &opts.checkpoint_dir {
+                if let Some(sink) = &journal_sink {
+                    sink.flush()?;
+                }
+                Checkpoint {
+                    config: fingerprint,
+                    shard: index,
+                    shards: opts.shards,
+                    batches,
+                    next_batch: cell.batch + 1,
+                    aggregate: aggregate.clone(),
+                }
+                .save(dir)?;
+            }
+            Ok(())
+        };
+        run_shard_batches(cfg, &plan, shard, batches, start..end, fold_cell)?;
+        Ok::<_, StreamError>((aggregate, end))
+    });
     if let Some(sink) = &journal_sink {
         sink.flush()?;
     }
 
     let merge_start = std::time::Instant::now();
     let mut aggregate = StreamingAggregate::default();
-    let mut obs_report: Option<obs::Report> = None;
     let mut next_batches = Vec::with_capacity(runs.len());
-    let mut complete = true;
     for run in runs {
-        let run = run?;
-        next_batches.push(run.next_batch);
-        if run.next_batch < batches {
-            complete = false;
-        }
-        aggregate.merge(&run.aggregate);
-        if let Some(shard_report) = run.obs {
-            // Shard reports arrive in index order (runs is built in
-            // spawn order), so the merged trace is deterministic.
-            match obs_report.as_mut() {
-                Some(merged) => merged.absorb(shard_report),
-                None => obs_report = Some(shard_report),
-            }
-        }
+        let (shard_aggregate, next_batch) = run?;
+        next_batches.push(next_batch);
+        aggregate.merge(&shard_aggregate);
     }
-    if !complete {
+    if next_batches.iter().any(|&next| next < batches) {
         return Ok(StreamOutcome::Interrupted { next_batches });
     }
     if let Some(report) = obs_report.as_mut() {
@@ -598,6 +581,28 @@ pub fn run_study_streamed(
     })))
 }
 
+/// Folds one partition's measurements into `agg`: its scan counters,
+/// every record (with whether its bounce reached the collector), and
+/// every HTTP observation. The streamed runner folds each cell with it;
+/// [`aggregate_of`] folds a whole in-memory study.
+fn fold_partition(
+    agg: &mut StreamingAggregate,
+    ips_scanned: u64,
+    open_port: u64,
+    records: &[HostRecord],
+    bounce_hits: &HashSet<Ipv4Addr>,
+    http: &HashMap<Ipv4Addr, HttpObservation>,
+    registry: &AsRegistry,
+) {
+    agg.fold_scan(ips_scanned, open_port);
+    for r in records {
+        agg.fold_record(r, bounce_hits.contains(&r.ip), Some(registry));
+    }
+    for o in http.values() {
+        agg.fold_http(o.powered_by.is_some());
+    }
+}
+
 /// Folds in-memory results into a streaming aggregate with a single
 /// pass over the record vector. This is [`crate::tables::full_report`]'s
 /// fold: the in-memory report renders every section it shares with the
@@ -605,13 +610,15 @@ pub fn run_study_streamed(
 /// sections through the same functions.
 pub fn aggregate_of(results: &StudyResults) -> StreamingAggregate {
     let mut agg = StreamingAggregate::default();
-    agg.fold_scan(results.ips_scanned, results.open_port);
-    for r in &results.records {
-        agg.fold_record(r, results.bounce_hits.contains(&r.ip), Some(&results.truth.registry));
-    }
-    for o in results.http.values() {
-        agg.fold_http(o.powered_by.is_some());
-    }
+    fold_partition(
+        &mut agg,
+        results.ips_scanned,
+        results.open_port,
+        &results.records,
+        &results.bounce_hits,
+        &results.http,
+        &results.truth.registry,
+    );
     agg
 }
 

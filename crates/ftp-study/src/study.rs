@@ -1,15 +1,22 @@
 //! The end-to-end study pipeline: worldgen → host discovery →
-//! enumeration → HTTP sweep, in one deterministic simulation — or in K
-//! deterministic simulations running in parallel, which merge to the
-//! same bytes (see [`run_study_sharded`]).
+//! enumeration → HTTP sweep.
+//!
+//! This module holds the study's configuration and results, and the
+//! measurement stages every `(shard, batch)` cell runs
+//! (`run_partition`). The shard loop that drives them is
+//! [`crate::stream`]'s. [`run_study_sharded`] is that loop at one
+//! batch per shard: it keeps every cell whole and merges the shards to
+//! the same bytes at any shard count.
 
+use crate::stream::{run_shard_batches, run_shards};
 use crate::webprobe::{HttpObservation, WebProbe};
 use enumerator::{BounceCollector, EnumConfig, Enumerator, HostRecord, RunSummary};
 use ftp_proto::HostPort;
-use netsim::{shard_of, SimDuration, Simulator};
+use netsim::{SimDuration, Simulator};
 use std::collections::{HashMap, HashSet};
+use std::convert::Infallible;
 use std::net::Ipv4Addr;
-use worldgen::{HostTruth, PopulationSpec, WorldPlan, WorldTruth};
+use worldgen::{PopulationSpec, WorldTruth};
 use zscan::{Blocklist, HashBatch, HashShard, HostDiscovery, ScanConfig};
 
 /// Addresses the study's own machines occupy (outside the population
@@ -119,23 +126,9 @@ impl StudyResults {
     }
 }
 
-/// Everything one shard's simulation produced, before merging.
-struct ShardOutput {
-    hosts: Vec<HostTruth>,
-    non_ftp: Vec<Ipv4Addr>,
-    ips_scanned: u64,
-    open_port: u64,
-    records: Vec<HostRecord>,
-    bounce_hits: HashSet<Ipv4Addr>,
-    http: HashMap<Ipv4Addr, HttpObservation>,
-    obs: Option<obs::Report>,
-}
-
 /// What one partition's measurement stages produced: the per-host
 /// records and counters for whatever slice of the address space the
-/// scan filters admitted. Shared by the legacy sharded runner (one
-/// partition per shard) and the streaming runner (one partition per
-/// `(shard, batch)` cell).
+/// scan filters admitted.
 pub(crate) struct PartitionOutput {
     /// Addresses probed by host discovery inside this partition.
     pub(crate) ips_scanned: u64,
@@ -149,30 +142,35 @@ pub(crate) struct PartitionOutput {
     pub(crate) http: HashMap<Ipv4Addr, HttpObservation>,
 }
 
+/// The study's TCP/21 discovery sweep, restricted to `hash_shard` and,
+/// when given, `hash_batch`.
+pub(crate) fn scan_config(
+    cfg: &StudyConfig,
+    hash_shard: HashShard,
+    hash_batch: Option<HashBatch>,
+) -> ScanConfig {
+    let mut scan_cfg = ScanConfig::tcp21(cfg.population.space, cfg.population.seed ^ 0x5ca);
+    scan_cfg.blocklist = Blocklist::standard();
+    scan_cfg.hash_shard = Some(hash_shard);
+    scan_cfg.hash_batch = hash_batch;
+    scan_cfg.per_probe_events = cfg.per_probe_events;
+    scan_cfg
+}
+
 /// Runs the three measurement stages — ZMap-style discovery,
 /// enumeration, HTTP sweep — against a simulator that already holds the
-/// partition's hosts. `hash_shard`/`hash_batch` restrict discovery to
-/// the same slice the caller materialized; `scan_order`, when given, is
-/// that slice's precomputed permutation order (the streaming runner
-/// walks the orbit once per shard and splits it per batch) and must
-/// match what the filters would have produced. The caller owns recorder
-/// installation.
+/// partition's hosts. `scan_cfg` restricts discovery to the slice the
+/// caller materialized; `scan_order`, when given, is that slice's
+/// precomputed permutation order and must match what `scan_cfg`'s
+/// filters would have produced. The caller owns recorder installation.
 pub(crate) fn run_partition(
     cfg: &StudyConfig,
     sim: &mut Simulator,
-    hash_shard: Option<HashShard>,
-    hash_batch: Option<HashBatch>,
+    scan_cfg: ScanConfig,
     scan_order: Option<Vec<u64>>,
 ) -> PartitionOutput {
-    let seed = cfg.population.seed;
-
     // Stage 1: host discovery over this partition's slice of the
     // population space.
-    let mut scan_cfg = ScanConfig::tcp21(cfg.population.space, seed ^ 0x5ca);
-    scan_cfg.blocklist = Blocklist::standard();
-    scan_cfg.hash_shard = hash_shard;
-    scan_cfg.hash_batch = hash_batch;
-    scan_cfg.per_probe_events = cfg.per_probe_events;
     let (scanner, scan_results) = match scan_order {
         Some(order) => HostDiscovery::with_order(scan_cfg, order),
         None => HostDiscovery::new(scan_cfg),
@@ -236,58 +234,6 @@ pub(crate) fn run_partition(
     PartitionOutput { ips_scanned, open_port, records, bounce_hits, http }
 }
 
-/// Runs the three measurement stages for one shard: a private simulator
-/// holding only the hosts [`shard_of`] assigns to `index`, scanned,
-/// enumerated, and swept exactly like the single-threaded pipeline.
-///
-/// Every shard's simulator is seeded with the *master* seed — not a
-/// derived one — because per-path latency is a pure function of the
-/// simulator seed and the endpoint addresses, and merge identity
-/// requires a host to observe the same latencies whichever simulator it
-/// lands in.
-fn run_shard(cfg: &StudyConfig, plan: &WorldPlan, index: u64, shards: u64) -> ShardOutput {
-    if cfg.obs.any() {
-        obs::install(Box::new(obs::CollectingRecorder::with_config(index, cfg.obs)));
-    }
-    let shard_span = obs::span!("shard.run");
-    // The recorder stamps every line with the shard index, so events
-    // only carry what the envelope does not.
-    obs::event!("shard.start", shards = shards);
-
-    let seed = cfg.population.seed;
-    let mut sim = Simulator::new(seed);
-    let (hosts, non_ftp) = {
-        let _span = obs::span!("stage.worldgen");
-        plan.materialize(&mut sim, |ip| shard_of(seed, ip, shards) == index)
-    };
-
-    let out = run_partition(cfg, &mut sim, Some(HashShard { seed, index, shards }), None, None);
-
-    if obs::enabled() {
-        // Harvest the timer wheel's unconditionally-maintained stats into
-        // the recorder at shard end; the wheel itself never calls obs.
-        let ws = sim.wheel_stats();
-        obs::counter(obs::Counter::WheelInserts, ws.inserts);
-        obs::counter(obs::Counter::WheelCascades, ws.cascades);
-        obs::counter(obs::Counter::WheelCascadedEntries, ws.cascaded_entries);
-        obs::gauge_max(obs::Gauge::WheelMaxOccupancy, ws.max_occupancy);
-        obs::counter(obs::Counter::HttpObservations, out.http.len() as u64);
-        obs::event!("shard.done", records = out.records.len(), sim_us = sim.now().as_micros());
-    }
-    drop(shard_span);
-    let obs_report = obs::uninstall().map(|r| r.finish());
-    ShardOutput {
-        hosts,
-        non_ftp,
-        ips_scanned: out.ips_scanned,
-        open_port: out.open_port,
-        records: out.records,
-        bounce_hits: out.bounce_hits,
-        http: out.http,
-        obs: obs_report,
-    }
-}
-
 /// Runs the complete pipeline single-threaded.
 ///
 /// Equivalent to [`run_study_sharded`] with one shard — parallelism is
@@ -298,6 +244,11 @@ pub fn run_study(cfg: &StudyConfig) -> StudyResults {
 
 /// Runs the complete pipeline partitioned into `shards` independent
 /// simulations, one `std::thread` worker each, and merges their outputs.
+///
+/// Each shard runs the shard loop of [`crate::stream`] at one batch —
+/// its whole slice of the world — and hands the cell back whole
+/// (records, bounce hits, HTTP observations and host truth) instead of
+/// folding it.
 ///
 /// The merged [`StudyResults`] is **byte-identical for every shard
 /// count**, including 1: hosts, records, and non-FTP addresses are
@@ -315,20 +266,17 @@ pub fn run_study(cfg: &StudyConfig) -> StudyResults {
 pub fn run_study_sharded(cfg: &StudyConfig, shards: u64) -> StudyResults {
     assert!(shards > 0, "need at least one shard");
     let plan = worldgen::plan_world(&cfg.population);
+    let seed = cfg.population.seed;
 
-    let outputs: Vec<ShardOutput> = if shards == 1 {
-        vec![run_shard(cfg, &plan, 0, 1)]
-    } else {
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..shards)
-                .map(|index| {
-                    let plan = &plan;
-                    scope.spawn(move || run_shard(cfg, plan, index, shards))
-                })
-                .collect();
-            workers.into_iter().map(|w| w.join().expect("shard worker panicked")).collect()
-        })
-    };
+    let (shard_cells, mut obs_report) = run_shards(cfg, shards, |index| {
+        let mut cells = Vec::with_capacity(1);
+        let shard = HashShard { seed, index, shards };
+        let Ok(()) = run_shard_batches(cfg, &plan, shard, 1, 0..1, |cell| {
+            cells.push(cell);
+            Ok::<_, Infallible>(())
+        });
+        cells
+    });
 
     // Merge: canonical order is by IP, counters are sums, hit sets are
     // unions (shards are disjoint, so no deduplication is needed).
@@ -342,23 +290,14 @@ pub fn run_study_sharded(cfg: &StudyConfig, shards: u64) -> StudyResults {
     let mut records = Vec::new();
     let mut bounce_hits = HashSet::new();
     let mut http = HashMap::new();
-    let mut obs_report: Option<obs::Report> = None;
-    for out in outputs {
-        hosts.extend(out.hosts);
-        non_ftp.extend(out.non_ftp);
-        ips_scanned += out.ips_scanned;
-        open_port += out.open_port;
-        records.extend(out.records);
-        bounce_hits.extend(out.bounce_hits);
-        http.extend(out.http);
-        if let Some(shard_report) = out.obs {
-            // Shard reports arrive in index order (outputs is built in
-            // spawn order), so the merged trace is deterministic.
-            match obs_report.as_mut() {
-                Some(merged) => merged.absorb(shard_report),
-                None => obs_report = Some(shard_report),
-            }
-        }
+    for cell in shard_cells.into_iter().flatten() {
+        hosts.extend(cell.hosts);
+        non_ftp.extend(cell.non_ftp);
+        ips_scanned += cell.out.ips_scanned;
+        open_port += cell.out.open_port;
+        records.extend(cell.out.records);
+        bounce_hits.extend(cell.out.bounce_hits);
+        http.extend(cell.out.http);
     }
     hosts.sort_by_key(|h| h.ip);
     non_ftp.sort_unstable();

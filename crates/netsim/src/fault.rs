@@ -112,12 +112,6 @@ impl FaultProfile {
         self
     }
 
-    /// Sets the control port.
-    pub fn with_control_port(mut self, port: u16) -> Self {
-        self.control_port = port;
-        self
-    }
-
     /// Samples a profile from `seed` alone — the worldgen path. The
     /// kind and its parameters are all splitmix-derived so a host's
     /// hostile personality is a pure function of its identity, not of

@@ -482,11 +482,6 @@ impl<'a> Ctx<'a> {
         self.me
     }
 
-    /// Deterministic random value (advances the shared sim RNG).
-    pub fn rand_u64(&mut self) -> u64 {
-        self.core.rng.random()
-    }
-
     /// Sends bytes on an established connection. Bytes on closed or
     /// half-open connections are silently dropped, as data racing a
     /// close would be on a real network.
@@ -687,16 +682,6 @@ impl<'a> Ctx<'a> {
         }
     }
 
-    /// Local address of a connection from this endpoint's perspective.
-    pub fn local_of(&self, conn: ConnId) -> Option<(Ipv4Addr, u16)> {
-        let c = self.core.conns.get(&conn.0)?;
-        if self.me == c.initiator_ep {
-            Some((c.initiator_ip, c.initiator_port))
-        } else {
-            Some((c.responder_ip, c.responder_port))
-        }
-    }
-
     /// The RFC 1918 address a NATed host believes it has, if configured.
     pub fn internal_ip_of(&self, host_ip: Ipv4Addr) -> Option<Ipv4Addr> {
         self.core.hosts.get(&host_ip).and_then(|h| h.internal_ip)
@@ -812,11 +797,6 @@ impl Simulator {
         self.core.hosts.entry(ip).or_insert_with(Host::new);
     }
 
-    /// True if a host exists at `ip`.
-    pub fn has_host(&self, ip: Ipv4Addr) -> bool {
-        self.core.hosts.contains_key(&ip)
-    }
-
     /// Number of registered hosts.
     pub fn host_count(&self) -> usize {
         self.core.hosts.len()
@@ -837,11 +817,6 @@ impl Simulator {
     /// [`crate::fault`]). Replaces any previous profile.
     pub fn set_fault(&mut self, ip: Ipv4Addr, profile: FaultProfile) {
         self.core.faults.insert(ip, profile);
-    }
-
-    /// Removes a host's fault profile, restoring polite behavior.
-    pub fn clear_fault(&mut self, ip: Ipv4Addr) {
-        self.core.faults.remove(&ip);
     }
 
     /// The fault profile attached to `ip`, if any.
@@ -890,15 +865,6 @@ impl Simulator {
         self.endpoints[id.0 as usize].as_deref().expect("endpoint detached")
     }
 
-    /// Mutable access to a registered endpoint.
-    ///
-    /// # Panics
-    ///
-    /// See [`Simulator::endpoint`].
-    pub fn endpoint_mut(&mut self, id: EndpointId) -> &mut dyn Endpoint {
-        self.endpoints[id.0 as usize].as_deref_mut().expect("endpoint detached")
-    }
-
     /// Takes an endpoint out of the simulator (consuming its slot), for
     /// downcasting into a concrete results type after a run.
     pub fn take_endpoint(&mut self, id: EndpointId) -> Box<dyn Endpoint> {
@@ -918,7 +884,7 @@ impl Simulator {
     /// Runs until the event queue is exhausted.
     ///
     /// Drains the queue in same-instant batches: one
-    /// [`TimerWheel::pop_batch`] pulls every entry sharing the earliest
+    /// `TimerWheel::pop_batch` pulls every entry sharing the earliest
     /// deadline (already `(at, seq)`-ordered), then dispatches them
     /// back to back. Events a handler schedules at the current instant
     /// carry larger sequence numbers than everything in the drained

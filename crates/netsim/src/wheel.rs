@@ -108,7 +108,7 @@ impl<T> Level<T> {
 /// recorder call (or feature gate) inside the wheel's hot loop.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WheelStats {
-    /// Entries filed via [`TimerWheel::insert`].
+    /// Entries filed via `TimerWheel::insert`.
     pub inserts: u64,
     /// Cascade passes (a level-`l > 0` slot drained and re-filed).
     pub cascades: u64,

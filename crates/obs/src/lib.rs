@@ -147,7 +147,9 @@ pub fn enabled() -> bool {
 use std::cell::Cell;
 
 /// Installs a recorder on the current thread, replacing any previous
-/// one (which is dropped, discarding its data).
+/// one (which is dropped, discarding its data). The published sim time
+/// and batch tag start again at 0, so nothing the thread ran before
+/// leaks into the new recorder's stamps.
 pub fn install(recorder: Box<dyn Recorder>) {
     #[cfg(feature = "enabled")]
     {
@@ -156,6 +158,7 @@ pub fn install(recorder: Box<dyn Recorder>) {
         gate::RECORDER.with(|r| *r.borrow_mut() = Some(recorder));
         gate::ACTIVE.with(|a| a.set(true));
         gate::JOURNAL.with(|j| j.set(journal));
+        gate::SIM_NOW.with(|t| t.set(0));
         gate::BATCH.with(|b| b.set(0));
         gate::SAMPLE_EVERY.with(|e| e.set(every));
         gate::SAMPLE_NEXT.with(|n| n.set(if every == 0 { u64::MAX } else { every }));
@@ -313,12 +316,14 @@ pub fn emit_event(name: &'static str, fields: &[Field<'_>]) {
 
 /// Publishes the stream batch index the current thread is executing.
 /// Journal entries and telemetry rows opened after this call carry the
-/// new batch tag; the telemetry sampling boundary is re-armed because
-/// the stream runner resets the sim clock to 0 between batches.
+/// new batch tag. The stream runner resets the sim clock to 0 between
+/// batches, so the published sim time returns to 0 and the telemetry
+/// sampling boundary is re-armed.
 pub fn set_batch(batch: u64) {
     #[cfg(feature = "enabled")]
     {
         gate::BATCH.with(|b| b.set(batch));
+        gate::SIM_NOW.with(|t| t.set(0));
         let every = gate::SAMPLE_EVERY.with(Cell::get);
         gate::SAMPLE_NEXT.with(|n| n.set(if every == 0 { u64::MAX } else { every }));
     }

@@ -154,12 +154,6 @@ impl FileMeta {
         self
     }
 
-    /// Builder-style: replaces the permissions.
-    pub fn with_perms(mut self, perms: Permissions) -> Self {
-        self.perms = perms;
-        self
-    }
-
     /// Builder-style: replaces the mtime text.
     pub fn with_mtime(mut self, mtime: impl Into<String>) -> Self {
         self.mtime = mtime.into();

@@ -881,7 +881,7 @@ impl WorldPlan {
     /// `keep`, returning the ground truth of that subset (in plan
     /// order) plus the retained non-FTP addresses.
     ///
-    /// Each host is built with its own [`host_rng`], so the subset
+    /// Each host is built with its own `host_rng`, so the subset
     /// chosen has no effect on what any individual host looks like:
     /// materializing the full plan in one simulator and materializing a
     /// partition of it across K simulators yield identical hosts. The

@@ -165,11 +165,6 @@ pub fn per_anon(paper_count: f64) -> f64 {
     paper_count / PAPER_ANON
 }
 
-/// Scales a paper server-count (out of [`PAPER_FTP`]) to a probability.
-pub fn per_ftp(paper_count: f64) -> f64 {
-    paper_count / PAPER_FTP
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

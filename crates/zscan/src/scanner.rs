@@ -204,7 +204,7 @@ fn status_label(rank: u8) -> &'static str {
 ///
 /// Probe tracking is ZMap-style stateless: instead of a per-target hash
 /// map churning an insert and a remove per address, state lives in a
-/// flat [`ProbeSlot`] table indexed by the address's offset in
+/// flat `ProbeSlot` table indexed by the address's offset in
 /// `cfg.space` ([`Ipv4Net::index_of`]) — one allocation for the whole
 /// sweep, O(1) untouched lookups, nothing per host.
 #[derive(Debug)]

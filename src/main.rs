@@ -48,10 +48,11 @@
 //! Every subcommand except `explain` also takes `--seed S`. A flag the
 //! subcommand does not take, a value that does not parse, or a missing
 //! value is an error (exit code 2) that names the flag. So is input that
-//! would be ignored or cannot run: a zero `--shards`, `--batch-size`,
-//! `--timeseries-every` or `--pots`; `--faults` above 100; `--top` with
-//! anything but `gave-up` or `faults`, or with an address; `--servers`
-//! with `--scale`, or `--checkpoint-dir` with `--resume`;
+//! would be ignored or cannot run: a zero `--servers`, `--scale`,
+//! `--days`, `--shards`, `--batch-size`, `--timeseries-every` or
+//! `--pots`; `--faults` above 100; `--top` with anything but `gave-up`
+//! or `faults`, or with an address; `--servers` with `--scale`, or
+//! `--checkpoint-dir` with `--resume`;
 //! `--checkpoint-dir`, `--resume` or `--progress` without `--batch-size`,
 //! or `--timeseries-every` without `--timeseries`; and a `--servers` or
 //! `--scale` whose world does not fit its address space.
@@ -186,7 +187,15 @@ impl<'a> Args<'a> {
     /// thing, or a flag without the one it only works with.
     fn check_combinations(&self) -> Result<(), String> {
         let given = |name| self.text(name).is_some();
-        for name in ["--shards", "--batch-size", "--timeseries-every", "--pots"] {
+        for name in [
+            "--servers",
+            "--scale",
+            "--days",
+            "--shards",
+            "--batch-size",
+            "--timeseries-every",
+            "--pots",
+        ] {
             if self.number(name) == Some(0) {
                 return Err(format!("{name} must be at least 1"));
             }

@@ -77,6 +77,12 @@ fn input_that_would_be_ignored_is_refused() {
     );
     refused(&["study", "--batch-size", "0"], "--batch-size must be at least 1");
     refused(&["honeypot", "--pots", "0"], "--pots must be at least 1");
+    refused(&["honeypot", "--days", "0"], "--days must be at least 1");
+    refused(&["study", "--servers", "0"], "--servers must be at least 1");
+    refused(&["study", "--scale", "0"], "--scale must be at least 1");
+    for command in ["funnel", "certify", "verdicts", "notify"] {
+        refused(&[command, "--servers", "0"], "--servers must be at least 1");
+    }
     refused(&["funnel", "--faults", "150"], "--faults");
 }
 

@@ -9,7 +9,8 @@
 //! lands in, rows plus silent tallies account for every probed address,
 //! and `explain`-style summaries rebuilt from the journal alone agree
 //! with the study's own funnel. The journal itself is pinned: its exact
-//! text at K=1, and its normalized content at every geometry.
+//! text at K=1, and its normalized content at every geometry. So is the
+//! K=1 time series, byte for byte.
 
 use ftp_study::checkpoint::fnv1a;
 use ftp_study::{
@@ -108,6 +109,10 @@ fn streamed_report_is_identical_with_journaling_on() {
 /// host row and tally byte for byte.
 const JOURNAL_TEXT_DIGEST: u64 = 12_127_608_812_749_377_742;
 
+/// fnv1a of `Report::timeseries_csv` for the same K=1 hostile study:
+/// every sampled metric row byte for byte.
+const TIMESERIES_CSV_DIGEST: u64 = 7_755_980_719_193_154_476;
+
 /// fnv1a of the normalized host rows in address order followed by the
 /// silent total; every shard count and batch geometry must hit it.
 const NORMALIZED_DIGEST: u64 = 5_978_285_795_313_635_603;
@@ -135,23 +140,24 @@ fn normalized_digest((rows, silent): &(Vec<ParsedJournal>, u64)) -> u64 {
 /// wall/sim-time fields that [`ParsedJournal::normalized`] zeroes —
 /// whether it was recorded by the in-memory runner at K=1 or K=8, or by
 /// the streaming runner in any batch geometry; so is the number of
-/// silent addresses. Both the K=1 text and the normalized content are
-/// pinned.
+/// silent addresses. The K=1 text, the K=1 time series and the
+/// normalized content are pinned.
 #[test]
 fn journal_content_is_partition_invariant_modulo_time() {
-    let in_memory = |shards: u64| -> (String, JournalFile) {
-        let report = study(0.5, shards, true);
-        let text = report.obs.expect("collection requested").journal_jsonl();
+    let in_memory = |shards: u64| -> (String, String, JournalFile) {
+        let report = study(0.5, shards, true).obs.expect("collection requested");
+        let text = report.journal_jsonl();
         let file = ParsedJournal::parse_file(&text).expect("in-memory journal parses");
-        (text, file)
+        (text, report.timeseries_csv(), file)
     };
 
-    let (k1_text, k1_file) = in_memory(1);
+    let (k1_text, k1_series, k1_file) = in_memory(1);
     assert_eq!(fnv1a(k1_text.as_bytes()), JOURNAL_TEXT_DIGEST, "K=1 journal text drifted");
+    assert_eq!(fnv1a(k1_series.as_bytes()), TIMESERIES_CSV_DIGEST, "K=1 time series drifted");
     let k1 = normalized(&k1_file);
     assert_eq!(normalized_digest(&k1), NORMALIZED_DIGEST, "K=1: normalized journal drifted");
 
-    let k8 = normalized(&in_memory(8).1);
+    let k8 = normalized(&in_memory(8).2);
     assert_eq!(
         k1.0.len() as u64 + k1.1,
         k8.0.len() as u64 + k8.1,

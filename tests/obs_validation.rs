@@ -200,6 +200,12 @@ fn strip_wall(line: &str) -> String {
     }
 }
 
+/// The value of the numeric field `key` in a trace line.
+fn field(line: &str, key: &str) -> u64 {
+    let at = line.find(key).unwrap_or_else(|| panic!("{key} missing: {line}")) + key.len();
+    line[at..].chars().take_while(char::is_ascii_digit).collect::<String>().parse().unwrap()
+}
+
 #[test]
 fn trace_is_schema_stable_and_deterministic_modulo_wall_time() {
     let first = study(0.1, 2, true);
@@ -226,20 +232,7 @@ fn trace_is_schema_stable_and_deterministic_modulo_wall_time() {
         }
 
         // Sequence numbers increase monotonically within a shard.
-        let shard_at = line.find("\"shard\":").unwrap() + 8;
-        let shard: u64 = line[shard_at..]
-            .chars()
-            .take_while(char::is_ascii_digit)
-            .collect::<String>()
-            .parse()
-            .unwrap();
-        let seq_at = line.find("\"seq\":").unwrap() + 6;
-        let seq: u64 = line[seq_at..]
-            .chars()
-            .take_while(char::is_ascii_digit)
-            .collect::<String>()
-            .parse()
-            .unwrap();
+        let (shard, seq) = (field(line, "\"shard\":"), field(line, "\"seq\":"));
         if let Some(prev) = last_seq_per_shard.insert(shard, seq) {
             assert!(seq > prev, "seq not monotonic in shard {shard}: {prev} then {seq}");
         }
@@ -256,6 +249,66 @@ fn trace_is_schema_stable_and_deterministic_modulo_wall_time() {
     // And the rendered JSONL document is just those lines joined.
     let doc = report.trace_jsonl();
     assert_eq!(doc.lines().count(), report.trace.len());
+}
+
+/// The in-memory runner is the streamed runner at one batch per shard:
+/// at K ∈ {1, 2}, `run_study_sharded` and `run_study_streamed` with one
+/// whole-world batch collect the same trace (modulo wall time), metrics,
+/// journal and time series. Every study runs on this test's thread, one
+/// after another, so a recorder that kept an earlier study's sim clock
+/// would show here too.
+#[test]
+fn in_memory_runner_is_the_streamed_runner_at_one_batch() {
+    let mut cfg = StudyConfig::small(SEED, SERVERS).with_fault_fraction(0.5);
+    cfg.obs =
+        obs::ObsConfig { journal: true, timeseries_every_us: 500_000, ..obs::ObsConfig::all() };
+    let trace = |report: &obs::Report| -> Vec<String> {
+        report.trace.iter().map(|l| strip_wall(l)).collect()
+    };
+    for shards in [1, 2] {
+        let in_memory = run_study_sharded(&cfg, shards).obs.expect("collection requested");
+        let opts = StreamOptions { shards, ..StreamOptions::new(usize::MAX) };
+        let streamed = match run_study_streamed(&cfg, &opts).expect("streamed run") {
+            StreamOutcome::Complete(r) => r.obs.expect("collection requested"),
+            StreamOutcome::Interrupted { .. } => panic!("no interrupt requested"),
+        };
+        assert!(!in_memory.journal.is_empty() && !in_memory.series.is_empty(), "K={shards}");
+        assert_eq!(trace(&in_memory), trace(&streamed), "K={shards}: trace");
+        assert_eq!(
+            in_memory.metrics.render_json(),
+            streamed.metrics.render_json(),
+            "K={shards}: metrics"
+        );
+        assert_eq!(in_memory.journal_jsonl(), streamed.journal_jsonl(), "K={shards}: journal");
+        assert_eq!(
+            in_memory.timeseries_csv(),
+            streamed.timeseries_csv(),
+            "K={shards}: time series"
+        );
+    }
+}
+
+/// Every batch restarts the sim clock at 0, and so must the recorder's
+/// published sim time, or a batch's first spans open at the previous
+/// batch's end time and end before they start.
+#[test]
+fn streamed_spans_never_end_before_they_start() {
+    let mut cfg = StudyConfig::small(SEED, SERVERS).with_fault_fraction(0.5);
+    cfg.obs = obs::ObsConfig::all();
+    let report = match run_study_streamed(&cfg, &StreamOptions::new(40)).expect("streamed run") {
+        StreamOutcome::Complete(r) => {
+            assert!(r.batches > 1, "several batches");
+            r.obs.expect("collection requested")
+        }
+        StreamOutcome::Interrupted { .. } => panic!("no interrupt requested"),
+    };
+    let mut spans = 0;
+    for line in report.trace.iter().filter(|l| l.starts_with("{\"type\":\"span\"")) {
+        spans += 1;
+        let (start, end) = (field(line, "\"sim_start_us\":"), field(line, "\"sim_end_us\":"));
+        assert!(start <= end, "span ends before it starts: {line}");
+    }
+    assert!(spans > 0, "trace has spans");
 }
 
 #[test]
