@@ -278,30 +278,37 @@ fn keep_checkpointed_lines(path: &Path, next_batches: &[u64]) -> std::io::Result
 /// wall-time or atomics — nothing here can feed back into sim results.
 struct Progress {
     start: std::time::Instant,
-    batches_done: AtomicU64,
-    hosts_done: AtomicU64,
+    /// Batches the checkpoints of earlier invocations cover.
+    resumed: u64,
+    /// Batches, and their hosts, run by this invocation.
+    batches_run: AtomicU64,
+    hosts_run: AtomicU64,
     total_batches: u64,
 }
 
 impl Progress {
-    fn new(total_batches: u64) -> Self {
+    fn new(total_batches: u64, resumed: u64) -> Self {
         Progress {
             start: std::time::Instant::now(),
-            batches_done: AtomicU64::new(0),
-            hosts_done: AtomicU64::new(0),
+            resumed,
+            batches_run: AtomicU64::new(0),
+            hosts_run: AtomicU64::new(0),
             total_batches,
         }
     }
 
-    /// Records one finished batch and emits a heartbeat line.
+    /// Records one finished batch and emits a heartbeat line. The batch
+    /// count includes the resumed batches; the host count, the rate and
+    /// the ETA's pace cover only this invocation's, and the line says so.
     fn tick(&self, batch_hosts: u64) {
-        let done = self.batches_done.fetch_add(1, Ordering::Relaxed) + 1;
-        let hosts = self.hosts_done.fetch_add(batch_hosts, Ordering::Relaxed) + batch_hosts;
+        let run = self.batches_run.fetch_add(1, Ordering::Relaxed) + 1;
+        let hosts = self.hosts_run.fetch_add(batch_hosts, Ordering::Relaxed) + batch_hosts;
         let secs = self.start.elapsed().as_secs_f64().max(1e-9);
         let rate = hosts as f64 / secs;
-        let eta = secs / done as f64 * self.total_batches.saturating_sub(done) as f64;
+        let done = self.resumed + run;
+        let eta = secs / run as f64 * self.total_batches.saturating_sub(done) as f64;
         obs::diag!(
-            "progress: batches {done}/{} hosts {hosts} ({rate:.0} hosts/s) eta {eta:.0}s",
+            "progress: batches {done}/{} hosts {hosts} this run ({rate:.0} hosts/s) eta {eta:.0}s",
             self.total_batches,
         );
     }
@@ -504,7 +511,8 @@ pub fn run_study_streamed(
         }
         None => None,
     };
-    let progress = opts.progress.then(|| Progress::new(batches * opts.shards));
+    let resumed = starts.iter().map(|&(_, next)| next).sum();
+    let progress = opts.progress.then(|| Progress::new(batches * opts.shards, resumed));
     let seed = cfg.population.seed;
 
     let (runs, mut obs_report) = run_shards(cfg, opts.shards, |index| {

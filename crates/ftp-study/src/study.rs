@@ -54,8 +54,8 @@ pub struct StudyConfig {
     /// Schedule every discovery probe as its own simulator event instead
     /// of the default one-batch-per-pacing-tick drain (see
     /// [`zscan::ScanConfig::per_probe_events`]). Results are
-    /// byte-identical either way; the regression suite flips this to
-    /// prove it.
+    /// byte-identical either way; the equivalence matrix
+    /// (`tests/equivalence/mod.rs`) turns this on to prove it.
     pub per_probe_events: bool,
 }
 

@@ -22,8 +22,9 @@
 //! **Determinism contract.** A recorder observes the simulation and
 //! never writes back: no RNG access, no event scheduling, no visible
 //! side effects. Study output with a recorder installed must stay
-//! byte-identical to a run without one (`tests/obs_validation.rs`
-//! enforces this at K ∈ {1, 8} with and without faults).
+//! byte-identical to a run without one (the workspace's
+//! `tests/equivalence/mod.rs` holds both to one digest table at K ∈
+//! {1, 2, 8}, with and without faults).
 //!
 //! Separately from the hot-path recorder there is a cold-path **diag**
 //! channel ([`diag!`]) for operator-facing progress/warning lines.
@@ -579,6 +580,18 @@ mod tests {
         assert_eq!(report.metrics.hist(Hist::SessionRequests).count, 1);
         assert_eq!(report.metrics.gauge(Gauge::MaxActiveSessions), 9);
         assert!(uninstall().is_none());
+    }
+
+    /// A recorder installed after another on the same thread stamps from
+    /// sim time 0, not from where the earlier run's clock stopped.
+    #[test]
+    fn install_restarts_the_sim_clock() {
+        install(Box::new(CollectingRecorder::new(0, false)));
+        set_sim_now(5_000);
+        let _ = uninstall();
+        install(Box::new(CollectingRecorder::new(0, false)));
+        assert_eq!(sim_now(), 0);
+        let _ = uninstall();
     }
 
     #[test]

@@ -95,8 +95,9 @@ pub struct ScanConfig {
     /// Schedule each probe as its own simulator event instead of the
     /// default batched [`netsim::Ctx::probe_batch`] per pacing tick.
     /// The two paths are byte-identical in every observable (results,
-    /// callback order, RNG stream); this knob exists so the regression
-    /// suite can prove that, and as an escape hatch while doing so.
+    /// callback order, RNG stream); this knob exists so the workspace's
+    /// equivalence matrix (`tests/equivalence/mod.rs`), which turns it on,
+    /// can prove that, and as an escape hatch while doing so.
     pub per_probe_events: bool,
 }
 

@@ -54,12 +54,13 @@
 //! or `faults`, or with an address; `--servers` with `--scale`, or
 //! `--checkpoint-dir` with `--resume`;
 //! `--checkpoint-dir`, `--resume` or `--progress` without `--batch-size`,
-//! or `--timeseries-every` without `--timeseries`; and a `--servers` or
-//! `--scale` whose world does not fit its address space.
+//! or `--timeseries-every` without `--timeseries`; a `--resume`
+//! directory that holds no checkpoint of the run's shards; and a
+//! `--servers` or `--scale` whose world does not fit its address space.
 
 use ftp_study::{
-    run_study, run_study_sharded, run_study_streamed, tables, StreamOptions, StreamOutcome,
-    StudyConfig,
+    run_study, run_study_sharded, run_study_streamed, tables, Checkpoint, StreamOptions,
+    StreamOutcome, StudyConfig,
 };
 use worldgen::PopulationSpec;
 
@@ -333,6 +334,20 @@ fn refuse_unplannable(spec: &PopulationSpec, flag: &str) {
     }
 }
 
+/// Exits 2, naming `--resume`, when `dir` holds no checkpoint of any of
+/// the run's `shards`: there is nothing to continue, and starting over
+/// would overwrite the journal. `--checkpoint-dir` starts or continues.
+fn refuse_nothing_to_resume(dir: &std::path::Path, shards: u64) {
+    if !(0..shards).any(|shard| dir.join(Checkpoint::file_name(shard)).exists()) {
+        eprintln!(
+            "error: --resume {}: no checkpoint of a {shards}-shard run to continue \
+             (start one with --checkpoint-dir)",
+            dir.display()
+        );
+        std::process::exit(2);
+    }
+}
+
 /// The small-world study of `funnel`, `certify`, `verdicts` and
 /// `notify`: `--servers` hosts (`default` without it), refused before
 /// it is built if it cannot be planned.
@@ -438,6 +453,9 @@ fn main() {
             let checkpoint_dir = args.text("--checkpoint-dir");
             let resume = args.text("--resume");
             let obs_cli = obs_flags(&args);
+            if let Some(dir) = resume {
+                refuse_nothing_to_resume(std::path::Path::new(dir), shards);
+            }
 
             // --servers sizes the world directly (the million-host
             // entry point); --scale keeps the paper-ratio sizing.

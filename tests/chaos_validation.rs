@@ -10,6 +10,8 @@
 //! the population is. These tests run the identical world at 0%, 10%,
 //! and 50% fault intensity and hold the pipeline to that claim.
 
+mod equivalence;
+
 use ftp_study::{run_study, StudyConfig, StudyResults};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -162,14 +164,10 @@ fn clean_host_records_are_identical_across_intensities() {
     assert!(compared > SERVERS / 3, "too few clean hosts compared: {compared}");
 }
 
-/// Same seed, same hostile world, twice: the 50%-faulty study is fully
-/// deterministic, down to bounce hits and the funnel.
+/// The 50%-faulty study is fully deterministic, down to bounce hits and
+/// the funnel: the hostile K=1 cell of the equivalence matrix
+/// (`equivalence/mod.rs`) hits the digests of a run in another process.
 #[test]
 fn fifty_percent_run_is_deterministic() {
-    let first = fifty();
-    let second = study_at(0.5);
-    assert_eq!(first.records, second.records);
-    assert_eq!(first.bounce_hits, second.bounce_hits);
-    assert_eq!(first.funnel(), second.funnel());
-    assert_eq!(first.summary(), second.summary());
+    equivalence::run(&[equivalence::cell(0.5, 1, equivalence::Run::InMemory)]);
 }

@@ -1,22 +1,27 @@
 //! Crash-recovery guarantees of the streaming study runner.
 //!
 //! A streamed shard checkpoints its aggregate and next-batch cursor
-//! after every batch. These tests kill the run after *every possible*
-//! batch boundary (via the `interrupt_after_batches` hook, which stops
-//! exactly where a SIGKILL between batches would), resume from the
-//! checkpoint directory, and demand a final report byte-identical to an
-//! uninterrupted run. They also hold the loader to its promise that
-//! damaged checkpoints — truncated, edited, garbage, or from a
-//! different configuration — fail with actionable diagnostics, never
-//! panics.
+//! after every batch. The first four tests run the resumed cells of the
+//! equivalence matrix (`equivalence/mod.rs`): a run killed after a
+//! batch (via the `interrupt_after_batches` hook, which stops exactly
+//! where a SIGKILL between batches would) and resumed from its
+//! checkpoints must end in the report and journal the matrix table
+//! pins for an uninterrupted run. The rest hold the loader to its
+//! promise that damaged checkpoints (truncated, edited, garbage, or
+//! from a different configuration) fail with actionable diagnostics,
+//! never panics, and hold a resumed run's progress heartbeat to the
+//! batches the checkpoints already cover.
 
+mod equivalence;
+
+use equivalence::{cell, Run};
 use ftp_study::{
-    run_study_streamed, stream_report, Checkpoint, CheckpointError, StreamError, StreamOptions,
-    StreamOutcome, StreamResults, StudyConfig,
+    run_study_streamed, Checkpoint, CheckpointError, StreamError, StreamOptions, StreamOutcome,
+    StudyConfig,
 };
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
+use std::sync::Mutex;
 
 const SEED: u64 = 4242;
 const SERVERS: usize = 90;
@@ -38,100 +43,32 @@ fn run(opts: &StreamOptions) -> StreamOutcome {
     run_study_streamed(&config(), opts).expect("streamed study runs")
 }
 
-fn complete(outcome: StreamOutcome) -> StreamResults {
-    match outcome {
-        StreamOutcome::Complete(results) => *results,
-        StreamOutcome::Interrupted { next_batches } => {
-            panic!("expected completion, interrupted at {next_batches:?}")
-        }
-    }
-}
-
-/// Uninterrupted single-shard reference run (no checkpointing).
-fn reference() -> &'static (StreamResults, String) {
-    static CELL: OnceLock<(StreamResults, String)> = OnceLock::new();
-    CELL.get_or_init(|| {
-        let results = complete(run(&StreamOptions::new(BATCH_SIZE)));
-        let report = stream_report(&results.aggregate, &results.spec);
-        (results, report)
-    })
-}
-
-/// Kill after every batch boundary in turn; each resumed run must end
-/// in a byte-identical report.
+/// A K=1 run stopped after every batch boundary in turn.
 #[test]
 fn resume_from_every_batch_boundary_is_byte_identical() {
-    let (reference, reference_report) = reference();
-    assert!(reference.batches >= 2, "need a multi-batch geometry for this test to bite");
-
-    for stop_after in 0..reference.batches {
-        let dir = scratch(&format!("boundary-{stop_after}"));
-        let opts = StreamOptions {
-            checkpoint_dir: Some(dir.clone()),
-            interrupt_after_batches: Some(stop_after),
-            ..StreamOptions::new(BATCH_SIZE)
-        };
-        match run(&opts) {
-            StreamOutcome::Interrupted { next_batches } => {
-                assert_eq!(next_batches, vec![stop_after], "cursor after simulated crash")
-            }
-            StreamOutcome::Complete(_) => panic!("interrupt at {stop_after} did not fire"),
-        }
-
-        let resumed = complete(run(&StreamOptions {
-            checkpoint_dir: Some(dir.clone()),
-            ..StreamOptions::new(BATCH_SIZE)
-        }));
-        let report = stream_report(&resumed.aggregate, &resumed.spec);
-        assert_eq!(
-            &report, reference_report,
-            "resumed report diverged after stopping at batch {stop_after}"
-        );
-        fs::remove_dir_all(&dir).ok();
-    }
+    equivalence::run(&[cell(0.0, 1, Run::Resumed)]);
 }
 
-/// Resuming a run that already finished is a cheap no-op with the same
-/// answer: every shard's cursor is already at `batches`.
+/// Every resumed cell resumes once more after finishing; its journal
+/// must not change.
 #[test]
 fn resume_after_completion_is_idempotent() {
-    let (_, reference_report) = reference();
-    let dir = scratch("idempotent");
-    let opts =
-        StreamOptions { checkpoint_dir: Some(dir.clone()), ..StreamOptions::new(BATCH_SIZE) };
-    let first = complete(run(&opts));
-    let again = complete(run(&opts));
-    assert_eq!(first.aggregate, again.aggregate, "re-run from finished checkpoints diverged");
-    assert_eq!(&stream_report(&again.aggregate, &again.spec), reference_report);
-    fs::remove_dir_all(&dir).ok();
+    equivalence::run(&[cell(0.5, 8, Run::Resumed)]);
 }
 
-/// Multi-shard crash/resume: each shard keeps its own cursor file.
+/// Each shard keeps its own cursor file: K=8, stopped after one batch
+/// per shard, its journal file ending with the lines pinned for K=8.
 #[test]
 fn multi_shard_resume_is_byte_identical() {
-    let (_, reference_report) = reference();
-    let dir = scratch("multishard");
-    let interrupted = StreamOptions {
-        shards: 4,
-        checkpoint_dir: Some(dir.to_path_buf()),
-        interrupt_after_batches: Some(1),
-        ..StreamOptions::new(BATCH_SIZE)
-    };
-    if let StreamOutcome::Interrupted { next_batches } = run(&interrupted) {
-        assert_eq!(next_batches.len(), 4, "one cursor per shard");
-    }
+    equivalence::run(&[cell(0.0, 8, Run::Resumed)]);
+}
 
-    let resumed = complete(run(&StreamOptions {
-        shards: 4,
-        checkpoint_dir: Some(dir.clone()),
-        ..StreamOptions::new(BATCH_SIZE)
-    }));
-    assert_eq!(
-        &stream_report(&resumed.aggregate, &resumed.spec),
-        reference_report,
-        "4-shard resumed report diverged from the single-shard reference"
-    );
-    fs::remove_dir_all(&dir).ok();
+/// The lines of checkpointed cells stay, an unfinished batch's line and
+/// a torn one are dropped, and the resumed run's journal file ends as
+/// an uninterrupted run's.
+#[test]
+fn resumed_journal_equals_an_uninterrupted_run() {
+    equivalence::run(&[cell(0.5, 1, Run::Resumed)]);
 }
 
 /// Leaves an interrupted run's checkpoint in `dir` and returns its
@@ -234,81 +171,48 @@ fn checkpoint_from_other_configuration_is_refused() {
     fs::remove_dir_all(&dir).ok();
 }
 
-/// `--journal` survives a resume: the lines of checkpointed cells stay,
-/// anything else in the file is dropped, and the resumed run appends
-/// the rest, ending equal to an uninterrupted run's journal —
-/// byte-identical at one shard, the same lines at two (shards append
-/// concurrently). Resuming a finished run leaves the journal untouched.
+/// A resumed run's progress heartbeat counts the batches its
+/// checkpoints cover as done: it goes on from there to the last batch,
+/// where no time is left. Its host count covers only the hosts it ran
+/// itself, and says so.
 #[test]
-fn resumed_journal_equals_an_uninterrupted_run() {
-    let mut cfg = config();
-    cfg.obs = obs::ObsConfig { journal: true, ..obs::ObsConfig::default() };
-    // Smaller batches than the other tests, so some remain after three.
-    let opts = |shards, checkpoint_dir: Option<&Path>, interrupt, journal: &Path| StreamOptions {
-        shards,
-        checkpoint_dir: checkpoint_dir.map(Path::to_path_buf),
-        interrupt_after_batches: interrupt,
-        journal_path: Some(journal.to_path_buf()),
-        ..StreamOptions::new(BATCH_SIZE / 3)
-    };
-    let stream =
-        |opts: &StreamOptions| run_study_streamed(&cfg, opts).expect("streamed study runs");
-    let sorted_lines = |text: &str| {
-        let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
-        lines.sort();
-        lines
-    };
-
-    for shards in [1, 2] {
-        let dir = scratch(&format!("journal-k{shards}"));
-        fs::create_dir_all(&dir).unwrap();
-        let reference_path = dir.join("reference.jsonl");
-        let reference_run = complete(stream(&opts(shards, None, None, &reference_path)));
-        assert!(reference_run.batches > 3, "need batches left after the interrupt");
-        let reference = fs::read_to_string(&reference_path).unwrap();
-        assert!(!reference.is_empty(), "journaling requested, lines written");
-
-        let checkpoints = dir.join("checkpoints");
-        let path = dir.join("resumed.jsonl");
-        match stream(&opts(shards, Some(&checkpoints), Some(3), &path)) {
-            StreamOutcome::Interrupted { next_batches } => {
-                assert_eq!(next_batches, vec![3; shards as usize], "cursors after the interrupt")
-            }
-            StreamOutcome::Complete(_) => panic!("interrupt after 3 batches did not fire"),
+fn resumed_progress_counts_checkpointed_batches() {
+    static LINES: Mutex<Vec<String>> = Mutex::new(Vec::new());
+    struct Collect;
+    impl obs::DiagSink for Collect {
+        fn line(&self, msg: &str) {
+            LINES.lock().unwrap().push(msg.to_owned());
         }
-        if shards == 1 {
-            // A crash after flushing batch 3 but before checkpointing it
-            // leaves that batch's lines, possibly torn, after the
-            // checkpointed ones; the resume must drop them.
-            let unfinished = reference
-                .lines()
-                .find(|line| obs::ParsedJournal::cell(line) == Some((0, 3)))
-                .expect("batch 3 journals a host");
-            let mut text = fs::read_to_string(&path).unwrap();
-            text.push_str(unfinished);
-            text.push('\n');
-            text.push_str(&unfinished[..unfinished.len() / 2]);
-            fs::write(&path, text).unwrap();
-        }
-
-        complete(stream(&opts(shards, Some(&checkpoints), None, &path)));
-        let resumed = fs::read_to_string(&path).unwrap();
-        if shards == 1 {
-            assert_eq!(resumed, reference, "resumed single-shard journal must be byte-identical");
-        } else {
-            assert_eq!(
-                sorted_lines(&resumed),
-                sorted_lines(&reference),
-                "resumed {shards}-shard journal must hold the same lines"
-            );
-        }
-
-        complete(stream(&opts(shards, Some(&checkpoints), None, &path)));
-        assert_eq!(
-            fs::read_to_string(&path).unwrap(),
-            resumed,
-            "resuming a finished run must leave the journal untouched"
-        );
-        fs::remove_dir_all(&dir).ok();
     }
+    obs::set_diag(Box::new(Collect));
+
+    let dir = scratch("progress");
+    let opts = StreamOptions {
+        checkpoint_dir: Some(dir.clone()),
+        progress: true,
+        ..StreamOptions::new(BATCH_SIZE)
+    };
+    let first = StreamOptions { interrupt_after_batches: Some(1), ..opts.clone() };
+    assert!(matches!(run(&first), StreamOutcome::Interrupted { .. }), "interrupt fires");
+    let results = match run(&opts) {
+        StreamOutcome::Complete(results) => results,
+        StreamOutcome::Interrupted { .. } => panic!("no interrupt requested"),
+    };
+    let lines: Vec<String> =
+        LINES.lock().unwrap().iter().filter(|l| l.starts_with("progress:")).cloned().collect();
+    let batches = results.batches;
+    assert!(batches > 2, "need batches left after the checkpointed one");
+    assert_eq!(lines.len() as u64, batches, "one line per batch of either run: {lines:?}");
+    for (line, done) in lines.iter().zip(1..) {
+        let prefix = format!("progress: batches {done}/{batches} hosts ");
+        assert!(line.starts_with(&prefix), "expected {prefix:?}, got {line:?}");
+        assert!(line.contains(" this run ("), "the host count names its scope: {line:?}");
+    }
+    let hosts = |line: &str| -> u64 {
+        line["progress: batches ".len()..].split(' ').nth(2).unwrap().parse().unwrap()
+    };
+    let (interrupted, resumed) = (hosts(&lines[0]), hosts(lines.last().unwrap()));
+    assert_eq!(interrupted + resumed, results.aggregate.summary.hosts, "{lines:?}");
+    assert!(lines.last().unwrap().ends_with(" eta 0s"), "{lines:?}");
+    fs::remove_dir_all(&dir).ok();
 }

@@ -86,6 +86,28 @@ fn input_that_would_be_ignored_is_refused() {
     refused(&["funnel", "--faults", "150"], "--faults");
 }
 
+/// `--resume` continues a checkpointed run. A directory without a
+/// checkpoint of the run's shards, missing or empty, is refused before
+/// the world is built: starting over would checkpoint into it and
+/// overwrite the journal, so both stay as they were.
+#[test]
+fn resume_without_a_checkpoint_is_refused() {
+    let dir = std::env::temp_dir().join(format!("ftpcloud-cli-resume-{}", std::process::id()));
+    let journal = dir.with_extension("jsonl");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::write(&journal, "kept\n").unwrap();
+    let paths = (dir.to_str().expect("UTF-8"), journal.to_str().expect("UTF-8"));
+    let args = ["study", "--servers", "300", "--batch-size", "100", "--journal", paths.1];
+    refused(&[&args[..], &["--resume", paths.0]].concat(), "--resume");
+    assert!(!dir.exists(), "a missing directory stays missing");
+    std::fs::create_dir(&dir).unwrap();
+    refused(&[&args[..], &["--shards", "2", "--resume", paths.0]].concat(), "--resume");
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "an empty directory stays empty");
+    assert_eq!(std::fs::read_to_string(&journal).unwrap(), "kept\n", "the journal is kept");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_file(&journal).ok();
+}
+
 /// `--top` is checked with the other flags, before the journal is
 /// opened: these paths do not exist, so a late check would exit 1.
 #[test]

@@ -1,68 +1,37 @@
-//! Batched-probe byte-identity: the tentpole guarantee of the batched
-//! drain path.
+//! Batched-probe byte-identity: the guarantee of the batched drain
+//! path.
 //!
 //! Host discovery schedules, by default, one timer-wheel entry per
-//! pacing tick carrying the whole probe burst (`Ctx::probe_batch` +
-//! the wheel's same-slot batch drain). `ScanConfig::per_probe_events`
-//! keeps the old one-event-per-probe formulation alive exactly so this
-//! suite can hold the two paths to byte identity: same results, same
-//! callback order, same RNG stream — batching is a pure scheduling
-//! optimization, observable in event counts and nowhere else.
-//!
-//! Coverage is the full study pipeline (not just the scanner), across
-//! shard counts K ∈ {1, 8} and fault intensities {0%, 50%}, because
-//! both sharding and hostile worlds reshuffle *when* probe answers
-//! interleave with enumeration traffic.
+//! pacing tick carrying the whole probe burst. `per_probe_events`
+//! keeps the one-event-per-probe formulation alive so that these tests
+//! can run it: its cells of the equivalence matrix (`equivalence/mod.rs`)
+//! must hit the same committed results and reports as every batched
+//! run. Batching is a pure scheduling optimization, observable in event
+//! counts and nowhere else. Coverage is the full study pipeline at
+//! K ∈ {1, 8} shards, clean and at 50% faults, because both sharding
+//! and hostile worlds reshuffle when probe answers interleave with
+//! enumeration traffic.
 
-use ftp_study::{run_study_sharded, StudyConfig, StudyResults};
+mod equivalence;
 
-const SEED: u64 = 9402;
-const SERVERS: usize = 250;
-
-fn study(fraction: f64, shards: u64, per_probe: bool) -> StudyResults {
-    let mut cfg = StudyConfig::small(SEED, SERVERS).with_fault_fraction(fraction);
-    cfg.per_probe_events = per_probe;
-    run_study_sharded(&cfg, shards)
-}
-
-/// Field-by-field byte identity of two study results, ground truth
-/// included (mirrors the shard-determinism suite's comparison).
-fn assert_identical(a: &StudyResults, b: &StudyResults, label: &str) {
-    assert_eq!(a.ips_scanned, b.ips_scanned, "{label}: ips_scanned");
-    assert_eq!(a.open_port, b.open_port, "{label}: open_port");
-    assert_eq!(a.records.len(), b.records.len(), "{label}: record count");
-    for (x, y) in a.records.iter().zip(&b.records) {
-        assert_eq!(x, y, "{label}: record diverged at {}", x.ip);
-    }
-    assert_eq!(a.bounce_hits, b.bounce_hits, "{label}: bounce hits");
-    assert_eq!(a.http, b.http, "{label}: http observations");
-    assert_eq!(a.funnel(), b.funnel(), "{label}: funnel");
-    assert_eq!(a.summary(), b.summary(), "{label}: run summary");
-}
-
-fn batched_matches_per_probe(fraction: f64, shards: u64, label: &str) {
-    let batched = study(fraction, shards, false);
-    let per_probe = study(fraction, shards, true);
-    assert!(!batched.records.is_empty(), "{label}: world produced no records");
-    assert_identical(&batched, &per_probe, label);
-}
+use equivalence::{cell, run, Run};
 
 #[test]
 fn batched_drain_is_invisible_on_a_clean_world() {
-    batched_matches_per_probe(0.0, 1, "clean, K=1");
+    run(&[cell(0.0, 1, Run::PerProbe)]);
 }
 
 #[test]
 fn batched_drain_is_invisible_on_a_clean_sharded_world() {
-    batched_matches_per_probe(0.0, 8, "clean, K=8");
+    run(&[cell(0.0, 8, Run::PerProbe)]);
 }
 
 #[test]
 fn batched_drain_is_invisible_at_fifty_percent_faults() {
-    batched_matches_per_probe(0.5, 1, "50% faults, K=1");
+    run(&[cell(0.5, 1, Run::PerProbe)]);
 }
 
 #[test]
 fn batched_drain_is_invisible_at_fifty_percent_faults_sharded() {
-    batched_matches_per_probe(0.5, 8, "50% faults, K=8");
+    run(&[cell(0.5, 8, Run::PerProbe)]);
 }

@@ -3,100 +3,46 @@
 //!
 //! `run_study_sharded` partitions the population space by a hash of
 //! `(seed, ip)`, runs one private simulator per shard, and merges the
-//! outputs. The guarantee under test: the merged `StudyResults` is
-//! **byte-identical for every shard count** — parallelism is a pure
-//! performance knob, observable in wall-clock time and nowhere else.
-//! These tests hold K ∈ {1, 2, 8} to that claim on clean worlds, under
-//! 10% and 50% fault injection, and across repeat runs.
+//! outputs. The merged `StudyResults` must be byte-identical for every
+//! shard count: parallelism is a pure performance knob, observable in
+//! wall-clock time and nowhere else. These tests run the recorder-off
+//! in-memory cells of the equivalence matrix (`equivalence/mod.rs`) at
+//! K ∈ {1, 2, 8}, clean and at 10% and 50% faults, and hold each to its
+//! row of the matrix's committed table, captured from a K=1 run. A
+//! repeat run must hit the digests a run in another process committed,
+//! and every in-memory cell checks that records, ground truth and the
+//! non-FTP list come out sorted by address.
 
-use ftp_study::{run_study_sharded, StudyConfig, StudyResults};
-use std::sync::OnceLock;
+mod equivalence;
 
-const SEED: u64 = 7177;
-const SERVERS: usize = 300;
-
-fn study(fraction: f64, shards: u64) -> StudyResults {
-    run_study_sharded(&StudyConfig::small(SEED, SERVERS).with_fault_fraction(fraction), shards)
-}
-
-/// K=1 baselines, computed once per fault intensity.
-fn baseline(fraction: f64) -> &'static StudyResults {
-    static CLEAN: OnceLock<StudyResults> = OnceLock::new();
-    static TEN: OnceLock<StudyResults> = OnceLock::new();
-    static FIFTY: OnceLock<StudyResults> = OnceLock::new();
-    let cell = if fraction == 0.0 {
-        &CLEAN
-    } else if fraction == 0.1 {
-        &TEN
-    } else {
-        &FIFTY
-    };
-    cell.get_or_init(|| study(fraction, 1))
-}
-
-/// Field-by-field byte identity of two study results, ground truth
-/// included.
-fn assert_identical(a: &StudyResults, b: &StudyResults, label: &str) {
-    assert_eq!(a.ips_scanned, b.ips_scanned, "{label}: ips_scanned");
-    assert_eq!(a.open_port, b.open_port, "{label}: open_port");
-    assert_eq!(a.records.len(), b.records.len(), "{label}: record count");
-    for (x, y) in a.records.iter().zip(&b.records) {
-        assert_eq!(x, y, "{label}: record diverged at {}", x.ip);
-    }
-    assert_eq!(a.bounce_hits, b.bounce_hits, "{label}: bounce hits");
-    assert_eq!(a.http, b.http, "{label}: http observations");
-    assert_eq!(a.funnel(), b.funnel(), "{label}: funnel");
-    assert_eq!(a.summary(), b.summary(), "{label}: run summary");
-    assert_eq!(a.truth.hosts.len(), b.truth.hosts.len(), "{label}: truth host count");
-    for (x, y) in a.truth.hosts.iter().zip(&b.truth.hosts) {
-        assert_eq!(x, y, "{label}: ground truth diverged at {}", x.ip);
-    }
-    assert_eq!(a.truth.non_ftp_open, b.truth.non_ftp_open, "{label}: non-FTP population");
-}
+use equivalence::{cell, run, Run};
 
 #[test]
 fn two_shards_match_single_threaded_run() {
-    assert_identical(baseline(0.0), &study(0.0, 2), "clean, K=2");
+    run(&[cell(0.0, 2, Run::InMemory)]);
 }
 
 #[test]
 fn eight_shards_match_single_threaded_run() {
-    assert_identical(baseline(0.0), &study(0.0, 8), "clean, K=8");
+    run(&[cell(0.0, 8, Run::InMemory)]);
 }
 
 #[test]
 fn sharding_is_invisible_at_ten_percent_faults() {
-    assert_identical(baseline(0.1), &study(0.1, 2), "10% faults, K=2");
-    assert_identical(baseline(0.1), &study(0.1, 8), "10% faults, K=8");
+    run(&[cell(0.1, 1, Run::InMemory), cell(0.1, 2, Run::InMemory), cell(0.1, 8, Run::InMemory)]);
 }
 
 #[test]
 fn sharding_is_invisible_at_fifty_percent_faults() {
-    assert_identical(baseline(0.5), &study(0.5, 8), "50% faults, K=8");
+    run(&[cell(0.5, 8, Run::InMemory)]);
 }
 
 #[test]
 fn repeat_sharded_runs_are_stable() {
-    // Thread scheduling must not leak into results: the same sharded
-    // run twice — including a hostile world — produces the same bytes.
-    let first = study(0.5, 2);
-    let second = study(0.5, 2);
-    assert_identical(&first, &second, "repeat, 50% faults, K=2");
-    assert_identical(baseline(0.5), &first, "50% faults, K=2 vs K=1");
+    run(&[cell(0.5, 2, Run::InMemory)]);
 }
 
 #[test]
 fn results_are_canonically_ordered() {
-    // The merge contract: records and ground truth sorted by IP at
-    // every K, so downstream consumers never see shard boundaries.
-    let s = baseline(0.0);
-    assert!(s.records.windows(2).all(|w| w[0].ip < w[1].ip), "records not sorted");
-    assert!(
-        s.truth.hosts.windows(2).all(|w| w[0].ip < w[1].ip),
-        "truth hosts not sorted"
-    );
-    assert!(
-        s.truth.non_ftp_open.windows(2).all(|w| w[0] < w[1]),
-        "non-FTP addresses not sorted"
-    );
+    run(&[cell(0.0, 1, Run::InMemory)]);
 }
