@@ -268,49 +268,6 @@ pub fn os_root_of(record: &HostRecord) -> Option<OsRoot> {
     None
 }
 
-/// Scripting-source exposure (§V): counts of `.htaccess` files and
-/// server-side script sources.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ScriptExposure {
-    /// `.htaccess` files seen.
-    pub htaccess_files: u64,
-    /// Servers with `.htaccess`.
-    pub htaccess_servers: u64,
-    /// Server-side script sources (`.php`, `.asp`, `.aspx`, `.cgi`, `.pl`, `.jsp`).
-    pub script_files: u64,
-    /// Servers with script sources.
-    pub script_servers: u64,
-}
-
-/// Computes §V's scripting-source statistics.
-pub fn scripting_exposure(records: &[HostRecord]) -> ScriptExposure {
-    let mut out = ScriptExposure::default();
-    for r in records.iter().filter(|r| r.is_anonymous()) {
-        let mut ht = 0;
-        let mut sc = 0;
-        for f in r.files.iter().filter(|f| !f.is_dir) {
-            if f.name() == ".htaccess" {
-                ht += 1;
-            }
-            if matches!(
-                f.extension(),
-                Some("php" | "asp" | "aspx" | "cgi" | "pl" | "jsp" | "php3" | "php5")
-            ) {
-                sc += 1;
-            }
-        }
-        out.htaccess_files += ht;
-        out.script_files += sc;
-        if ht > 0 {
-            out.htaccess_servers += 1;
-        }
-        if sc > 0 {
-            out.script_servers += 1;
-        }
-    }
-    out
-}
-
 /// Exposure classes for the Table X breakout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ExposureClass {
@@ -371,31 +328,20 @@ pub fn device_breakout(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use enumerator::{FileEntry, FileTable, LoginOutcome};
+    use crate::testing::files;
+    use enumerator::LoginOutcome;
     use std::net::Ipv4Addr;
 
-    fn entry(path: &str, is_dir: bool, readability: Readability) -> FileEntry {
-        FileEntry {
-            path: path.to_owned(),
-            is_dir,
-            size: Some(1),
-            readability,
-            owner: None,
-            other_writable: None,
-        }
-    }
-
-    fn anon_record(files: Vec<FileEntry>) -> HostRecord {
+    fn anon_record<'a>(rows: impl IntoIterator<Item = (&'a str, bool, Readability)>) -> HostRecord {
         let mut r = HostRecord::new(Ipv4Addr::new(9, 9, 9, 9));
         r.ftp_compliant = true;
         r.login = LoginOutcome::Anonymous;
-        r.files = files.into();
+        r.files = files(rows);
         r
     }
 
     fn classify(path: &str) -> Option<SensitiveClass> {
-        let t: FileTable = vec![entry(path, false, Readability::Readable)].into();
-        SensitiveClass::of(t.get(0))
+        SensitiveClass::of(files([(path, false, Readability::Readable)]).get(0))
     }
 
     #[test]
@@ -422,10 +368,10 @@ mod tests {
 
     #[test]
     fn sensitive_exposure_readability_split() {
-        let r = anon_record(vec![
-            entry("/etc/shadow", false, Readability::NonReadable),
-            entry("/b/shadow.bak", false, Readability::Readable),
-            entry("/c/shadow-", false, Readability::Unknown),
+        let r = anon_record([
+            ("/etc/shadow", false, Readability::NonReadable),
+            ("/b/shadow.bak", false, Readability::Readable),
+            ("/c/shadow-", false, Readability::Unknown),
         ]);
         let table = sensitive_exposure(&[r]);
         let row = &table[&SensitiveClass::Shadow];
@@ -438,12 +384,12 @@ mod tests {
 
     #[test]
     fn extension_histogram_counts_files_and_servers() {
-        let a = anon_record(vec![
-            entry("/p/DSC_0001.JPG", false, Readability::Readable),
-            entry("/p/DSC_0002.JPG", false, Readability::Readable),
-            entry("/m/track.mp3", false, Readability::Readable),
+        let a = anon_record([
+            ("/p/DSC_0001.JPG", false, Readability::Readable),
+            ("/p/DSC_0002.JPG", false, Readability::Readable),
+            ("/m/track.mp3", false, Readability::Readable),
         ]);
-        let b = anon_record(vec![entry("/x/other.jpg", false, Readability::Readable)]);
+        let b = anon_record([("/x/other.jpg", false, Readability::Readable)]);
         let rows = extension_histogram(&[a, b], |_| true);
         let jpg = rows.iter().find(|r| r.extension == "jpg").unwrap();
         assert_eq!(jpg.files, 3);
@@ -453,63 +399,47 @@ mod tests {
 
     #[test]
     fn photo_library_threshold() {
-        let mut files = Vec::new();
-        for i in 0..49 {
-            files.push(entry(&format!("/p/DSC_{i:04}.JPG"), false, Readability::Readable));
-        }
-        let r = anon_record(files.clone());
-        assert!(!is_photo_library(&r, 50));
-        files.push(entry("/p/IMG_9999.jpg", false, Readability::Readable));
-        assert!(is_photo_library(&anon_record(files), 50));
+        let mut paths: Vec<String> = (0..49).map(|i| format!("/p/DSC_{i:04}.JPG")).collect();
+        let library = |paths: &[String]| {
+            anon_record(paths.iter().map(|p| (p.as_str(), false, Readability::Readable)))
+        };
+        assert!(!is_photo_library(&library(&paths), 50));
+        paths.push("/p/IMG_9999.jpg".into());
+        assert!(is_photo_library(&library(&paths), 50));
     }
 
     #[test]
     fn os_root_markers() {
-        let linux = anon_record(vec![
-            entry("/bin", true, Readability::Readable),
-            entry("/var", true, Readability::Readable),
-            entry("/boot", true, Readability::Readable),
-            entry("/etc", true, Readability::Readable),
+        let linux = anon_record([
+            ("/bin", true, Readability::Readable),
+            ("/var", true, Readability::Readable),
+            ("/boot", true, Readability::Readable),
+            ("/etc", true, Readability::Readable),
         ]);
         assert_eq!(os_root_of(&linux), Some(OsRoot::Linux));
-        let windows = anon_record(vec![
-            entry("/Windows", true, Readability::Unknown),
-            entry("/Program Files", true, Readability::Unknown),
-            entry("/Users", true, Readability::Unknown),
+        let windows = anon_record([
+            ("/Windows", true, Readability::Unknown),
+            ("/Program Files", true, Readability::Unknown),
+            ("/Users", true, Readability::Unknown),
         ]);
         assert_eq!(os_root_of(&windows), Some(OsRoot::Windows));
-        let partial = anon_record(vec![entry("/bin", true, Readability::Readable)]);
+        let partial = anon_record([("/bin", true, Readability::Readable)]);
         assert_eq!(os_root_of(&partial), None);
         // Markers below the top level don't count.
-        let nested = anon_record(vec![
-            entry("/x/bin", true, Readability::Readable),
-            entry("/x/var", true, Readability::Readable),
-            entry("/x/boot", true, Readability::Readable),
-            entry("/x/etc", true, Readability::Readable),
+        let nested = anon_record([
+            ("/x/bin", true, Readability::Readable),
+            ("/x/var", true, Readability::Readable),
+            ("/x/boot", true, Readability::Readable),
+            ("/x/etc", true, Readability::Readable),
         ]);
         assert_eq!(os_root_of(&nested), None);
     }
 
     #[test]
-    fn scripting_exposure_counts() {
-        let r = anon_record(vec![
-            entry("/www/.htaccess", false, Readability::Readable),
-            entry("/www/index.php", false, Readability::Readable),
-            entry("/www/app/db.php", false, Readability::Readable),
-            entry("/www/static.html", false, Readability::Readable),
-        ]);
-        let e = scripting_exposure(&[r]);
-        assert_eq!(e.htaccess_files, 1);
-        assert_eq!(e.htaccess_servers, 1);
-        assert_eq!(e.script_files, 2);
-        assert_eq!(e.script_servers, 1);
-    }
-
-    #[test]
     fn breakout_buckets_by_fingerprint() {
-        let mut nas = anon_record(vec![entry("/s/budget.qdf", false, Readability::Readable)]);
+        let mut nas = anon_record([("/s/budget.qdf", false, Readability::Readable)]);
         nas.banner = Some("QNAP NAS FTP server ready".into());
-        let mut generic = anon_record(vec![entry("/s/x.qdf", false, Readability::Readable)]);
+        let mut generic = anon_record([("/s/x.qdf", false, Readability::Readable)]);
         generic.banner = Some("ProFTPD 1.3.5 Server".into());
         let out = device_breakout(&[nas, generic]);
         let sens = &out[&ExposureClass::SensitiveDocuments];
@@ -519,13 +449,13 @@ mod tests {
 
     #[test]
     fn soho_filter() {
-        let mut r = anon_record(vec![]);
+        let mut r = anon_record([]);
         r.banner = Some("Buffalo LinkStation NAS FTP ready".into());
         assert!(is_soho(&r));
-        let mut h = anon_record(vec![]);
+        let mut h = anon_record([]);
         h.banner = Some("ProFTPD 1.3.5".into());
         assert!(!is_soho(&h));
-        let mut cpe = anon_record(vec![]);
+        let mut cpe = anon_record([]);
         cpe.banner = Some("FRITZ!Box with FTP access ready".into());
         assert!(!is_soho(&cpe), "provider CPE is not SOHO");
     }

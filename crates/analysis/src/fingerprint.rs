@@ -238,28 +238,6 @@ pub fn device_breakdown(records: &[HostRecord], provider_deployed: bool) -> Vec<
     rows
 }
 
-/// Table IV: device-class rollup `(class, total, anonymous)` over
-/// consumer devices.
-pub fn device_class_breakdown(records: &[HostRecord]) -> Vec<(String, u64, u64)> {
-    let mut map: std::collections::HashMap<DeviceClass, (u64, u64)> =
-        std::collections::HashMap::new();
-    for r in records.iter().filter(|r| r.ftp_compliant) {
-        if let Some(fp) = device_of(r) {
-            if !fp.provider_deployed {
-                let e = map.entry(fp.class).or_default();
-                e.0 += 1;
-                if r.is_anonymous() {
-                    e.1 += 1;
-                }
-            }
-        }
-    }
-    let mut rows: Vec<(String, u64, u64)> =
-        map.into_iter().map(|(c, (t, a))| (c.to_string(), t, a)).collect();
-    rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    rows
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -364,11 +342,17 @@ mod tests {
             record_with_banner("QNAP NAS FTP server ready", false),
             record_with_banner("FRITZ!Box with FTP access ready", false), // provider → excluded
         ];
-        let rows = device_class_breakdown(&records);
-        let printers = rows.iter().find(|r| r.0 == "Printer").unwrap();
-        assert_eq!(printers.1, 2);
-        assert_eq!(printers.2, 1);
-        assert!(rows.iter().all(|r| r.0 != "Provider CPE"));
+        // Table IV reads these rows off the aggregate.
+        let mut agg = crate::StreamingAggregate::default();
+        for r in &records {
+            agg.fold_record(r, false, None);
+        }
+        let row = |class| {
+            let ix = crate::stream::DEVICE_CLASS_ORDER.iter().position(|c| *c == class).unwrap();
+            agg.device_classes[ix]
+        };
+        assert_eq!(row(DeviceClass::Printer), (2, 1));
+        assert_eq!(row(DeviceClass::ProviderCpe), (0, 0), "provider CPE excluded");
     }
 
     #[test]

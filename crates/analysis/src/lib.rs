@@ -43,6 +43,8 @@ pub mod ftps;
 pub mod notify;
 pub mod report;
 pub mod stream;
+#[cfg(test)]
+mod testing;
 pub mod writable;
 
 pub use fingerprint::{classify, Classification, DeviceClass};

@@ -154,7 +154,8 @@ pub fn leaks_paths(digest_text: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use enumerator::{FileEntry, HostRecord, LoginOutcome};
+    use crate::testing::files;
+    use enumerator::{HostRecord, LoginOutcome};
     use ftp_proto::listing::Readability;
     use netsim::{AsKind, Ipv4Net};
     use std::net::Ipv4Addr;
@@ -169,7 +170,7 @@ mod tests {
         reg
     }
 
-    fn host(ip: [u8; 4], files: &[&str], bounce: bool) -> HostRecord {
+    fn host(ip: [u8; 4], paths: &[&str], bounce: bool) -> HostRecord {
         let mut r = HostRecord::new(Ipv4Addr::from(ip));
         r.ftp_compliant = true;
         r.login = LoginOutcome::Anonymous;
@@ -177,18 +178,7 @@ mod tests {
         if bounce {
             r.port_accepts_third_party = Some(true);
         }
-        r.files = files
-            .iter()
-            .map(|p| FileEntry {
-                path: p.to_string(),
-                is_dir: false,
-                size: Some(1),
-                readability: Readability::Readable,
-                owner: None,
-                other_writable: None,
-            })
-            .collect::<Vec<_>>()
-            .into();
+        r.files = files(paths.iter().map(|&p| (p, false, Readability::Readable)));
         r
     }
 

@@ -50,28 +50,6 @@ impl Table {
         self.rows.is_empty()
     }
 
-    /// Renders the table as CSV (caption omitted, header first) — for
-    /// plotting Figure 1 and machine-readable exports.
-    pub fn to_csv(&self) -> String {
-        let esc = |cell: &str| -> String {
-            if cell.contains(',') || cell.contains('"') {
-                format!("\"{}\"", cell.replace('"', "\"\""))
-            } else {
-                cell.to_owned()
-            }
-        };
-        let mut out = String::new();
-        for row in std::iter::once(&self.headers).chain(self.rows.iter()) {
-            if row.is_empty() {
-                continue;
-            }
-            let line: Vec<String> = row.iter().map(|c| esc(c)).collect();
-            out.push_str(&line.join(","));
-            out.push('\n');
-        }
-        out
-    }
-
     /// Renders the table.
     pub fn render(&self) -> String {
         let cols = self
@@ -177,18 +155,6 @@ mod tests {
         assert!(offsets.windows(2).all(|w| w[0] == w[1]), "{s}");
         assert_eq!(t.len(), 2);
         assert!(!t.is_empty());
-    }
-
-    #[test]
-    fn csv_export_escapes() {
-        let mut t = Table::new("cap").headers(["a", "b"]);
-        t.row(["plain", "with,comma"]);
-        t.row(["with\"quote", "x"]);
-        let csv = t.to_csv();
-        assert!(csv.starts_with("a,b\n"));
-        assert!(csv.contains("plain,\"with,comma\""));
-        assert!(csv.contains("\"with\"\"quote\",x"));
-        assert!(!csv.contains("cap"), "caption not in CSV");
     }
 
     #[test]

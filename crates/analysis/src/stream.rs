@@ -702,22 +702,12 @@ fn unescape(s: &str) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use enumerator::{FileEntry, LoginOutcome};
+    use crate::testing::files;
+    use enumerator::LoginOutcome;
     use ftp_proto::listing::Readability;
     use ftp_proto::HostPort;
     use std::collections::HashSet;
     use std::net::Ipv4Addr;
-
-    fn entry(path: &str, is_dir: bool, readability: Readability) -> FileEntry {
-        FileEntry {
-            path: path.to_owned(),
-            is_dir,
-            size: Some(1),
-            readability,
-            owner: None,
-            other_writable: None,
-        }
-    }
 
     /// A varied record set exercising every fold branch: devices,
     /// generic daemons with CVEs, hosting, campaigns, writable evidence,
@@ -732,15 +722,14 @@ mod tests {
         nas.login = LoginOutcome::Anonymous;
         nas.banner = Some("QNAP NAS FTP server ready".into());
         nas.requests_used = 37;
-        nas.files = vec![
-            entry("/p/DSC_0001.JPG", false, Readability::Readable),
-            entry("/p/DSC_0002.JPG", false, Readability::Readable),
-            entry("/etc/shadow", false, Readability::NonReadable),
-            entry("/up/sjutd.txt", false, Readability::Readable),
-            entry("/up/shell.php", false, Readability::Readable),
-            entry("/incoming/150618094301p", true, Readability::Readable),
-        ]
-        .into();
+        nas.files = files([
+            ("/p/DSC_0001.JPG", false, Readability::Readable),
+            ("/p/DSC_0002.JPG", false, Readability::Readable),
+            ("/etc/shadow", false, Readability::NonReadable),
+            ("/up/sjutd.txt", false, Readability::Readable),
+            ("/up/shell.php", false, Readability::Readable),
+            ("/incoming/150618094301p", true, Readability::Readable),
+        ]);
         nas.pasv_addr = Some(HostPort::new(Ipv4Addr::new(192, 168, 0, 9), 50_000));
         nas.port_accepts_third_party = Some(true);
         records.push(nas);
@@ -756,7 +745,7 @@ mod tests {
         generic.ftps.required_before_login = true;
         generic.ftps.cert = Some(simtls::SimCertificate::self_signed("localhost", 7));
         generic.port_accepts_third_party = Some(false);
-        generic.files = vec![entry("/w/Holy-Bible.html", false, Readability::Readable)].into();
+        generic.files = files([("/w/Holy-Bible.html", false, Readability::Readable)]);
         records.push(generic);
 
         // FileZilla host, hosting cert, not anonymous.

@@ -74,7 +74,8 @@ pub fn detect(records: &[HostRecord], registry: Option<&netsim::AsRegistry>) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use enumerator::{FileEntry, LoginOutcome};
+    use crate::testing::files;
+    use enumerator::LoginOutcome;
     use ftp_proto::listing::Readability;
 
     fn rec(ip: [u8; 4], names: &[&str], anon: bool) -> HostRecord {
@@ -83,18 +84,8 @@ mod tests {
         if anon {
             r.login = LoginOutcome::Anonymous;
         }
-        r.files = names
-            .iter()
-            .map(|n| FileEntry {
-                path: format!("/up/{n}"),
-                is_dir: false,
-                size: Some(1),
-                readability: Readability::Readable,
-                owner: None,
-                other_writable: None,
-            })
-            .collect::<Vec<_>>()
-            .into();
+        let paths: Vec<String> = names.iter().map(|n| format!("/up/{n}")).collect();
+        r.files = files(paths.iter().map(|p| (p.as_str(), false, Readability::Readable)));
         r
     }
 

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ftp_proto::listing::{self, ListingFormat};
-use ftp_proto::{Banner, Command, HostPort, Reply};
+use ftp_proto::{Banner, Command, HostPort, ReplyBuf};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -108,8 +108,10 @@ fn protocol_bench(c: &mut Criterion) {
         })
     });
     c.bench_function("reply_parse", |b| {
+        let mut replies = ReplyBuf::new();
         b.iter(|| {
-            black_box(Reply::parse_line("227 Entering Passive Mode (10,0,0,5,19,137).").unwrap())
+            let line = black_box("227 Entering Passive Mode (10,0,0,5,19,137).");
+            black_box(replies.push_line(line).unwrap().map(|r| r.code()))
         })
     });
     c.bench_function("pasv_extract", |b| {
@@ -137,17 +139,18 @@ fn protocol_bench(c: &mut Criterion) {
 }
 
 /// Ablation 4 micro-view: hardened vs strict-shaped reply handling cost
-/// (the tolerance is effectively free).
+/// (the tolerance is effectively free), through the enumerator's
+/// assembler.
 fn reply_tolerance_bench(c: &mut Criterion) {
     let clean = "230 Login successful";
     let quirky = "230Login successful"; // jammed text
     let mut g = c.benchmark_group("ablation_reply_tolerance");
-    g.bench_function("clean_line", |b| {
-        b.iter(|| black_box(Reply::parse_line(black_box(clean)).unwrap()))
-    });
-    g.bench_function("quirky_line", |b| {
-        b.iter(|| black_box(Reply::parse_line(black_box(quirky)).unwrap()))
-    });
+    for (label, line) in [("clean_line", clean), ("quirky_line", quirky)] {
+        g.bench_function(label, |b| {
+            let mut replies = ReplyBuf::new();
+            b.iter(|| black_box(replies.push_line(black_box(line)).unwrap().map(|r| r.code())))
+        });
+    }
     g.finish();
 }
 

@@ -106,41 +106,8 @@ pub struct RobotsInfo {
     pub denies_all: bool,
 }
 
-/// One file or directory observed during traversal.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FileEntry {
-    /// Full canonical path.
-    pub path: String,
-    /// True for directories.
-    pub is_dir: bool,
-    /// Size, when the listing exposed it.
-    pub size: Option<u64>,
-    /// The paper's three-way readability classification.
-    pub readability: Readability,
-    /// Owner column, when exposed (`ftp`, `root`, …).
-    pub owner: Option<String>,
-    /// All-users write bit, when permissions were exposed.
-    pub other_writable: Option<bool>,
-}
-
-impl FileEntry {
-    /// The file's name (final path component).
-    pub fn name(&self) -> &str {
-        self.path.rsplit('/').next().unwrap_or("")
-    }
-
-    /// Lower-cased extension without the dot, if any.
-    pub fn extension(&self) -> Option<String> {
-        let name = self.name();
-        let dot = name.rfind('.')?;
-        if dot == 0 || dot + 1 == name.len() {
-            return None;
-        }
-        Some(name[dot + 1..].to_ascii_lowercase())
-    }
-}
-
-/// A borrowed view of one [`FileTable`] row.
+/// One file or directory observed during traversal: a borrowed view of
+/// one [`FileTable`] row.
 ///
 /// `Copy`, and every string accessor returns a slice tied to the
 /// *table's* lifetime (`self` is taken by value), so callers can hold
@@ -182,7 +149,7 @@ impl<'a> FileEntryRef<'a> {
 
 /// Arena-backed storage for a host's observed files.
 ///
-/// A `Vec<FileEntry>` costs four-plus heap allocations per row (path
+/// Owned rows would cost four-plus heap allocations each (path
 /// `String`, optional owner `String`, and a fresh lowercase `String` per
 /// `extension()` call in every analysis pass). This table stores all
 /// paths in one arena string, interns the handful of distinct owner
@@ -252,35 +219,6 @@ impl FileTable {
         self.paths.push('/');
         let name_start = self.paths.len() as u32;
         self.paths.push_str(name);
-        self.finish_row(name_start, is_dir, size, readability, owner, other_writable);
-    }
-
-    /// Appends an owned [`FileEntry`] (construction and test paths; the
-    /// enumerator's hot path uses [`FileTable::push_parts`]).
-    pub fn push(&mut self, e: FileEntry) {
-        let name_rel = e.path.rfind('/').map_or(0, |i| i + 1);
-        self.paths.push_str(&e.path);
-        let name_start = (self.paths.len() - (e.path.len() - name_rel)) as u32;
-        self.finish_row(
-            name_start,
-            e.is_dir,
-            e.size,
-            e.readability,
-            e.owner.as_deref(),
-            e.other_writable,
-        );
-    }
-
-    fn finish_row(
-        &mut self,
-        name_start: u32,
-        is_dir: bool,
-        size: Option<u64>,
-        readability: Readability,
-        owner: Option<&str>,
-        other_writable: Option<bool>,
-    ) {
-        let name = &self.paths[name_start as usize..];
         if let Some(dot) = name.rfind('.') {
             if dot != 0 && dot + 1 != name.len() {
                 // ASCII lowercasing leaves every other byte alone, so it
@@ -383,16 +321,6 @@ impl<'a> IntoIterator for &'a FileTable {
 
     fn into_iter(self) -> Self::IntoIter {
         self.iter()
-    }
-}
-
-impl From<Vec<FileEntry>> for FileTable {
-    fn from(entries: Vec<FileEntry>) -> Self {
-        let mut t = FileTable::default();
-        for e in entries {
-            t.push(e);
-        }
-        t
     }
 }
 
@@ -502,102 +430,83 @@ impl HostRecord {
 mod tests {
     use super::*;
 
-    fn entry(path: &str, is_dir: bool) -> FileEntry {
-        FileEntry {
-            path: path.to_owned(),
-            is_dir,
-            size: None,
-            readability: Readability::Unknown,
-            owner: None,
-            other_writable: None,
-        }
-    }
-
     #[test]
     fn name_and_extension() {
-        let e = entry("/pub/photos/DSC_0001.JPG", false);
-        assert_eq!(e.name(), "DSC_0001.JPG");
-        assert_eq!(e.extension().as_deref(), Some("jpg"));
-        assert_eq!(entry("/x/noext", false).extension(), None);
-        assert_eq!(entry("/x/.hidden", false).extension(), None);
-        assert_eq!(entry("/x/trailing.", false).extension(), None);
-        assert_eq!(entry("/a/b.tar.gz", false).extension().as_deref(), Some("gz"));
+        let mut t = FileTable::default();
+        for (dir, name) in [
+            ("/pub/photos", "DSC_0001.JPG"),
+            ("/x", "noext"),
+            ("/x", ".hidden"),
+            ("/x", "trailing."),
+            ("/a", "b.tar.gz"),
+            ("/", "readme.TXT"),
+            ("/", "ÜBER.TÄR"),
+        ] {
+            t.push_parts(dir, name, false, None, Readability::Unknown, None, None);
+        }
+        let rows: Vec<(&str, &str, Option<&str>)> =
+            t.iter().map(|r| (r.path, r.name(), r.extension())).collect();
+        assert_eq!(
+            rows,
+            [
+                ("/pub/photos/DSC_0001.JPG", "DSC_0001.JPG", Some("jpg")),
+                ("/x/noext", "noext", None),
+                ("/x/.hidden", ".hidden", None),
+                ("/x/trailing.", "trailing.", None),
+                ("/a/b.tar.gz", "b.tar.gz", Some("gz")),
+                ("/readme.TXT", "readme.TXT", Some("txt")),
+                // Only ASCII letters fold; other characters keep their case.
+                ("/ÜBER.TÄR", "ÜBER.TÄR", Some("tÄr")),
+            ]
+        );
     }
 
     #[test]
     fn table_roundtrips_entries() {
-        let entries = vec![
-            FileEntry {
-                path: "/pub/photos/DSC_0001.JPG".to_owned(),
-                is_dir: false,
-                size: Some(120),
-                readability: Readability::Readable,
-                owner: Some("ftp".to_owned()),
-                other_writable: Some(false),
-            },
-            entry("/pub", true),
-            FileEntry {
-                path: "/etc/shadow".to_owned(),
-                is_dir: false,
-                size: None,
-                readability: Readability::NonReadable,
-                owner: Some("root".to_owned()),
-                other_writable: None,
-            },
-            entry("/root-file", false),
-        ];
-        let t = FileTable::from(entries.clone());
-        assert_eq!(t.len(), entries.len());
-        for (row, e) in t.iter().zip(&entries) {
-            assert_eq!(row.path, e.path);
-            assert_eq!(row.name(), e.name());
-            assert_eq!(row.extension(), e.extension().as_deref());
-            assert_eq!(row.is_dir, e.is_dir);
-            assert_eq!(row.size, e.size);
-            assert_eq!(row.readability, e.readability);
-            assert_eq!(row.owner, e.owner.as_deref());
-            assert_eq!(row.other_writable, e.other_writable);
-        }
+        let mut t = FileTable::default();
+        t.push_parts(
+            "/pub/photos",
+            "DSC_0001.JPG",
+            false,
+            Some(120),
+            Readability::Readable,
+            Some("ftp"),
+            Some(false),
+        );
+        t.push_parts("/", "pub", true, None, Readability::Unknown, None, None);
+        t.push_parts("/etc", "shadow", false, None, Readability::NonReadable, Some("root"), None);
+        t.push_parts("/", "root-file", false, None, Readability::Unknown, None, None);
+        assert_eq!(t.len(), 4);
+        let rows: Vec<_> = t
+            .iter()
+            .map(|r| (r.path, r.is_dir, r.size, r.readability, r.owner, r.other_writable))
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                (
+                    "/pub/photos/DSC_0001.JPG",
+                    false,
+                    Some(120),
+                    Readability::Readable,
+                    Some("ftp"),
+                    Some(false)
+                ),
+                ("/pub", true, None, Readability::Unknown, None, None),
+                ("/etc/shadow", false, None, Readability::NonReadable, Some("root"), None),
+                ("/root-file", false, None, Readability::Unknown, None, None),
+            ]
+        );
         assert_eq!(t.last_path(), Some("/root-file"));
-    }
-
-    #[test]
-    fn push_parts_matches_push() {
-        let mut by_parts = FileTable::default();
-        by_parts.push_parts("/", "readme.TXT", false, Some(3), Readability::Readable, None, None);
-        by_parts.push_parts("/pub", "inner", true, None, Readability::Unknown, Some("ftp"), None);
-        by_parts.push_parts("/pub/inner", ".hidden", false, None, Readability::Unknown, None, None);
-        let mut by_push = FileTable::default();
-        by_push.push(entry("/readme.TXT", false));
-        by_push.push(entry("/pub/inner", true));
-        by_push.push(entry("/pub/inner/.hidden", false));
-        let parts: Vec<(String, String, Option<String>)> = by_parts
-            .iter()
-            .map(|r| {
-                (r.path.to_owned(), r.name().to_owned(), r.extension().map(str::to_owned))
-            })
-            .collect();
-        let pushed: Vec<(String, String, Option<String>)> = by_push
-            .iter()
-            .map(|r| {
-                (r.path.to_owned(), r.name().to_owned(), r.extension().map(str::to_owned))
-            })
-            .collect();
-        assert_eq!(parts, pushed);
-        assert_eq!(parts[0], ("/readme.TXT".to_owned(), "readme.TXT".to_owned(), Some("txt".to_owned())));
-        assert_eq!(parts[2].2, None, ".hidden has no extension");
-        // Only ASCII letters fold; other characters keep their case.
-        by_parts.push_parts("/", "ÜBER.TÄR", false, None, Readability::Unknown, None, None);
-        assert_eq!(by_parts.get(3).extension(), Some("tÄr"));
     }
 
     #[test]
     fn exposes_data_ignores_directories() {
         let mut r = HostRecord::new(Ipv4Addr::new(1, 2, 3, 4));
         assert!(!r.exposes_data());
-        r.files.push(entry("/pub", true));
+        r.files.push_parts("/", "pub", true, None, Readability::Unknown, None, None);
         assert!(!r.exposes_data());
-        r.files.push(entry("/pub/file.txt", false));
+        r.files.push_parts("/pub", "file.txt", false, None, Readability::Unknown, None, None);
         assert!(r.exposes_data());
         assert_eq!(r.file_count(), 1);
     }

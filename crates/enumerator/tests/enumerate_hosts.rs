@@ -8,17 +8,17 @@ use ftpd::profile::{AnonPolicy, ServerProfile};
 use ftpd::FtpServerEngine;
 use netsim::{SimDuration, Simulator};
 use simtls::SimCertificate;
-use simvfs::{FileMeta, Vfs};
+use simvfs::{FileAttrs, Vfs};
 use std::net::Ipv4Addr;
 
 const SCANNER: Ipv4Addr = Ipv4Addr::new(198, 108, 0, 1);
 
 fn sample_vfs() -> Vfs {
     let mut v = Vfs::new();
-    v.add_file("/pub/readme.txt", FileMeta::public(11).with_content("hello world")).unwrap();
-    v.add_file("/pub/photos/DSC_0001.JPG", FileMeta::public(2_400_000)).unwrap();
-    v.add_file("/backup/finances.qdf", FileMeta::public(88_000)).unwrap();
-    v.add_file("/etc/shadow", FileMeta::private(718)).unwrap();
+    v.add_file("/pub/readme.txt", FileAttrs::public(11).with_content("hello world")).unwrap();
+    v.add_file("/pub/photos/DSC_0001.JPG", FileAttrs::public(2_400_000)).unwrap();
+    v.add_file("/backup/finances.qdf", FileAttrs::public(88_000)).unwrap();
+    v.add_file("/etc/shadow", FileAttrs::private(718)).unwrap();
     v
 }
 
@@ -86,7 +86,7 @@ fn respects_robots_deny_all() {
     let mut v = sample_vfs();
     v.add_file(
         "/robots.txt",
-        FileMeta::public(0).with_content("User-agent: *\nDisallow: /\n"),
+        FileAttrs::public(0).with_content("User-agent: *\nDisallow: /\n"),
     )
     .unwrap();
     let records = enumerate(vec![(ip(1), anon_profile(), v)], |c| c);
@@ -101,7 +101,7 @@ fn respects_robots_partial_exclusion() {
     let mut v = sample_vfs();
     v.add_file(
         "/robots.txt",
-        FileMeta::public(0).with_content("User-agent: *\nDisallow: /backup/\n"),
+        FileAttrs::public(0).with_content("User-agent: *\nDisallow: /backup/\n"),
     )
     .unwrap();
     let records = enumerate(vec![(ip(1), anon_profile(), v)], |c| c);
@@ -121,7 +121,7 @@ fn ignores_robots_when_configured() {
     let mut v = sample_vfs();
     v.add_file(
         "/robots.txt",
-        FileMeta::public(0).with_content("User-agent: *\nDisallow: /\n"),
+        FileAttrs::public(0).with_content("User-agent: *\nDisallow: /\n"),
     )
     .unwrap();
     let records = enumerate(vec![(ip(1), anon_profile(), v)], |mut c| {
@@ -200,7 +200,7 @@ fn request_cap_truncates_traversal() {
     let mut v = Vfs::new();
     for d in 0..40 {
         for f in 0..3 {
-            v.add_file(&format!("/d{d:02}/file{f}"), FileMeta::public(10)).unwrap();
+            v.add_file(&format!("/d{d:02}/file{f}"), FileAttrs::public(10)).unwrap();
         }
     }
     let records = enumerate(vec![(ip(1), anon_profile(), v)], |c| c.with_request_cap(30));
@@ -390,10 +390,10 @@ fn bfs_beats_dfs_on_breadth_coverage_under_cap() {
     let mut spine = String::from("/zz-spine");
     for i in 0..12 {
         spine.push_str(&format!("/s{i}"));
-        v.add_file(&format!("{spine}/deep{i}.txt"), FileMeta::public(1)).unwrap();
+        v.add_file(&format!("{spine}/deep{i}.txt"), FileAttrs::public(1)).unwrap();
     }
     for d in 0..30 {
-        v.add_file(&format!("/wide{d:02}/file.txt"), FileMeta::public(1)).unwrap();
+        v.add_file(&format!("/wide{d:02}/file.txt"), FileAttrs::public(1)).unwrap();
     }
 
     let run_with = |order: TraversalOrder| {
@@ -403,10 +403,10 @@ fn bfs_beats_dfs_on_breadth_coverage_under_cap() {
                 let mut spine = String::from("/zz-spine");
                 for i in 0..12 {
                     spine.push_str(&format!("/s{i}"));
-                    v2.add_file(&format!("{spine}/deep{i}.txt"), FileMeta::public(1)).unwrap();
+                    v2.add_file(&format!("{spine}/deep{i}.txt"), FileAttrs::public(1)).unwrap();
                 }
                 for d in 0..30 {
-                    v2.add_file(&format!("/wide{d:02}/file.txt"), FileMeta::public(1)).unwrap();
+                    v2.add_file(&format!("/wide{d:02}/file.txt"), FileAttrs::public(1)).unwrap();
                 }
                 v2
             })],

@@ -93,16 +93,6 @@ impl Version {
             Some(Version { components })
         }
     }
-
-    /// Convenience constructor from numeric components.
-    pub fn from_parts(parts: &[u32]) -> Self {
-        Version { components: parts.iter().map(|&n| (n, None)).collect() }
-    }
-
-    /// The numeric components (letters dropped).
-    pub fn parts(&self) -> Vec<u32> {
-        self.components.iter().map(|&(n, _)| n).collect()
-    }
 }
 
 impl fmt::Display for Version {
@@ -320,12 +310,5 @@ mod tests {
         assert_eq!(Version::parse(""), None);
         assert_eq!(Version::parse("1").unwrap().to_string(), "1");
         assert_eq!(Version::parse("1.3.5rc3").unwrap().to_string(), "1.3.5r");
-    }
-
-    #[test]
-    fn version_from_parts_roundtrip() {
-        let v = Version::from_parts(&[1, 3, 5]);
-        assert_eq!(v.to_string(), "1.3.5");
-        assert_eq!(v.parts(), vec![1, 3, 5]);
     }
 }

@@ -12,8 +12,8 @@
 //! the buffer until the next codec call consumes them, so a clean ASCII
 //! line — the overwhelming case — is decoded with zero allocations and
 //! zero copies. Invalid UTF-8 falls back to one reusable lossy scratch
-//! per codec. The owned [`LineCodec::next_line`] survives as a thin
-//! wrapper for tests and cold callers.
+//! per codec. Callers that keep a line past the next codec call copy
+//! it out.
 
 use crate::error::ProtoError;
 use bytes::BytesMut;
@@ -36,10 +36,10 @@ pub const MAX_LINE: usize = 8192;
 ///
 /// let mut codec = LineCodec::new();
 /// codec.extend(b"220 Welcome\r\n331 Pas");
-/// assert_eq!(codec.next_line()?, Some("220 Welcome".to_owned()));
-/// assert_eq!(codec.next_line()?, None);
+/// assert_eq!(codec.next_line_str()?, Some("220 Welcome"));
+/// assert_eq!(codec.next_line_str()?, None);
 /// codec.extend(b"sword required\r\n");
-/// assert_eq!(codec.next_line()?, Some("331 Password required".to_owned()));
+/// assert_eq!(codec.next_line_str()?, Some("331 Password required"));
 /// # Ok::<(), ftp_proto::ProtoError>(())
 /// ```
 #[derive(Debug, Default)]
@@ -142,39 +142,6 @@ impl LineCodec {
         Ok(Some(&self.lossy))
     }
 
-    /// Extracts the next complete line, if one is buffered, as an owned
-    /// `String`. Thin wrapper over [`LineCodec::next_line_str`] kept for
-    /// tests and cold callers.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProtoError::LineTooLong`] when more than [`MAX_LINE`]
-    /// bytes accumulate without a terminator.
-    pub fn next_line(&mut self) -> Result<Option<String>, ProtoError> {
-        Ok(self.next_line_str()?.map(str::to_owned))
-    }
-
-    /// Like [`LineCodec::next_line`], but decodes into a caller-provided
-    /// buffer instead of allocating a fresh `String` per line.
-    ///
-    /// `out` is cleared first; returns `Ok(true)` when a complete line
-    /// was decoded into it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProtoError::LineTooLong`] when more than [`MAX_LINE`]
-    /// bytes accumulate without a terminator.
-    pub fn next_line_into(&mut self, out: &mut String) -> Result<bool, ProtoError> {
-        out.clear();
-        match self.next_line_str()? {
-            Some(line) => {
-                out.push_str(line);
-                Ok(true)
-            }
-            None => Ok(false),
-        }
-    }
-
     /// Drains any trailing unterminated data (used at connection close —
     /// some servers send a final line without CRLF before hanging up).
     pub fn take_remainder(&mut self) -> Option<String> {
@@ -275,27 +242,27 @@ mod tests {
     fn splits_crlf_lines() {
         let mut c = LineCodec::new();
         c.extend(b"a\r\nb\r\n");
-        assert_eq!(c.next_line().unwrap(), Some("a".into()));
-        assert_eq!(c.next_line().unwrap(), Some("b".into()));
-        assert_eq!(c.next_line().unwrap(), None);
+        assert_eq!(c.next_line_str().unwrap(), Some("a"));
+        assert_eq!(c.next_line_str().unwrap(), Some("b"));
+        assert_eq!(c.next_line_str().unwrap(), None);
     }
 
     #[test]
     fn tolerates_bare_lf() {
         let mut c = LineCodec::new();
         c.extend(b"hello\nworld\n");
-        assert_eq!(c.next_line().unwrap(), Some("hello".into()));
-        assert_eq!(c.next_line().unwrap(), Some("world".into()));
+        assert_eq!(c.next_line_str().unwrap(), Some("hello"));
+        assert_eq!(c.next_line_str().unwrap(), Some("world"));
     }
 
     #[test]
     fn partial_lines_buffered() {
         let mut c = LineCodec::new();
         c.extend(b"par");
-        assert_eq!(c.next_line().unwrap(), None);
+        assert_eq!(c.next_line_str().unwrap(), None);
         assert_eq!(c.buffered(), 3);
         c.extend(b"tial\r\n");
-        assert_eq!(c.next_line().unwrap(), Some("partial".into()));
+        assert_eq!(c.next_line_str().unwrap(), Some("partial"));
         assert_eq!(c.buffered(), 0);
     }
 
@@ -307,7 +274,7 @@ mod tests {
         c.extend(b"OK");
         c.extend(&[255, 255]);
         c.extend(b"\r\n");
-        let line = c.next_line().unwrap().unwrap();
+        let line = c.next_line_str().unwrap().unwrap();
         assert!(line.starts_with("OK"));
         assert_eq!(line.as_bytes().last(), Some(&0xbd)); // U+FFFD tail byte of lossy 255
     }
@@ -316,7 +283,7 @@ mod tests {
     fn non_utf8_is_lossy_not_fatal() {
         let mut c = LineCodec::new();
         c.extend(&[0xC3, 0x28, b'\r', b'\n']); // invalid UTF-8 pair
-        let line = c.next_line().unwrap().unwrap();
+        let line = c.next_line_str().unwrap().unwrap();
         assert!(line.contains('\u{FFFD}'));
     }
 
@@ -324,7 +291,7 @@ mod tests {
     fn overlong_line_errors_and_resets() {
         let mut c = LineCodec::new();
         c.extend(&vec![b'x'; MAX_LINE + 1]);
-        assert!(matches!(c.next_line(), Err(ProtoError::LineTooLong { .. })));
+        assert!(matches!(c.next_line_str(), Err(ProtoError::LineTooLong { .. })));
         // State is cleared so the session can resync.
         assert_eq!(c.buffered(), 0);
     }
@@ -333,7 +300,7 @@ mod tests {
     fn take_remainder_flushes_unterminated_tail() {
         let mut c = LineCodec::new();
         c.extend(b"221 Goodbye");
-        assert_eq!(c.next_line().unwrap(), None);
+        assert_eq!(c.next_line_str().unwrap(), None);
         assert_eq!(c.take_remainder(), Some("221 Goodbye".into()));
         assert_eq!(c.take_remainder(), None);
     }
@@ -357,9 +324,9 @@ mod tests {
         // unescape to a single literal 255 once the line completes.
         let mut c = LineCodec::new();
         c.extend(&[b'x', 255]);
-        assert_eq!(c.next_line().unwrap(), None);
+        assert_eq!(c.next_line_str().unwrap(), None);
         c.extend(&[255, b'y', b'\r', b'\n']);
-        let line = c.next_line().unwrap().unwrap();
+        let line = c.next_line_str().unwrap().unwrap();
         // x + lossy(255) + y
         assert_eq!(line, "x\u{FFFD}y");
 
@@ -369,7 +336,7 @@ mod tests {
         c.extend(&[251]);
         c.extend(&[1]);
         c.extend(b"ok\n");
-        assert_eq!(c.next_line().unwrap(), Some("ok".into()));
+        assert_eq!(c.next_line_str().unwrap(), Some("ok"));
     }
 
     #[test]
@@ -396,8 +363,8 @@ mod tests {
         let mut c = LineCodec::new();
         c.extend(b"one\r\ntwo\r\npartial");
         assert_eq!(c.unterminated_tail_len(), 7);
-        assert_eq!(c.next_line().unwrap(), Some("one".into()));
-        assert_eq!(c.next_line().unwrap(), Some("two".into()));
+        assert_eq!(c.next_line_str().unwrap(), Some("one"));
+        assert_eq!(c.next_line_str().unwrap(), Some("two"));
         assert_eq!(c.unterminated_tail_len(), 7);
         c.extend(b"\r\n");
         assert_eq!(c.unterminated_tail_len(), 0);

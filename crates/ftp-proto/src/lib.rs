@@ -18,12 +18,13 @@
 //! # Example
 //!
 //! ```
-//! use ftp_proto::{Command, Reply};
+//! use ftp_proto::{Command, ReplyBuf};
 //!
 //! let cmd: Command = "RETR robots.txt".parse()?;
 //! assert_eq!(cmd, Command::Retr("robots.txt".into()));
 //!
-//! let reply = Reply::parse_line("220 ProFTPD 1.3.5 Server ready.")?;
+//! let mut replies = ReplyBuf::new();
+//! let reply = replies.push_line("220 ProFTPD 1.3.5 Server ready.")?.expect("one-line reply");
 //! assert!(reply.code().is_positive_completion());
 //! # Ok::<(), ftp_proto::ProtoError>(())
 //! ```

@@ -93,12 +93,14 @@ impl From<u16> for ReplyCode {
     }
 }
 
-/// A complete server reply: a code plus one or more lines of text.
+/// A complete server reply, owned: a code plus one or more lines of
+/// text. The owned copy of a [`ReplyRef`] ([`ReplyRef::to_reply`]), for
+/// callers that keep replies past the assembler's next line.
 ///
 /// Multiline replies follow RFC 959: the first line is `ddd-text`, the
 /// terminating line is `ddd text` with the *same* code. Lines in between
 /// may be arbitrary (some servers even start them with other digits),
-/// which [`ReplyParser`] tolerates.
+/// which [`ReplyBuf`] tolerates.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Reply {
     code: ReplyCode,
@@ -106,35 +108,6 @@ pub struct Reply {
 }
 
 impl Reply {
-    /// Builds a single-line reply.
-    pub fn new(code: impl Into<ReplyCode>, text: impl Into<String>) -> Self {
-        Reply { code: code.into(), lines: vec![text.into()] }
-    }
-
-    /// Builds a multiline reply from the given lines.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lines` is empty; a reply always has at least one line.
-    pub fn multiline(code: impl Into<ReplyCode>, lines: Vec<String>) -> Self {
-        assert!(!lines.is_empty(), "a reply must have at least one line");
-        Reply { code: code.into(), lines }
-    }
-
-    /// Parses a single `ddd text` or `ddd-text` line as a complete reply.
-    ///
-    /// Use [`ReplyParser`] when the input may span multiple lines.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProtoError::BadReplyCode`] if the line does not begin
-    /// with three ASCII digits.
-    pub fn parse_line(line: &str) -> Result<Self, ProtoError> {
-        let line = line.trim_end_matches(['\r', '\n']);
-        let (code, _sep, text) = split_reply_line(line).ok_or_else(|| ProtoError::bad_reply(line))?;
-        Ok(Reply::new(code, text))
-    }
-
     /// The reply code.
     pub fn code(&self) -> ReplyCode {
         self.code
@@ -149,38 +122,52 @@ impl Reply {
     pub fn text(&self) -> &str {
         &self.lines[0]
     }
-
-    /// Concatenated text of all lines joined with `\n`.
-    pub fn full_text(&self) -> String {
-        self.lines.join("\n")
-    }
-
-    /// Serializes to wire format (CRLF line endings, RFC 959 multiline
-    /// framing).
-    pub fn to_wire(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        if self.lines.len() == 1 {
-            let _ = write!(out, "{} {}\r\n", self.code, self.lines[0]);
-        } else {
-            for (i, l) in self.lines.iter().enumerate() {
-                if i + 1 == self.lines.len() {
-                    let _ = write!(out, "{} {}\r\n", self.code, l);
-                } else if i == 0 {
-                    let _ = write!(out, "{}-{}\r\n", self.code, l);
-                } else {
-                    let _ = write!(out, " {l}\r\n");
-                }
-            }
-        }
-        out
-    }
 }
 
 impl fmt::Display for Reply {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} {}", self.code, self.lines[0])
     }
+}
+
+/// Renders a reply's wire bytes from its code and lines: CRLF line
+/// endings and RFC 959 multiline framing (`ddd-first`, ` middle`,
+/// `ddd last`; a single line is `ddd text`).
+///
+/// # Panics
+///
+/// Panics if `lines` is empty; a reply always has at least one line.
+///
+/// # Example
+///
+/// ```
+/// use ftp_proto::reply::wire_bytes;
+///
+/// assert_eq!(wire_bytes(250u16, ["Okay"]), b"250 Okay\r\n");
+/// assert_eq!(
+///     wire_bytes(211u16, ["Features:", "MDTM", "End"]),
+///     b"211-Features:\r\n MDTM\r\n211 End\r\n"
+/// );
+/// ```
+pub fn wire_bytes<'a>(
+    code: impl Into<ReplyCode>,
+    lines: impl IntoIterator<Item = &'a str>,
+) -> Vec<u8> {
+    use fmt::Write as _;
+    let code = code.into();
+    let mut out = String::new();
+    let mut lines = lines.into_iter().peekable();
+    let mut first = true;
+    while let Some(line) = lines.next() {
+        let _ = match (first, lines.peek().is_some()) {
+            (_, false) => write!(out, "{code} {line}\r\n"),
+            (true, true) => write!(out, "{code}-{line}\r\n"),
+            (false, true) => write!(out, " {line}\r\n"),
+        };
+        first = false;
+    }
+    assert!(!out.is_empty(), "a reply must have at least one line");
+    out.into_bytes()
 }
 
 /// Splits `"230 Login ok"` into `(230, ' ', "Login ok")`.
@@ -199,106 +186,12 @@ fn split_reply_line(line: &str) -> Option<(u16, char, &str)> {
     }
 }
 
-/// Incremental assembler for (possibly multiline) replies.
-///
-/// Feed complete lines via [`ReplyParser::push_line`]; a `Some(Reply)`
-/// return means a full reply is available. The parser implements the
-/// real-world tolerance the paper's enumerator needed: continuation lines
-/// need not repeat the code, inner lines may start with digits, and a
-/// terminator is any line starting with the opening code followed by a
-/// space.
-///
-/// # Example
-///
-/// ```
-/// use ftp_proto::reply::ReplyParser;
-///
-/// let mut p = ReplyParser::new();
-/// assert!(p.push_line("230-Welcome to example FTP").unwrap().is_none());
-/// assert!(p.push_line("Mirror of ftp.example.org").unwrap().is_none());
-/// let reply = p.push_line("230 Login successful").unwrap().unwrap();
-/// assert_eq!(reply.code().value(), 230);
-/// assert_eq!(reply.lines().len(), 3);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct ReplyParser {
-    pending: Option<(u16, Vec<String>)>,
-}
-
-impl ReplyParser {
-    /// Creates an idle parser.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// True if a multiline reply is partially assembled.
-    pub fn in_progress(&self) -> bool {
-        self.pending.is_some()
-    }
-
-    /// Feeds one line (trailing CR/LF tolerated).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProtoError::BadReplyCode`] only when a *fresh* reply line
-    /// lacks a leading code; continuation lines are accepted verbatim.
-    pub fn push_line(&mut self, line: &str) -> Result<Option<Reply>, ProtoError> {
-        let line = line.trim_end_matches(['\r', '\n']);
-        match &mut self.pending {
-            None => {
-                let (code, sep, text) =
-                    split_reply_line(line).ok_or_else(|| ProtoError::bad_reply(line))?;
-                if sep == '-' {
-                    self.pending = Some((code, vec![text.to_owned()]));
-                    Ok(None)
-                } else {
-                    Ok(Some(Reply::new(code, text)))
-                }
-            }
-            Some((open_code, lines)) => {
-                // A terminator must be a *strict* `ddd<SP>` (or bare `ddd`)
-                // line — the jammed-text tolerance applied to fresh replies
-                // would otherwise misread inner lines like "211x ..." as
-                // terminators.
-                let strict_sep = line.len() == 3 || line.as_bytes().get(3) == Some(&b' ');
-                if let (true, Some((code, ' ', text))) = (strict_sep, split_reply_line(line)) {
-                    if code == *open_code {
-                        lines.push(text.to_owned());
-                        let (code, lines) = self.pending.take().expect("pending reply present");
-                        return Ok(Some(Reply::multiline(code, lines)));
-                    }
-                }
-                // Continuation line: strip the conventional leading space.
-                let text = line.strip_prefix(' ').unwrap_or(line);
-                lines.push(text.to_owned());
-                Ok(None)
-            }
-        }
-    }
-
-    /// Signals end-of-stream.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProtoError::TruncatedReply`] if a multiline reply was
-    /// still being assembled — the server hung up mid-reply, which the
-    /// enumerator treats as refusal of service.
-    pub fn finish(&mut self) -> Result<(), ProtoError> {
-        if self.pending.take().is_some() {
-            Err(ProtoError::TruncatedReply)
-        } else {
-            Ok(())
-        }
-    }
-}
-
 /// A borrowed view of one complete reply: the code plus a slice of the
 /// assembled text (lines joined with `\n`).
 ///
-/// This is [`Reply`]'s zero-allocation twin. The enumerator's per-reply
-/// hot path decodes every reply through [`ReplyBuf`] into one of these;
-/// the owned [`Reply`] survives as the wire-rendering / test-facing
-/// wrapper (see DESIGN.md §8). Lifetime is tied to the [`ReplyBuf`] (or
+/// Every reply is decoded through [`ReplyBuf`] into one of these, so
+/// decoding allocates nothing; [`ReplyRef::to_reply`] copies one out
+/// when a caller must keep it. Lifetime is tied to the [`ReplyBuf`] (or
 /// other buffer) the text lives in, which stays valid until the next
 /// `push_line`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -327,8 +220,7 @@ impl<'a> ReplyRef<'a> {
         }
     }
 
-    /// All lines joined with `\n` — the borrowed analogue of
-    /// [`Reply::full_text`], without the join allocation.
+    /// All lines joined with `\n`, without a join allocation.
     pub fn full_text(self) -> &'a str {
         self.text
     }
@@ -355,16 +247,30 @@ impl<'a> ReplyRef<'a> {
     }
 }
 
-/// Incremental reply assembler with a reusable text buffer — the
-/// zero-allocation counterpart of [`ReplyParser`].
+/// Incremental assembler for (possibly multiline) replies, with a
+/// reusable text buffer.
 ///
 /// Feed complete lines via [`ReplyBuf::push_line`]; a `Some(ReplyRef)`
 /// return borrows the assembled text straight out of the buffer, which
-/// is recycled for the next reply instead of reallocated. Assembly
-/// tolerances are identical to [`ReplyParser`]: continuation lines need
-/// not repeat the code, inner lines may start with digits, and a
-/// terminator is a strict `ddd<SP>` (or bare `ddd`) line repeating the
-/// opening code.
+/// is recycled for the next reply instead of reallocated. The assembler
+/// implements the real-world tolerance the paper's enumerator needed: a
+/// fresh reply may jam its text against the code (`220Welcome`) or be a
+/// bare code, continuation lines need not repeat the code, inner lines
+/// may start with digits, and a terminator is a strict `ddd<SP>` (or
+/// bare `ddd`) line repeating the opening code.
+///
+/// # Example
+///
+/// ```
+/// use ftp_proto::ReplyBuf;
+///
+/// let mut b = ReplyBuf::new();
+/// assert!(b.push_line("230-Welcome to example FTP").unwrap().is_none());
+/// assert!(b.push_line("Mirror of ftp.example.org").unwrap().is_none());
+/// let reply = b.push_line("230 Login successful").unwrap().unwrap();
+/// assert_eq!(reply.code().value(), 230);
+/// assert_eq!(reply.line_count(), 3);
+/// ```
 #[derive(Debug, Clone, Default)]
 pub struct ReplyBuf {
     code: u16,
@@ -412,9 +318,10 @@ impl ReplyBuf {
                 line_count: 1,
             }));
         }
-        // Same strict-terminator rule as ReplyParser: `ddd<SP>` or a
-        // bare `ddd` repeating the opening code ends the reply; the
-        // jammed-text tolerance stays reserved for fresh replies.
+        // A terminator must be a *strict* `ddd<SP>` (or bare `ddd`) line
+        // repeating the opening code — the jammed-text tolerance applied
+        // to fresh replies would otherwise misread inner lines like
+        // "211x ..." as terminators.
         let strict_sep = line.len() == 3 || line.as_bytes().get(3) == Some(&b' ');
         if strict_sep {
             if let Some((code, ' ', text)) = split_reply_line(line) {
@@ -470,94 +377,107 @@ mod tests {
 
     #[test]
     fn single_line_parse() {
-        let r = Reply::parse_line("220 ProFTPD 1.3.5 Server ready.\r\n").unwrap();
+        let mut b = ReplyBuf::new();
+        let r = b.push_line("220 ProFTPD 1.3.5 Server ready.\r\n").unwrap().unwrap();
         assert_eq!(r.code(), ReplyCode::SERVICE_READY);
         assert_eq!(r.text(), "ProFTPD 1.3.5 Server ready.");
     }
 
     #[test]
     fn jammed_text_tolerated() {
-        let r = Reply::parse_line("220Welcome").unwrap();
+        let mut b = ReplyBuf::new();
+        let r = b.push_line("220Welcome").unwrap().unwrap();
         assert_eq!(r.code().value(), 220);
         assert_eq!(r.text(), "Welcome");
     }
 
     #[test]
     fn bare_code_tolerated() {
-        let r = Reply::parse_line("230").unwrap();
+        let mut b = ReplyBuf::new();
+        let r = b.push_line("230").unwrap().unwrap();
         assert_eq!(r.code().value(), 230);
         assert_eq!(r.text(), "");
     }
 
     #[test]
     fn garbage_rejected() {
-        assert!(Reply::parse_line("hello world").is_err());
-        assert!(Reply::parse_line("22 partial").is_err());
+        let mut b = ReplyBuf::new();
+        assert!(b.push_line("hello world").is_err());
+        assert!(b.push_line("22 partial").is_err());
     }
 
     #[test]
     fn multiline_assembly() {
-        let mut p = ReplyParser::new();
-        assert_eq!(p.push_line("220-Welcome").unwrap(), None);
-        assert!(p.in_progress());
-        assert_eq!(p.push_line(" to the machine").unwrap(), None);
-        let r = p.push_line("220 Ready").unwrap().unwrap();
-        assert_eq!(r.lines().len(), 3);
-        assert_eq!(r.lines()[1], "to the machine");
-        assert!(!p.in_progress());
+        let mut b = ReplyBuf::new();
+        assert_eq!(b.push_line("220-Welcome").unwrap(), None);
+        assert!(b.in_progress());
+        assert_eq!(b.push_line(" to the machine").unwrap(), None);
+        let r = b.push_line("220 Ready").unwrap().unwrap();
+        assert_eq!(r.line_count(), 3);
+        assert_eq!(r.lines().nth(1), Some("to the machine"));
+        assert!(!b.in_progress());
     }
 
     #[test]
     fn multiline_inner_lines_with_other_codes() {
         // Some servers embed digit-leading lines mid-reply.
-        let mut p = ReplyParser::new();
-        p.push_line("211-Features:").unwrap();
-        assert_eq!(p.push_line("211x not terminator").unwrap(), None);
-        assert_eq!(p.push_line("500 different code is continuation").unwrap(), None);
-        let r = p.push_line("211 End").unwrap().unwrap();
+        let mut b = ReplyBuf::new();
+        b.push_line("211-Features:").unwrap();
+        assert_eq!(b.push_line("211x not terminator").unwrap(), None);
+        assert_eq!(b.push_line("500 different code is continuation").unwrap(), None);
+        let r = b.push_line("211 End").unwrap().unwrap();
         assert_eq!(r.code().value(), 211);
-        assert_eq!(r.lines().len(), 4);
+        assert_eq!(
+            r.full_text(),
+            "Features:\n211x not terminator\n500 different code is continuation\nEnd"
+        );
     }
 
     #[test]
     fn truncated_multiline_detected() {
-        let mut p = ReplyParser::new();
-        p.push_line("220-Hello").unwrap();
-        assert_eq!(p.finish(), Err(ProtoError::TruncatedReply));
+        let mut b = ReplyBuf::new();
+        b.push_line("220-Hello").unwrap();
+        assert_eq!(b.finish(), Err(ProtoError::TruncatedReply));
         // finish() clears state.
-        assert!(p.finish().is_ok());
+        assert!(b.finish().is_ok());
+    }
+
+    /// Feeds rendered wire bytes line by line; the completed reply's
+    /// code and lines.
+    fn reassemble(wire: &[u8]) -> (u16, Vec<String>) {
+        let mut b = ReplyBuf::new();
+        let mut out = None;
+        for line in std::str::from_utf8(wire).unwrap().split_inclusive("\r\n") {
+            if let Some(r) = b.push_line(line).unwrap() {
+                out = Some((r.code().value(), r.lines().map(str::to_owned).collect()));
+            }
+        }
+        out.expect("a complete reply")
     }
 
     #[test]
     fn wire_roundtrip_single() {
-        let r = Reply::new(250u16, "Okay");
-        assert_eq!(r.to_wire(), "250 Okay\r\n");
-        let mut p = ReplyParser::new();
-        let back = p.push_line(r.to_wire().trim_end()).unwrap().unwrap();
-        assert_eq!(back, r);
+        let wire = wire_bytes(250u16, ["Okay"]);
+        assert_eq!(wire, b"250 Okay\r\n");
+        assert_eq!(reassemble(&wire), (250, vec!["Okay".to_owned()]));
     }
 
     #[test]
     fn wire_roundtrip_multiline() {
-        let r = Reply::multiline(230u16, vec!["a".into(), "b".into(), "c".into()]);
-        let wire = r.to_wire();
-        let mut p = ReplyParser::new();
-        let mut out = None;
-        for line in wire.lines() {
-            out = p.push_line(line).unwrap();
-        }
-        assert_eq!(out.unwrap(), r);
+        let wire = wire_bytes(230u16, ["a", "b", "c"]);
+        assert_eq!(wire, b"230-a\r\n b\r\n230 c\r\n");
+        assert_eq!(reassemble(&wire), (230, vec!["a".into(), "b".into(), "c".into()]));
     }
 
     #[test]
     #[should_panic(expected = "at least one line")]
     fn multiline_requires_lines() {
-        let _ = Reply::multiline(230u16, vec![]);
+        let _ = wire_bytes(230u16, []);
     }
 
     #[test]
     fn display_shows_code_and_first_line() {
-        let r = Reply::new(230u16, "Login successful");
+        let r = ReplyRef::new(230u16, "Login successful\nsecond").to_reply();
         assert_eq!(r.to_string(), "230 Login successful");
     }
 
@@ -593,31 +513,32 @@ mod tests {
     }
 
     #[test]
-    fn reply_buf_matches_reply_parser() {
-        let streams: &[&[&str]] = &[
-            &["220 ProFTPD ready"],
-            &["220Welcome"],
-            &["230"],
-            &["211-Features:", "211x not terminator", "500 other code", "211 End"],
-            &["230-Welcome", " indented", "plain", "230 Done"],
+    fn reply_buf_assembles_quirky_streams() {
+        // Each stream completes on its last line, with this code and text.
+        let streams: &[(&[&str], u16, &str)] = &[
+            (&["220 ProFTPD ready"], 220, "ProFTPD ready"),
+            (&["220Welcome"], 220, "Welcome"),
+            (&["230"], 230, ""),
+            (
+                &["211-Features:", "211x not terminator", "500 other code", "211 End"],
+                211,
+                "Features:\n211x not terminator\n500 other code\nEnd",
+            ),
+            (
+                &["230-Welcome", " indented", "plain", "230 Done"],
+                230,
+                "Welcome\nindented\nplain\nDone",
+            ),
         ];
-        for stream in streams {
-            let mut owned = ReplyParser::new();
-            let mut borrowed = ReplyBuf::new();
-            for line in *stream {
-                let a = owned.push_line(line).unwrap();
-                let b = borrowed.push_line(line).unwrap();
-                match (a, b) {
-                    (None, None) => {}
-                    (Some(a), Some(b)) => {
-                        assert_eq!(a.code(), b.code());
-                        assert_eq!(a.full_text(), b.full_text());
-                        assert_eq!(a.lines().len(), b.line_count());
-                        assert_eq!(b.to_reply(), a);
-                    }
-                    (a, b) => panic!("parser divergence on {line:?}: {a:?} vs {b:?}"),
-                }
+        for &(stream, code, text) in streams {
+            let mut b = ReplyBuf::new();
+            let (last, inner) = stream.split_last().unwrap();
+            for line in inner {
+                assert_eq!(b.push_line(line).unwrap(), None, "{line:?} completed early");
             }
+            let r = b.push_line(last).unwrap().expect("complete");
+            assert_eq!((r.code().value(), r.full_text()), (code, text));
+            assert_eq!(r.to_reply().lines().len(), r.line_count());
         }
     }
 

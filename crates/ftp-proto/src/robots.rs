@@ -44,12 +44,6 @@ impl Robots {
         Robots::default()
     }
 
-    /// A policy that excludes the entire filesystem — what 5.9 K of the
-    /// paper's 11.3 K robots-bearing servers requested.
-    pub fn deny_all() -> Self {
-        Robots { rules: vec![Rule { allow: false, pattern: "/".to_owned() }] }
-    }
-
     /// Parses a robots.txt body, selecting the group that best matches
     /// `user_agent` (most-specific name match; `*` as fallback), per the
     /// Google specification.
@@ -273,14 +267,6 @@ mod tests {
         let r = Robots::allow_all();
         assert!(r.is_allowed("/anything/at/all"));
         assert!(!r.denies_everything());
-    }
-
-    #[test]
-    fn deny_all_denies_everything() {
-        let r = Robots::deny_all();
-        assert!(!r.is_allowed("/"));
-        assert!(!r.is_allowed("/pub/file"));
-        assert!(r.denies_everything());
     }
 
     #[test]

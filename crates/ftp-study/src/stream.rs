@@ -416,11 +416,22 @@ pub(crate) fn run_shard_batches<E>(
     // Per-shard state hoisted out of the batch loop: one simulator arena
     // reset between batches (retaining its allocation caches), and the
     // plan bucketed by batch in a single pass. With more than one batch,
-    // the scan permutation orbit is walked once here and split per
-    // batch; a single batch's scanner walks the shard's orbit itself.
+    // the scan permutation orbit is walked once here and split by batch
+    // in one pass, each batch in orbit order: the order a per-batch
+    // `materialize_order` would produce. A single batch's scanner walks
+    // the shard's orbit itself.
     let mut sim = Simulator::new(seed);
     let buckets = plan.bucket_shard((shard.index, shard.shards), batches);
-    let shard_order = (batches > 1).then(|| scan_config(cfg, shard, None).materialize_order());
+    let mut batch_orders: Vec<Vec<u64>> = Vec::new();
+    if batches > 1 {
+        batch_orders.resize(batches as usize, Vec::new());
+        for ix in scan_config(cfg, shard, None).materialize_order() {
+            let batch = netsim::ip::batch_of(seed, space.addr_at(ix), batches);
+            if range.contains(&batch) {
+                batch_orders[batch as usize].push(ix);
+            }
+        }
+    }
 
     for batch in range {
         // Tag the recorder before any event of this batch: journals
@@ -435,19 +446,10 @@ pub(crate) fn run_shard_batches<E>(
             let _span = obs::span!("stage.worldgen");
             plan.materialize_bucket(&mut sim, &buckets, batch)
         };
-        let (hash_batch, order) = match &shard_order {
+        let (hash_batch, order) = match batch_orders.get_mut(batch as usize) {
             None => (None, None),
-            Some(shard_order) => {
-                let hash_batch = HashBatch { seed, index: batch, batches };
-                // Filtering the shard's orbit preserves relative order,
-                // so this equals the order a per-cell
-                // `materialize_order` would produce.
-                let order = shard_order
-                    .iter()
-                    .copied()
-                    .filter(|&ix| hash_batch.contains(space.addr_at(ix)))
-                    .collect();
-                (Some(hash_batch), Some(order))
+            Some(order) => {
+                (Some(HashBatch { seed, index: batch, batches }), Some(std::mem::take(order)))
             }
         };
         let out = run_partition(cfg, &mut sim, scan_config(cfg, shard, hash_batch), order);

@@ -4,9 +4,10 @@
 use crate::profile::{AnonPolicy, ServerProfile, UploadQuirk, UserReplyStyle};
 use ftp_proto::command::{AuthMechanism, Command};
 use ftp_proto::listing::{self, ListingEntryRef};
-use ftp_proto::{FtpPath, HostPort, LineCodec, Reply};
+use ftp_proto::reply::wire_bytes;
+use ftp_proto::{FtpPath, HostPort, LineCodec};
 use netsim::{ConnId, ConnectError, Ctx, Endpoint};
-use simvfs::{FileMeta, NodeRef, Owner, Vfs};
+use simvfs::{FileAttrs, NodeRef, Owner, Vfs};
 use netsim::fasthash::FastMap;
 use std::fmt::{self, Write as _};
 use std::net::Ipv4Addr;
@@ -161,36 +162,30 @@ impl FtpServerEngine {
     /// Creates an engine for the host at `ip` publishing `vfs` with the
     /// given behavior profile.
     pub fn new(ip: Ipv4Addr, profile: ServerProfile, vfs: Vfs) -> Self {
-        // Render the canned wire blocks straight from borrowed lines —
-        // same bytes as `Reply::multiline(..).to_wire()` without the
-        // intermediate `Vec<String>` per host.
+        // Render the canned wire blocks straight from borrowed lines,
+        // without an intermediate `Vec<String>` per host.
         let banner_wire = if profile.banner.contains('\n') {
             // Multiline welcome banner (common on mirrors and corporate
             // servers; the enumerator's hardened parser must cope).
-            let count = profile.banner.lines().count();
-            Self::render_wire(220, count, &mut profile.banner.lines())
+            wire_bytes(220u16, profile.banner.lines())
         } else {
-            Self::render_wire(220, 1, &mut std::iter::once(profile.banner.as_str()))
+            wire_bytes(220u16, [profile.banner.as_str()])
         };
         let feat_wire = if profile.feat_lines.is_empty() {
             Vec::new()
         } else {
-            let count = profile.feat_lines.len() + 2;
-            let mut lines = std::iter::once("Features:")
+            let lines = std::iter::once("Features:")
                 .chain(profile.feat_lines.iter().map(String::as_str))
                 .chain(std::iter::once("End"));
-            Self::render_wire(211, count, &mut lines)
+            wire_bytes(211u16, lines)
         };
         let help_wire = if profile.help_lines.is_empty() {
             Vec::new()
         } else {
             let extra = if profile.help_lines.len() == 1 { Some("Help OK.") } else { None };
-            let count = profile.help_lines.len() + extra.iter().count();
-            let mut lines = profile.help_lines.iter().map(String::as_str).chain(extra);
-            Self::render_wire(214, count, &mut lines)
+            wire_bytes(214u16, profile.help_lines.iter().map(String::as_str).chain(extra))
         };
-        let stat_wire =
-            Self::render_wire(211, 2, &mut ["FTP server status:", "End of status"].into_iter());
+        let stat_wire = wire_bytes(211u16, ["FTP server status:", "End of status"]);
         FtpServerEngine {
             ip,
             profile,
@@ -227,10 +222,10 @@ impl FtpServerEngine {
         self.stats
     }
 
-    /// Sends a single-line reply, rendered on the stack — the per-reply
-    /// `Reply` + wire-`String` allocations of the old path dominated the
-    /// engine's profile. Replies longer than [`REPLY_STACK`] (rare: only
-    /// pathological profile text) fall back to the heap renderer.
+    /// Sends a single-line reply, rendered on the stack: a heap render
+    /// per reply would dominate the engine's profile. Replies longer
+    /// than [`REPLY_STACK`] (rare: only pathological profile text) fall
+    /// back to [`wire_bytes`] on the heap.
     fn reply(ctx: &mut Ctx<'_>, conn: ConnId, code: u16, text: &str) {
         Self::reply_fmt(ctx, conn, code, format_args!("{text}"));
     }
@@ -246,28 +241,8 @@ impl FtpServerEngine {
         } else {
             // Overflowed the stack buffer: render on the heap. Same
             // bytes, just slower.
-            let r = Reply::new(code, args.to_string());
-            ctx.send(conn, r.to_wire().as_bytes());
+            ctx.send(conn, &wire_bytes(code, [args.to_string().as_str()]));
         }
-    }
-
-    /// Renders a reply's wire bytes from `count` borrowed lines: byte
-    /// for byte what `Reply::multiline(code, lines).to_wire()` produces
-    /// (`ddd-first`, ` middle`, `ddd last`; single-line `ddd text`),
-    /// with one output allocation instead of a line `Vec<String>`.
-    fn render_wire(code: u16, count: usize, lines: &mut dyn Iterator<Item = &str>) -> Vec<u8> {
-        use fmt::Write as _;
-        let mut out = String::new();
-        for (i, l) in lines.enumerate() {
-            if count == 1 || i + 1 == count {
-                let _ = write!(out, "{code:03} {l}\r\n");
-            } else if i == 0 {
-                let _ = write!(out, "{code:03}-{l}\r\n");
-            } else {
-                let _ = write!(out, " {l}\r\n");
-            }
-        }
-        out.into_bytes()
     }
 
     fn resolve(&self, session: &Session, arg: &str) -> Option<FtpPath> {
@@ -424,16 +399,17 @@ impl FtpServerEngine {
             return;
         };
         self.data_conns.remove(&data_conn);
-        let mut meta = FileMeta::public(bytes.len() as u64).with_owner(Owner::Anonymous);
-        if let Ok(text) = String::from_utf8(bytes) {
-            meta = meta.with_content(text);
-        }
+        let attrs = FileAttrs {
+            owner: Owner::Anonymous,
+            content: std::str::from_utf8(&bytes).ok(),
+            ..FileAttrs::public(bytes.len() as u64)
+        };
         let stored = match self.profile.upload_quirk {
-            UploadQuirk::Overwrite => self.vfs.add_file(path.as_str(), meta).map(|_| ()),
+            UploadQuirk::Overwrite => self.vfs.add_file(path.as_str(), attrs),
             UploadQuirk::UniqueSuffix => {
-                self.vfs.store_unique(path.as_str(), meta).map(|_| ())
+                self.vfs.store_unique(path.as_str(), attrs).map(|_| ())
             }
-            UploadQuirk::NeedsApproval => self.vfs.add_file(path.as_str(), meta).map(|_| ()),
+            UploadQuirk::NeedsApproval => self.vfs.add_file(path.as_str(), attrs),
         };
         match stored {
             Ok(()) => {
@@ -951,9 +927,13 @@ impl Endpoint for FtpServerEngine {
         }
         loop {
             let mut line = std::mem::take(&mut self.line_scratch);
-            let got = match self.sessions.get_mut(&conn) {
-                Some(s) => matches!(s.codec.next_line_into(&mut line), Ok(true)),
-                None => false,
+            let got = match self.sessions.get_mut(&conn).map(|s| s.codec.next_line_str()) {
+                Some(Ok(Some(l))) => {
+                    line.clear();
+                    line.push_str(l);
+                    true
+                }
+                _ => false,
             };
             if !got {
                 self.line_scratch = line;

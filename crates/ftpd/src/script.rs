@@ -7,8 +7,7 @@
 //! `PORT`-bounce tester is just a list of [`Action`]s replayed against a
 //! target.
 
-use ftp_proto::reply::ReplyParser;
-use ftp_proto::{HostPort, LineCodec, Reply};
+use ftp_proto::{HostPort, LineCodec, Reply, ReplyBuf, ReplyRef};
 use netsim::{ConnId, ConnectError, Ctx, Endpoint};
 use simtls::SimCertificate;
 use std::net::Ipv4Addr;
@@ -63,7 +62,7 @@ pub struct ScriptedFtpClient {
     waiting: Waiting,
     control: Option<ConnId>,
     codec: LineCodec,
-    parser: ReplyParser,
+    parser: ReplyBuf,
     replies: Vec<Reply>,
     data_conn: Option<ConnId>,
     data_buf: Vec<u8>,
@@ -87,7 +86,7 @@ impl ScriptedFtpClient {
             waiting: Waiting::Start,
             control: None,
             codec: LineCodec::new(),
-            parser: ReplyParser::default(),
+            parser: ReplyBuf::new(),
             replies: Vec::new(),
             data_conn: None,
             data_buf: Vec::new(),
@@ -327,7 +326,9 @@ impl Endpoint for ScriptedFtpClient {
             return;
         }
         self.codec.extend(data);
-        while let Ok(Some(line)) = self.codec.next_line() {
+        while let Ok(Some(line)) = self.codec.next_line_str() {
+            // Handlers below borrow `self` whole, so the line is copied.
+            let line = line.to_owned();
             // Simulated TLS certificate line.
             if line.starts_with('\u{1}') {
                 if matches!(self.waiting, Waiting::TlsCert) {
@@ -336,7 +337,7 @@ impl Endpoint for ScriptedFtpClient {
                 }
                 continue;
             }
-            match self.parser.push_line(&line) {
+            match self.parser.push_line(&line).map(|r| r.map(ReplyRef::to_reply)) {
                 Ok(Some(reply)) => self.on_reply(ctx, reply),
                 Ok(None) => {}
                 Err(_) => {

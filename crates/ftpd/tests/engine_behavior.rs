@@ -6,7 +6,7 @@ use ftpd::profile::{AnonPolicy, ServerProfile, UploadQuirk, UserReplyStyle};
 use ftpd::{Action, FtpServerEngine, ScriptedFtpClient};
 use netsim::{Endpoint, SimDuration, Simulator};
 use simtls::SimCertificate;
-use simvfs::{FileMeta, Vfs};
+use simvfs::{FileAttrs, Vfs};
 use std::net::Ipv4Addr;
 
 const SERVER: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
@@ -14,11 +14,11 @@ const CLIENT: Ipv4Addr = Ipv4Addr::new(10, 9, 9, 9);
 
 fn sample_vfs() -> Vfs {
     let mut v = Vfs::new();
-    v.add_file("/robots.txt", FileMeta::public(0).with_content("User-agent: *\nDisallow: /private/\n"))
-        .unwrap();
-    v.add_file("/pub/readme.txt", FileMeta::public(0).with_content("hello world")).unwrap();
-    v.add_file("/pub/photos/DSC_0001.JPG", FileMeta::public(2_400_000)).unwrap();
-    v.add_file("/private/secret.txt", FileMeta::private(100)).unwrap();
+    let robots = FileAttrs::public(0).with_content("User-agent: *\nDisallow: /private/\n");
+    v.add_file("/robots.txt", robots).unwrap();
+    v.add_file("/pub/readme.txt", FileAttrs::public(0).with_content("hello world")).unwrap();
+    v.add_file("/pub/photos/DSC_0001.JPG", FileAttrs::public(2_400_000)).unwrap();
+    v.add_file("/private/secret.txt", FileAttrs::private(100)).unwrap();
     v.mkdir_p("/incoming").unwrap();
     v
 }
@@ -184,15 +184,15 @@ fn list_bodies_are_pinned_for_every_owner() {
     use ftp_proto::listing::ListingFormat;
     use simvfs::Owner;
     let mut v = Vfs::new();
-    v.add_file("/o/u7.txt", FileMeta::public(12).with_owner(Owner::User(7))).unwrap();
-    v.add_file("/o/umax.dat", FileMeta::public(0).with_owner(Owner::User(u16::MAX))).unwrap();
+    v.add_file("/o/u7.txt", FileAttrs::public(12).with_owner(Owner::User(7))).unwrap();
+    v.add_file("/o/umax.dat", FileAttrs::public(0).with_owner(Owner::User(u16::MAX))).unwrap();
     v.add_file(
         "/o/root.cfg",
-        FileMeta::private(718).with_owner(Owner::Root).with_mtime("Jan  5  2015"),
+        FileAttrs::private(718).with_owner(Owner::Root).with_mtime("Jan  5  2015"),
     )
     .unwrap();
-    v.add_file("/o/anon.bin", FileMeta::public(5).with_owner(Owner::Anonymous)).unwrap();
-    v.add_file("/o/ftp.txt", FileMeta::public(1_048_576).with_owner(Owner::Ftp)).unwrap();
+    v.add_file("/o/anon.bin", FileAttrs::public(5).with_owner(Owner::Anonymous)).unwrap();
+    v.add_file("/o/ftp.txt", FileAttrs::public(1_048_576).with_owner(Owner::Ftp)).unwrap();
     v.mkdir_p("/o/sub").unwrap();
     let unix = "-rw-r--r--   1 ftp      ftp                 5 Jun 18  2015 anon.bin\r\n\
                 -rw-r--r--   1 ftp      ftp           1048576 Jun 18  2015 ftp.txt\r\n\
@@ -545,7 +545,7 @@ fn unknown_command_gets_500() {
 #[test]
 fn rename_in_writable_tree() {
     let mut v = sample_vfs();
-    v.add_file("/incoming/a.txt", FileMeta::public(1)).unwrap();
+    v.add_file("/incoming/a.txt", FileAttrs::public(1)).unwrap();
     let mut script = login();
     script.extend([
         Action::Send("RNFR /incoming/a.txt".into()),
@@ -563,8 +563,8 @@ fn rename_in_writable_tree() {
 #[test]
 fn rejected_rename_keeps_the_source() {
     let mut v = sample_vfs();
-    v.add_file("/incoming/a.txt", FileMeta::public(1)).unwrap();
-    v.add_file("/incoming/b.txt", FileMeta::public(2)).unwrap();
+    v.add_file("/incoming/a.txt", FileAttrs::public(1)).unwrap();
+    v.add_file("/incoming/b.txt", FileAttrs::public(2)).unwrap();
     let mut script = login();
     script.extend([
         Action::Send("RNFR /incoming/a.txt".into()),

@@ -59,10 +59,8 @@ impl HoneypotFarm {
             // Reactive seeding: paths attackers blindly probed for,
             // populated with representative files (§VIII).
             for dir in ["www", "public_html", "cgi-bin"] {
-                let _ = vfs.add_file(
-                    &format!("/{dir}/index.html"),
-                    simvfs::FileMeta::public(2_048),
-                );
+                let _ =
+                    vfs.add_file(&format!("/{dir}/index.html"), simvfs::FileAttrs::public(2_048));
             }
             let engine = FtpServerEngine::new(ip, profile, vfs);
             let (sensor, log) = Sensor::new(engine);

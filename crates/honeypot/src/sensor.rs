@@ -80,8 +80,8 @@ impl Endpoint for Sensor {
             let peer = *peer;
             codec.extend(data);
             let mut lines = Vec::new();
-            while let Ok(Some(line)) = codec.next_line() {
-                lines.push(line);
+            while let Ok(Some(line)) = codec.next_line_str() {
+                lines.push(line.to_owned());
             }
             let now = ctx.now();
             for line in lines {

@@ -112,23 +112,6 @@ impl Ipv4Net {
         let mask = Self::mask_bits(shorter);
         self.base & mask == other.base & mask
     }
-
-    /// Splits into `2^bits` equal sub-prefixes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the resulting prefix length would exceed 32.
-    pub fn subnets(&self, bits: u8) -> Vec<Ipv4Net> {
-        let new_len = self.prefix_len + bits;
-        assert!(new_len <= 32, "subnet split to /{new_len} exceeds /32");
-        let step = 1u64 << (32 - new_len);
-        (0..(1u64 << bits))
-            .map(|i| Ipv4Net {
-                base: self.base + (i * step) as u32,
-                prefix_len: new_len,
-            })
-            .collect()
-    }
 }
 
 impl fmt::Display for Ipv4Net {
@@ -284,15 +267,6 @@ mod tests {
         assert!(a.overlaps(&b));
         assert!(b.overlaps(&a));
         assert!(!a.overlaps(&c));
-    }
-
-    #[test]
-    fn subnet_split() {
-        let n: Ipv4Net = "10.0.0.0/8".parse().unwrap();
-        let subs = n.subnets(2);
-        assert_eq!(subs.len(), 4);
-        assert_eq!(subs[1].to_string(), "10.64.0.0/10");
-        assert_eq!(subs.iter().map(|s| s.size()).sum::<u64>(), n.size());
     }
 
     #[test]

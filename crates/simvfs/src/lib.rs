@@ -32,18 +32,19 @@
 //! directory's last child before binary-searching, and a one-entry
 //! cache skips re-interning a repeated mtime. Lookups search as usual.
 //!
-//! Lookups return borrowed views ([`NodeRef`], [`FileRef`], [`DirRef`])
-//! rather than `&Node`: plain `Copy` structs whose string fields borrow
-//! from the arena, mirroring the enumerator's columnar `FileTable`.
+//! Inserts take, and lookups return, borrowed views ([`FileAttrs`],
+//! [`NodeRef`], [`DirRef`]) rather than owned nodes: plain `Copy`
+//! structs whose string fields borrow from the caller or the arena,
+//! mirroring the enumerator's columnar `FileTable`.
 //!
 //! # Example
 //!
 //! ```
-//! use simvfs::{Vfs, FileMeta, Owner};
+//! use simvfs::{FileAttrs, Vfs};
 //!
 //! let mut vfs = Vfs::new();
 //! vfs.mkdir_p("/pub/photos")?;
-//! vfs.add_file("/pub/photos/DSC_0001.JPG", FileMeta::public(2_400_000))?;
+//! vfs.add_file("/pub/photos/DSC_0001.JPG", FileAttrs::public(2_400_000))?;
 //! assert_eq!(vfs.list("/pub/photos")?.len(), 1);
 //! assert_eq!(vfs.file_count(), 1);
 //! # Ok::<(), simvfs::VfsError>(())
@@ -103,80 +104,16 @@ impl fmt::Display for Owner {
     }
 }
 
-/// Metadata for a file node — the owned *builder* form used to insert
-/// files. For the zero-allocation insert path see [`FileAttrs`]; for
-/// reading back what the tree stores see [`FileRef`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FileMeta {
-    /// Size in bytes.
-    pub size: u64,
-    /// Permission bits.
-    pub perms: Permissions,
-    /// Owner account.
-    pub owner: Owner,
-    /// Modification time as rendered in listings (`"Jun 18  2015"`).
-    pub mtime: String,
-    /// Optional small content (write probes, scripts, robots.txt).
-    pub content: Option<String>,
-}
+/// The mtime a file or directory gets when none is given.
+const DEFAULT_MTIME: &str = "Jun 18  2015";
 
-impl serde::Serialize for FileMeta {}
-impl serde::Deserialize for FileMeta {}
-
-impl FileMeta {
-    /// A world-readable (`0644`) file of the given size.
-    pub fn public(size: u64) -> Self {
-        FileMeta {
-            size,
-            perms: Permissions::public_file(),
-            owner: Owner::Ftp,
-            mtime: DEFAULT_MTIME.to_owned(),
-            content: None,
-        }
-    }
-
-    /// An owner-only (`0600`) file of the given size.
-    pub fn private(size: u64) -> Self {
-        FileMeta { perms: Permissions::private_file(), ..FileMeta::public(size) }
-    }
-
-    /// Builder-style: replaces the content (and size, to match).
-    pub fn with_content(mut self, content: impl Into<String>) -> Self {
-        let content = content.into();
-        self.size = content.len() as u64;
-        self.content = Some(content);
-        self
-    }
-
-    /// Builder-style: replaces the owner.
-    pub fn with_owner(mut self, owner: Owner) -> Self {
-        self.owner = owner;
-        self
-    }
-
-    /// Builder-style: replaces the mtime text.
-    pub fn with_mtime(mut self, mtime: impl Into<String>) -> Self {
-        self.mtime = mtime.into();
-        self
-    }
-
-    fn as_attrs(&self) -> FileAttrs<'_> {
-        FileAttrs {
-            size: self.size,
-            perms: self.perms,
-            owner: self.owner,
-            mtime: &self.mtime,
-            content: self.content.as_deref(),
-        }
-    }
-}
-
-/// Borrowed file attributes for the hot insert path
-/// ([`Vfs::add_file_attrs`]): worldgen renders the mtime into a reused
-/// scratch buffer and passes it here by reference, so materializing a
-/// file costs no owned `String`s at all — the arena interns what it
-/// needs.
-#[derive(Debug, Clone, Copy)]
+/// A file's listing-visible attributes, borrowed: what inserts take
+/// ([`Vfs::add_file`], [`Vfs::add_file_in`], [`Vfs::store_unique`]) and
+/// what reads return ([`Vfs::file`], [`NodeRef::File`]). The string
+/// fields borrow from the caller on insert (worldgen renders mtimes
+/// into a reused scratch buffer, so materializing a file costs no owned
+/// `String`s) and from the tree's arena on read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FileAttrs<'a> {
     /// Size in bytes.
     pub size: u64,
@@ -184,50 +121,43 @@ pub struct FileAttrs<'a> {
     pub perms: Permissions,
     /// Owner account.
     pub owner: Owner,
-    /// Modification time as rendered in listings.
+    /// Modification time as rendered in listings (`"Jun 18  2015"`).
     pub mtime: &'a str,
-    /// Optional small content.
+    /// Optional small content (write probes, scripts, robots.txt).
     pub content: Option<&'a str>,
 }
 
 impl<'a> FileAttrs<'a> {
-    /// A world-readable (`0644`) file with the given size and mtime.
-    pub fn public(size: u64, mtime: &'a str) -> Self {
+    /// A world-readable (`0644`) file of the given size, owned by `ftp`
+    /// and dated `Jun 18  2015`.
+    pub fn public(size: u64) -> Self {
         FileAttrs {
             size,
             perms: Permissions::public_file(),
             owner: Owner::Ftp,
-            mtime,
+            mtime: DEFAULT_MTIME,
             content: None,
         }
     }
-}
 
-/// Metadata for a directory node (owned builder form; directories
-/// created implicitly use [`DirMeta::default`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DirMeta {
-    /// Permission bits (other-read governs anonymous LIST).
-    pub perms: Permissions,
-    /// Owner account.
-    pub owner: Owner,
-    /// Modification time as rendered in listings.
-    pub mtime: String,
-}
+    /// An owner-only (`0600`) file of the given size.
+    pub fn private(size: u64) -> Self {
+        FileAttrs { perms: Permissions::private_file(), ..FileAttrs::public(size) }
+    }
 
-impl serde::Serialize for DirMeta {}
-impl serde::Deserialize for DirMeta {}
+    /// Builder-style: replaces the content (and size, to match).
+    pub fn with_content(self, content: &'a str) -> Self {
+        FileAttrs { size: content.len() as u64, content: Some(content), ..self }
+    }
 
-/// The mtime every implicitly-created node carries.
-const DEFAULT_MTIME: &str = "Jun 18  2015";
+    /// Builder-style: replaces the owner.
+    pub fn with_owner(self, owner: Owner) -> Self {
+        FileAttrs { owner, ..self }
+    }
 
-impl Default for DirMeta {
-    fn default() -> Self {
-        DirMeta {
-            perms: Permissions::public_dir(),
-            owner: Owner::Ftp,
-            mtime: DEFAULT_MTIME.to_owned(),
-        }
+    /// Builder-style: replaces the mtime text.
+    pub fn with_mtime(self, mtime: &'a str) -> Self {
+        FileAttrs { mtime, ..self }
     }
 }
 
@@ -439,22 +369,6 @@ struct NodeSlot {
 // Borrowed views.
 // ---------------------------------------------------------------------
 
-/// Borrowed view of a file node. Plain `Copy` fields; the string fields
-/// borrow from the tree's arena.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FileRef<'v> {
-    /// Size in bytes.
-    pub size: u64,
-    /// Permission bits.
-    pub perms: Permissions,
-    /// Owner account.
-    pub owner: Owner,
-    /// Modification time as rendered in listings.
-    pub mtime: &'v str,
-    /// Optional small content.
-    pub content: Option<&'v str>,
-}
-
 /// Borrowed view of a directory node.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DirRef<'v> {
@@ -472,7 +386,7 @@ pub struct DirRef<'v> {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum NodeRef<'v> {
     /// A regular file.
-    File(FileRef<'v>),
+    File(FileAttrs<'v>),
     /// A directory.
     Dir(DirRef<'v>),
 }
@@ -649,7 +563,7 @@ impl Vfs {
 
     fn node_ref(&self, ix: u32) -> NodeRef<'_> {
         match &self.nodes[ix as usize].kind {
-            Slot::File(f) => NodeRef::File(FileRef {
+            Slot::File(f) => NodeRef::File(FileAttrs {
                 size: f.size,
                 perms: f.perms,
                 owner: f.owner,
@@ -864,35 +778,25 @@ impl Vfs {
     }
 
     /// Adds a file, creating parent directories as needed. Overwrites an
-    /// existing file at the same path.
+    /// existing file at the same path. One descent creates missing
+    /// parents and places the file; nothing is allocated beyond
+    /// amortized arena growth.
     ///
     /// # Errors
     ///
     /// [`VfsError::NotADirectory`] if the target is an existing directory
     /// or a file blocks a parent component.
-    pub fn add_file(&mut self, path: &str, meta: FileMeta) -> Result<(), VfsError> {
-        self.add_file_attrs(path, meta.as_attrs())
-    }
-
-    /// [`Vfs::add_file`] with fully borrowed attributes — the worldgen
-    /// hot path. One descent creates missing parents and places the
-    /// file; nothing is allocated beyond amortized arena growth.
-    ///
-    /// # Errors
-    ///
-    /// As [`Vfs::add_file`].
-    pub fn add_file_attrs(&mut self, path: &str, attrs: FileAttrs<'_>) -> Result<(), VfsError> {
+    pub fn add_file(&mut self, path: &str, attrs: FileAttrs<'_>) -> Result<(), VfsError> {
         if obs::enabled() {
             obs::counter(obs::Counter::VfsOps, 1);
         }
-        if Self::is_canonical(path) {
-            return self.add_file_canonical(path, attrs).map(|_| ());
+        let mut owned = None;
+        let (path, parent, name) = self.file_parent(path, &mut owned)?;
+        if self.put_file(parent, name, attrs) {
+            Ok(())
+        } else {
+            Err(VfsError::NotADirectory { path: path.to_owned() })
         }
-        let p = Self::canon(path)?;
-        if p.file_name().is_none() {
-            return Err(VfsError::BadPath { path: path.to_owned() });
-        }
-        self.add_file_canonical(p.as_str(), attrs).map(|_| ())
     }
 
     /// Descends to `path` once (creating missing directories, like
@@ -921,8 +825,8 @@ impl Vfs {
     }
 
     /// Adds (or overwrites) the file `name` directly inside the
-    /// directory `dir` — [`Vfs::add_file_attrs`] without the per-file
-    /// path render and descent. `name` is a single component: no `/`.
+    /// directory `dir` — [`Vfs::add_file`] without the per-file path
+    /// render and descent. `name` is a single component: no `/`.
     ///
     /// # Errors
     ///
@@ -945,22 +849,48 @@ impl Vfs {
         {
             return Err(VfsError::BadPath { path: name.to_owned() });
         }
-        let data = self.file_data(attrs);
-        match self.find_child_for_insert(dir.0, name) {
-            Ok(child) => {
-                if matches!(self.nodes[child as usize].kind, Slot::Dir(_)) {
-                    return Err(VfsError::NotADirectory { path: name.to_owned() });
-                }
-                self.nodes[child as usize].kind = Slot::File(data);
-            }
-            Err(pos) => {
-                self.insert_child(dir.0, pos, name, Slot::File(data));
-            }
+        if self.put_file(dir.0, name, attrs) {
+            Ok(())
+        } else {
+            Err(VfsError::NotADirectory { path: name.to_owned() })
         }
-        Ok(())
     }
 
-    fn add_file_canonical(&mut self, path: &str, attrs: FileAttrs<'_>) -> Result<u32, VfsError> {
+    /// Places the file `name` in directory `dir`, overwriting a file of
+    /// that name. `false` (and nothing placed) when a directory holds
+    /// the name.
+    fn put_file(&mut self, dir: u32, name: &str, attrs: FileAttrs<'_>) -> bool {
+        let data = self.file_data(attrs);
+        match self.find_child_for_insert(dir, name) {
+            Ok(child) if matches!(self.nodes[child as usize].kind, Slot::Dir(_)) => false,
+            Ok(child) => {
+                self.nodes[child as usize].kind = Slot::File(data);
+                true
+            }
+            Err(pos) => {
+                self.insert_child(dir, pos, name, Slot::File(data));
+                true
+            }
+        }
+    }
+
+    /// Canonicalizes a file `path` (into `owned` only when it is not
+    /// canonical already) and returns it with its parent directory,
+    /// created as needed, and its final name.
+    fn file_parent<'p>(
+        &mut self,
+        path: &'p str,
+        owned: &'p mut Option<FtpPath>,
+    ) -> Result<(&'p str, u32, &'p str), VfsError> {
+        let path = if Self::is_canonical(path) {
+            path
+        } else {
+            let p = owned.insert(Self::canon(path)?);
+            if p.file_name().is_none() {
+                return Err(VfsError::BadPath { path: path.to_owned() });
+            }
+            p.as_str()
+        };
         if path == "/" {
             return Err(VfsError::BadPath { path: path.to_owned() });
         }
@@ -970,76 +900,29 @@ impl Vfs {
             None => return Err(VfsError::BadPath { path: path.to_owned() }),
         };
         let parent = self.descend_creating(parent_path).map_err(|e| match e {
-            // The legacy single-descent insert reported blocked parents
-            // against the full target path; keep that.
+            // Blocked parents are reported against the full target path.
             VfsError::NotADirectory { .. } => VfsError::NotADirectory { path: path.to_owned() },
             other => other,
         })?;
-        let data = self.file_data(attrs);
-        let id = match self.find_child_for_insert(parent, name) {
-            Ok(child) => {
-                if matches!(self.nodes[child as usize].kind, Slot::Dir(_)) {
-                    return Err(VfsError::NotADirectory { path: path.to_owned() });
-                }
-                self.nodes[child as usize].kind = Slot::File(data);
-                child
-            }
-            Err(pos) => self.insert_child(parent, pos, name, Slot::File(data)),
-        };
-        Ok(id)
+        Ok((path, parent, name))
     }
 
     /// Stores an upload with the *unique-suffix* quirk: if `name` exists,
     /// the stored file becomes `name.1`, then `name.2`, … (the behavior
     /// §VI-A uses as a world-writable indicator). Returns the stored
     /// node's id; render it with [`Vfs::path_of`] when the text is
-    /// needed — the candidate probing itself no longer builds paths.
+    /// needed. `Copy` attrs make repeat stores of the same upload free.
     ///
     /// # Errors
     ///
-    /// Propagates [`Vfs::add_file`] errors.
-    pub fn store_unique(&mut self, path: &str, meta: FileMeta) -> Result<NodeId, VfsError> {
-        self.store_unique_attrs(path, meta.as_attrs())
-    }
-
-    /// [`Vfs::store_unique`] with fully borrowed attributes; `Copy`
-    /// attrs also make repeat stores of the same upload free.
-    ///
-    /// # Errors
-    ///
-    /// As [`Vfs::store_unique`].
-    pub fn store_unique_attrs(
-        &mut self,
-        path: &str,
-        attrs: FileAttrs<'_>,
-    ) -> Result<NodeId, VfsError> {
+    /// As [`Vfs::add_file`], for a malformed path or a blocked parent.
+    pub fn store_unique(&mut self, path: &str, attrs: FileAttrs<'_>) -> Result<NodeId, VfsError> {
         use fmt::Write as _;
-        let canonical;
-        let path = if Self::is_canonical(path) {
-            path
-        } else {
-            canonical = Self::canon(path)?;
-            if canonical.file_name().is_none() {
-                return Err(VfsError::BadPath { path: path.to_owned() });
-            }
-            canonical.as_str()
-        };
-        if path == "/" {
-            return Err(VfsError::BadPath { path: path.to_owned() });
-        }
-        let (parent_path, name) = match path.rfind('/') {
-            Some(0) => ("/", &path[1..]),
-            Some(ix) => (&path[..ix], &path[ix + 1..]),
-            None => return Err(VfsError::BadPath { path: path.to_owned() }),
-        };
-        let parent = self.descend_creating(parent_path).map_err(|e| match e {
-            VfsError::NotADirectory { .. } => VfsError::NotADirectory { path: path.to_owned() },
-            other => other,
-        })?;
+        let mut owned = None;
+        let (_, parent, name) = self.file_parent(path, &mut owned)?;
         if let Err(pos) = self.find_child_for_insert(parent, name) {
             let data = self.file_data(attrs);
-            let id = self.insert_child(parent, pos, name, Slot::File(data));
-            return Ok(NodeId(id));
+            return Ok(NodeId(self.insert_child(parent, pos, name, Slot::File(data))));
         }
         // Candidate names are probed inside the already-resolved parent:
         // one suffix scratch reused across candidates, no re-descent.
@@ -1049,8 +932,7 @@ impl Vfs {
             let _ = write!(candidate, "{name}.{n}");
             if let Err(pos) = self.find_child_for_insert(parent, &candidate) {
                 let data = self.file_data(attrs);
-                let id = self.insert_child(parent, pos, &candidate, Slot::File(data));
-                return Ok(NodeId(id));
+                return Ok(NodeId(self.insert_child(parent, pos, &candidate, Slot::File(data))));
             }
         }
         unreachable!("u32 suffix space exhausted")
@@ -1227,7 +1109,7 @@ impl Vfs {
     /// # Errors
     ///
     /// [`VfsError::NotFound`] if absent or a directory.
-    pub fn file(&self, path: &str) -> Result<FileRef<'_>, VfsError> {
+    pub fn file(&self, path: &str) -> Result<FileAttrs<'_>, VfsError> {
         match self.node(path)? {
             NodeRef::File(f) => Ok(f),
             NodeRef::Dir(_) => Err(VfsError::NotFound { path: path.to_owned() }),
@@ -1324,7 +1206,7 @@ mod tests {
     #[test]
     fn add_and_read_file() {
         let mut v = Vfs::new();
-        v.add_file("/pub/readme.txt", FileMeta::public(42).with_content("hello")).unwrap();
+        v.add_file("/pub/readme.txt", FileAttrs::public(42).with_content("hello")).unwrap();
         let f = v.file("/pub/readme.txt").unwrap();
         assert_eq!(f.size, 5); // with_content resizes
         assert_eq!(f.content, Some("hello"));
@@ -1334,7 +1216,7 @@ mod tests {
     #[test]
     fn file_blocks_directory_path() {
         let mut v = Vfs::new();
-        v.add_file("/x", FileMeta::public(1)).unwrap();
+        v.add_file("/x", FileAttrs::public(1)).unwrap();
         assert!(matches!(v.mkdir_p("/x/y"), Err(VfsError::NotADirectory { .. })));
         assert!(matches!(v.node("/x/y"), Err(VfsError::NotADirectory { .. })));
     }
@@ -1350,11 +1232,11 @@ mod tests {
     #[test]
     fn store_unique_appends_suffixes() {
         let mut v = Vfs::new();
-        let a = v.store_unique("/up/probe.txt", FileMeta::public(1)).unwrap();
+        let a = v.store_unique("/up/probe.txt", FileAttrs::public(1)).unwrap();
         assert_eq!(v.path_of(a), "/up/probe.txt");
-        let b = v.store_unique("/up/probe.txt", FileMeta::public(1)).unwrap();
+        let b = v.store_unique("/up/probe.txt", FileAttrs::public(1)).unwrap();
         assert_eq!(v.path_of(b), "/up/probe.txt.1");
-        let c = v.store_unique("/up/probe.txt", FileMeta::public(1)).unwrap();
+        let c = v.store_unique("/up/probe.txt", FileAttrs::public(1)).unwrap();
         assert_eq!(v.path_of(c), "/up/probe.txt.2");
         assert_eq!(v.file_count(), 3);
     }
@@ -1362,8 +1244,8 @@ mod tests {
     #[test]
     fn remove_file_and_dir() {
         let mut v = Vfs::new();
-        v.add_file("/d/f1", FileMeta::public(1)).unwrap();
-        v.add_file("/d/sub/f2", FileMeta::public(1)).unwrap();
+        v.add_file("/d/f1", FileAttrs::public(1)).unwrap();
+        v.add_file("/d/sub/f2", FileAttrs::public(1)).unwrap();
         v.remove("/d/f1").unwrap();
         assert!(!v.exists("/d/f1"));
         v.remove("/d").unwrap(); // recursive
@@ -1375,20 +1257,20 @@ mod tests {
     #[test]
     fn rename_moves_subtree() {
         let mut v = Vfs::new();
-        v.add_file("/a/b/file", FileMeta::public(9)).unwrap();
+        v.add_file("/a/b/file", FileAttrs::public(9)).unwrap();
         v.rename("/a/b", "/c/moved").unwrap();
         assert!(v.exists("/c/moved/file"));
         assert!(!v.exists("/a/b"));
         assert!(matches!(v.rename("/missing", "/x"), Err(VfsError::NotFound { .. })));
-        v.add_file("/taken", FileMeta::public(1)).unwrap();
+        v.add_file("/taken", FileAttrs::public(1)).unwrap();
         assert!(matches!(v.rename("/c", "/taken"), Err(VfsError::AlreadyExists { .. })));
     }
 
     #[test]
     fn rejected_rename_keeps_the_source() {
         let mut v = Vfs::new();
-        v.add_file("/incoming/a.txt", FileMeta::public(1)).unwrap();
-        v.add_file("/incoming/b.txt", FileMeta::public(2)).unwrap();
+        v.add_file("/incoming/a.txt", FileAttrs::public(1)).unwrap();
+        v.add_file("/incoming/b.txt", FileAttrs::public(2)).unwrap();
         let before = v.clone();
         assert!(matches!(
             v.rename("/incoming/a.txt", "/incoming/b.txt/c"),
@@ -1411,7 +1293,7 @@ mod tests {
         let mut forward = Vfs::new();
         let dir = forward.dir_handle("/d").unwrap();
         for n in names {
-            forward.add_file_in(dir, n, FileAttrs::public(1, "Jan  1  2014")).unwrap();
+            forward.add_file_in(dir, n, FileAttrs::public(1).with_mtime("Jan  1  2014")).unwrap();
         }
         let mut sorted_names = names.to_vec();
         sorted_names.sort_unstable();
@@ -1421,7 +1303,7 @@ mod tests {
         let mut reverse = Vfs::new();
         for n in names.iter().rev() {
             reverse
-                .add_file(&format!("/d/{n}"), FileMeta::public(1).with_mtime("Jan  1  2014"))
+                .add_file(&format!("/d/{n}"), FileAttrs::public(1).with_mtime("Jan  1  2014"))
                 .unwrap();
         }
         assert_eq!(forward, reverse);
@@ -1430,8 +1312,8 @@ mod tests {
     #[test]
     fn list_is_name_ordered() {
         let mut v = Vfs::new();
-        v.add_file("/d/zeta", FileMeta::public(1)).unwrap();
-        v.add_file("/d/alpha", FileMeta::public(1)).unwrap();
+        v.add_file("/d/zeta", FileAttrs::public(1)).unwrap();
+        v.add_file("/d/alpha", FileAttrs::public(1)).unwrap();
         v.mkdir_p("/d/beta").unwrap();
         let names: Vec<&str> = v.list("/d").unwrap().map(|(n, _)| n).collect();
         assert_eq!(names, vec!["alpha", "beta", "zeta"]);
@@ -1441,8 +1323,8 @@ mod tests {
     #[test]
     fn walk_visits_everything() {
         let mut v = Vfs::new();
-        v.add_file("/a/f1", FileMeta::public(1)).unwrap();
-        v.add_file("/a/b/f2", FileMeta::public(1)).unwrap();
+        v.add_file("/a/f1", FileAttrs::public(1)).unwrap();
+        v.add_file("/a/b/f2", FileAttrs::public(1)).unwrap();
         let paths: Vec<String> = walked(&v).into_iter().map(|(p, _)| p).collect();
         assert_eq!(paths, vec!["/a", "/a/b", "/a/b/f2", "/a/f1"]);
     }
@@ -1450,8 +1332,8 @@ mod tests {
     #[test]
     fn counts() {
         let mut v = Vfs::new();
-        v.add_file("/a/f1", FileMeta::public(1)).unwrap();
-        v.add_file("/a/b/f2", FileMeta::public(1)).unwrap();
+        v.add_file("/a/f1", FileAttrs::public(1)).unwrap();
+        v.add_file("/a/b/f2", FileAttrs::public(1)).unwrap();
         v.mkdir_p("/empty/nested").unwrap();
         assert_eq!(v.file_count(), 2);
         assert_eq!(v.dir_count(), 4); // a, a/b, empty, empty/nested
@@ -1461,7 +1343,7 @@ mod tests {
     fn bad_paths_rejected() {
         let mut v = Vfs::new();
         assert!(matches!(v.mkdir_p("/../escape"), Err(VfsError::BadPath { .. })));
-        assert!(matches!(v.add_file("/", FileMeta::public(1)), Err(VfsError::BadPath { .. })));
+        assert!(matches!(v.add_file("/", FileAttrs::public(1)), Err(VfsError::BadPath { .. })));
     }
 
     #[test]
@@ -1475,7 +1357,7 @@ mod tests {
     #[test]
     fn file_mut_updates_in_place() {
         let mut v = Vfs::new();
-        v.add_file("/f", FileMeta::public(1).with_owner(Owner::Anonymous)).unwrap();
+        v.add_file("/f", FileAttrs::public(1).with_owner(Owner::Anonymous)).unwrap();
         *v.file_mut("/f").unwrap().owner = Owner::Ftp;
         assert_eq!(v.file("/f").unwrap().owner, Owner::Ftp);
         assert!(v.file_mut("/nope").is_err());
@@ -1485,11 +1367,11 @@ mod tests {
     fn interner_dedups_and_counts_bytes() {
         let mut v = Vfs::new();
         let before = v.interned_bytes();
-        v.add_file("/x/a.txt", FileMeta::public(1)).unwrap();
+        v.add_file("/x/a.txt", FileAttrs::public(1)).unwrap();
         let after_first = v.interned_bytes();
         assert!(after_first > before);
         // Same names elsewhere in the tree intern to the same spans.
-        v.add_file("/y/a.txt", FileMeta::public(1)).unwrap();
+        v.add_file("/y/a.txt", FileAttrs::public(1)).unwrap();
         assert_eq!(v.interned_bytes(), after_first + 1, "only the new name byte 'y'");
         assert_eq!(v.node_count(), 1 + 4); // root + x, a.txt, y, a.txt
     }
@@ -1498,15 +1380,15 @@ mod tests {
     fn content_equality_ignores_history() {
         let mut a = Vfs::new();
         let mut b = Vfs::new();
-        a.add_file("/d/one", FileMeta::public(1)).unwrap();
-        a.add_file("/d/two", FileMeta::public(2)).unwrap();
+        a.add_file("/d/one", FileAttrs::public(1)).unwrap();
+        a.add_file("/d/two", FileAttrs::public(2)).unwrap();
         // Same tree, different construction order and extra churn.
-        b.add_file("/d/two", FileMeta::public(2)).unwrap();
-        b.add_file("/d/tmp", FileMeta::public(9)).unwrap();
+        b.add_file("/d/two", FileAttrs::public(2)).unwrap();
+        b.add_file("/d/tmp", FileAttrs::public(9)).unwrap();
         b.remove("/d/tmp").unwrap();
-        b.add_file("/d/one", FileMeta::public(1)).unwrap();
+        b.add_file("/d/one", FileAttrs::public(1)).unwrap();
         assert_eq!(a, b);
-        b.add_file("/d/one", FileMeta::public(7)).unwrap();
+        b.add_file("/d/one", FileAttrs::public(7)).unwrap();
         assert_ne!(a, b);
     }
 }

@@ -1,7 +1,7 @@
 //! Property-based tests for the virtual filesystem.
 
 use proptest::prelude::*;
-use simvfs::{FileMeta, Vfs};
+use simvfs::{FileAttrs, Vfs};
 
 fn path_strategy() -> impl Strategy<Value = String> {
     proptest::collection::vec("[a-zA-Z0-9_.-]{1,8}", 1..5)
@@ -20,7 +20,7 @@ proptest! {
         for p in &paths {
             // A path may fail if a previously-added file occupies one of
             // its parent components; that's legal and must error cleanly.
-            if vfs.add_file(p, FileMeta::public(1)).is_ok() {
+            if vfs.add_file(p, FileAttrs::public(1)).is_ok() {
                 added.push(p.clone());
             }
         }
@@ -42,7 +42,7 @@ proptest! {
         let mut stored = std::collections::HashSet::new();
         for i in 0..n {
             let id = vfs
-                .store_unique("/up/probe.txt", FileMeta::public(i as u64))
+                .store_unique("/up/probe.txt", FileAttrs::public(i as u64))
                 .unwrap();
             let path = vfs.path_of(id);
             prop_assert!(stored.insert(path.clone()), "duplicate {path}");
@@ -57,7 +57,7 @@ proptest! {
     fn walk_is_complete_and_sorted(paths in proptest::collection::hash_set(path_strategy(), 1..15)) {
         let mut vfs = Vfs::new();
         for p in &paths {
-            let _ = vfs.add_file(p, FileMeta::public(2));
+            let _ = vfs.add_file(p, FileAttrs::public(2));
         }
         let mut walked: Vec<(String, bool)> = Vec::new();
         vfs.walk(|p, n| walked.push((p.to_owned(), n.is_dir())));
@@ -92,8 +92,8 @@ proptest! {
     #[test]
     fn rename_moves_subtree(leaf in "[a-z]{1,6}") {
         let mut vfs = Vfs::new();
-        vfs.add_file(&format!("/src/a/{leaf}"), FileMeta::public(1)).unwrap();
-        vfs.add_file("/src/b", FileMeta::public(1)).unwrap();
+        vfs.add_file(&format!("/src/a/{leaf}"), FileAttrs::public(1)).unwrap();
+        vfs.add_file("/src/b", FileAttrs::public(1)).unwrap();
         let before = vfs.file_count();
         vfs.rename("/src", "/dst").unwrap();
         prop_assert_eq!(vfs.file_count(), before);
@@ -108,9 +108,9 @@ proptest! {
     fn remove_subtree(n in 1usize..8) {
         let mut vfs = Vfs::new();
         for i in 0..n {
-            vfs.add_file(&format!("/doomed/f{i}"), FileMeta::public(1)).unwrap();
+            vfs.add_file(&format!("/doomed/f{i}"), FileAttrs::public(1)).unwrap();
         }
-        vfs.add_file("/kept/file", FileMeta::public(1)).unwrap();
+        vfs.add_file("/kept/file", FileAttrs::public(1)).unwrap();
         vfs.remove("/doomed").unwrap();
         prop_assert_eq!(vfs.file_count(), 1);
         prop_assert!(vfs.exists("/kept/file"));

@@ -97,13 +97,13 @@ pub fn inject(
             path.set(spot);
             path.push_fmt(name);
             if unique_suffix {
-                let _ = vfs.store_unique_attrs(path.as_str(), attrs);
+                let _ = vfs.store_unique(path.as_str(), attrs);
                 // Repeat probes are what create the suffix trail.
                 if rng.random_bool(0.5) {
-                    let _ = vfs.store_unique_attrs(path.as_str(), attrs);
+                    let _ = vfs.store_unique(path.as_str(), attrs);
                 }
             } else {
-                let _ = vfs.add_file_attrs(path.as_str(), attrs);
+                let _ = vfs.add_file(path.as_str(), attrs);
             }
             path.pop();
         };
@@ -140,7 +140,7 @@ pub fn inject(
                 }
                 path.push(name);
                 let attrs = uploaded(rng, RAT_ONELINER, mtime);
-                let _ = vfs.add_file_attrs(path.as_str(), attrs);
+                let _ = vfs.add_file(path.as_str(), attrs);
             }
         }
         Campaign::Ddos => {
@@ -158,7 +158,7 @@ pub fn inject(
             // deletes archives; model the tag plus an infected index.
             if vfs.exists("/www") {
                 let attrs = uploaded(rng, "<?php /* injected href farm */ ?>", mtime);
-                let _ = vfs.add_file_attrs("/www/index.php", attrs);
+                let _ = vfs.add_file("/www/index.php", attrs);
             }
         }
         Campaign::KeygenFlier => {
@@ -193,7 +193,7 @@ pub fn inject(
                         perms: Permissions::public_file(),
                         ..uploaded(rng, "warez blob", mtime)
                     };
-                    let _ = vfs.add_file_attrs(path.as_str(), attrs);
+                    let _ = vfs.add_file(path.as_str(), attrs);
                     path.pop();
                 }
             }

@@ -63,7 +63,8 @@ pub struct PopulationSpec {
 }
 
 impl PopulationSpec {
-    /// A small world for tests: ~`n` FTP servers in `4.0.0.0/16`.
+    /// A small world for tests: ~`n` FTP servers in `4.0.0.0/14` (262,144
+    /// addresses).
     pub fn small(seed: u64, n: usize) -> Self {
         PopulationSpec {
             seed,
@@ -1347,9 +1348,8 @@ fn build_vfs(plan: &HostPlan, rng: &mut StdRng, scratch: &mut content::GenScratc
         // overruns the 500-request budget (~250+ dirs), shaped like the
         // giant photo archives the study actually hit.
         let rolls: u16 = rng.random_range(300..500);
-        // Static attrs (no per-file RNG draws, matching the legacy
-        // `FileMeta::public` default mtime).
-        let attrs = simvfs::FileAttrs::public(2_000_000, "Jun 18  2015");
+        // Static attrs: no per-file RNG draws, and the default mtime.
+        let attrs = simvfs::FileAttrs::public(2_000_000);
         // `roll-{roll:03}` and `IMG_{i:04}.jpg`, rendered by hand: rolls
         // stay below 1,000 and files per roll below 100.
         let mut roll_name = *b"roll-000";
@@ -1381,13 +1381,7 @@ fn build_vfs(plan: &HostPlan, rng: &mut StdRng, scratch: &mut content::GenScratc
         } else {
             "User-agent: *\nDisallow: /private/\n"
         };
-        let _ = vfs.add_file_attrs(
-            "/robots.txt",
-            simvfs::FileAttrs {
-                content: Some(body),
-                ..simvfs::FileAttrs::public(body.len() as u64, "Jun 18  2015")
-            },
-        );
+        let _ = vfs.add_file("/robots.txt", simvfs::FileAttrs::public(0).with_content(body));
     }
     // Ensure writable servers have their writable directory.
     if t.writable {

@@ -43,11 +43,6 @@ impl Blocklist {
     pub fn is_empty(&self) -> bool {
         self.ranges.is_empty()
     }
-
-    /// Total addresses covered (over-counts overlapping ranges).
-    pub fn covered_addresses(&self) -> u64 {
-        self.ranges.iter().map(Ipv4Net::size).sum()
-    }
 }
 
 impl Extend<Ipv4Net> for Blocklist {
@@ -89,7 +84,6 @@ mod tests {
         assert!(b.is_blocked(Ipv4Addr::new(141, 212, 5, 5)));
         assert!(!b.is_blocked(Ipv4Addr::new(141, 213, 5, 5)));
         assert_eq!(b.len(), 1);
-        assert_eq!(b.covered_addresses(), 65_536);
     }
 
     #[test]

@@ -158,17 +158,6 @@ pub struct ScanResults {
     pub blocked: u64,
 }
 
-impl ScanResults {
-    /// Fraction of probed addresses that were open.
-    pub fn hit_rate(&self) -> f64 {
-        if self.probes_sent == 0 {
-            0.0
-        } else {
-            self.open.len() as f64 / self.probes_sent as f64
-        }
-    }
-}
-
 /// Per-address probe state, two bytes in the scanner's dense table.
 /// `remaining == 0` doubles as "not outstanding" — an address that was
 /// never probed and one whose verdict is already recorded look the
@@ -398,7 +387,6 @@ mod tests {
         // 206 absent hosts + 10 DropAll hosts = 216 filtered.
         assert_eq!(r.filtered, 216);
         assert_eq!(r.probes_sent, 256);
-        assert!((r.hit_rate() - 20.0 / 256.0).abs() < 1e-9);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 
 use analysis::StreamingAggregate;
 use ftp_proto::listing::{self, ListingEntryRef, ListingFormat, Permissions};
-use ftp_proto::reply::ReplyParser;
-use ftp_proto::{Command, FtpPath, HostPort, LineCodec, Reply, Robots};
+use ftp_proto::reply::wire_bytes;
+use ftp_proto::{Command, FtpPath, HostPort, LineCodec, ReplyBuf, Robots};
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 use zscan::CyclicPermutation;
@@ -151,20 +151,21 @@ proptest! {
     fn reply_wire_roundtrip_chunked(code in 100u16..600,
                                     lines in proptest::collection::vec("[a-zA-Z0-9 .,]{0,40}", 1..5),
                                     chunk in 1usize..7) {
-        let reply = Reply::multiline(code, lines);
-        let wire = reply.to_wire();
+        let wire = wire_bytes(code, lines.iter().map(String::as_str));
         let mut codec = LineCodec::new();
-        let mut parser = ReplyParser::new();
+        let mut replies = ReplyBuf::new();
         let mut out = None;
-        for piece in wire.as_bytes().chunks(chunk) {
+        for piece in wire.chunks(chunk) {
             codec.extend(piece);
-            while let Some(line) = codec.next_line().unwrap() {
-                if let Some(r) = parser.push_line(&line).unwrap() {
-                    out = Some(r);
+            while let Some(line) = codec.next_line_str().unwrap() {
+                if let Some(r) = replies.push_line(line).unwrap() {
+                    out = Some(r.to_reply());
                 }
             }
         }
-        prop_assert_eq!(out.expect("complete reply"), reply);
+        let reply = out.expect("complete reply");
+        prop_assert_eq!(reply.code().value(), code);
+        prop_assert_eq!(reply.lines(), &lines[..]);
     }
 
     /// Every command the wire format can print is re-parseable to an
@@ -322,15 +323,15 @@ proptest! {
         let mut whole = LineCodec::new();
         whole.extend(stream.as_bytes());
         let mut expected = Vec::new();
-        while let Some(l) = whole.next_line().unwrap() {
-            expected.push(l);
+        while let Some(l) = whole.next_line_str().unwrap() {
+            expected.push(l.to_owned());
         }
         let mut chunked = LineCodec::new();
         let mut got = Vec::new();
         for piece in stream.as_bytes().chunks(chunk) {
             chunked.extend(piece);
-            while let Some(l) = chunked.next_line().unwrap() {
-                got.push(l);
+            while let Some(l) = chunked.next_line_str().unwrap() {
+                got.push(l.to_owned());
             }
         }
         prop_assert_eq!(got, expected);
