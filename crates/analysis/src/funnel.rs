@@ -69,11 +69,6 @@ impl Funnel {
         v
     }
 
-    /// Port-21-open rate per scanned address.
-    pub fn open_rate(&self) -> f64 {
-        ratio(self.open_port, self.ips_scanned)
-    }
-
     /// FTP-compliance rate per open port.
     pub fn ftp_rate(&self) -> f64 {
         ratio(self.ftp_servers, self.open_port)
@@ -116,7 +111,6 @@ mod tests {
         let f = Funnel::from_results(10_000, 120, &records);
         assert_eq!(f.ftp_servers, 100);
         assert_eq!(f.anonymous, 8);
-        assert!((f.open_rate() - 0.012).abs() < 1e-9);
         assert!((f.ftp_rate() - 100.0 / 120.0).abs() < 1e-9);
         assert!((f.anonymous_rate() - 0.08).abs() < 1e-9);
     }
@@ -124,7 +118,6 @@ mod tests {
     #[test]
     fn zero_denominators_are_safe() {
         let f = Funnel::default();
-        assert_eq!(f.open_rate(), 0.0);
         assert_eq!(f.ftp_rate(), 0.0);
         assert_eq!(f.anonymous_rate(), 0.0);
     }

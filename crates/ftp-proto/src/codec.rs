@@ -141,20 +141,6 @@ impl LineCodec {
         lossy_append(&mut self.lossy, &self.buf[..end]);
         Ok(Some(&self.lossy))
     }
-
-    /// Drains any trailing unterminated data (used at connection close —
-    /// some servers send a final line without CRLF before hanging up).
-    pub fn take_remainder(&mut self) -> Option<String> {
-        self.flush_pending();
-        if self.buf.is_empty() {
-            return None;
-        }
-        let cleaned = strip_iac(&self.buf);
-        let mut out = String::with_capacity(cleaned.len());
-        lossy_append(&mut out, &cleaned);
-        self.buf.clear();
-        Some(out)
-    }
 }
 
 /// Removes Telnet IAC sequences without allocating when no IAC byte is
@@ -297,15 +283,6 @@ mod tests {
     }
 
     #[test]
-    fn take_remainder_flushes_unterminated_tail() {
-        let mut c = LineCodec::new();
-        c.extend(b"221 Goodbye");
-        assert_eq!(c.next_line_str().unwrap(), None);
-        assert_eq!(c.take_remainder(), Some("221 Goodbye".into()));
-        assert_eq!(c.take_remainder(), None);
-    }
-
-    #[test]
     fn borrowed_line_survives_until_next_call() {
         let mut c = LineCodec::new();
         c.extend(b"first\r\nsecond\r\n");
@@ -349,13 +326,6 @@ mod tests {
         assert_eq!(&strip_iac(&[255, 255])[..], &[255][..]);
         // A dangling IAC at end-of-buffer is dropped, not kept.
         assert_eq!(&strip_iac(&[b'a', 255])[..], b"a");
-    }
-
-    #[test]
-    fn take_remainder_strips_iac_without_extra_copies() {
-        let mut c = LineCodec::new();
-        c.extend(&[b'2', b'2', b'1', 255, 251, 1, b' ', b'b', b'y', b'e']);
-        assert_eq!(c.take_remainder(), Some("221 bye".into()));
     }
 
     #[test]

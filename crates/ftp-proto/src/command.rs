@@ -187,37 +187,6 @@ impl Command {
             Command::Other(v, _) => v,
         }
     }
-
-    /// Whether this command mutates server state (upload, delete, rename,
-    /// mkdir). The enumerator's ethics layer refuses to issue these; the
-    /// honeypot flags sessions that send them.
-    pub fn is_write(&self) -> bool {
-        matches!(
-            self,
-            Command::Stor(_)
-                | Command::Stou
-                | Command::Appe(_)
-                | Command::Dele(_)
-                | Command::Rmd(_)
-                | Command::Mkd(_)
-                | Command::Rnfr(_)
-                | Command::Rnto(_)
-        )
-    }
-
-    /// Whether this command opens a data channel when accepted.
-    pub fn uses_data_channel(&self) -> bool {
-        matches!(
-            self,
-            Command::Retr(_)
-                | Command::Stor(_)
-                | Command::Stou
-                | Command::Appe(_)
-                | Command::List(_)
-                | Command::Nlst(_)
-                | Command::Mlsd(_)
-        )
-    }
 }
 
 fn opt_arg(arg: &str) -> Option<String> {
@@ -450,21 +419,6 @@ mod tests {
     fn x_aliases_map_to_canonical() {
         assert_eq!("XPWD".parse::<Command>().unwrap(), Command::Pwd);
         assert_eq!("XCWD /tmp".parse::<Command>().unwrap(), Command::Cwd("/tmp".into()));
-    }
-
-    #[test]
-    fn write_commands_flagged() {
-        assert!("STOR x".parse::<Command>().unwrap().is_write());
-        assert!("MKD d".parse::<Command>().unwrap().is_write());
-        assert!(!"RETR x".parse::<Command>().unwrap().is_write());
-        assert!(!"LIST".parse::<Command>().unwrap().is_write());
-    }
-
-    #[test]
-    fn data_channel_commands_flagged() {
-        assert!("LIST".parse::<Command>().unwrap().uses_data_channel());
-        assert!("RETR f".parse::<Command>().unwrap().uses_data_channel());
-        assert!(!"PWD".parse::<Command>().unwrap().uses_data_channel());
     }
 
     #[test]

@@ -182,11 +182,6 @@ impl Robots {
     pub fn denies_everything(&self) -> bool {
         !self.is_allowed("/")
     }
-
-    /// Number of rules retained for the selected user-agent group.
-    pub fn rule_count(&self) -> usize {
-        self.rules.len()
-    }
 }
 
 /// Google-style pattern match: literal prefix with `*` wildcards and an
@@ -322,14 +317,12 @@ mod tests {
         let body = "# hello\nUser-agent: * # everyone\nDisallow: /p # private\nCrawl-delay: 10\nnonsense line\n";
         let r = Robots::parse(body, "bot");
         assert!(!r.is_allowed("/p/x"));
-        assert_eq!(r.rule_count(), 1);
     }
 
     #[test]
     fn empty_disallow_means_allow() {
         let r = Robots::parse("User-agent: *\nDisallow:\n", "bot");
         assert!(r.is_allowed("/anything"));
-        assert_eq!(r.rule_count(), 0);
     }
 
     #[test]

@@ -48,8 +48,8 @@ pub struct StudyConfig {
     pub request_gap: SimDuration,
     /// Observability collection switches. Default-off, which guarantees
     /// the study output stays byte-identical to an uninstrumented run;
-    /// any flag set installs a per-shard [`obs::Recorder`] whose merged
-    /// [`obs::Report`] lands in [`StudyResults::obs`].
+    /// any flag set installs a per-shard [`obs::CollectingRecorder`]
+    /// whose merged [`obs::Report`] lands in [`StudyResults::obs`].
     pub obs: obs::ObsConfig,
     /// Schedule every discovery probe as its own simulator event instead
     /// of the default one-batch-per-pacing-tick drain (see

@@ -196,9 +196,8 @@ struct Conn {
 }
 
 /// Publishes sim time and per-kind dispatch counters to the
-/// observability layer. One branch on the thread-local fast flag when a
-/// recorder is installed; folds to nothing in builds without the `obs`
-/// `enabled` feature.
+/// observability layer when a recorder is installed on this thread;
+/// without one the cost is one branch on the thread-local fast flag.
 #[inline]
 fn obs_note_dispatch(at: SimTime, ev: &Ev) {
     if obs::enabled() {

@@ -105,7 +105,7 @@ impl<T> Level<T> {
 /// Maintained unconditionally — a handful of integer adds per
 /// insert/cascade, invisible next to the filing arithmetic — so the
 /// observability layer can read them at end of run without putting any
-/// recorder call (or feature gate) inside the wheel's hot loop.
+/// recorder call (or gate check) inside the wheel's hot loop.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WheelStats {
     /// Entries filed via `TimerWheel::insert`.

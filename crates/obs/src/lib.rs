@@ -2,16 +2,10 @@
 //! pipeline (DESIGN.md §9).
 //!
 //! Instrumented crates sprinkle [`span!`], [`event!`], [`counter`],
-//! and [`observe`] calls through their hot paths. Two gates keep this
-//! free when unused:
-//!
-//! 1. **Compile-time** — the `enabled` cargo feature (off by default).
-//!    Without it, [`enabled()`] is `const false` and every macro body
-//!    folds away to nothing: zero instructions, zero allocations.
-//! 2. **Run-time** — a thread-local [`Recorder`] trait object. Even in
-//!    `enabled` builds nothing is recorded until [`install`] puts a
-//!    recorder on the current thread; the fast path is one
-//!    thread-local boolean load.
+//! and [`observe`] calls through their hot paths. One run-time gate
+//! keeps this free when unused: nothing is recorded until [`install`]
+//! puts a [`CollectingRecorder`] on the current thread, and without one
+//! the fast path is one thread-local boolean load.
 //!
 //! Recorders are per-thread by design: the sharded study runner gives
 //! every shard its own simulator thread, so per-shard collection is
@@ -48,33 +42,24 @@ pub use journal::{
 pub use metrics::{
     reply_class_counter, Counter, Gauge, Hist, Histogram, MetricsSnapshot, HIST_BUCKETS,
 };
-pub use recorder::{field, CollectingRecorder, Field, Recorder, Report, SpanStat, Value};
+pub use recorder::{field, CollectingRecorder, Field, Report, SpanStat, Value};
 
+use std::cell::{Cell, RefCell};
 use std::sync::OnceLock;
-
-/// `true` when the crate was built with the `enabled` feature; mirrors
-/// [`enabled()`] for use in `const` contexts and macro expansions
-/// (a `#[cfg]` written inside a macro body would be evaluated against
-/// the *calling* crate's features, so the gate must live here).
-#[cfg(feature = "enabled")]
-pub const ENABLED: bool = true;
-/// `true` when the crate was built with the `enabled` feature.
-#[cfg(not(feature = "enabled"))]
-pub const ENABLED: bool = false;
 
 /// Run/CLI-level switches for what the pipeline should collect.
 ///
 /// Default is everything off, which preserves byte-identical study
-/// output. Any flag set installs per-shard recorders; `trace`
-/// additionally buffers JSONL lines for every event and span.
+/// output. Any flag set installs per-shard recorders, which always
+/// collect metrics and span statistics; `trace` additionally buffers
+/// JSONL lines for every event and span.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ObsConfig {
-    /// Collect the metrics snapshot (counters/gauges/histograms).
+    /// Collect the metrics snapshot (counters/gauges/histograms) and
+    /// span statistics, which every installed recorder keeps.
     pub metrics: bool,
     /// Buffer a JSONL trace of events and spans.
     pub trace: bool,
-    /// Collect span statistics for the self-profile table.
-    pub profile: bool,
     /// Accumulate per-host [`HostJournal`] records (`--journal`).
     pub journal: bool,
     /// Sim-time telemetry sampling interval in microseconds
@@ -86,106 +71,75 @@ impl ObsConfig {
     /// True when any collection is requested (recorders get installed).
     #[must_use]
     pub fn any(self) -> bool {
-        self.metrics || self.trace || self.profile || self.journal || self.timeseries_every_us > 0
+        self.metrics || self.trace || self.journal || self.timeseries_every_us > 0
     }
 
-    /// Everything from the PR-4 surface on — used by tests and the
-    /// bench overhead stage. Journaling and the time-series sampler stay
-    /// off here so the long-standing `full_study_k1_obs` bench baseline
-    /// keeps measuring the same work; they have their own bench stage.
+    /// Metrics and the trace on, journaling and the time-series sampler
+    /// off: what `--trace` collects, and what tests use when they need
+    /// every span and event but no per-host state.
     #[must_use]
     pub fn all() -> Self {
-        ObsConfig { metrics: true, trace: true, profile: true, ..ObsConfig::default() }
+        ObsConfig { metrics: true, trace: true, ..ObsConfig::default() }
     }
 }
 
-#[cfg(feature = "enabled")]
-mod gate {
-    use super::Recorder;
-    use std::cell::{Cell, RefCell};
-
-    thread_local! {
-        /// Fast flag mirroring `RECORDER.is_some()`; a single TLS bool
-        /// load is the entire disabled-at-runtime cost.
-        pub(super) static ACTIVE: Cell<bool> = const { Cell::new(false) };
-        /// Current simulated time in microseconds, published by the
-        /// simulator event loop so recorders can stamp events without
-        /// reaching into the sim.
-        pub(super) static SIM_NOW: Cell<u64> = const { Cell::new(0) };
-        /// Fast flag mirroring "the installed recorder journals"; keeps
-        /// the [`crate::journal!`] no-journal cost to one TLS bool load.
-        pub(super) static JOURNAL: Cell<bool> = const { Cell::new(false) };
-        /// Current stream batch index, published by the stream runner so
-        /// journal entries and telemetry rows carry their batch tag.
-        pub(super) static BATCH: Cell<u64> = const { Cell::new(0) };
-        /// Telemetry sampling interval (sim-µs); 0 when sampling is off.
-        pub(super) static SAMPLE_EVERY: Cell<u64> = const { Cell::new(0) };
-        /// Next sim-time boundary to sample at; `u64::MAX` parks the
-        /// check so the hot `set_sim_now` path is one compare.
-        pub(super) static SAMPLE_NEXT: Cell<u64> = const { Cell::new(u64::MAX) };
-        pub(super) static RECORDER: RefCell<Option<Box<dyn Recorder>>> =
-            const { RefCell::new(None) };
-    }
+thread_local! {
+    /// Fast flag mirroring `RECORDER.is_some()`; a single TLS bool load
+    /// is the entire cost when no recorder is installed.
+    static ACTIVE: Cell<bool> = const { Cell::new(false) };
+    /// Current simulated time in microseconds, published by the
+    /// simulator event loop so recorders can stamp events without
+    /// reaching into the sim.
+    static SIM_NOW: Cell<u64> = const { Cell::new(0) };
+    /// Fast flag mirroring "the installed recorder journals"; keeps the
+    /// [`journal!`] no-journal cost to one TLS bool load.
+    static JOURNAL: Cell<bool> = const { Cell::new(false) };
+    /// Current stream batch index, published by the stream runner so
+    /// journal entries and telemetry rows carry their batch tag.
+    static BATCH: Cell<u64> = const { Cell::new(0) };
+    /// Telemetry sampling interval (sim-µs); 0 when sampling is off.
+    static SAMPLE_EVERY: Cell<u64> = const { Cell::new(0) };
+    /// Next sim-time boundary to sample at; `u64::MAX` parks the check
+    /// so the hot `set_sim_now` path is one compare.
+    static SAMPLE_NEXT: Cell<u64> = const { Cell::new(u64::MAX) };
+    /// The installed recorder; every gated call that gets past `ACTIVE`
+    /// lands here.
+    static RECORDER: RefCell<Option<Box<CollectingRecorder>>> = const { RefCell::new(None) };
 }
 
-/// True when a recorder is installed on the current thread. Inlines to
-/// `false` in builds without the `enabled` feature, letting the
-/// optimizer delete every guarded block.
+/// True when a recorder is installed on the current thread.
 #[inline(always)]
 #[must_use]
 pub fn enabled() -> bool {
-    #[cfg(feature = "enabled")]
-    {
-        gate::ACTIVE.with(Cell::get)
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        false
-    }
+    ACTIVE.with(Cell::get)
 }
-
-#[cfg(feature = "enabled")]
-use std::cell::Cell;
 
 /// Installs a recorder on the current thread, replacing any previous
 /// one (which is dropped, discarding its data). The published sim time
 /// and batch tag start again at 0, so nothing the thread ran before
 /// leaks into the new recorder's stamps.
-pub fn install(recorder: Box<dyn Recorder>) {
-    #[cfg(feature = "enabled")]
-    {
-        let journal = recorder.journal_enabled();
-        let every = recorder.sample_interval_us();
-        gate::RECORDER.with(|r| *r.borrow_mut() = Some(recorder));
-        gate::ACTIVE.with(|a| a.set(true));
-        gate::JOURNAL.with(|j| j.set(journal));
-        gate::SIM_NOW.with(|t| t.set(0));
-        gate::BATCH.with(|b| b.set(0));
-        gate::SAMPLE_EVERY.with(|e| e.set(every));
-        gate::SAMPLE_NEXT.with(|n| n.set(if every == 0 { u64::MAX } else { every }));
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = recorder;
-    }
+pub fn install(recorder: Box<CollectingRecorder>) {
+    let journal = recorder.journal_enabled();
+    let every = recorder.sample_interval_us();
+    RECORDER.with(|r| *r.borrow_mut() = Some(recorder));
+    ACTIVE.with(|a| a.set(true));
+    JOURNAL.with(|j| j.set(journal));
+    SIM_NOW.with(|t| t.set(0));
+    BATCH.with(|b| b.set(0));
+    SAMPLE_EVERY.with(|e| e.set(every));
+    SAMPLE_NEXT.with(|n| n.set(if every == 0 { u64::MAX } else { every }));
 }
 
 /// Removes and returns the current thread's recorder, if any. Call
-/// [`Recorder::finish`] on the result to obtain its [`Report`].
-pub fn uninstall() -> Option<Box<dyn Recorder>> {
-    #[cfg(feature = "enabled")]
-    {
-        gate::ACTIVE.with(|a| a.set(false));
-        gate::JOURNAL.with(|j| j.set(false));
-        gate::BATCH.with(|b| b.set(0));
-        gate::SAMPLE_EVERY.with(|e| e.set(0));
-        gate::SAMPLE_NEXT.with(|n| n.set(u64::MAX));
-        gate::RECORDER.with(|r| r.borrow_mut().take())
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        None
-    }
+/// [`CollectingRecorder::finish`] on the result to obtain its
+/// [`Report`].
+pub fn uninstall() -> Option<Box<CollectingRecorder>> {
+    ACTIVE.with(|a| a.set(false));
+    JOURNAL.with(|j| j.set(false));
+    BATCH.with(|b| b.set(0));
+    SAMPLE_EVERY.with(|e| e.set(0));
+    SAMPLE_NEXT.with(|n| n.set(u64::MAX));
+    RECORDER.with(|r| r.borrow_mut().take())
 }
 
 /// Publishes the current simulated time (microseconds). Called by the
@@ -196,55 +150,41 @@ pub fn uninstall() -> Option<Box<dyn Recorder>> {
 /// sampling is off is a single parked `u64` compare).
 #[inline]
 pub fn set_sim_now(sim_us: u64) {
-    #[cfg(feature = "enabled")]
-    {
-        gate::SIM_NOW.with(|t| t.set(sim_us));
-        if sim_us >= gate::SAMPLE_NEXT.with(Cell::get) {
-            sample_crossed_boundaries(sim_us);
-        }
+    SIM_NOW.with(|t| t.set(sim_us));
+    if sim_us >= SAMPLE_NEXT.with(Cell::get) {
+        sample_crossed_boundaries(sim_us);
     }
-    #[cfg(not(feature = "enabled"))]
-    let _ = sim_us;
 }
 
 /// Emits one telemetry sample per sampling boundary in
 /// `(SAMPLE_NEXT ..= sim_us]` and advances the boundary. Cold: only
 /// entered when a boundary was actually crossed.
-#[cfg(feature = "enabled")]
 #[cold]
 fn sample_crossed_boundaries(sim_us: u64) {
-    let every = gate::SAMPLE_EVERY.with(Cell::get);
+    let every = SAMPLE_EVERY.with(Cell::get);
     if every == 0 {
         return;
     }
-    let batch = gate::BATCH.with(Cell::get);
-    let mut next = gate::SAMPLE_NEXT.with(Cell::get);
+    let batch = BATCH.with(Cell::get);
+    let mut next = SAMPLE_NEXT.with(Cell::get);
     while sim_us >= next {
         let boundary = next;
         with_recorder(|r| r.sim_sample(boundary, batch));
         next += every;
     }
-    gate::SAMPLE_NEXT.with(|n| n.set(next));
+    SAMPLE_NEXT.with(|n| n.set(next));
 }
 
 /// The last published simulated time (microseconds); 0 outside a run.
 #[inline]
 #[must_use]
 pub fn sim_now() -> u64 {
-    #[cfg(feature = "enabled")]
-    {
-        gate::SIM_NOW.with(Cell::get)
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        0
-    }
+    SIM_NOW.with(Cell::get)
 }
 
-#[cfg(feature = "enabled")]
 #[inline]
-fn with_recorder(f: impl FnOnce(&dyn Recorder)) {
-    gate::RECORDER.with(|r| {
+fn with_recorder(f: impl FnOnce(&CollectingRecorder)) {
+    RECORDER.with(|r| {
         if let Some(rec) = r.borrow().as_deref() {
             f(rec);
         }
@@ -255,45 +195,24 @@ fn with_recorder(f: impl FnOnce(&dyn Recorder)) {
 /// none is installed).
 #[inline]
 pub fn counter(c: Counter, n: u64) {
-    #[cfg(feature = "enabled")]
-    {
-        if enabled() {
-            with_recorder(|r| r.counter_add(c, n));
-        }
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = (c, n);
+    if enabled() {
+        with_recorder(|r| r.counter_add(c, n));
     }
 }
 
 /// Raises gauge `g` to at least `v`.
 #[inline]
 pub fn gauge_max(g: Gauge, v: u64) {
-    #[cfg(feature = "enabled")]
-    {
-        if enabled() {
-            with_recorder(|r| r.gauge_max(g, v));
-        }
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = (g, v);
+    if enabled() {
+        with_recorder(|r| r.gauge_max(g, v));
     }
 }
 
 /// Records one observation of histogram `h`.
 #[inline]
 pub fn observe(h: Hist, v: u64) {
-    #[cfg(feature = "enabled")]
-    {
-        if enabled() {
-            with_recorder(|r| r.observe(h, v));
-        }
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = (h, v);
+    if enabled() {
+        with_recorder(|r| r.observe(h, v));
     }
 }
 
@@ -302,16 +221,9 @@ pub fn observe(h: Hist, v: u64) {
 /// argument evaluation entirely when disabled.
 #[inline]
 pub fn emit_event(name: &'static str, fields: &[Field<'_>]) {
-    #[cfg(feature = "enabled")]
-    {
-        if enabled() {
-            let now = sim_now();
-            with_recorder(|r| r.event(now, name, fields));
-        }
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = (name, fields);
+    if enabled() {
+        let now = sim_now();
+        with_recorder(|r| r.event(now, name, fields));
     }
 }
 
@@ -321,29 +233,17 @@ pub fn emit_event(name: &'static str, fields: &[Field<'_>]) {
 /// batches, so the published sim time returns to 0 and the telemetry
 /// sampling boundary is re-armed.
 pub fn set_batch(batch: u64) {
-    #[cfg(feature = "enabled")]
-    {
-        gate::BATCH.with(|b| b.set(batch));
-        gate::SIM_NOW.with(|t| t.set(0));
-        let every = gate::SAMPLE_EVERY.with(Cell::get);
-        gate::SAMPLE_NEXT.with(|n| n.set(if every == 0 { u64::MAX } else { every }));
-    }
-    #[cfg(not(feature = "enabled"))]
-    let _ = batch;
+    BATCH.with(|b| b.set(batch));
+    SIM_NOW.with(|t| t.set(0));
+    let every = SAMPLE_EVERY.with(Cell::get);
+    SAMPLE_NEXT.with(|n| n.set(if every == 0 { u64::MAX } else { every }));
 }
 
 /// The last published stream batch index (0 for in-memory runs).
 #[inline]
 #[must_use]
 pub fn batch() -> u64 {
-    #[cfg(feature = "enabled")]
-    {
-        gate::BATCH.with(Cell::get)
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        0
-    }
+    BATCH.with(Cell::get)
 }
 
 /// True when the installed recorder accumulates host journals; the
@@ -351,14 +251,7 @@ pub fn batch() -> u64 {
 #[inline(always)]
 #[must_use]
 pub fn journal_on() -> bool {
-    #[cfg(feature = "enabled")]
-    {
-        gate::JOURNAL.with(Cell::get)
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        false
-    }
+    JOURNAL.with(Cell::get)
 }
 
 /// Forwards one host-journal event to the recorder, stamped with the
@@ -366,17 +259,10 @@ pub fn journal_on() -> bool {
 /// which skips argument evaluation entirely when journaling is off.
 #[inline]
 pub fn journal_event(ip: std::net::Ipv4Addr, ev: &JournalEvent) {
-    #[cfg(feature = "enabled")]
-    {
-        if journal_on() {
-            let now = sim_now();
-            let batch = batch();
-            with_recorder(|r| r.journal(ip, now, batch, ev));
-        }
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = (ip, ev);
+    if journal_on() {
+        let now = sim_now();
+        let batch = batch();
+        with_recorder(|r| r.journal(ip, now, batch, ev));
     }
 }
 
@@ -384,18 +270,11 @@ pub fn journal_event(ip: std::net::Ipv4Addr, ev: &JournalEvent) {
 /// as JSONL host rows (sorted by host address) followed by their silent
 /// tally rows, clearing the recorder's log. The stream runner calls
 /// this after every batch so journal memory never outlives a `(shard,
-/// batch)` slice; journals still buffered at [`Recorder::finish`] time
-/// ride out in the [`Report`].
+/// batch)` slice; journals still buffered at
+/// [`CollectingRecorder::finish`] time ride out in the [`Report`].
 pub fn drain_journal(out: &mut JournalBuf) {
-    #[cfg(feature = "enabled")]
-    {
-        if enabled() {
-            with_recorder(|r| r.drain_journal(out));
-        }
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = out;
+    if enabled() {
+        with_recorder(|r| r.drain_journal(out));
     }
 }
 
@@ -406,24 +285,21 @@ pub fn drain_journal(out: &mut JournalBuf) {
 /// obs::journal!(ip, obs::JournalEvent::Phase { phase: "banner" });
 /// ```
 ///
-/// Folds away entirely when the `enabled` feature is off; with the
-/// feature on but journaling not requested, the cost is one
-/// thread-local boolean load and the event expression is never
-/// evaluated.
+/// Unless journaling was requested, the cost is one thread-local
+/// boolean load and the event expression is never evaluated.
 #[macro_export]
 macro_rules! journal {
     ($ip:expr, $ev:expr) => {
-        if $crate::ENABLED && $crate::journal_on() {
+        if $crate::journal_on() {
             $crate::journal_event($ip, &$ev);
         }
     };
 }
 
 /// RAII guard for a profiling span; created by [`span!`]. Records
-/// sim-time and wall-time between construction and drop. Zero-sized
-/// no-op when the `enabled` feature is off.
+/// sim-time and wall-time between construction and drop.
 pub struct SpanGuard {
-    #[cfg(feature = "enabled")]
+    /// The span's name while a recorder is installed; `None` otherwise.
     name: Option<&'static str>,
 }
 
@@ -432,28 +308,19 @@ impl SpanGuard {
     #[inline]
     #[must_use]
     pub fn enter(name: &'static str) -> Self {
-        #[cfg(feature = "enabled")]
-        {
-            if enabled() {
-                let now = sim_now();
-                let wall = std::time::Instant::now();
-                with_recorder(|r| r.span_enter(now, name, wall));
-                return SpanGuard { name: Some(name) };
-            }
-            SpanGuard { name: None }
+        if !enabled() {
+            return SpanGuard { name: None };
         }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = name;
-            SpanGuard {}
-        }
+        let now = sim_now();
+        let wall = std::time::Instant::now();
+        with_recorder(|r| r.span_enter(now, name, wall));
+        SpanGuard { name: Some(name) }
     }
 }
 
 impl Drop for SpanGuard {
     #[inline]
     fn drop(&mut self) {
-        #[cfg(feature = "enabled")]
         if let Some(name) = self.name {
             let now = sim_now();
             let wall = std::time::Instant::now();
@@ -493,14 +360,14 @@ macro_rules! span {
 #[macro_export]
 macro_rules! event {
     ($name:expr $(, $key:ident = $val:expr)* $(,)?) => {
-        if $crate::ENABLED && $crate::enabled() {
+        if $crate::enabled() {
             $crate::emit_event($name, &[$($crate::field(stringify!($key), $val)),*]);
         }
     };
 }
 
 // ---------------------------------------------------------------------
-// Diag channel: cold-path operator diagnostics, feature-independent.
+// Diag channel: cold-path operator diagnostics.
 // ---------------------------------------------------------------------
 
 /// Sink for [`diag!`] lines (operator-facing progress and warnings).
@@ -560,7 +427,7 @@ macro_rules! diag {
     };
 }
 
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -1,5 +1,5 @@
-//! The [`Recorder`] trait, the per-shard [`CollectingRecorder`], and the
-//! merged [`Report`] with its trace / metrics / profile export sinks.
+//! The per-shard [`CollectingRecorder`] and the merged [`Report`] with
+//! its trace / metrics / profile export sinks.
 //!
 //! A recorder is installed per *thread* (the sharded runner gives every
 //! shard its own simulator thread, so per-thread is per-shard) and is
@@ -22,38 +22,23 @@ use std::time::Instant;
 pub enum Value<'a> {
     /// Unsigned integer.
     U64(u64),
-    /// Signed integer.
-    I64(i64),
-    /// Floating point.
-    F64(f64),
-    /// Boolean.
-    Bool(bool),
     /// Borrowed string.
     Str(&'a str),
     /// Owned string (e.g. a rendered address).
     Owned(String),
 }
 
-macro_rules! value_from {
-    ($($ty:ty => $variant:ident as $conv:ty),+ $(,)?) => {
+macro_rules! value_from_unsigned {
+    ($($ty:ty),+) => {
         $(impl<'a> From<$ty> for Value<'a> {
             fn from(v: $ty) -> Self {
-                Value::$variant(v as $conv)
+                Value::U64(v as u64)
             }
         })+
     };
 }
 
-value_from! {
-    u64 => U64 as u64, u32 => U64 as u64, u16 => U64 as u64, u8 => U64 as u64,
-    usize => U64 as u64, i64 => I64 as i64, i32 => I64 as i64, f64 => F64 as f64,
-}
-
-impl<'a> From<bool> for Value<'a> {
-    fn from(v: bool) -> Self {
-        Value::Bool(v)
-    }
-}
+value_from_unsigned!(u64, u32, u16, u8, usize);
 
 impl<'a> From<&'a str> for Value<'a> {
     fn from(v: &'a str) -> Self {
@@ -85,61 +70,6 @@ pub struct Field<'a> {
 /// Builds a [`Field`]; used by the `event!` macro expansion.
 pub fn field<'a>(key: &'static str, value: impl Into<Value<'a>>) -> Field<'a> {
     Field { key, value: value.into() }
-}
-
-/// Sink for instrumentation signals on one thread.
-///
-/// Implementations must be pure observers: no interaction with host
-/// RNGs, the simulator queue, or anything else that could change event
-/// ordering.
-pub trait Recorder {
-    /// Adds `n` to a monotonic counter.
-    fn counter_add(&self, c: Counter, n: u64);
-    /// Raises a high-water-mark gauge to at least `v`.
-    fn gauge_max(&self, g: Gauge, v: u64);
-    /// Records one histogram observation.
-    fn observe(&self, h: Hist, v: u64);
-    /// Records a structured event at the given sim time.
-    fn event(&self, sim_us: u64, name: &'static str, fields: &[Field<'_>]);
-    /// Opens a span at the given sim time / wall instant.
-    fn span_enter(&self, sim_us: u64, name: &'static str, wall: Instant);
-    /// Closes the innermost span (must match `name`).
-    fn span_exit(&self, sim_us: u64, name: &'static str, wall: Instant);
-    /// Consumes the recorder and returns everything it collected.
-    fn finish(self: Box<Self>) -> Report;
-
-    /// True when this recorder accumulates host journals. The install
-    /// path caches the answer in a thread-local so the `journal!` fast
-    /// gate never virtual-dispatches. Default: no journaling.
-    fn journal_enabled(&self) -> bool {
-        false
-    }
-
-    /// Sim-time telemetry sampling interval in microseconds; 0 (the
-    /// default) disables the sampler.
-    fn sample_interval_us(&self) -> u64 {
-        0
-    }
-
-    /// Folds one host-journal event for `ip`, stamped at `sim_us` in
-    /// stream batch `batch`. Default: dropped.
-    fn journal(&self, ip: Ipv4Addr, sim_us: u64, batch: u64, ev: &JournalEvent) {
-        let _ = (ip, sim_us, batch, ev);
-    }
-
-    /// Renders the accumulated host journals into `out` as JSONL host
-    /// rows (sorted by host address) and silent tally rows, clearing
-    /// them. Default: no-op.
-    fn drain_journal(&self, out: &mut JournalBuf) {
-        let _ = out;
-    }
-
-    /// Takes one telemetry sample at sim-time `boundary_us` in stream
-    /// batch `batch` (called by the gate once per crossed sampling
-    /// boundary). Default: dropped.
-    fn sim_sample(&self, boundary_us: u64, batch: u64) {
-        let _ = (boundary_us, batch);
-    }
 }
 
 /// Aggregated statistics for one span name.
@@ -383,71 +313,27 @@ impl CollectingRecorder {
             buf.borrow_mut().push(line);
         }
     }
-}
 
-/// Escapes a string for embedding in a JSON string literal.
-pub(crate) fn escape_json(s: &str, out: &mut String) {
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-fn render_fields(fields: &[Field<'_>], out: &mut String) {
-    for f in fields {
-        let _ = write!(out, ",\"{}\":", f.key);
-        match &f.value {
-            Value::U64(v) => {
-                let _ = write!(out, "{v}");
-            }
-            Value::I64(v) => {
-                let _ = write!(out, "{v}");
-            }
-            Value::F64(v) => {
-                let _ = write!(out, "{v}");
-            }
-            Value::Bool(v) => {
-                let _ = write!(out, "{v}");
-            }
-            Value::Str(v) => {
-                out.push('"');
-                escape_json(v, out);
-                out.push('"');
-            }
-            Value::Owned(v) => {
-                out.push('"');
-                escape_json(v, out);
-                out.push('"');
-            }
-        }
-    }
-}
-
-impl Recorder for CollectingRecorder {
-    fn counter_add(&self, c: Counter, n: u64) {
+    /// Adds `n` to a monotonic counter.
+    pub(crate) fn counter_add(&self, c: Counter, n: u64) {
         self.metrics.borrow_mut().counters[c as usize] += n;
     }
 
-    fn gauge_max(&self, g: Gauge, v: u64) {
+    /// Raises a high-water-mark gauge to at least `v`.
+    pub(crate) fn gauge_max(&self, g: Gauge, v: u64) {
         let mut m = self.metrics.borrow_mut();
         let slot = &mut m.gauges[g as usize];
         *slot = (*slot).max(v);
     }
 
-    fn observe(&self, h: Hist, v: u64) {
+    /// Records one histogram observation.
+    pub(crate) fn observe(&self, h: Hist, v: u64) {
         self.metrics.borrow_mut().hists[h as usize].observe(v);
     }
 
-    fn event(&self, sim_us: u64, name: &'static str, fields: &[Field<'_>]) {
+    /// Records a structured event at the given sim time (a trace line;
+    /// nothing without a trace buffer).
+    pub(crate) fn event(&self, sim_us: u64, name: &'static str, fields: &[Field<'_>]) {
         if self.trace.is_none() {
             return;
         }
@@ -465,7 +351,8 @@ impl Recorder for CollectingRecorder {
         self.push_trace_line(line);
     }
 
-    fn span_enter(&self, sim_us: u64, name: &'static str, wall: Instant) {
+    /// Opens a span at the given sim time / wall instant.
+    pub(crate) fn span_enter(&self, sim_us: u64, name: &'static str, wall: Instant) {
         self.stack.borrow_mut().push(Frame {
             name,
             sim_start_us: sim_us,
@@ -475,7 +362,8 @@ impl Recorder for CollectingRecorder {
         });
     }
 
-    fn span_exit(&self, sim_us: u64, name: &'static str, wall: Instant) {
+    /// Closes the innermost span (must match `name`).
+    pub(crate) fn span_exit(&self, sim_us: u64, name: &'static str, wall: Instant) {
         let frame = match self.stack.borrow_mut().pop() {
             Some(f) => f,
             None => return, // unbalanced exit: drop rather than panic
@@ -511,7 +399,9 @@ impl Recorder for CollectingRecorder {
         }
     }
 
-    fn finish(self: Box<Self>) -> Report {
+    /// Consumes the recorder and returns everything it collected.
+    #[must_use]
+    pub fn finish(self) -> Report {
         let metrics = self.metrics.into_inner();
         let spans: Vec<SpanStat> = self.agg.into_inner().into_values().collect();
         let trace = self.trace.map(RefCell::into_inner).unwrap_or_default();
@@ -523,27 +413,38 @@ impl Recorder for CollectingRecorder {
         Report { metrics, spans, trace, journal, series }
     }
 
-    fn journal_enabled(&self) -> bool {
+    /// True when this recorder accumulates host journals; [`crate::install`]
+    /// caches it for the `journal!` fast gate.
+    pub(crate) fn journal_enabled(&self) -> bool {
         self.journal.is_some()
     }
 
-    fn sample_interval_us(&self) -> u64 {
+    /// Sim-time telemetry sampling interval in microseconds; 0 when the
+    /// sampler is off.
+    pub(crate) fn sample_interval_us(&self) -> u64 {
         self.sample_every_us
     }
 
-    fn journal(&self, ip: Ipv4Addr, sim_us: u64, batch: u64, ev: &JournalEvent) {
+    /// Folds one host-journal event for `ip`, stamped at `sim_us` in
+    /// stream batch `batch`.
+    pub(crate) fn journal(&self, ip: Ipv4Addr, sim_us: u64, batch: u64, ev: &JournalEvent) {
         if let Some(log) = &self.journal {
             log.borrow_mut().push(u32::from(ip), sim_us, batch, ev);
         }
     }
 
-    fn drain_journal(&self, out: &mut JournalBuf) {
+    /// Renders the accumulated host journals into `out` as JSONL host
+    /// rows (sorted by host address) and silent tally rows, clearing
+    /// them.
+    pub(crate) fn drain_journal(&self, out: &mut JournalBuf) {
         if let Some(log) = &self.journal {
             log.borrow_mut().drain_into(self.shard, out);
         }
     }
 
-    fn sim_sample(&self, boundary_us: u64, batch: u64) {
+    /// Takes one telemetry sample at sim-time `boundary_us` in stream
+    /// batch `batch`.
+    pub(crate) fn sim_sample(&self, boundary_us: u64, batch: u64) {
         if let Some(series) = &self.series {
             let m = self.metrics.borrow();
             let mut row = String::with_capacity(16 + Counter::COUNT * 8);
@@ -552,6 +453,44 @@ impl Recorder for CollectingRecorder {
                 let _ = write!(row, ",{}", m.counter(c));
             }
             series.borrow_mut().push(row);
+        }
+    }
+}
+
+/// Escapes a string for embedding in a JSON string literal.
+pub(crate) fn escape_json(s: &str, out: &mut String) {
+    for ch in s.chars() {
+        match ch {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+}
+
+fn render_fields(fields: &[Field<'_>], out: &mut String) {
+    for f in fields {
+        let _ = write!(out, ",\"{}\":", f.key);
+        match &f.value {
+            Value::U64(v) => {
+                let _ = write!(out, "{v}");
+            }
+            Value::Str(v) => {
+                out.push('"');
+                escape_json(v, out);
+                out.push('"');
+            }
+            Value::Owned(v) => {
+                out.push('"');
+                escape_json(v, out);
+                out.push('"');
+            }
         }
     }
 }
@@ -569,7 +508,7 @@ mod tests {
         rec.span_enter(10, "inner", t0);
         rec.span_exit(40, "inner", t0 + Duration::from_nanos(100));
         rec.span_exit(100, "outer", t0 + Duration::from_nanos(300));
-        let report = Box::new(rec).finish();
+        let report = rec.finish();
         let outer = report.spans.iter().find(|s| s.name == "outer").unwrap();
         let inner = report.spans.iter().find(|s| s.name == "inner").unwrap();
         assert_eq!(inner.sim_total_us, 30);
@@ -584,7 +523,7 @@ mod tests {
     fn trace_lines_are_json_shaped_and_escaped() {
         let rec = CollectingRecorder::new(3, true);
         rec.event(42, "test.event", &[field("msg", "a\"b\\c"), field("n", 7u64)]);
-        let report = Box::new(rec).finish();
+        let report = rec.finish();
         assert_eq!(report.trace.len(), 1);
         let line = &report.trace[0];
         assert!(line.starts_with("{\"type\":\"event\",\"shard\":3,\"seq\":0,"));
@@ -618,7 +557,7 @@ mod tests {
         rec.journal(b, 70, 2, &JournalEvent::Retry { attempt: 1, backoff_us: u64::MAX });
         rec.journal(a, 80, 2, &JournalEvent::ProbeReply { status: "closed" });
 
-        let report = Box::new(rec).finish();
+        let report = rec.finish();
         let lines: Vec<ParsedJournal> =
             report.journal.iter().map(|l| ParsedJournal::parse_line(l).expect("parses")).collect();
         assert_eq!(report.journal.len(), 3);

@@ -57,6 +57,9 @@
 //! or `--timeseries-every` without `--timeseries`; a `--resume`
 //! directory that holds no checkpoint of the run's shards; and a
 //! `--servers` or `--scale` whose world does not fit its address space.
+//! A `--trace`, `--metrics`, `--journal` or `--timeseries` file that
+//! cannot be opened for writing exits 1, naming the flag, also before
+//! any world is built.
 
 use ftp_study::{
     run_study, run_study_sharded, run_study_streamed, tables, Checkpoint, StreamOptions,
@@ -276,52 +279,75 @@ fn obs_flags<'a>(args: &Args<'a>) -> ObsCli<'a> {
     let every_ms = args.number("--timeseries-every").unwrap_or(500);
     let cfg = obs::ObsConfig {
         // A metrics file is always worth collecting alongside a trace;
-        // the snapshot rides in the same recorder for free.
+        // the snapshot rides in the same recorder for free. `--profile`
+        // only needs a recorder installed: every recorder keeps span
+        // statistics.
         metrics: metrics.is_some() || trace.is_some() || profile,
         trace: trace.is_some(),
-        profile,
         journal: journal.is_some(),
         timeseries_every_us: if timeseries.is_some() { every_ms.saturating_mul(1_000) } else { 0 },
     };
     ObsCli { trace, metrics, profile, journal, timeseries, cfg }
 }
 
+/// Exits 1, naming the flag and the path, when an artifact file cannot
+/// be opened for writing, so a run does not build its world and study
+/// it only to lose the file. Each file is opened for append and created
+/// if missing, never truncated: a `--resume` journal keeps its lines.
+fn refuse_unwritable(cli: &ObsCli) {
+    let artifacts = [
+        ("--trace", cli.trace),
+        ("--metrics", cli.metrics),
+        ("--journal", cli.journal),
+        ("--timeseries", cli.timeseries),
+    ];
+    for (flag, path) in artifacts {
+        let Some(path) = path else { continue };
+        if let Err(e) = std::fs::File::options().append(true).create(true).open(path) {
+            eprintln!("error: {flag} {path}: cannot open for writing: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
 /// Writes the requested observability sinks out of a finished study.
 /// `journal` overrides [`ObsCli::journal`] — streamed runs flush their
 /// journals per batch through [`StreamOptions::journal_path`] and pass
-/// `None` here so the already-written file is not clobbered.
+/// `None` here so the already-written file is not clobbered. A write
+/// that fails is reported, the others still happen, and then the
+/// process exits 1.
 fn write_obs_outputs(report: Option<&obs::Report>, cli: &ObsCli, journal: Option<&str>) {
     let Some(report) = report else { return };
-    if let Some(path) = cli.trace {
-        if let Err(e) = std::fs::write(path, report.trace_jsonl()) {
-            eprintln!("warning: could not write trace {path}: {e}");
+    let mut failed = false;
+    let mut write = |flag: &str, path: &str, contents: &str, done: String| {
+        if let Err(e) = std::fs::write(path, contents) {
+            eprintln!("error: {flag} {path}: could not write: {e}");
+            failed = true;
         } else {
-            eprintln!("trace written to {path} ({} lines)", report.trace.len());
+            eprintln!("{done}");
         }
+    };
+    if let Some(path) = cli.trace {
+        let done = format!("trace written to {path} ({} lines)", report.trace.len());
+        write("--trace", path, &report.trace_jsonl(), done);
     }
     if let Some(path) = cli.metrics {
-        if let Err(e) = std::fs::write(path, report.metrics.render_json()) {
-            eprintln!("warning: could not write metrics {path}: {e}");
-        } else {
-            eprintln!("metrics snapshot written to {path}");
-        }
+        let done = format!("metrics snapshot written to {path}");
+        write("--metrics", path, &report.metrics.render_json(), done);
     }
     if let Some(path) = journal {
-        if let Err(e) = std::fs::write(path, report.journal.as_str()) {
-            eprintln!("warning: could not write journal {path}: {e}");
-        } else {
-            eprintln!("host journal written to {path} ({} lines)", report.journal.len());
-        }
+        let done = format!("host journal written to {path} ({} lines)", report.journal.len());
+        write("--journal", path, report.journal.as_str(), done);
     }
     if let Some(path) = cli.timeseries {
-        if let Err(e) = std::fs::write(path, report.timeseries_csv()) {
-            eprintln!("warning: could not write timeseries {path}: {e}");
-        } else {
-            eprintln!("timeseries written to {path} ({} samples)", report.series.len());
-        }
+        let done = format!("timeseries written to {path} ({} samples)", report.series.len());
+        write("--timeseries", path, &report.timeseries_csv(), done);
     }
     if cli.profile {
         println!("{}", report.render_profile());
+    }
+    if failed {
+        std::process::exit(1);
     }
 }
 
@@ -465,6 +491,7 @@ fn main() {
             };
             let sized_by = if args.switch("--servers") { "--servers" } else { "--scale" };
             refuse_unplannable(&spec, sized_by);
+            refuse_unwritable(&obs_cli);
             eprintln!(
                 "building world with {} FTP servers, seed {seed}, {shards} shard(s)…",
                 spec.ftp_servers
@@ -517,6 +544,7 @@ fn main() {
             let shards = args.number("--shards").unwrap_or(1);
             let obs_cli = obs_flags(&args);
             let mut cfg = small_world(&args, seed, 800).with_fault_fraction(faults as f64 / 100.0);
+            refuse_unwritable(&obs_cli);
             cfg.obs = obs_cli.cfg;
             let results = run_study_sharded(&cfg, shards);
             println!("{}", tables::table01_funnel(&results.funnel()));

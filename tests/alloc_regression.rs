@@ -79,9 +79,9 @@ fn enumeration_stays_under_allocation_budget() {
     // reused buffer, listings parsed straight into the columnar file
     // table — down from ~3.8k); the ceiling is pinned at ~2.5x that
     // (counts are deterministic, so the headroom covers code drift, not
-    // machine noise). The obs feature is compiled into this test build,
-    // so the ceiling also proves that instrumentation with no recorder
-    // installed costs nothing on the per-event path.
+    // machine noise). Every build carries the obs calls, so the ceiling
+    // also proves that instrumentation with no recorder installed costs
+    // nothing on the per-event path.
     const CEILING: u64 = 280;
     assert!(
         per_host <= CEILING,

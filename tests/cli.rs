@@ -131,6 +131,62 @@ fn worlds_that_cannot_be_planned_are_refused() {
     }
 }
 
+/// An artifact file that cannot be opened for writing stops the run
+/// before its world is built, in memory and streamed alike: exit 1,
+/// naming the flag and the path.
+#[test]
+fn unwritable_artifact_paths_fail_before_the_world_is_built() {
+    let dir = std::env::temp_dir().join(format!("ftpcloud-cli-missing-{}", std::process::id()));
+    let path = |name: &str| dir.join(name).to_str().expect("temp path is UTF-8").to_owned();
+    let (trace, journal) = (path("t.jsonl"), path("j.jsonl"));
+    for (args, flag, path) in [
+        (vec!["funnel", "--servers", "100", "--trace", &trace], "--trace", &trace),
+        (vec!["study", "--servers", "300", "--journal", &journal], "--journal", &journal),
+        (
+            vec!["study", "--servers", "300", "--journal", &journal, "--batch-size", "100"],
+            "--journal",
+            &journal,
+        ),
+    ] {
+        let out = ftpcloud(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?} must exit 1; stderr: {stderr}");
+        assert!(stderr.contains(&format!("{flag} {path}")), "{args:?}: {stderr}");
+        assert!(!stderr.contains("building world"), "{args:?} built a world: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} printed a result");
+    }
+    assert!(!dir.exists());
+}
+
+/// A write that fails only at the end (the device is full) still exits
+/// 1, naming its flag, after the other artifacts are written.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_failed_final_write_exits_1_after_the_other_artifacts() {
+    let trace =
+        std::env::temp_dir().join(format!("ftpcloud-cli-trace-{}.jsonl", std::process::id()));
+    let trace_str = trace.to_str().expect("temp path is UTF-8");
+    let args = ["funnel", "--servers", "100", "--metrics", "/dev/full", "--trace", trace_str];
+    let out = ftpcloud(&args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("--metrics /dev/full"), "{stderr}");
+    let written = std::fs::read_to_string(&trace).expect("the trace is written");
+    assert!(written.lines().count() > 0 && written.ends_with('\n'));
+    std::fs::remove_file(&trace).ok();
+}
+
+/// `--profile` alone installs a recorder (span statistics are always
+/// collected) and prints the self-profile table.
+#[test]
+fn profile_alone_prints_the_self_profile() {
+    let out = ftpcloud(&["funnel", "--servers", "100", "--profile"]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("self-profile: spans by exclusive sim time"), "{stdout}");
+    assert!(stdout.lines().any(|l| l.starts_with("stage.scan ")), "{stdout}");
+}
+
 /// `explain` keeps its positional address, before or after the flags.
 #[test]
 fn explain_takes_a_positional_address() {

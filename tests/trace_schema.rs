@@ -17,7 +17,6 @@ fn study_report() -> obs::Report {
     cfg.obs = obs::ObsConfig {
         metrics: true,
         trace: true,
-        profile: true,
         journal: true,
         timeseries_every_us: 500_000,
     };
