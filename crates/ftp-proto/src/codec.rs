@@ -17,7 +17,6 @@
 
 use crate::error::ProtoError;
 use bytes::BytesMut;
-use std::borrow::Cow;
 
 /// Telnet "Interpret As Command" escape byte.
 const IAC: u8 = 255;
@@ -143,38 +142,11 @@ impl LineCodec {
     }
 }
 
-/// Removes Telnet IAC sequences without allocating when no IAC byte is
-/// present (the overwhelming case): `IAC IAC` unescapes to a literal
-/// 255, `IAC <cmd>` and `IAC <cmd> <opt>` are dropped.
-pub fn strip_iac(bytes: &[u8]) -> Cow<'_, [u8]> {
-    if !bytes.contains(&IAC) {
-        return Cow::Borrowed(bytes);
-    }
-    let mut out = Vec::with_capacity(bytes.len());
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == IAC {
-            match bytes.get(i + 1) {
-                Some(&IAC) => {
-                    out.push(IAC);
-                    i += 2;
-                }
-                // WILL/WONT/DO/DONT take an option byte.
-                Some(&cmd) if (251..=254).contains(&cmd) => i += 3,
-                Some(_) => i += 2,
-                None => i += 1,
-            }
-        } else {
-            out.push(bytes[i]);
-            i += 1;
-        }
-    }
-    Cow::Owned(out)
-}
-
-/// In-place variant of [`strip_iac`]: compacts the slice and returns the
-/// new length. Same escape semantics; the write cursor never passes the
-/// read cursor, so the compaction is a single forward pass.
+/// Removes Telnet IAC sequences in place: `IAC IAC` unescapes to a
+/// literal 255, `IAC <cmd>` and `IAC <cmd> <opt>` are dropped, and so is
+/// a dangling IAC. Compacts the slice and returns the new length; the
+/// write cursor never passes the read cursor, so the compaction is a
+/// single forward pass.
 fn strip_iac_in_place(bytes: &mut [u8]) -> usize {
     let mut w = 0;
     let mut i = 0;
@@ -186,6 +158,7 @@ fn strip_iac_in_place(bytes: &mut [u8]) -> usize {
                     w += 1;
                     i += 2;
                 }
+                // WILL/WONT/DO/DONT take an option byte.
                 Some(&cmd) if (251..=254).contains(&cmd) => i += 3,
                 Some(_) => i += 2,
                 None => i += 1,
@@ -317,15 +290,20 @@ mod tests {
     }
 
     #[test]
-    fn strip_iac_borrows_when_clean() {
-        assert!(matches!(strip_iac(b"clean line"), Cow::Borrowed(_)));
-        let stripped = strip_iac(&[b'a', 255, 251, 1, b'b']);
-        assert!(matches!(stripped, Cow::Owned(_)));
-        assert_eq!(&stripped[..], b"ab");
+    fn strip_iac_in_place_escape_rules() {
+        let strip = |bytes: &[u8]| {
+            let mut buf = bytes.to_vec();
+            let len = strip_iac_in_place(&mut buf);
+            buf.truncate(len);
+            buf
+        };
+        assert_eq!(strip(b"clean line"), b"clean line");
+        // `IAC WILL <opt>` is dropped with its option byte.
+        assert_eq!(strip(&[b'a', 255, 251, 1, b'b']), b"ab");
         // Escaped IAC IAC unescapes to one literal 255.
-        assert_eq!(&strip_iac(&[255, 255])[..], &[255][..]);
+        assert_eq!(strip(&[255, 255]), [255]);
         // A dangling IAC at end-of-buffer is dropped, not kept.
-        assert_eq!(&strip_iac(&[b'a', 255])[..], b"a");
+        assert_eq!(strip(&[b'a', 255]), b"a");
     }
 
     #[test]

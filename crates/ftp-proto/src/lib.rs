@@ -43,7 +43,7 @@ pub mod reply;
 pub mod robots;
 
 pub use banner::{Banner, ServerSoftware, SoftwareFamily};
-pub use codec::{lossy_append, strip_iac, LineCodec};
+pub use codec::{lossy_append, LineCodec};
 pub use command::Command;
 pub use error::ProtoError;
 pub use hostport::HostPort;

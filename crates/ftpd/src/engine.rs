@@ -15,6 +15,11 @@ use std::net::Ipv4Addr;
 /// Pure-FTPd's distinctive refusal for unapproved anonymous uploads.
 pub const NEEDS_APPROVAL_TEXT: &str = "This file has been uploaded by an anonymous user. It has not yet been approved for downloading by the site administrators.";
 
+/// Why the engine may assume it holds its tree: the tree is released
+/// only while no control session is open, and rebuilt before the next
+/// session's banner.
+const HELD: &str = "an open control session holds the tree";
+
 /// Stack capacity for rendering one reply line; covers every fixed
 /// engine reply with room to spare. Longer dynamic replies fall back to
 /// a heap render.
@@ -97,6 +102,15 @@ impl Session {
     }
 }
 
+/// Rebuilds a released tree (see [`FtpServerEngine::with_rebuild`]).
+struct Rebuild(Box<dyn Fn() -> Vfs + Send + Sync>);
+
+impl fmt::Debug for Rebuild {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("Rebuild")
+    }
+}
+
 /// Counters the experiments read back after a run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
@@ -124,7 +138,14 @@ pub struct EngineStats {
 pub struct FtpServerEngine {
     ip: Ipv4Addr,
     profile: ServerProfile,
-    vfs: Vfs,
+    /// The published tree; `None` only while released, when no control
+    /// session is open.
+    vfs: Option<Vfs>,
+    /// Rebuilds a released tree. Engines without one keep theirs for
+    /// life, and so does an engine whose tree a session took mutably
+    /// (upload, mkdir, delete, rename): that drops the recipe, which no
+    /// longer reproduces the tree.
+    rebuild: Option<Rebuild>,
     sessions: FastMap<ConnId, Session>,
     /// Passive listening port → owning control connection.
     pasv_ports: FastMap<u16, ConnId>,
@@ -160,7 +181,8 @@ pub struct FtpServerEngine {
 
 impl FtpServerEngine {
     /// Creates an engine for the host at `ip` publishing `vfs` with the
-    /// given behavior profile.
+    /// given behavior profile. It keeps `vfs` for life unless
+    /// [`FtpServerEngine::with_rebuild`] lets it release the tree.
     pub fn new(ip: Ipv4Addr, profile: ServerProfile, vfs: Vfs) -> Self {
         // Render the canned wire blocks straight from borrowed lines,
         // without an intermediate `Vec<String>` per host.
@@ -189,7 +211,8 @@ impl FtpServerEngine {
         FtpServerEngine {
             ip,
             profile,
-            vfs,
+            vfs: Some(vfs),
+            rebuild: None,
             sessions: FastMap::default(),
             pasv_ports: FastMap::default(),
             data_conns: FastMap::default(),
@@ -212,9 +235,45 @@ impl FtpServerEngine {
         &self.profile
     }
 
-    /// The published filesystem (read-only; uploads mutate it).
-    pub fn vfs(&self) -> &Vfs {
-        &self.vfs
+    /// Lets the engine hold its tree only while a control session is
+    /// open. When the last control session closes, and no session has
+    /// changed the tree, the engine drops the tree and its render
+    /// scratch; the next control session gets a tree from `rebuild`
+    /// before its banner. `rebuild` must return the tree the engine was
+    /// created with.
+    pub fn with_rebuild(mut self, rebuild: impl Fn() -> Vfs + Send + Sync + 'static) -> Self {
+        self.rebuild = Some(Rebuild(Box::new(rebuild)));
+        self
+    }
+
+    /// The published filesystem (uploads mutate it), or `None` while it
+    /// is released between sessions.
+    pub fn vfs(&self) -> Option<&Vfs> {
+        self.vfs.as_ref()
+    }
+
+    /// The tree, for a handler serving an open session.
+    fn tree(&self) -> &Vfs {
+        self.vfs.as_ref().expect(HELD)
+    }
+
+    /// The tree for a write, which drops the recipe: the tree is kept
+    /// for life from then on.
+    fn tree_mut(&mut self) -> &mut Vfs {
+        self.rebuild = None;
+        self.vfs.as_mut().expect(HELD)
+    }
+
+    /// Drops the tree and the render scratch once no control session is
+    /// open, if the engine can rebuild the tree.
+    fn release_if_idle(&mut self) {
+        if self.sessions.is_empty() && self.rebuild.is_some() {
+            self.vfs = None;
+            self.list_body = String::new();
+            self.payload_scratch = Vec::new();
+            self.line_scratch = String::new();
+            self.owner_scratch = String::new();
+        }
     }
 
     /// Run counters.
@@ -310,7 +369,7 @@ impl FtpServerEngine {
             Transfer::List(path) => {
                 self.list_body.clear();
                 let ok = Self::render_listing_into(
-                    &self.vfs,
+                    self.vfs.as_ref().expect(HELD),
                     self.profile.listing_format,
                     &mut self.owner_scratch,
                     &path,
@@ -330,7 +389,7 @@ impl FtpServerEngine {
             Transfer::Retr(path) => {
                 // Send straight from the VFS (or a reused scratch for
                 // synthesized bodies) — no per-RETR payload clone.
-                let ok = match self.vfs.file(path.as_str()) {
+                let ok = match self.vfs.as_ref().expect(HELD).file(path.as_str()) {
                     Ok(meta) => {
                         match meta.content {
                             Some(c) => ctx.send(data_conn, c.as_bytes()),
@@ -405,11 +464,11 @@ impl FtpServerEngine {
             ..FileAttrs::public(bytes.len() as u64)
         };
         let stored = match self.profile.upload_quirk {
-            UploadQuirk::Overwrite => self.vfs.add_file(path.as_str(), attrs),
+            UploadQuirk::Overwrite => self.tree_mut().add_file(path.as_str(), attrs),
             UploadQuirk::UniqueSuffix => {
-                self.vfs.store_unique(path.as_str(), attrs).map(|_| ())
+                self.tree_mut().store_unique(path.as_str(), attrs).map(|_| ())
             }
-            UploadQuirk::NeedsApproval => self.vfs.add_file(path.as_str(), attrs),
+            UploadQuirk::NeedsApproval => self.tree_mut().add_file(path.as_str(), attrs),
         };
         match stored {
             Ok(()) => {
@@ -528,7 +587,7 @@ impl FtpServerEngine {
             Command::Cwd(arg) => {
                 let target = self.sessions.get(&conn).and_then(|s| self.resolve(s, &arg));
                 match target {
-                    Some(p) if self.vfs.is_dir(p.as_str()) => {
+                    Some(p) if self.tree().is_dir(p.as_str()) => {
                         if let Some(s) = self.sessions.get_mut(&conn) {
                             s.cwd = p;
                         }
@@ -552,7 +611,7 @@ impl FtpServerEngine {
             Command::List(arg) | Command::Nlst(arg) | Command::Mlsd(arg) => {
                 let arg = arg.unwrap_or_default();
                 let resolved = self.sessions.get(&conn).and_then(|s| self.resolve(s, &arg));
-                let dir = resolved.and_then(|p| match self.vfs.node(p.as_str()) {
+                let dir = resolved.and_then(|p| match self.tree().node(p.as_str()) {
                     Ok(NodeRef::Dir(d)) => Some((p, d.perms)),
                     _ => None,
                 });
@@ -567,7 +626,7 @@ impl FtpServerEngine {
             Command::Retr(arg) => {
                 let resolved = self.sessions.get(&conn).and_then(|s| self.resolve(s, &arg));
                 match resolved {
-                    Some(p) => match self.vfs.file(p.as_str()) {
+                    Some(p) => match self.tree().file(p.as_str()) {
                         Ok(meta) => {
                             if self.profile.upload_quirk == UploadQuirk::NeedsApproval
                                 && meta.owner == Owner::Anonymous
@@ -602,14 +661,14 @@ impl FtpServerEngine {
             }
             Command::Size(arg) => {
                 let resolved = self.sessions.get(&conn).and_then(|s| self.resolve(s, &arg));
-                match resolved.and_then(|p| self.vfs.file(p.as_str()).ok().map(|m| m.size)) {
+                match resolved.and_then(|p| self.tree().file(p.as_str()).ok().map(|m| m.size)) {
                     Some(size) => Self::reply_fmt(ctx, conn, 213, format_args!("{size}")),
                     None => Self::reply(ctx, conn, 550, "Could not get file size."),
                 }
             }
             Command::Mdtm(arg) => {
                 let resolved = self.sessions.get(&conn).and_then(|s| self.resolve(s, &arg));
-                match resolved.and_then(|p| self.vfs.file(p.as_str()).ok().map(|_| ())) {
+                match resolved.and_then(|p| self.tree().file(p.as_str()).ok().map(|_| ())) {
                     Some(()) => Self::reply(ctx, conn, 213, "20150618094300"),
                     None => Self::reply(ctx, conn, 550, "Could not get modification time."),
                 }
@@ -623,7 +682,7 @@ impl FtpServerEngine {
                 let resolved = self.sessions.get(&conn).and_then(|s| self.resolve(s, &arg));
                 match resolved {
                     Some(p)
-                        if self.vfs.exists(p.as_str())
+                        if self.tree().exists(p.as_str())
                             && self
                                 .sessions
                                 .get(&conn)
@@ -649,7 +708,7 @@ impl FtpServerEngine {
                             .map(|s| self.may_write(s, &t))
                             .unwrap_or(false) =>
                     {
-                        match self.vfs.rename(&f, t.as_str()) {
+                        match self.tree_mut().rename(&f, t.as_str()) {
                             Ok(()) => Self::reply(ctx, conn, 250, "Rename successful."),
                             Err(_) => Self::reply(ctx, conn, 550, "Rename failed."),
                         }
@@ -681,7 +740,7 @@ impl FtpServerEngine {
             Some(p)
                 if self.sessions.get(&conn).map(|s| self.may_write(s, &p)).unwrap_or(false) =>
             {
-                match op(&mut self.vfs, p.as_str()) {
+                match op(self.tree_mut(), p.as_str()) {
                     Ok(()) => Self::reply(ctx, conn, 250, "Requested file action okay."),
                     Err(_) => Self::reply(ctx, conn, 550, "Requested action not taken."),
                 }
@@ -873,7 +932,10 @@ impl Endpoint for FtpServerEngine {
             }
             return;
         }
-        // New control session.
+        // New control session: a released tree is rebuilt first.
+        if self.vfs.is_none() {
+            self.vfs = self.rebuild.as_ref().map(|r| (r.0)());
+        }
         let peer_ip = ctx.peer_of(conn).map(|(ip, _)| ip).unwrap_or(Ipv4Addr::UNSPECIFIED);
         self.sessions.insert(conn, Session::new(peer_ip));
         self.stats.sessions += 1;
@@ -942,6 +1004,8 @@ impl Endpoint for FtpServerEngine {
             self.dispatch_control_line(ctx, conn, &line);
             self.line_scratch = line;
         }
+        // A `QUIT` or a 421 may have closed the last session.
+        self.release_if_idle();
     }
 
     fn on_close(&mut self, ctx: &mut Ctx<'_>, conn: ConnId) {
@@ -958,6 +1022,7 @@ impl Endpoint for FtpServerEngine {
             return;
         }
         self.cleanup(ctx, conn);
+        self.release_if_idle();
     }
 }
 

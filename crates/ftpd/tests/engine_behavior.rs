@@ -80,6 +80,38 @@ fn run(
     (client, engine)
 }
 
+/// Runs each script of `groups` as a session of one engine that
+/// publishes `sample_vfs()` and rebuilds it from `sample_vfs` after a
+/// release. The sessions in a group start together; a group starts once
+/// the one before it has finished. Returns every client, in script
+/// order, and whether the engine held a tree after each group.
+fn run_rebuilding_groups(
+    profile: ServerProfile,
+    groups: Vec<Vec<Vec<Action>>>,
+) -> (Vec<std::rc::Rc<std::cell::RefCell<ScriptedFtpClient>>>, Vec<bool>) {
+    use std::cell::RefCell;
+    use std::rc::Rc;
+    let mut sim = Simulator::new(11);
+    let engine = FtpServerEngine::new(SERVER, profile, sample_vfs()).with_rebuild(sample_vfs);
+    let engine = Rc::new(RefCell::new(engine));
+    let sid = sim.register_endpoint(Box::new(Proxy(engine.clone())));
+    sim.bind(SERVER, 21, sid);
+    let mut clients = Vec::new();
+    let mut held = Vec::new();
+    for (g, group) in groups.into_iter().enumerate() {
+        for (i, script) in group.into_iter().enumerate() {
+            let src = Ipv4Addr::new(10, 9, g as u8, i as u8 + 1);
+            let client = Rc::new(RefCell::new(ScriptedFtpClient::new(src, (SERVER, 21), script)));
+            let cid = sim.register_endpoint(Box::new(Proxy(client.clone())));
+            sim.schedule_timer(cid, SimDuration::ZERO, 0);
+            clients.push(client);
+        }
+        sim.run();
+        held.push(engine.borrow().vfs().is_some());
+    }
+    (clients, held)
+}
+
 fn anon_profile() -> ServerProfile {
     ServerProfile::new("ProFTPD 1.3.5 Server (Debian)").with_anonymous(AnonPolicy::Allowed)
 }
@@ -268,7 +300,7 @@ fn stor_denied_outside_writable_dirs() {
     let (client, engine) = run(anon_profile(), sample_vfs(), script);
     assert!(client.borrow().codes().contains(&550));
     assert_eq!(engine.borrow().stats().uploads, 0);
-    assert!(!engine.borrow().vfs().exists("/pub/evil.txt"));
+    assert!(!engine.borrow().vfs().unwrap().exists("/pub/evil.txt"));
 }
 
 #[test]
@@ -288,7 +320,7 @@ fn stor_allowed_in_writable_dir() {
     assert!(c.codes().contains(&226), "{:?}", c.codes());
     let e = engine.borrow();
     assert_eq!(e.stats().uploads, 1);
-    let f = e.vfs().file("/incoming/probe.txt").unwrap();
+    let f = e.vfs().unwrap().file("/incoming/probe.txt").unwrap();
     assert_eq!(f.content, Some("w0000000t"));
 }
 
@@ -308,8 +340,8 @@ fn unique_suffix_quirk_appends_numbers() {
         script,
     );
     let e = engine.borrow();
-    assert!(e.vfs().exists("/incoming/name"));
-    assert!(e.vfs().exists("/incoming/name.1"));
+    assert!(e.vfs().unwrap().exists("/incoming/name"));
+    assert!(e.vfs().unwrap().exists("/incoming/name.1"));
 }
 
 #[test]
@@ -347,7 +379,7 @@ fn mkd_dele_rmd_in_writable_tree() {
     ]);
     let (client, engine) = run(anon_profile().with_writable("/incoming"), sample_vfs(), script);
     assert_eq!(client.borrow().codes(), vec![220, 331, 230, 250, 250, 550, 221]);
-    assert!(!engine.borrow().vfs().exists("/pub/forbidden"));
+    assert!(!engine.borrow().vfs().unwrap().exists("/pub/forbidden"));
 }
 
 #[test]
@@ -554,8 +586,8 @@ fn rename_in_writable_tree() {
     ]);
     let (client, engine) = run(anon_profile().with_writable("/incoming"), v, script);
     assert_eq!(client.borrow().codes(), vec![220, 331, 230, 350, 250, 221]);
-    assert!(engine.borrow().vfs().exists("/incoming/b.txt"));
-    assert!(!engine.borrow().vfs().exists("/incoming/a.txt"));
+    assert!(engine.borrow().vfs().unwrap().exists("/incoming/b.txt"));
+    assert!(!engine.borrow().vfs().unwrap().exists("/incoming/a.txt"));
 }
 
 /// A rejected `RNTO` (its parent is a file) answers 550 and leaves the
@@ -581,5 +613,67 @@ fn rejected_rename_keeps_the_source() {
     let body = String::from_utf8_lossy(bytes);
     assert!(body.contains("a.txt"), "{body}");
     assert!(body.contains("b.txt"), "{body}");
-    assert!(engine.borrow().vfs().file("/incoming/a.txt").is_ok());
+    assert!(engine.borrow().vfs().unwrap().file("/incoming/a.txt").is_ok());
+}
+
+fn list_session(dir: &str) -> Vec<Action> {
+    let mut script = login();
+    script.extend([Action::OpenPasv, Action::TransferGet(format!("LIST {dir}")), Action::Quit]);
+    script
+}
+
+/// An engine with a rebuild drops its tree when its only session closes,
+/// and the next session lists the rebuilt tree byte for byte.
+#[test]
+fn released_tree_is_rebuilt_for_the_next_session() {
+    let (clients, held) =
+        run_rebuilding_groups(anon_profile(), vec![vec![list_session("/pub")]; 2]);
+    assert_eq!(held, [false, false], "released after each session");
+    let (first, second) = (clients[0].borrow(), clients[1].borrow());
+    assert!(first.finished() && second.finished());
+    assert_eq!(first.codes(), second.codes());
+    assert_eq!(first.downloads().len(), 1);
+    assert!(String::from_utf8_lossy(&first.downloads()[0].1).contains("photos"));
+    assert_eq!(first.downloads(), second.downloads(), "same LIST bytes");
+}
+
+/// Closing one of two open sessions keeps the tree for the other.
+#[test]
+fn tree_is_released_only_when_the_last_session_closes() {
+    let (clients, held) =
+        run_rebuilding_groups(anon_profile(), vec![vec![vec![Action::Quit], list_session("/pub")]]);
+    assert_eq!(held, [false]);
+    let (quitter, lister) = (clients[0].borrow(), clients[1].borrow());
+    assert_eq!(quitter.codes(), vec![220, 221]);
+    assert_eq!(lister.codes(), vec![220, 331, 230, 227, 150, 226, 221]);
+    assert_eq!(lister.downloads().len(), 1);
+}
+
+/// A tree that a session changed is kept, and the next session sees the
+/// change instead of a rebuilt tree.
+#[test]
+fn changed_tree_is_kept_across_sessions() {
+    let changes = [
+        (
+            vec![
+                Action::OpenPasv,
+                Action::TransferPut("STOR /incoming/up.txt".into(), b"data".to_vec()),
+            ],
+            "up.txt",
+        ),
+        (vec![Action::Send("MKD /incoming/newdir".into())], "newdir"),
+    ];
+    for (change, name) in changes {
+        let mut script = login();
+        script.extend(change);
+        script.push(Action::Quit);
+        let (clients, held) = run_rebuilding_groups(
+            anon_profile().with_writable("/incoming"),
+            vec![vec![script], vec![list_session("/incoming")]],
+        );
+        assert_eq!(held, [true, true], "{name}: a changed tree is never released");
+        let lister = clients[1].borrow();
+        let body = String::from_utf8_lossy(&lister.downloads()[0].1).into_owned();
+        assert!(body.contains(name), "{name} missing from {body}");
+    }
 }

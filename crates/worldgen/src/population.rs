@@ -437,6 +437,7 @@ fn draw_software(rng: &mut StdRng) -> (Daemon, Option<&'static str>) {
 }
 
 /// One planned (not yet materialized) host.
+#[derive(Clone)]
 struct HostPlan {
     truth: HostTruth,
     banner_multiline: bool,
@@ -855,29 +856,6 @@ impl WorldPlan {
         self.plans.len() + self.non_ftp.len()
     }
 
-    /// Materializes one `(shard, batch)` grid cell: the planned hosts
-    /// that [`netsim::ip::shard_of`] assigns to `shard.0` of `shard.1`
-    /// *and* [`netsim::ip::batch_of`] assigns to `batch.0` of
-    /// `batch.1`, under this plan's world seed.
-    ///
-    /// This is [`WorldPlan::materialize`] with the streaming runner's
-    /// composed keep-filter: batches are hash-partitions just like
-    /// shards, so the union over the grid rebuilds the full world and
-    /// each cell's hosts are byte-identical to their full-build
-    /// selves.
-    pub fn materialize_slice(
-        &self,
-        sim: &mut Simulator,
-        shard: (u64, u64),
-        batch: (u64, u64),
-    ) -> (Vec<HostTruth>, Vec<Ipv4Addr>) {
-        let seed = self.spec.seed;
-        self.materialize(sim, |ip| {
-            netsim::ip::shard_of(seed, ip, shard.1) == shard.0
-                && netsim::ip::batch_of(seed, ip, batch.1) == batch.0
-        })
-    }
-
     /// Materializes into `sim` every planned host whose address passes
     /// `keep`, returning the ground truth of that subset (in plan
     /// order) plus the retained non-FTP addresses.
@@ -902,12 +880,14 @@ impl WorldPlan {
 
     /// Buckets one shard's slice of the plan by batch index: which plan
     /// and non-FTP entries each `(shard, batch)` grid cell materializes,
-    /// in plan order.
+    /// in plan order. A cell holds the planned hosts that
+    /// [`netsim::ip::shard_of`] assigns to `shard.0` of `shard.1` *and*
+    /// [`netsim::ip::batch_of`] assigns to that batch of `batches`,
+    /// under this plan's world seed.
     ///
     /// The streaming runner computes this once per shard and then feeds
-    /// each bucket to [`WorldPlan::materialize_bucket`], replacing the
-    /// per-cell full-plan filter walk of [`WorldPlan::materialize_slice`]
-    /// with a single pass over the plan per shard.
+    /// each bucket to [`WorldPlan::materialize_bucket`], so a shard
+    /// walks the plan once rather than once per batch.
     pub fn bucket_shard(&self, shard: (u64, u64), batches: u64) -> ShardBatchIndex {
         let seed = self.spec.seed;
         let mut plan_ix = vec![Vec::new(); batches as usize];
@@ -927,8 +907,11 @@ impl WorldPlan {
     }
 
     /// Materializes one pre-bucketed batch (from
-    /// [`WorldPlan::bucket_shard`]) — byte-identical to
-    /// [`WorldPlan::materialize_slice`] over the same cell.
+    /// [`WorldPlan::bucket_shard`]): [`WorldPlan::materialize`] with the
+    /// cell's composed shard and batch keep-filter. Batches are
+    /// hash-partitions just like shards, so the union over the grid
+    /// rebuilds the full world, each host byte-identical to its
+    /// full-build self.
     pub fn materialize_bucket(
         &self,
         sim: &mut Simulator,
@@ -1050,6 +1033,10 @@ impl WorldPlan {
     /// Builds one host from its own [`host_rng`] stream: profile,
     /// filesystem, engine, NAT address, and HTTP service, drawn in that
     /// order.
+    ///
+    /// The engine gets its tree now and a recipe that rebuilds it after
+    /// a release: the plan and the stream as they stood before
+    /// [`build_vfs`], replayed through it.
     fn build_host(
         &self,
         plan: &HostPlan,
@@ -1058,6 +1045,7 @@ impl WorldPlan {
         scratch: &mut content::GenScratch,
     ) -> BuiltHost {
         let profile = build_profile(plan, rng, hosting_cert_weights);
+        let recipe = (plan.clone(), rng.clone());
         let vfs = build_vfs(plan, rng, scratch);
         let mut truth = plan.truth.clone();
         // `clone_from` reuses the just-cloned banner buffer instead of
@@ -1067,7 +1055,11 @@ impl WorldPlan {
         if let Some(ftps) = &profile.ftps {
             truth.cert_fp = Some(ftps.cert.fingerprint());
         }
-        let engine = Box::new(FtpServerEngine::new(truth.ip, profile, vfs));
+        let rebuild = move || {
+            let (plan, rng) = &recipe;
+            build_vfs(plan, &mut rng.clone(), &mut content::GenScratch::default())
+        };
+        let engine = Box::new(FtpServerEngine::new(truth.ip, profile, vfs).with_rebuild(rebuild));
         let internal_ip = truth
             .nat
             .then(|| Ipv4Addr::new(192, 168, rng.random_range(0..5), rng.random_range(2..250)));
@@ -1579,10 +1571,10 @@ mod tests {
         let mut merged_non_ftp: Vec<Ipv4Addr> = Vec::new();
         let mut cells_hit = 0;
         for s in 0..shards {
+            let index = plan.bucket_shard((s, shards), batches);
             for b in 0..batches {
                 let mut sim = Simulator::new(7);
-                let (hosts, non_ftp) =
-                    plan.materialize_slice(&mut sim, (s, shards), (b, batches));
+                let (hosts, non_ftp) = plan.materialize_bucket(&mut sim, &index, b);
                 if !hosts.is_empty() {
                     cells_hit += 1;
                 }
@@ -1598,9 +1590,10 @@ mod tests {
     }
 
     #[test]
-    fn bucketed_materialization_matches_slice() {
+    fn bucketed_materialization_matches_filtered_build() {
         // The streaming runner's per-shard bucketing must materialize
-        // exactly what the per-cell filter walk would have.
+        // exactly what `materialize` keeps under the cell's shard and
+        // batch filter.
         let spec = PopulationSpec::small(7, 200).with_fault_fraction(0.2);
         let plan = plan_world(&spec);
         let (shards, batches) = (2u64, 5u64);
@@ -1608,10 +1601,13 @@ mod tests {
             let index = plan.bucket_shard((s, shards), batches);
             for b in 0..batches {
                 let mut sim_a = Simulator::new(7);
-                let sliced = plan.materialize_slice(&mut sim_a, (s, shards), (b, batches));
+                let filtered = plan.materialize(&mut sim_a, |ip| {
+                    netsim::ip::shard_of(7, ip, shards) == s
+                        && netsim::ip::batch_of(7, ip, batches) == b
+                });
                 let mut sim_b = Simulator::new(7);
                 let bucketed = plan.materialize_bucket(&mut sim_b, &index, b);
-                assert_eq!(sliced, bucketed, "cell ({s}, {b})");
+                assert_eq!(filtered, bucketed, "cell ({s}, {b})");
             }
         }
     }
@@ -1785,7 +1781,7 @@ mod tests {
             let built = plan.build_host(p, &mut rng, &weights, &mut scratch);
             let _ =
                 write!(hosts, "{}|{:?}|{:?}|", built.truth.banner, built.internal_ip, built.http);
-            let vfs = built.engine.vfs();
+            let vfs = built.engine.vfs().expect("built with its tree");
             hosts.u64(vfs.node_count() as u64);
             hosts.u64(vfs.interned_bytes() as u64);
             hosts.u64(rng.random::<u64>());
@@ -1814,5 +1810,96 @@ mod tests {
         let spec = PopulationSpec::sized(7, 3_000).with_fault_fraction(0.5);
         let pins = world_fingerprint(&spec);
         assert_eq!(pins, (0x44f6_aa80_6ef4_bfec, 0x0eef_3484_0f15_017a), "{pins:#018x?}");
+    }
+
+    /// Shares an engine with the test while a simulator drives its
+    /// control sessions.
+    struct Shared(std::rc::Rc<std::cell::RefCell<FtpServerEngine>>);
+
+    impl netsim::Endpoint for Shared {
+        fn on_inbound(&mut self, ctx: &mut netsim::Ctx<'_>, conn: netsim::ConnId, port: u16) {
+            self.0.borrow_mut().on_inbound(ctx, conn, port);
+        }
+        fn on_data(&mut self, ctx: &mut netsim::Ctx<'_>, conn: netsim::ConnId, data: &[u8]) {
+            self.0.borrow_mut().on_data(ctx, conn, data);
+        }
+        fn on_close(&mut self, ctx: &mut netsim::Ctx<'_>, conn: netsim::ConnId) {
+            self.0.borrow_mut().on_close(ctx, conn);
+        }
+    }
+
+    /// Opens a control connection to port 21 of its address per timer,
+    /// and closes it once it is up when the timer's token is
+    /// [`Dialer::CLOSE`]; any other token holds it open.
+    struct Dialer(Ipv4Addr);
+
+    impl Dialer {
+        const CLOSE: u64 = 1;
+    }
+
+    impl netsim::Endpoint for Dialer {
+        fn on_timer(&mut self, ctx: &mut netsim::Ctx<'_>, token: u64) {
+            ctx.connect(Ipv4Addr::new(198, 51, 100, 1), self.0, 21, token);
+        }
+        fn on_outbound(
+            &mut self,
+            ctx: &mut netsim::Ctx<'_>,
+            token: u64,
+            result: Result<netsim::ConnId, netsim::ConnectError>,
+        ) {
+            if let (Dialer::CLOSE, Ok(conn)) = (token, result) {
+                ctx.close(conn);
+            }
+        }
+    }
+
+    fn tree_fingerprint(vfs: &Vfs) -> u64 {
+        let mut f = Fingerprint::new();
+        f.u64(vfs.node_count() as u64);
+        f.u64(vfs.interned_bytes() as u64);
+        vfs.walk(|path, node| f.node(path, node));
+        f.0
+    }
+
+    /// Every host's engine releases its tree when its session closes and
+    /// rebuilds it for the next session from the recipe `build_host`
+    /// attached. The study opens one session per host, so it never
+    /// rebuilds a tree; this test is what pins the recipe, on both
+    /// pinned worlds, NAT and scripting-HTTP hosts (which draw from
+    /// their RNG after `build_vfs`) included.
+    #[test]
+    fn rebuilt_trees_match_eager_builds() {
+        let weights: Vec<f64> = catalog::HOSTING_CERTS.iter().map(|&(_, w, _)| w).collect();
+        let mut scratch = content::GenScratch::default();
+        for spec in [
+            PopulationSpec::small(1_234, 900),
+            PopulationSpec::sized(7, 3_000).with_fault_fraction(0.5),
+        ] {
+            let plan = plan_world(&spec);
+            let mut sim = Simulator::new(spec.seed);
+            let (mut nat, mut scripting) = (0, 0);
+            for p in &plan.plans {
+                let ip = p.truth.ip;
+                let mut rng = host_rng(spec.seed, ip);
+                let built = plan.build_host(p, &mut rng, &weights, &mut scratch);
+                let eager = tree_fingerprint(built.engine.vfs().expect("built with its tree"));
+                nat += usize::from(built.internal_ip.is_some());
+                scripting += usize::from(built.truth.scripting && built.http.is_some());
+                sim.reset(spec.seed);
+                let engine = std::rc::Rc::new(std::cell::RefCell::new(*built.engine));
+                let id = sim.register_endpoint(Box::new(Shared(engine.clone())));
+                sim.bind(ip, 21, id);
+                let dialer = sim.register_endpoint(Box::new(Dialer(ip)));
+                sim.schedule_timer(dialer, netsim::SimDuration::ZERO, Dialer::CLOSE);
+                sim.run();
+                assert!(engine.borrow().vfs().is_none(), "{ip}: tree kept after its session");
+                sim.schedule_timer(dialer, netsim::SimDuration::ZERO, 0);
+                sim.run();
+                let engine = engine.borrow();
+                let rebuilt = engine.vfs().expect("rebuilt for the open session");
+                assert_eq!(tree_fingerprint(rebuilt), eager, "{ip}: rebuilt tree differs");
+            }
+            assert!(nat > 0 && scripting > 0, "nat {nat}, scripting {scripting}");
+        }
     }
 }
