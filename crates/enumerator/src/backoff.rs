@@ -24,24 +24,7 @@ pub struct RetrySchedule {
     pub max_retries: u32,
 }
 
-impl Default for RetrySchedule {
-    /// Two retries at 1 s and 2 s — cheap enough to run against every
-    /// silent host, persistent enough to ride out a single lost SYN.
-    fn default() -> Self {
-        RetrySchedule {
-            base: SimDuration::from_secs(1),
-            cap: SimDuration::from_secs(8),
-            max_retries: 2,
-        }
-    }
-}
-
 impl RetrySchedule {
-    /// A schedule that never retries.
-    pub fn none() -> Self {
-        RetrySchedule { max_retries: 0, ..RetrySchedule::default() }
-    }
-
     /// Delay before retry number `retry` (zero-based), or `None` once
     /// the retry budget is spent.
     pub fn delay_for(&self, retry: u32) -> Option<SimDuration> {
@@ -74,10 +57,14 @@ impl RetrySchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::CONNECT_RETRY;
+
+    /// A schedule that never retries.
+    const NONE: RetrySchedule = RetrySchedule { max_retries: 0, ..CONNECT_RETRY };
 
     #[test]
     fn attempts_are_bounded() {
-        let s = RetrySchedule::default();
+        let s = CONNECT_RETRY;
         let mut granted = 0;
         for k in 0..1_000 {
             if s.delay_for(k).is_some() {
@@ -86,7 +73,7 @@ mod tests {
         }
         assert_eq!(granted, s.max_retries);
         assert_eq!(s.max_attempts(), s.max_retries + 1);
-        assert_eq!(RetrySchedule::none().delay_for(0), None);
+        assert_eq!(NONE.delay_for(0), None);
     }
 
     #[test]
@@ -120,9 +107,8 @@ mod tests {
 
     #[test]
     fn worst_case_total_matches_sum() {
-        let s = RetrySchedule::default();
         let expected = SimDuration::from_secs(1) + SimDuration::from_secs(2);
-        assert_eq!(s.worst_case_total(), expected);
-        assert_eq!(RetrySchedule::none().worst_case_total(), SimDuration::ZERO);
+        assert_eq!(CONNECT_RETRY.worst_case_total(), expected);
+        assert_eq!(NONE.worst_case_total(), SimDuration::ZERO);
     }
 }

@@ -21,7 +21,7 @@
 //! of the raw transfer bytes into the columnar
 //! [`FileTable`](crate::record::FileTable).
 
-use crate::config::EnumConfig;
+use crate::config::{EnumConfig, CONNECT_RETRY, MAX_DEPTH, SESSION_DEADLINE};
 use crate::record::{GaveUpReason, HostRecord, LoginOutcome};
 use ftp_proto::listing::{self, ListingFormat};
 use ftp_proto::reply::{ReplyBuf, ReplyRef};
@@ -237,11 +237,6 @@ impl Enumerator {
         )
     }
 
-    /// Remaining unstarted targets plus live sessions.
-    pub fn in_flight(&self) -> usize {
-        self.active
-    }
-
     fn start_next(&mut self, ctx: &mut Ctx<'_>) {
         while self.active < self.cfg.max_concurrent {
             let Some(ip) = self.targets.next() else { return };
@@ -268,7 +263,7 @@ impl Enumerator {
             obs::journal!(ip, obs::JournalEvent::SessionStart);
             obs::journal!(ip, obs::JournalEvent::Phase { phase: Phase::Connecting.label() });
             ctx.connect(self.cfg.source_ip, ip, 21, token(slot, gen, KIND_CONTROL));
-            ctx.set_timer(self.cfg.session_deadline, token(slot, gen, KIND_DEADLINE));
+            ctx.set_timer(SESSION_DEADLINE, token(slot, gen, KIND_DEADLINE));
         }
     }
 
@@ -488,11 +483,9 @@ impl Enumerator {
     }
 
     fn begin_tls(&mut self, ctx: &mut Ctx<'_>, slot: usize) {
-        if self.cfg.collect_certs
-            && self.queue_cmd(ctx, slot, Cmd::Fixed("AUTH TLS"), Phase::AuthTls) {
-                return;
-            }
-        self.begin_quit(ctx, slot);
+        if !self.queue_cmd(ctx, slot, Cmd::Fixed("AUTH TLS"), Phase::AuthTls) {
+            self.begin_quit(ctx, slot);
+        }
     }
 
     fn begin_quit(&mut self, ctx: &mut Ctx<'_>, slot: usize) {
@@ -553,7 +546,6 @@ impl Enumerator {
     }
 
     fn ingest_listing(&mut self, slot: usize, depth: usize) {
-        let max_depth = self.cfg.max_depth;
         let Some(s) = self.sessions[slot].as_mut() else { return };
         let dir = s.cur_dir.clone();
         // Parse straight out of the raw transfer bytes: one UTF-8 check
@@ -590,7 +582,7 @@ impl Enumerator {
                         e.owner,
                         e.permissions.map(|p| p.other_write()),
                     );
-                    if e.is_dir && !e.is_symlink && depth < max_depth {
+                    if e.is_dir && !e.is_symlink && depth < MAX_DEPTH {
                         let path = s.record.files.last_path().unwrap_or_default();
                         let shared: Rc<str> = Rc::from(path);
                         if s.visited.insert(shared.clone()) {
@@ -953,7 +945,7 @@ impl Endpoint for Enumerator {
                     obs::counter(obs::Counter::ConnectFailures, 1);
                 }
                 let retries_used = s.record.faults.connect_retries;
-                if let Some(delay) = self.cfg.retry.delay_for(retries_used) {
+                if let Some(delay) = CONNECT_RETRY.delay_for(retries_used) {
                     s.record.faults.connect_retries += 1;
                     if obs::enabled() {
                         obs::counter(obs::Counter::ConnectRetries, 1);

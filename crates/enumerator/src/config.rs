@@ -19,6 +19,23 @@ pub enum TraversalOrder {
     DepthFirst,
 }
 
+/// Give up on a host outright when its whole session exceeds this
+/// wall-clock bound — the backstop that makes a run over a hostile
+/// population finish no matter what individual hosts do.
+pub(crate) const SESSION_DEADLINE: SimDuration = SimDuration::from_secs(900);
+
+/// Backoff schedule for failed control-connection attempts: two retries
+/// at 1 s and 2 s — cheap enough to run against every silent host,
+/// persistent enough to ride out a single lost SYN.
+pub(crate) const CONNECT_RETRY: RetrySchedule = RetrySchedule {
+    base: SimDuration::from_secs(1),
+    cap: SimDuration::from_secs(8),
+    max_retries: 2,
+};
+
+/// Maximum traversal depth.
+pub(crate) const MAX_DEPTH: usize = 16;
+
 /// Tunables for an enumeration run. Defaults mirror the paper's stated
 /// methodology: 500-request cap, two requests per second, robots.txt
 /// respected, abuse-contact password.
@@ -35,12 +52,6 @@ pub struct EnumConfig {
     pub request_gap: SimDuration,
     /// Abort a step when no reply arrives within this window.
     pub step_timeout: SimDuration,
-    /// Give up on a host outright when its whole session exceeds this
-    /// wall-clock bound — the backstop that makes a run over a hostile
-    /// population finish no matter what individual hosts do.
-    pub session_deadline: SimDuration,
-    /// Backoff schedule for failed control-connection attempts.
-    pub retry: RetrySchedule,
     /// Address we control for the `PORT`-validation probe; `None`
     /// disables the probe.
     pub bounce_collector: Option<HostPort>,
@@ -54,10 +65,6 @@ pub struct EnumConfig {
     /// hardened quirk tolerance and treats any unexpected reply as
     /// failure).
     pub strict_replies: bool,
-    /// Maximum traversal depth.
-    pub max_depth: usize,
-    /// Attempt `AUTH TLS` certificate collection.
-    pub collect_certs: bool,
     /// Traversal strategy under the request cap.
     pub traversal: TraversalOrder,
 }
@@ -71,15 +78,11 @@ impl EnumConfig {
             request_cap: 500,
             request_gap: SimDuration::from_millis(500),
             step_timeout: SimDuration::from_secs(30),
-            session_deadline: SimDuration::from_secs(900),
-            retry: RetrySchedule::default(),
             bounce_collector: None,
             user_agent: "ftp-enumerator".to_owned(),
             password: "abuse@scan-research.example.org".to_owned(),
             respect_robots: true,
             strict_replies: false,
-            max_depth: 16,
-            collect_certs: true,
             traversal: TraversalOrder::BreadthFirst,
         }
     }
@@ -148,9 +151,8 @@ mod tests {
         // GaveUp reason is attributed to the connect path, not the
         // backstop.
         let c = EnumConfig::new(Ipv4Addr::new(1, 1, 1, 1));
-        let attempts = u64::from(c.retry.max_attempts());
-        let worst =
-            c.retry.worst_case_total() + c.step_timeout.saturating_mul(attempts);
-        assert!(worst < c.session_deadline, "{worst:?} vs {:?}", c.session_deadline);
+        let attempts = u64::from(CONNECT_RETRY.max_attempts());
+        let worst = CONNECT_RETRY.worst_case_total() + c.step_timeout.saturating_mul(attempts);
+        assert!(worst < SESSION_DEADLINE, "{worst:?} vs {SESSION_DEADLINE:?}");
     }
 }

@@ -169,7 +169,7 @@ pub fn config_fingerprint(cfg: &StudyConfig, shards: u64, batches: u64, batch_si
     let p = &cfg.population;
     let canon = format!(
         "seed={} space={:?} ftp_servers={} scale={} rare_boost={:016x} \
-         include_non_ftp={} include_http={} fault={:016x} request_cap={} concurrency={} \
+         fault={:016x} request_cap={} concurrency={} \
          probe_bounce={} probe_http={} respect_robots={} strict_replies={} \
          request_gap={:?} shards={shards} batches={batches} batch_size={batch_size}",
         p.seed,
@@ -177,8 +177,6 @@ pub fn config_fingerprint(cfg: &StudyConfig, shards: u64, batches: u64, batch_si
         p.ftp_servers,
         p.scale,
         p.rare_boost.to_bits(),
-        p.include_non_ftp,
-        p.include_http,
         p.fault_fraction.to_bits(),
         cfg.request_cap,
         cfg.concurrency,

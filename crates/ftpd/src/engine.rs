@@ -230,11 +230,6 @@ impl FtpServerEngine {
         }
     }
 
-    /// The behavior profile (read-only).
-    pub fn profile(&self) -> &ServerProfile {
-        &self.profile
-    }
-
     /// Lets the engine hold its tree only while a control session is
     /// open. When the last control session closes, and no session has
     /// changed the tree, the engine drops the tree and its render

@@ -50,9 +50,13 @@ enum Waiting {
 }
 
 /// Scripted client endpoint. Register, then kick with
-/// [`netsim::Simulator::schedule_timer`] (any token); results are
-/// readable after the run via the accessor methods (downcast through
-/// [`netsim::Simulator::take_endpoint`]).
+/// [`netsim::Simulator::schedule_timer`] (any token). The simulator
+/// owns what it registers and never hands back a concrete type, so a
+/// caller that reads the accessor methods after the run keeps the
+/// client in an `Rc<RefCell<_>>` and registers a forwarding endpoint
+/// (as this crate's `tests/engine_behavior.rs` does). The honeypot
+/// registers its attackers as they are: their effect is read from the
+/// sensor logs.
 #[derive(Debug)]
 pub struct ScriptedFtpClient {
     src_ip: Ipv4Addr,

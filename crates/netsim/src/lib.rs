@@ -4,13 +4,15 @@
 //! paper's tools scanned and enumerated live IPv4 hosts, while ours scan
 //! and enumerate hosts inside this simulator. It provides:
 //!
-//! * a virtual clock and event queue ([`Simulator`]),
+//! * a virtual clock and event queue ([`Simulator`], driven by
+//!   [`Simulator::run`]),
 //! * simulated TCP with the semantics the study's tools depend on —
-//!   SYN/SYN-ACK vs RST vs silent drop (so a ZMap-style scanner can
+//!   SYN-ACK from a bound port, RST from any other port of a host, and
+//!   silence from an address with no host (so a ZMap-style scanner can
 //!   distinguish *open* / *closed* / *filtered*), ordered byte streams,
 //!   seeded per-path latency, and abrupt resets,
-//! * per-host services bound to ports ([`Endpoint`]), firewall policies,
-//!   and NAT (internal-address) configuration,
+//! * per-host services bound to ports ([`Endpoint`]) and NAT
+//!   (internal-address) configuration,
 //! * an AS/prefix registry ([`topology::AsRegistry`]) so analyses can map
 //!   every address to an autonomous system, as the paper's Table III/VI
 //!   and Figure 1 require.
@@ -56,8 +58,7 @@ mod wheel;
 pub use fault::{FaultKind, FaultProfile};
 pub use ip::{batch_of, shard_of, Ipv4Net};
 pub use sim::{
-    ConnId, ConnectError, Ctx, Endpoint, EndpointId, FirewallPolicy, ProbeStatus, SimConfig,
-    Simulator,
+    ConnId, ConnectError, Ctx, Endpoint, EndpointId, ProbeStatus, SimConfig, Simulator,
 };
 pub use time::{SimDuration, SimTime};
 pub use topology::{AsKind, AsRegistry, Asn};

@@ -22,17 +22,15 @@
 //!
 //! Entries beyond the span (e.g. a honeypot's 90-day sweep timer) go
 //! to an **overflow** binary heap and are re-filed into the wheel once
-//! the cursor's 19h epoch reaches them. Entries *behind* the cursor go
-//! to a **front** binary heap: they can only appear after
-//! `run_until` pops an over-deadline event, re-files it, and the
-//! simulation clock then schedules from an earlier `now`; the front
-//! heap keeps that rare case exact without ever rewinding the cursor.
+//! the cursor's 19h epoch reaches them. No entry is ever filed *behind*
+//! the cursor: the simulator's clock is the last popped instant, which
+//! the cursor never passes, and every event is scheduled at `now +
+//! delay`. [`TimerWheel::insert`] asserts it.
 //!
 //! # Ordering invariants
 //!
-//! * `front < cursor ≤ levels < overflow` — every front entry precedes
-//!   every wheel entry, which precedes every overflow entry, so popping
-//!   front-first then wheel then overflow is globally ordered.
+//! * `cursor ≤ levels < overflow` — every wheel entry precedes every
+//!   overflow entry, so popping wheel then overflow is globally ordered.
 //! * The cursor only advances, and never past a stored entry's
 //!   deadline: pop advances it to the earliest occupied slot's start,
 //!   which is `≤` the earliest stored deadline.
@@ -125,9 +123,6 @@ pub(crate) struct TimerWheel<T> {
     /// Entry count across `levels` only.
     in_levels: usize,
     levels: [Level<T>; LEVELS],
-    /// Entries with `at < cursor` (see module docs); strictly earlier
-    /// than everything in the wheel, popped first.
-    front: BinaryHeap<Reverse<Entry<T>>>,
     /// Entries beyond the wheel's span; strictly later than everything
     /// in the wheel, drained in as the cursor's epoch reaches them.
     overflow: BinaryHeap<Reverse<Entry<T>>>,
@@ -155,7 +150,6 @@ impl<T> TimerWheel<T> {
             cursor: 0,
             in_levels: 0,
             levels: std::array::from_fn(|_| Level::new()),
-            front: BinaryHeap::new(),
             overflow: BinaryHeap::new(),
             cascade_buf: Vec::new(),
             now_q: VecDeque::new(),
@@ -184,7 +178,6 @@ impl<T> TimerWheel<T> {
                 level.occupied = 0;
             }
         }
-        self.front.clear();
         self.overflow.clear();
         self.now_q.clear();
         self.now_dirty = false;
@@ -192,15 +185,18 @@ impl<T> TimerWheel<T> {
 
     /// Total stored entries.
     pub fn len(&self) -> usize {
-        self.front.len() + self.in_levels + self.now_q.len() + self.overflow.len()
+        self.in_levels + self.now_q.len() + self.overflow.len()
     }
 
     /// Files an entry, preserving `(at, seq)` pop order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `entry` is due before the cursor (see module docs).
     pub fn insert(&mut self, entry: Entry<T>) {
         let at = entry.at.as_micros();
-        if at < self.cursor {
-            self.front.push(Reverse(entry));
-        } else if (at ^ self.cursor) >> SPAN_BITS != 0 {
+        assert!(at >= self.cursor, "timer filed behind the wheel cursor");
+        if (at ^ self.cursor) >> SPAN_BITS != 0 {
             self.overflow.push(Reverse(entry));
         } else {
             self.place(entry);
@@ -228,8 +224,8 @@ impl<T> TimerWheel<T> {
 
     /// Appends to the now queue. A zero-delay schedule from a dispatch
     /// handler carries the largest `seq` yet, so the queue usually stays
-    /// sorted; anything else (a `run_until` re-file, a cascade) marks it
-    /// for one lazy sort before the next pop.
+    /// sorted; anything else (a cascade) marks it for one lazy sort
+    /// before the next pop.
     fn push_now(&mut self, entry: Entry<T>) {
         if !self.now_dirty {
             if let Some(back) = self.now_q.back() {
@@ -256,13 +252,10 @@ impl<T> TimerWheel<T> {
     /// paying the slot-search machinery per entry.
     ///
     /// Soundness: once [`TimerWheel::pop`] returns an entry at instant
-    /// `t`, every remaining entry at `t` is already buffered — either in
-    /// the front heap (when the popped entry came from there: wheel
-    /// entries are `≥ cursor > t` and overflow entries are in later
-    /// epochs) or in the now queue (the level-0 drain moves a whole
-    /// same-`at` slot there, and coarser slots tying on the slot start
-    /// cascade down first) — so a linear drain of those two stores is a
-    /// complete same-instant batch.
+    /// `t`, every remaining entry at `t` is already in the now queue
+    /// (the level-0 drain moves a whole same-`at` slot there, and
+    /// coarser slots tying on the slot start cascade down first), so
+    /// draining the now queue completes the same-instant batch.
     ///
     /// `out` is appended to (not cleared), so a caller can reuse one
     /// buffer across drains.
@@ -270,13 +263,6 @@ impl<T> TimerWheel<T> {
         let Some(first) = self.pop() else { return };
         let at = first.at;
         out.push(first);
-        while let Some(Reverse(peek)) = self.front.peek() {
-            if peek.at != at {
-                break;
-            }
-            let Reverse(entry) = self.front.pop().expect("peeked entry");
-            out.push(entry);
-        }
         // Every now-queue entry shares one instant (== the cursor), so
         // checking the front suffices even while the queue is unsorted.
         if self.now_q.front().is_some_and(|e| e.at == at) {
@@ -288,9 +274,6 @@ impl<T> TimerWheel<T> {
 
     /// Removes and returns the earliest entry by `(at, seq)`.
     pub fn pop(&mut self) -> Option<Entry<T>> {
-        if let Some(Reverse(entry)) = self.front.pop() {
-            return Some(entry);
-        }
         if let Some(entry) = self.pop_now() {
             return Some(entry);
         }
@@ -465,21 +448,15 @@ mod tests {
                     clock = clock.max(at);
                 }
             } else {
-                // run_until-style overshoot: pop, re-file unchanged,
-                // then schedule from an earlier `now` (behind-cursor
-                // insert exercising the front heap).
+                // Overshoot: pop, then re-file the entry unchanged. Its
+                // deadline is at or after the cursor, so this is legal.
                 if let Some(e) = wheel.pop() {
                     let (at, popped_seq) = (e.at.as_micros(), e.seq);
                     let want = model.pop();
                     assert_eq!(Some((at, popped_seq)), want, "divergence at round {round}");
+                    clock = clock.max(at);
                     wheel.insert(e);
                     model.insert(at, popped_seq);
-                    if at > 0 {
-                        let early_at = lcg.next() % at;
-                        wheel.insert(entry(early_at, seq));
-                        model.insert(early_at, seq);
-                        seq += 1;
-                    }
                 }
             }
         }
@@ -499,15 +476,27 @@ mod tests {
         let mut wheel = TimerWheel::new();
         wheel.insert(entry(5, 0)); // levels
         wheel.insert(entry(1 << 40, 1)); // overflow
+        wheel.insert(entry(0, 2)); // the cursor's instant: now queue
+        assert_eq!(wheel.len(), 3);
+        assert_eq!(wheel.pop().map(|e| e.seq), Some(2));
         assert_eq!(wheel.len(), 2);
         assert_eq!(wheel.pop().map(|e| e.seq), Some(0));
-        // Cursor now at 5; an earlier insert lands in the front heap.
-        wheel.insert(entry(2, 2));
+        // Cursor now at 5; a same-instant insert joins the now queue.
+        wheel.insert(entry(5, 3));
         assert_eq!(wheel.len(), 2);
-        assert_eq!(wheel.pop().map(|e| e.seq), Some(2));
+        assert_eq!(wheel.pop().map(|e| e.seq), Some(3));
         assert_eq!(wheel.pop().map(|e| e.seq), Some(1));
         assert_eq!(wheel.len(), 0);
         assert!(wheel.pop().is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "behind the wheel cursor")]
+    fn insert_behind_cursor_panics() {
+        let mut wheel = TimerWheel::new();
+        wheel.insert(entry(10, 0));
+        assert_eq!(wheel.pop().map(|e| e.seq), Some(0)); // cursor → 10
+        wheel.insert(entry(9, 1));
     }
 
     #[test]
@@ -543,7 +532,7 @@ mod tests {
     fn pop_batch_matches_pop_until_instant_changes() {
         // pop_batch must yield exactly the same stream as repeated
         // pop(), chunked at instant boundaries — including across the
-        // front-heap, now-queue, and overflow paths.
+        // now-queue and overflow paths.
         let build = || {
             let mut wheel = TimerWheel::new();
             let mut lcg = Lcg(77);
@@ -589,7 +578,6 @@ mod tests {
         wheel.insert(entry(1 << 40, 100)); // overflow
         assert_eq!(wheel.pop().map(|e| e.seq), Some(0));
         assert_eq!(wheel.pop().map(|e| e.seq), Some(1)); // cursor → 17
-        wheel.insert(entry(1, 101)); // behind the cursor: front heap
         let inserts_before = wheel.stats().inserts;
         wheel.reset();
         assert_eq!(wheel.len(), 0);

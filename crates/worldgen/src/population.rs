@@ -48,10 +48,6 @@ pub struct PopulationSpec {
     /// rare phenomena are preserved; EXPERIMENTS.md divides measured
     /// counts by this boost before comparing against the paper.
     pub rare_boost: f64,
-    /// Also generate open-port-21-but-not-FTP hosts (Table I's gap).
-    pub include_non_ftp: bool,
-    /// Bind co-hosted HTTP services (§VI-B overlap measurement).
-    pub include_http: bool,
     /// Fraction of the FTP population given a hostile
     /// [`netsim::FaultProfile`] at materialization (0.0 = every host is
     /// well-behaved). Assignment hashes `(seed, ip)` against this
@@ -72,8 +68,6 @@ impl PopulationSpec {
             ftp_servers: n,
             scale: (rates::PAPER_FTP / n as f64) as u64,
             rare_boost: 20.0,
-            include_non_ftp: true,
-            include_http: true,
             fault_fraction: 0.0,
         }
     }
@@ -87,8 +81,6 @@ impl PopulationSpec {
             ftp_servers: n,
             scale,
             rare_boost: (scale as f64 / 64.0).max(1.0),
-            include_non_ftp: true,
-            include_http: true,
             fault_fraction: 0.0,
         }
     }
@@ -117,8 +109,6 @@ impl PopulationSpec {
             ftp_servers: n,
             scale: (rates::PAPER_FTP / n as f64).max(1.0) as u64,
             rare_boost: ((rates::PAPER_FTP / n as f64) / 64.0).max(1.0),
-            include_non_ftp: true,
-            include_http: true,
             fault_fraction: 0.0,
         }
     }
@@ -807,26 +797,24 @@ pub fn plan_world(spec: &PopulationSpec) -> WorldPlan {
     // Non-FTP port-21 population (Table I's open-but-not-FTP gap):
     // addresses and personalities are planned here so they partition
     // across shards like any other host.
+    let extra = ((n as f64) * (1.0 / rates::FTP_PER_OPEN - 1.0)).round() as usize;
     let mut non_ftp = Vec::new();
-    if spec.include_non_ftp {
-        let extra = ((n as f64) * (1.0 / rates::FTP_PER_OPEN - 1.0)).round() as usize;
-        for _ in 0..extra {
-            let ip = loop {
-                let off = rng.random_range(0..spec.space.size());
-                let ip = spec.space.addr_at(off);
-                if used.insert(ip) {
-                    break ip;
-                }
-            };
-            let kind = if rng.random_bool(0.55) {
-                NonFtpKind::Silent
-            } else if rng.random_bool(0.6) {
-                NonFtpKind::SshBanner
-            } else {
-                NonFtpKind::HttpBanner
-            };
-            non_ftp.push((ip, kind));
-        }
+    for _ in 0..extra {
+        let ip = loop {
+            let off = rng.random_range(0..spec.space.size());
+            let ip = spec.space.addr_at(off);
+            if used.insert(ip) {
+                break ip;
+            }
+        };
+        let kind = if rng.random_bool(0.55) {
+            NonFtpKind::Silent
+        } else if rng.random_bool(0.6) {
+            NonFtpKind::SshBanner
+        } else {
+            NonFtpKind::HttpBanner
+        };
+        non_ftp.push((ip, kind));
     }
 
     WorldPlan { registry, plans, non_ftp, spec: spec.clone() }
@@ -1063,7 +1051,7 @@ impl WorldPlan {
         let internal_ip = truth
             .nat
             .then(|| Ipv4Addr::new(192, 168, rng.random_range(0..5), rng.random_range(2..250)));
-        let http = (truth.http && self.spec.include_http).then(|| {
+        let http = truth.http.then(|| {
             if truth.scripting {
                 let engine_name = if rng.random_bool(0.8) { "PHP/5.4.45" } else { "ASP.NET" };
                 HttpService::new("Apache/2.2.22 (Debian)").with_powered_by(engine_name)

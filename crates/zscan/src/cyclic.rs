@@ -134,26 +134,14 @@ impl CyclicPermutation {
 
     /// Iterates the full permutation: every value in `0..size` exactly
     /// once, in the generator's orbit order.
+    ///
+    /// ZMap can also split this orbit across machines (its `--shards`).
+    /// This crate does not: a study shard must probe exactly the hosts
+    /// worldgen built in its simulator, so shards and batches partition
+    /// the *address space* by hash instead ([`crate::HashShard`],
+    /// [`crate::HashBatch`]) and each filters this one orbit.
     pub fn iter(&self) -> Iter<'_> {
         Iter { perm: self, current: self.start, remaining: self.p - 1 }
-    }
-
-    /// Splits the permutation into `shards` interleaved sub-sequences and
-    /// returns shard `index` — ZMap's distributed-scan mode. Every value
-    /// appears in exactly one shard.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards == 0` or `index >= shards`.
-    pub fn shard(&self, index: u64, shards: u64) -> ShardIter<'_> {
-        assert!(shards > 0, "need at least one shard");
-        assert!(index < shards, "shard index out of range");
-        // Shard i visits start·g^i, start·g^(i+s), start·g^(i+2s), …
-        let step = powmod(self.generator, shards, self.p);
-        let current = mulmod(self.start, powmod(self.generator, index, self.p), self.p);
-        let total = self.p - 1;
-        let count = total / shards + u64::from(index < total % shards);
-        ShardIter { perm: self, step, current, remaining: count }
     }
 }
 
@@ -181,31 +169,6 @@ impl Iterator for Iter<'_> {
             self.current = mulmod(self.current, self.perm.generator, self.perm.p);
             self.remaining -= 1;
             // Group elements are 1..p-1; map to 0-based and skip overshoot.
-            if v - 1 < self.perm.size {
-                return Some(v - 1);
-            }
-        }
-        None
-    }
-}
-
-/// Iterator over one shard of a [`CyclicPermutation`].
-#[derive(Debug, Clone)]
-pub struct ShardIter<'a> {
-    perm: &'a CyclicPermutation,
-    step: u64,
-    current: u64,
-    remaining: u64,
-}
-
-impl Iterator for ShardIter<'_> {
-    type Item = u64;
-
-    fn next(&mut self) -> Option<u64> {
-        while self.remaining > 0 {
-            let v = self.current;
-            self.current = mulmod(self.current, self.step, self.perm.p);
-            self.remaining -= 1;
             if v - 1 < self.perm.size {
                 return Some(v - 1);
             }
@@ -270,35 +233,6 @@ mod tests {
             s
         };
         assert_ne!(first, sorted, "scan order must look random");
-    }
-
-    #[test]
-    fn shards_partition_the_space() {
-        let perm = CyclicPermutation::new(5_000, 11);
-        for shards in [1u64, 2, 3, 7] {
-            let mut all = Vec::new();
-            for i in 0..shards {
-                all.extend(perm.shard(i, shards));
-            }
-            assert_eq!(all.len() as u64, 5_000, "{shards} shards");
-            let set: HashSet<u64> = all.into_iter().collect();
-            assert_eq!(set.len(), 5_000, "{shards} shards disjoint+complete");
-        }
-    }
-
-    #[test]
-    fn shard_zero_of_one_equals_full_iteration() {
-        let perm = CyclicPermutation::new(777, 5);
-        let full: Vec<u64> = perm.iter().collect();
-        let shard: Vec<u64> = perm.shard(0, 1).collect();
-        assert_eq!(full, shard);
-    }
-
-    #[test]
-    #[should_panic(expected = "shard index out of range")]
-    fn shard_index_bounds() {
-        let perm = CyclicPermutation::new(100, 1);
-        let _ = perm.shard(3, 3);
     }
 
     #[test]

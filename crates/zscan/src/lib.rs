@@ -12,8 +12,9 @@
 //!   smallest suitable prime for the simulated space).
 //! * **Blocklists** ([`blocklist`]): reserved ranges and user exclusions
 //!   are never probed, matching the paper's ethics section.
-//! * **Sharding**: the permutation splits losslessly across shards, as
-//!   ZMap's `--shards` does.
+//! * **Hash partitioning** ([`HashShard`], [`HashBatch`]): a study shard
+//!   or batch probes the slice of the address space whose hosts worldgen
+//!   built in its simulator, filtering the one permutation orbit.
 //! * **Stateless probing with rate limiting** ([`scanner`]): probes go
 //!   out in paced batches; responses classify targets as open / closed /
 //!   filtered.

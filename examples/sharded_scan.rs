@@ -1,6 +1,7 @@
-//! Distributed host discovery: ZMap-style sharding across several
-//! scanner machines, as the paper's team "spread concurrent connections
-//! across a large number of widely dispersed hosts" (§III-A).
+//! Distributed host discovery: the address space split by hash across
+//! several scanners, as the paper's team "spread concurrent connections
+//! across a large number of widely dispersed hosts" (§III-A), and as
+//! `ftpcloud study --shards K` splits its world.
 //!
 //! ```sh
 //! cargo run --release --example sharded_scan
@@ -8,7 +9,7 @@
 
 use netsim::{SimDuration, Simulator};
 use worldgen::PopulationSpec;
-use zscan::{Blocklist, HostDiscovery, ScanConfig};
+use zscan::{Blocklist, HashShard, HostDiscovery, ScanConfig};
 
 fn main() {
     const SHARDS: u64 = 4;
@@ -22,13 +23,13 @@ fn main() {
         spec.space
     );
 
-    // Four shards of one permutation: each scanner covers a disjoint
-    // quarter of the space, together covering it exactly once.
+    // Four hash shards of the space: each scanner covers a disjoint
+    // slice of about a quarter, together covering it exactly once.
     let mut handles = Vec::new();
-    for shard in 0..SHARDS {
+    for index in 0..SHARDS {
         let mut cfg = ScanConfig::tcp21(spec.space, 99);
         cfg.blocklist = Blocklist::standard();
-        cfg.shard = (shard, SHARDS);
+        cfg.hash_shard = Some(HashShard { seed: spec.seed, index, shards: SHARDS });
         let (scanner, results) = HostDiscovery::new(cfg);
         let id = sim.register_endpoint(Box::new(scanner));
         sim.schedule_timer(id, SimDuration::ZERO, 0);

@@ -225,20 +225,6 @@ proptest! {
         prop_assert_eq!(count, size);
     }
 
-    /// Sharding partitions the permutation losslessly.
-    #[test]
-    fn cyclic_shards_partition(size in 1u64..2_000, seed in any::<u64>(), shards in 1u64..6) {
-        let perm = CyclicPermutation::new(size, seed);
-        let mut seen = vec![false; size as usize];
-        for i in 0..shards {
-            for v in perm.shard(i, shards) {
-                prop_assert!(!seen[v as usize]);
-                seen[v as usize] = true;
-            }
-        }
-        prop_assert!(seen.iter().all(|&b| b));
-    }
-
     /// Robots longest-match: a more specific Allow always beats a shorter
     /// Disallow prefix of it.
     #[test]
