@@ -20,21 +20,27 @@ pub struct Funnel {
 }
 
 impl Funnel {
+    /// Counts the funnel's stages from scan counters and enumeration
+    /// records, without checking them.
+    pub fn tally(ips_scanned: u64, open_port: u64, records: &[HostRecord]) -> Self {
+        let ftp_servers = records.iter().filter(|r| r.ftp_compliant).count() as u64;
+        let anonymous = records.iter().filter(|r| r.is_anonymous()).count() as u64;
+        let gave_up = records.iter().filter(|r| r.gave_up.is_some()).count() as u64;
+        Funnel { ips_scanned, open_port, ftp_servers, anonymous, gave_up }
+    }
+
     /// Builds the funnel from scan counters and enumeration records.
     ///
     /// Stage counts must shrink monotonically down the funnel; a
     /// violation means the pipeline double-counted or dropped a stage,
     /// so it is surfaced as a structured [`obs::diag!`] warning (and a
     /// `debug_assert!` in debug builds) rather than silently rendered
-    /// into Table I.
+    /// into Table I. The study counts violations per cell, while its
+    /// recorders are installed (`funnel_invariant_violations`).
     pub fn from_results(ips_scanned: u64, open_port: u64, records: &[HostRecord]) -> Self {
-        let ftp_servers = records.iter().filter(|r| r.ftp_compliant).count() as u64;
-        let anonymous = records.iter().filter(|r| r.is_anonymous()).count() as u64;
-        let gave_up = records.iter().filter(|r| r.gave_up.is_some()).count() as u64;
-        let funnel = Funnel { ips_scanned, open_port, ftp_servers, anonymous, gave_up };
+        let funnel = Self::tally(ips_scanned, open_port, records);
         let violations = funnel.invariant_violations();
         if !violations.is_empty() {
-            obs::counter(obs::Counter::FunnelInvariantViolations, violations.len() as u64);
             for v in &violations {
                 obs::diag!("warning: funnel invariant violated: {v} ({funnel:?})");
             }

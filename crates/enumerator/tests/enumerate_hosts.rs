@@ -6,10 +6,12 @@ use ftp_proto::HostPort;
 use ftpd::misc::{RawBannerService, SilentService};
 use ftpd::profile::{AnonPolicy, ServerProfile};
 use ftpd::FtpServerEngine;
-use netsim::{SimDuration, Simulator};
+use netsim::{FaultKind, FaultProfile, SimDuration, Simulator};
 use simtls::SimCertificate;
 use simvfs::{FileAttrs, Vfs};
+use std::cell::RefCell;
 use std::net::Ipv4Addr;
+use std::rc::Rc;
 
 const SCANNER: Ipv4Addr = Ipv4Addr::new(198, 108, 0, 1);
 
@@ -329,39 +331,79 @@ fn no_password_device_logs_in_at_user() {
     assert_eq!(records[0].login, LoginOutcome::Anonymous);
 }
 
-#[test]
-fn enumerator_never_writes() {
-    // Structural guarantee plus behavioral check: a fully writable server
-    // must end the run with an unchanged filesystem.
+/// Forwards the simulator's calls to an engine the test keeps a handle
+/// on, so the engine can be inspected after the run.
+struct Shared(Rc<RefCell<FtpServerEngine>>);
+
+impl netsim::Endpoint for Shared {
+    fn on_inbound(&mut self, ctx: &mut netsim::Ctx<'_>, conn: netsim::ConnId, local_port: u16) {
+        self.0.borrow_mut().on_inbound(ctx, conn, local_port);
+    }
+    fn on_outbound(
+        &mut self,
+        ctx: &mut netsim::Ctx<'_>,
+        token: u64,
+        result: Result<netsim::ConnId, netsim::ConnectError>,
+    ) {
+        self.0.borrow_mut().on_outbound(ctx, token, result);
+    }
+    fn on_data(&mut self, ctx: &mut netsim::Ctx<'_>, conn: netsim::ConnId, data: &[u8]) {
+        self.0.borrow_mut().on_data(ctx, conn, data);
+    }
+    fn on_close(&mut self, ctx: &mut netsim::Ctx<'_>, conn: netsim::ConnId) {
+        self.0.borrow_mut().on_close(ctx, conn);
+    }
+    fn on_timer(&mut self, ctx: &mut netsim::Ctx<'_>, token: u64) {
+        self.0.borrow_mut().on_timer(ctx, token);
+    }
+}
+
+/// Enumerates `engine`, served at `ip(1)` with `fault` on that host,
+/// and returns its record.
+fn enumerate_shared(engine: &Rc<RefCell<FtpServerEngine>>, fault: Option<FaultKind>) -> HostRecord {
     let mut sim = Simulator::new(13);
-    let profile = anon_profile().with_writable("/");
-    let vfs = sample_vfs();
-    let before = vfs.file_count();
-    let engine = FtpServerEngine::new(ip(1), profile, vfs);
-    let sid = sim.register_endpoint(Box::new(engine));
+    let sid = sim.register_endpoint(Box::new(Shared(engine.clone())));
     sim.bind(ip(1), 21, sid);
+    if let Some(kind) = fault {
+        sim.set_fault(ip(1), FaultProfile::new(kind));
+    }
     let (en, results) = Enumerator::new(EnumConfig::new(SCANNER), vec![ip(1)]);
     let id = sim.register_endpoint(Box::new(en));
     sim.schedule_timer(id, SimDuration::ZERO, 0);
     sim.run();
-    assert!(results.borrow()[0].is_anonymous());
-    // Take the engine back to inspect the vfs.
-    let engine = sim.take_endpoint(sid);
-    // We can't downcast Box<dyn Endpoint>; instead assert via a second
-    // enumeration that the file count is unchanged.
-    drop(engine);
-    let mut sim2 = Simulator::new(14);
-    let profile2 = anon_profile().with_writable("/");
-    let engine2 = FtpServerEngine::new(ip(1), profile2, sample_vfs());
-    let sid2 = sim2.register_endpoint(Box::new(engine2));
-    sim2.bind(ip(1), 21, sid2);
-    let (en2, results2) = Enumerator::new(EnumConfig::new(SCANNER), vec![ip(1)]);
-    let id2 = sim2.register_endpoint(Box::new(en2));
-    sim2.schedule_timer(id2, SimDuration::ZERO, 0);
-    sim2.run();
-    let r = &results2.borrow()[0];
-    let files_seen = r.file_count();
-    assert_eq!(files_seen, before, "no uploads appeared during enumeration");
+    let record = results.borrow()[0].clone();
+    record
+}
+
+#[test]
+fn enumerator_never_writes() {
+    // A server writable everywhere ends its enumeration with the tree
+    // it started with, and no upload counted.
+    let vfs = sample_vfs();
+    let before = vfs.file_count();
+    let engine = FtpServerEngine::new(ip(1), anon_profile().with_writable("/"), vfs);
+    let engine = Rc::new(RefCell::new(engine));
+    let record = enumerate_shared(&engine, None);
+    assert!(record.is_anonymous());
+    assert!(record.file_count() > 0, "the tree was listed");
+    let engine = engine.borrow();
+    assert_eq!(engine.stats().uploads, 0, "no upload reached the server");
+    let vfs = engine.vfs().expect("an engine without a recipe keeps its tree");
+    assert_eq!(vfs.file_count(), before, "no file appeared during enumeration");
+}
+
+/// A fault-layer reset reaches the server as well as the enumerator:
+/// the server closes the session the reset cut, so an engine with a
+/// rebuild recipe releases its tree.
+#[test]
+fn reset_session_releases_the_servers_tree() {
+    let engine = FtpServerEngine::new(ip(1), anon_profile(), sample_vfs()).with_rebuild(sample_vfs);
+    let engine = Rc::new(RefCell::new(engine));
+    let record = enumerate_shared(&engine, Some(FaultKind::MidSessionRst { after_sends: 3 }));
+    assert!(record.server_terminated, "{record:?}");
+    let engine = engine.borrow();
+    assert_eq!(engine.stats().sessions, 1);
+    assert!(engine.vfs().is_none(), "the server kept the reset session's tree");
 }
 
 #[test]

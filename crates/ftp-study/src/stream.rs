@@ -452,6 +452,7 @@ pub(crate) fn run_shard_batches<E>(
         };
         let out = run_partition(cfg, &mut sim, scan_config(cfg, shard, hash_batch), order);
         if obs::enabled() {
+            count_funnel_violations(&out);
             obs::counter(obs::Counter::HttpObservations, out.http.len() as u64);
             obs::event!("batch.done", batch = batch, records = out.records.len());
         }
@@ -472,6 +473,17 @@ pub(crate) fn run_shard_batches<E>(
     }
     drop(shard_span);
     Ok(())
+}
+
+/// Counts the funnel invariants one cell breaks on the thread's
+/// recorder. A cell is a funnel of its own (its scan found every host
+/// it enumerated), so a healthy run counts none.
+fn count_funnel_violations(out: &PartitionOutput) {
+    let funnel = analysis::Funnel::tally(out.ips_scanned, out.open_port, &out.records);
+    let violations = funnel.invariant_violations().len() as u64;
+    if violations > 0 {
+        obs::counter(obs::Counter::FunnelInvariantViolations, violations);
+    }
 }
 
 /// Runs the study in bounded-memory streaming mode.
@@ -659,5 +671,22 @@ mod tests {
         assert_ne!(base, config_fingerprint(&other, 2, 5, 16));
         let faulty = cfg.clone().with_fault_fraction(0.25);
         assert_ne!(base, config_fingerprint(&faulty, 2, 5, 16));
+    }
+
+    /// A cell whose scan opened more ports than it probed moves
+    /// `funnel_invariant_violations` on the recorder it runs under.
+    #[test]
+    fn broken_cell_funnel_is_counted() {
+        let cell = PartitionOutput {
+            ips_scanned: 3,
+            open_port: 4,
+            records: Vec::new(),
+            bounce_hits: HashSet::new(),
+            http: HashMap::new(),
+        };
+        obs::install(Box::new(obs::CollectingRecorder::new(0, false)));
+        count_funnel_violations(&cell);
+        let report = obs::uninstall().expect("recorder installed").finish();
+        assert_eq!(report.metrics.counter(obs::Counter::FunnelInvariantViolations), 1);
     }
 }

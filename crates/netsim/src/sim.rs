@@ -199,13 +199,23 @@ enum Ev {
     ConnectResult { conn: ConnId, ok: bool },
     ConnectTimeout { conn: ConnId },
     Data { conn: ConnId, to_initiator: bool, bytes: Vec<u8> },
-    Close { conn: ConnId, to_initiator: bool },
+    Close { conn: ConnId, to: Ends },
     Timer { ep: EndpointId, token: u64 },
     ProbeResult { ep: EndpointId, target: Ipv4Addr, port: u16, status: ProbeStatus },
     /// Several probe completions sharing one deadline, delivered as one
     /// queue entry (see [`Ctx::probe_batch`]); `on_probe` fires per
     /// element in vec order, which is the probes' call order.
     ProbeBatch { ep: EndpointId, port: u16, results: Vec<(Ipv4Addr, ProbeStatus)> },
+}
+
+/// The ends of a connection an [`Ev::Close`] reaches.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Ends {
+    Initiator,
+    Responder,
+    /// A fault-layer reset: the initiator hears it first, then the
+    /// responder.
+    Both,
 }
 
 /// Shared simulator state reachable from handlers via [`Ctx`].
@@ -345,9 +355,10 @@ impl SimCore {
             FaultKind::MidSessionRst { after_sends } => {
                 c.fault_sends += 1;
                 if c.fault_sends > after_sends {
-                    // Abrupt reset: peer sees close, nothing more flows.
+                    // Abrupt reset: both ends see the close, nothing more
+                    // flows.
                     c.state = ConnState::Closed;
-                    self.schedule(lat, Ev::Close { conn, to_initiator: true });
+                    self.schedule(lat, Ev::Close { conn, to: Ends::Both });
                     obs::journal!(
                         faulty_ip,
                         obs::JournalEvent::FaultHit { kind: profile.kind.label() }
@@ -396,7 +407,7 @@ impl SimCore {
                     let c = self.conns.get_mut(&conn.0).expect("conn present");
                     if c.state != ConnState::Closed {
                         c.state = ConnState::Closed;
-                        self.schedule(lat, Ev::Close { conn, to_initiator: true });
+                        self.schedule(lat, Ev::Close { conn, to: Ends::Initiator });
                     }
                     obs::journal!(
                         faulty_ip,
@@ -474,9 +485,9 @@ impl<'a> Ctx<'a> {
             return;
         }
         c.state = ConnState::Closed;
-        let to_initiator = self.me != c.initiator_ep;
+        let to = if self.me == c.initiator_ep { Ends::Responder } else { Ends::Initiator };
         let lat = c.latency;
-        self.core.schedule(lat, Ev::Close { conn, to_initiator });
+        self.core.schedule(lat, Ev::Close { conn, to });
     }
 
     /// Initiates a connection from `src_ip` (a host this endpoint
@@ -744,11 +755,6 @@ impl Simulator {
         self.core.hosts.entry(ip).or_insert_with(Host::new);
     }
 
-    /// Number of registered hosts.
-    pub fn host_count(&self) -> usize {
-        self.core.hosts.len()
-    }
-
     /// Marks a host as NAT-deployed with the given internal address.
     pub fn set_internal_ip(&mut self, ip: Ipv4Addr, internal: Ipv4Addr) {
         self.core.hosts.entry(ip).or_insert_with(Host::new).internal_ip = Some(internal);
@@ -759,16 +765,6 @@ impl Simulator {
     /// [`crate::fault`]). Replaces any previous profile.
     pub fn set_fault(&mut self, ip: Ipv4Addr, profile: FaultProfile) {
         self.core.faults.insert(ip, profile);
-    }
-
-    /// The fault profile attached to `ip`, if any.
-    pub fn fault_of(&self, ip: Ipv4Addr) -> Option<&FaultProfile> {
-        self.core.faults.get(&ip)
-    }
-
-    /// Number of hosts with fault profiles.
-    pub fn fault_count(&self) -> usize {
-        self.core.faults.len()
     }
 
     /// Registers application logic; returns its id for [`Simulator::bind`].
@@ -930,11 +926,16 @@ impl Simulator {
                 }
                 self.core.recycle_buf(bytes);
             }
-            Ev::Close { conn, to_initiator } => {
+            Ev::Close { conn, to } => {
                 let Some(c) = self.core.conns.get(&conn.0) else { return };
-                let ep = if to_initiator { Some(c.initiator_ep) } else { c.responder_ep };
-                if let Some(ep) = ep {
-                    self.call(ep, |e, ctx| e.on_close(ctx, conn));
+                let (initiator, responder) = (c.initiator_ep, c.responder_ep);
+                if to != Ends::Responder {
+                    self.call(initiator, |e, ctx| e.on_close(ctx, conn));
+                }
+                if to != Ends::Initiator {
+                    if let Some(ep) = responder {
+                        self.call(ep, |e, ctx| e.on_close(ctx, conn));
+                    }
                 }
                 self.core.conns.remove(&conn.0);
             }
@@ -1388,6 +1389,36 @@ mod fault_tests {
         let datas = l.iter().filter(|e| e.starts_with("data@")).count();
         assert_eq!(datas, 2, "exactly two replies delivered: {l:?}");
         assert!(l.iter().any(|e| e == "close"), "reset delivered as close: {l:?}");
+    }
+
+    /// A reset reaches both ends in one event: the initiator hears it
+    /// first, then the responder.
+    #[test]
+    fn mid_session_rst_closes_both_ends() {
+        struct Greeter(Rc<RefCell<Vec<String>>>);
+        impl Endpoint for Greeter {
+            fn on_inbound(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, _port: u16) {
+                ctx.send(conn, b"220 hello\r\n");
+            }
+            fn on_data(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, _data: &[u8]) {
+                ctx.send(conn, b"200 ok\r\n");
+            }
+            fn on_close(&mut self, _ctx: &mut Ctx<'_>, _c: ConnId) {
+                self.0.borrow_mut().push("server close".into());
+            }
+        }
+        let mut sim = Simulator::new(11);
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let sid = sim.register_endpoint(Box::new(Greeter(log.clone())));
+        sim.bind(SERVER, 21, sid);
+        sim.set_fault(SERVER, FaultProfile::new(FaultKind::MidSessionRst { after_sends: 1 }));
+        let cid = sim.register_endpoint(Box::new(Driver { log: log.clone(), pings: 1 }));
+        sim.schedule_timer(cid, SimDuration::ZERO, 21);
+        sim.run();
+        let log = log.borrow();
+        assert_eq!(log[0], "up:21");
+        assert!(log[1].ends_with(":220 hello\\r\\n"), "{log:?}");
+        assert_eq!(log[2..], ["close", "server close"]);
     }
 
     #[test]

@@ -34,6 +34,7 @@
 pub mod campaigns;
 pub mod catalog;
 pub mod content;
+mod placement;
 pub mod population;
 pub mod rates;
 

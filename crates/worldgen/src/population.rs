@@ -15,17 +15,18 @@
 use crate::campaigns;
 use crate::catalog::{self, Daemon, DeviceKind, DeviceModel};
 use crate::content::{self, ContentKind, OsKind, SensitiveKind};
+use crate::placement::{weighted_index, HostClass, Placement};
 use crate::rates::{self, Campaign, Category};
 use ftpd::implementations;
 use ftpd::misc::{HttpService, RawBannerService, SilentService};
 use ftpd::profile::{AnonPolicy, ServerProfile, UploadQuirk, UserReplyStyle};
 use ftpd::FtpServerEngine;
+use netsim::fasthash::FastSet;
 use netsim::{AsKind, AsRegistry, Asn, FaultProfile, Ipv4Net, Simulator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simtls::SimCertificate;
 use simvfs::Vfs;
-use std::collections::HashSet;
 use std::net::Ipv4Addr;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -228,14 +229,48 @@ impl WorldTruth {
     }
 }
 
-struct AsSlot {
+pub(crate) struct AsSlot {
     asn: Asn,
-    kind: AsKind,
+    pub(crate) kind: AsKind,
     prefix: Ipv4Net,
     /// Remaining (anon, non-anon) quotas.
-    quota_anon: f64,
-    quota_other: f64,
+    pub(crate) quota_anon: f64,
+    pub(crate) quota_other: f64,
     next_offset: u64,
+}
+
+impl AsSlot {
+    /// The quota hosts of a phase draw on: anonymous hosts are placed
+    /// first, on `quota_anon`; the rest on `quota_other`.
+    pub(crate) fn quota(&self, anonymous: bool) -> f64 {
+        if anonymous {
+            self.quota_anon
+        } else {
+            self.quota_other
+        }
+    }
+
+    /// The phase's quota, to charge a placed host to.
+    pub(crate) fn quota_mut(&mut self, anonymous: bool) -> &mut f64 {
+        if anonymous {
+            &mut self.quota_anon
+        } else {
+            &mut self.quota_other
+        }
+    }
+
+    /// A slot of `kind` with the given quotas, for placement tests.
+    #[cfg(test)]
+    pub(crate) fn with_quotas(kind: AsKind, quota_anon: f64, quota_other: f64) -> Self {
+        AsSlot {
+            asn: Asn(64_000),
+            kind,
+            prefix: Ipv4Net::new(Ipv4Addr::new(4, 0, 0, 0), 24),
+            quota_anon,
+            quota_other,
+            next_offset: 0,
+        }
+    }
 }
 
 /// Builds the AS registry and per-AS quotas.
@@ -352,82 +387,86 @@ fn lay_out_ases(
     Ok(())
 }
 
-/// Affinity between AS kinds and host categories, used as a weight
-/// multiplier when placing hosts (reproduces Table III's kind mix).
-fn affinity(kind: AsKind, category: Category, provider_device: bool) -> f64 {
-    match (kind, category) {
-        (AsKind::Isp, Category::Embedded) => {
-            if provider_device {
-                12.0
-            } else {
-                4.0
-            }
-        }
-        (AsKind::Hosting, Category::Embedded) => 0.05,
-        (AsKind::Hosting, Category::Hosted) => 6.0,
-        (AsKind::Isp, Category::Hosted) => 0.02,
-        (AsKind::Academic, _) => 0.7,
-        _ => 1.0,
-    }
-}
-
-fn weighted_index(rng: &mut StdRng, weights: &[f64]) -> usize {
-    let total: f64 = weights.iter().sum();
-    if total <= 0.0 {
-        return rng.random_range(0..weights.len());
-    }
-    let mut x = rng.random::<f64>() * total;
-    for (i, w) in weights.iter().enumerate() {
-        x -= w;
-        if x <= 0.0 {
-            return i;
-        }
-    }
-    weights.len() - 1
-}
-
 fn draw_category(rng: &mut StdRng, anon: bool) -> Category {
-    let table = if anon {
-        &rates::CLASS_ANON
+    const ANON: [f64; 4] = shares(rates::CLASS_ANON);
+    // P(cat | !anon) derived from Tables I+II, in `CLASS_ALL` order.
+    static DERIVED: OnceLock<[f64; 4]> = OnceLock::new();
+    let (table, weights) = if anon {
+        (&rates::CLASS_ANON, &ANON)
     } else {
-        // P(cat | !anon) derived from Tables I+II.
-        static DERIVED: std::sync::OnceLock<[(Category, f64); 4]> = std::sync::OnceLock::new();
-        DERIVED.get_or_init(|| {
+        let derived = DERIVED.get_or_init(|| {
             let p = rates::ANON_PER_FTP;
-            let mut out = rates::CLASS_ALL;
-            for (i, (cat, all)) in rates::CLASS_ALL.iter().enumerate() {
+            rates::CLASS_ALL.map(|(cat, all)| {
                 let anon_p = rates::CLASS_ANON
                     .iter()
-                    .find(|(c, _)| c == cat)
+                    .find(|(c, _)| *c == cat)
                     .map(|&(_, v)| v)
                     .unwrap_or(0.0);
-                out[i].1 = ((all - anon_p * p) / (1.0 - p)).max(0.0);
-            }
-            out
-        })
+                ((all - anon_p * p) / (1.0 - p)).max(0.0)
+            })
+        });
+        (&rates::CLASS_ALL, derived)
     };
-    let weights: Vec<f64> = table.iter().map(|&(_, w)| w).collect();
-    table[weighted_index(rng, &weights)].0
+    table[weighted_index(rng, weights)].0
 }
 
+/// The shares of a Table II row, in its order.
+const fn shares(table: [(Category, f64); 4]) -> [f64; 4] {
+    [table[0].1, table[1].1, table[2].1, table[3].1]
+}
+
+/// Device models drawn from: the consumer catalog, then the provider
+/// catalog.
+const DEVICES: usize = catalog::CONSUMER_DEVICES.len() + catalog::PROVIDER_DEVICES.len();
+
+/// Model `i` of the [`DEVICES`] order.
+const fn device_model(i: usize) -> &'static DeviceModel {
+    let consumer = catalog::CONSUMER_DEVICES;
+    if i < consumer.len() {
+        &consumer[i]
+    } else {
+        &catalog::PROVIDER_DEVICES[i - consumer.len()]
+    }
+}
+
+/// Device-draw weights in [`DEVICES`] order: each model's anonymous
+/// count for anonymous hosts (`[0]`), the rest of its total for the
+/// others (`[1]`).
+const DEVICE_WEIGHTS: [[f64; DEVICES]; 2] = {
+    let mut weights = [[0.0; DEVICES]; 2];
+    let mut i = 0;
+    while i < DEVICES {
+        let d = device_model(i);
+        weights[0][i] = d.anonymous;
+        weights[1][i] = (d.total - d.anonymous).max(0.0);
+        i += 1;
+    }
+    weights
+};
+
+/// `catalog::SOFTWARE_MIX`'s weights, in its order.
+const SOFTWARE_WEIGHTS: [f64; catalog::SOFTWARE_MIX.len()] = {
+    let mut weights = [0.0; catalog::SOFTWARE_MIX.len()];
+    let mut i = 0;
+    while i < weights.len() {
+        weights[i] = catalog::SOFTWARE_MIX[i].2;
+        i += 1;
+    }
+    weights
+};
+
 fn draw_device(rng: &mut StdRng, anon: bool) -> &'static DeviceModel {
-    let all: Vec<&DeviceModel> =
-        catalog::CONSUMER_DEVICES.iter().chain(catalog::PROVIDER_DEVICES).collect();
-    let weights: Vec<f64> = all
-        .iter()
-        .map(|d| if anon { d.anonymous } else { (d.total - d.anonymous).max(0.0) })
-        .collect();
-    all[weighted_index(rng, &weights)]
+    let weights = &DEVICE_WEIGHTS[usize::from(!anon)];
+    device_model(weighted_index(rng, weights))
 }
 
 fn draw_software(rng: &mut StdRng) -> (Daemon, Option<&'static str>) {
-    let weights: Vec<f64> = catalog::SOFTWARE_MIX.iter().map(|&(_, _, w)| w).collect();
-    let (d, v, _) = catalog::SOFTWARE_MIX[weighted_index(rng, &weights)];
+    let (d, v, _) = catalog::SOFTWARE_MIX[weighted_index(rng, &SOFTWARE_WEIGHTS)];
     (d, v)
 }
 
 /// One planned (not yet materialized) host.
-#[derive(Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct HostPlan {
     truth: HostTruth,
     banner_multiline: bool,
@@ -530,11 +569,35 @@ fn host_rng(seed: u64, ip: Ipv4Addr) -> StdRng {
 /// Runs phases 1–2: draws every host plan plus the non-FTP population,
 /// but binds nothing.
 ///
+/// Each host's AS is drawn by a Fenwick-tree search in O(log ASes),
+/// with the draws and results of a weighted pass over every AS, so
+/// planning is O(n log n) in the server count.
+///
 /// # Panics
 ///
 /// Panics if `spec.space` is too small to hold the population;
 /// [`PopulationSpec::check_space`] tells without panicking.
 pub fn plan_world(spec: &PopulationSpec) -> WorldPlan {
+    plan_counting_fallbacks(spec).0
+}
+
+/// [`plan_world`], plus how many placement draws ran the sequential
+/// pass because the trees could not certify their answer.
+fn plan_counting_fallbacks(spec: &PopulationSpec) -> (WorldPlan, u64) {
+    let mut placement = Placement::default();
+    let plan = plan_world_with(spec, |rng, slots, anonymous, category, provider_device| {
+        placement.draw(rng, slots, anonymous, HostClass::of(category, provider_device))
+    });
+    (plan, placement.fallbacks)
+}
+
+/// [`plan_world`] with its AS draw given by `place`, which picks the
+/// slot of a host (anonymous or not, of a category, on a provider
+/// device or not) and charges the slot's quota for it.
+fn plan_world_with(
+    spec: &PopulationSpec,
+    mut place: impl FnMut(&mut StdRng, &mut [AsSlot], bool, Category, bool) -> usize,
+) -> WorldPlan {
     let mut rng = StdRng::seed_from_u64(spec.seed);
     let (registry, mut slots) = build_ases(spec, &mut rng);
     let n = spec.ftp_servers;
@@ -543,7 +606,12 @@ pub fn plan_world(spec: &PopulationSpec) -> WorldPlan {
 
     // ---- phase 1: plans ----
     let mut plans: Vec<HostPlan> = Vec::with_capacity(n);
-    let mut used: HashSet<Ipv4Addr> = HashSet::new();
+    // Keyed by `u32::from(ip)`, whose low bits are the host part: the
+    // multiply hash's low bits, which pick the bucket, depend only on
+    // the key's low bits. `Ipv4Addr`'s own `Hash` puts the network
+    // octets there on little-endian machines, which piles a world's
+    // addresses into a few buckets.
+    let mut used: FastSet<u32> = FastSet::default();
 
     for i in 0..n {
         let anonymous = i < n_anon;
@@ -561,26 +629,14 @@ pub fn plan_world(spec: &PopulationSpec) -> WorldPlan {
         };
         // Place in an AS.
         let provider_device = device_kind == Some(DeviceKind::ProviderCpe);
-        let weights: Vec<f64> = slots
-            .iter()
-            .map(|s| {
-                let quota = if anonymous { s.quota_anon } else { s.quota_other };
-                quota.max(0.0) * affinity(s.kind, category, provider_device)
-            })
-            .collect();
-        let slot_ix = weighted_index(&mut rng, &weights);
+        let slot_ix = place(&mut rng, &mut slots, anonymous, category, provider_device);
         let slot = &mut slots[slot_ix];
-        if anonymous {
-            slot.quota_anon -= 1.0;
-        } else {
-            slot.quota_other -= 1.0;
-        }
         // Sequential-with-stride placement inside the prefix.
         let ip = loop {
             let off = slot.next_offset % slot.prefix.size();
             slot.next_offset = slot.next_offset.wrapping_add(rng.random_range(1..7));
             let ip = slot.prefix.addr_at(off);
-            if used.insert(ip) {
+            if used.insert(u32::from(ip)) {
                 break ip;
             }
         };
@@ -803,7 +859,7 @@ pub fn plan_world(spec: &PopulationSpec) -> WorldPlan {
         let ip = loop {
             let off = rng.random_range(0..spec.space.size());
             let ip = spec.space.addr_at(off);
-            if used.insert(ip) {
+            if used.insert(u32::from(ip)) {
                 break ip;
             }
         };
@@ -1379,6 +1435,7 @@ fn build_vfs(plan: &HostPlan, rng: &mut StdRng, scratch: &mut content::GenScratc
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     fn small_world() -> (Simulator, WorldTruth) {
         let mut sim = Simulator::new(5);
@@ -1387,15 +1444,51 @@ mod tests {
         (sim, truth)
     }
 
+    /// Probes port 21 of every address it holds when its timer fires,
+    /// and keeps the addresses that answer open.
+    struct Prober {
+        targets: Vec<Ipv4Addr>,
+        open: std::rc::Rc<std::cell::RefCell<Vec<Ipv4Addr>>>,
+    }
+
+    impl netsim::Endpoint for Prober {
+        fn on_timer(&mut self, ctx: &mut netsim::Ctx<'_>, _token: u64) {
+            ctx.probe_batch(&self.targets, 21);
+        }
+        fn on_probe(
+            &mut self,
+            _ctx: &mut netsim::Ctx<'_>,
+            target: Ipv4Addr,
+            _port: u16,
+            status: netsim::ProbeStatus,
+        ) {
+            if status == netsim::ProbeStatus::Open {
+                self.open.borrow_mut().push(target);
+            }
+        }
+    }
+
     #[test]
     fn world_builds_with_expected_counts() {
-        let (sim, truth) = small_world();
+        let (mut sim, truth) = small_world();
         assert_eq!(truth.hosts.len(), 600);
         let anon = truth.anonymous_count();
         let expected = (600.0 * rates::ANON_PER_FTP).round() as usize;
         assert_eq!(anon, expected);
-        assert!(sim.host_count() >= 600);
         assert!(!truth.non_ftp_open.is_empty());
+        // Every FTP host and every non-FTP responder is in the
+        // simulator, listening on port 21.
+        let mut targets = truth.ftp_addresses();
+        targets.extend(&truth.non_ftp_open);
+        let open = std::rc::Rc::default();
+        let prober = Prober { targets: targets.clone(), open: std::rc::Rc::clone(&open) };
+        let id = sim.register_endpoint(Box::new(prober));
+        sim.schedule_timer(id, netsim::SimDuration::ZERO, 0);
+        sim.run();
+        let mut open = open.take();
+        open.sort();
+        targets.sort();
+        assert_eq!(open, targets);
     }
 
     #[test]
@@ -1470,6 +1563,73 @@ mod tests {
         assert!(truth.hosts.iter().all(|h| h.fault.is_none()));
     }
 
+    /// What a host shows one client that dials its port 21 and its
+    /// (unbound) port 20 and reads the first bytes of the greeting.
+    #[derive(Debug, Default)]
+    struct Greeting {
+        control: Option<Result<(), netsim::ConnectError>>,
+        other_port: Option<Result<(), netsim::ConnectError>>,
+        first_bytes: Option<Vec<u8>>,
+    }
+
+    impl Greeting {
+        /// The fault this greeting shows: the four kinds that act before
+        /// or on the banner, and `None` for a clean greeting (which
+        /// mid-session resets and truncated transfers also give).
+        fn visible_fault(&self) -> Option<&'static str> {
+            use netsim::ConnectError::Timeout;
+            match (&self.control, &self.other_port, &self.first_bytes) {
+                (Some(Err(Timeout)), _, _) => Some("syn_blackhole"),
+                (_, Some(Err(Timeout)), _) => Some("data_channel_broken"),
+                (_, _, Some(b)) if b.len() == 1 => Some("tarpit"),
+                (_, _, Some(b)) if !b.starts_with(b"220") => Some("garbage_replies"),
+                _ => None,
+            }
+        }
+    }
+
+    /// Dials every host of its list on ports 21 and 20 when its timer
+    /// fires, recording each host's [`Greeting`].
+    struct Greeter {
+        hosts: Vec<Ipv4Addr>,
+        seen: std::rc::Rc<std::cell::RefCell<Vec<Greeting>>>,
+        control: std::collections::HashMap<netsim::ConnId, usize>,
+    }
+
+    impl netsim::Endpoint for Greeter {
+        fn on_timer(&mut self, ctx: &mut netsim::Ctx<'_>, _token: u64) {
+            let me = Ipv4Addr::new(198, 51, 100, 1);
+            for (i, &ip) in self.hosts.iter().enumerate() {
+                ctx.connect(me, ip, 21, 2 * i as u64);
+                ctx.connect(me, ip, 20, 2 * i as u64 + 1);
+            }
+        }
+        fn on_outbound(
+            &mut self,
+            _ctx: &mut netsim::Ctx<'_>,
+            token: u64,
+            result: Result<netsim::ConnId, netsim::ConnectError>,
+        ) {
+            let (i, control) = ((token / 2) as usize, token.is_multiple_of(2));
+            let host = &mut self.seen.borrow_mut()[i];
+            let outcome = result.map(|conn| {
+                if control {
+                    self.control.insert(conn, i);
+                }
+            });
+            if control {
+                host.control = Some(outcome);
+            } else {
+                host.other_port = Some(outcome);
+            }
+        }
+        fn on_data(&mut self, _ctx: &mut netsim::Ctx<'_>, conn: netsim::ConnId, data: &[u8]) {
+            if let Some(&i) = self.control.get(&conn) {
+                self.seen.borrow_mut()[i].first_bytes.get_or_insert_with(|| data.to_vec());
+            }
+        }
+    }
+
     #[test]
     fn fault_fraction_hits_target_rate_and_registers_in_sim() {
         let mut sim = Simulator::new(5);
@@ -1477,10 +1637,28 @@ mod tests {
         let truth = build(&mut sim, &spec);
         let got = truth.faulted_count() as f64;
         assert!((got - 300.0).abs() < 60.0, "~half the hosts faulted, got {got}");
-        assert_eq!(sim.fault_count(), truth.faulted_count());
-        for h in &truth.hosts {
-            assert_eq!(h.fault, sim.fault_of(h.ip).map(|p| p.kind), "{}", h.ip);
+        // Every host shows the simulator exactly the fault its truth
+        // names, as far as a greeting can tell.
+        let hosts = truth.ftp_addresses();
+        let seen = std::rc::Rc::new(std::cell::RefCell::new(
+            hosts.iter().map(|_| Greeting::default()).collect::<Vec<_>>(),
+        ));
+        let greeter = Greeter { hosts, seen: seen.clone(), control: Default::default() };
+        let id = sim.register_endpoint(Box::new(greeter));
+        sim.schedule_timer(id, netsim::SimDuration::ZERO, 0);
+        sim.run();
+        let mut shown = HashSet::new();
+        for (h, greeting) in truth.hosts.iter().zip(seen.borrow().iter()) {
+            let named = match h.fault {
+                None
+                | Some(netsim::FaultKind::MidSessionRst { .. })
+                | Some(netsim::FaultKind::TruncateData { .. }) => None,
+                Some(kind) => Some(kind.label()),
+            };
+            assert_eq!(greeting.visible_fault(), named, "{}: {greeting:?}", h.ip);
+            shown.insert(named);
         }
+        assert_eq!(shown.len(), 5, "every visible kind and clean hosts: {shown:?}");
     }
 
     #[test]
@@ -1798,6 +1976,70 @@ mod tests {
         let spec = PopulationSpec::sized(7, 3_000).with_fault_fraction(0.5);
         let pins = world_fingerprint(&spec);
         assert_eq!(pins, (0x44f6_aa80_6ef4_bfec, 0x0eef_3484_0f15_017a), "{pins:#018x?}");
+    }
+
+    /// Fingerprints a plan: every host plan's truth and flags, in plan
+    /// order, then the non-FTP responders.
+    fn plan_fingerprint(plan: &WorldPlan) -> u64 {
+        use std::fmt::Write as _;
+        let mut f = Fingerprint::new();
+        for p in &plan.plans {
+            let _ = write!(f, "{:?}|{}{}{}|", p.truth, p.banner_multiline, p.flaky, p.robots_some);
+        }
+        let _ = write!(f, "{:?}", plan.non_ftp);
+        f.0
+    }
+
+    /// A plan at a size the sequential placement made slow (8.7 s in a
+    /// release build), pinned with the value that placement produced.
+    #[test]
+    fn sized_200k_plan_is_pinned() {
+        let (plan, fallbacks) = plan_counting_fallbacks(&PopulationSpec::sized(42, 200_000));
+        assert_eq!(plan.plans.len(), 200_000);
+        let pin = plan_fingerprint(&plan);
+        assert_eq!(pin, 0x595d_f02e_cd7d_2085, "{pin:#018x}, {fallbacks} fallbacks");
+    }
+
+    /// `plan_world` plans exactly the world the sequential placement
+    /// plans, across seeds and sizes.
+    #[test]
+    fn plan_world_matches_the_sequential_placement() {
+        for (n, seeds) in
+            [(1_000, 1..6), (3_000, 6..9), (7_000, 9..11), (12_000, 42..43), (20_000, 7..8)]
+        {
+            for seed in seeds {
+                let spec = PopulationSpec::sized(seed, n);
+                let tree = plan_world(&spec);
+                let scan = plan_world_with(&spec, crate::placement::tests::place_by_scan);
+                let first = tree.plans.iter().zip(&scan.plans).position(|(a, b)| a != b);
+                assert_eq!(first, None, "seed {seed}, {n} servers: first differing host");
+                assert_eq!(tree.plans.len(), scan.plans.len());
+                assert!(tree.non_ftp == scan.non_ftp, "seed {seed}, {n} servers: non-FTP hosts");
+            }
+        }
+    }
+
+    /// `plan_world`'s wall time (the best of three runs) and fallback
+    /// count at 12k, 200k and 1M servers. Asserts nothing about time;
+    /// run it in release:
+    /// `cargo test --release -p worldgen -- --ignored --nocapture`.
+    #[test]
+    #[ignore]
+    #[allow(clippy::print_stdout)]
+    fn plan_scaling() {
+        for n in [12_000, 200_000, 1_000_000] {
+            let spec = PopulationSpec::sized(42, n);
+            let mut best = std::time::Duration::MAX;
+            let mut fallbacks = 0;
+            for _ in 0..if n < 100_000 { 10 } else { 3 } {
+                let start = std::time::Instant::now();
+                let (plan, count) = plan_counting_fallbacks(&spec);
+                best = best.min(start.elapsed());
+                assert_eq!(plan.plans.len(), n);
+                fallbacks = count;
+            }
+            println!("plan_world, {n} servers: {best:.3?}, {fallbacks} fallbacks");
+        }
     }
 
     /// Shares an engine with the test while a simulator drives its
