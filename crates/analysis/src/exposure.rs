@@ -249,7 +249,9 @@ pub fn os_root_of(record: &HostRecord) -> Option<OsRoot> {
     let top: std::collections::HashSet<&str> = record
         .files
         .iter()
-        .filter(|f| f.is_dir && f.path.matches('/').count() == 1)
+        // A path with one `/`: a root entry whose listed name holds
+        // none (a listed name may).
+        .filter(|f| f.is_dir && f.dir == "/" && !f.name().contains('/'))
         .map(|f| f.name())
         .collect();
     let has = |names: &[&str]| names.iter().all(|n| top.contains(n));

@@ -155,6 +155,9 @@ struct Session {
     listing_hint: ListingFormat,
     /// Scratch for the rare listing body that needs a lossy re-decode.
     lossy_scratch: String,
+    /// Scratch where a listed subdirectory's path is joined before it
+    /// is queued.
+    path_scratch: String,
     /// Sim time (µs) when the session's first connect was issued; only
     /// read by the observability layer for the session-latency histogram.
     started_us: u64,
@@ -186,6 +189,7 @@ impl Session {
             visited: FastSet::default(),
             listing_hint: ListingFormat::Unix,
             lossy_scratch: String::new(),
+            path_scratch: String::new(),
             started_us: 0,
         }
     }
@@ -547,7 +551,6 @@ impl Enumerator {
 
     fn ingest_listing(&mut self, slot: usize, depth: usize) {
         let Some(s) = self.sessions[slot].as_mut() else { return };
-        let dir = s.cur_dir.clone();
         // Parse straight out of the raw transfer bytes: one UTF-8 check
         // for the whole body, no per-entry owned strings. Only a body
         // holding invalid bytes is lossy-decoded, into session scratch;
@@ -570,11 +573,10 @@ impl Enumerator {
                     if e.name == "." || e.name == ".." {
                         continue;
                     }
-                    // The joined path is written straight into the
-                    // record's columnar arena — no per-entry String
-                    // materializes here.
+                    // The parts go straight into the record's columnar
+                    // arenas — no per-entry String materializes here.
                     s.record.files.push_parts(
-                        &dir,
+                        &s.cur_dir,
                         e.name,
                         e.is_dir,
                         e.size,
@@ -583,8 +585,10 @@ impl Enumerator {
                         e.permissions.map(|p| p.other_write()),
                     );
                     if e.is_dir && !e.is_symlink && depth < MAX_DEPTH {
-                        let path = s.record.files.last_path().unwrap_or_default();
-                        let shared: Rc<str> = Rc::from(path);
+                        s.path_scratch.clear();
+                        let row = s.record.files.last().expect("a row was just pushed");
+                        row.push_path(&mut s.path_scratch);
+                        let shared: Rc<str> = Rc::from(s.path_scratch.as_str());
                         if s.visited.insert(shared.clone()) {
                             s.queue.push_back((shared, depth + 1));
                         }

@@ -51,5 +51,5 @@ pub use collector::BounceCollector;
 pub use config::{EnumConfig, TraversalOrder};
 pub use record::{
     FaultStats, FileEntryRef, FileTable, FileTableIter, FtpsObservation, GaveUpReason, HostRecord,
-    LoginOutcome, RobotsInfo, RunSummary,
+    LoginOutcome, RobotsInfo, RunSummary, TableFootprint,
 };

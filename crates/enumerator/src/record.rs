@@ -1,9 +1,16 @@
 //! Per-host enumeration records: the study's raw dataset.
+//!
+//! A record's listing is a [`FileTable`]: rows of 32 bytes that point
+//! into a name arena, a directory arena holding each listed directory
+//! once per listing, and an extension arena. A file's path is its
+//! directory and its name, joined only when a caller asks
+//! ([`FileEntryRef::path`]).
 
 use ftp_proto::listing::Readability;
 use ftp_proto::HostPort;
 use serde::{Deserialize, Serialize};
 use simtls::SimCertificate;
+use std::fmt;
 use std::net::Ipv4Addr;
 
 /// Outcome of the anonymous-login attempt.
@@ -114,8 +121,9 @@ pub struct RobotsInfo {
 /// names and extensions in borrowed seen-sets while iterating.
 #[derive(Debug, Clone, Copy)]
 pub struct FileEntryRef<'a> {
-    /// Full canonical path.
-    pub path: &'a str,
+    /// The listed directory the entry was found in: `/`, or a canonical
+    /// path such as `/pub/photos`.
+    pub dir: &'a str,
     /// True for directories.
     pub is_dir: bool,
     /// Size, when the listing exposed it.
@@ -131,7 +139,7 @@ pub struct FileEntryRef<'a> {
 }
 
 impl<'a> FileEntryRef<'a> {
-    /// The file's name (final path component).
+    /// The file's name (final path component, as listed).
     pub fn name(self) -> &'a str {
         self.name
     }
@@ -145,24 +153,58 @@ impl<'a> FileEntryRef<'a> {
             Some(self.ext)
         }
     }
+
+    /// Full canonical path: the directory and the name, joined.
+    pub fn path(self) -> String {
+        let mut path = String::with_capacity(self.dir.len() + 1 + self.name.len());
+        self.push_path(&mut path);
+        path
+    }
+
+    /// Appends [`Self::path`] to `out`, for callers that reuse a buffer.
+    pub(crate) fn push_path(self, out: &mut String) {
+        if self.dir != "/" {
+            out.push_str(self.dir);
+        }
+        out.push('/');
+        out.push_str(self.name);
+    }
+
+    /// The bytes of [`Self::path`], without joining them.
+    fn path_bytes(self) -> impl Iterator<Item = u8> + 'a {
+        let dir = if self.dir == "/" { "" } else { self.dir };
+        dir.bytes().chain(std::iter::once(b'/')).chain(self.name.bytes())
+    }
 }
 
 /// Arena-backed storage for a host's observed files.
 ///
 /// Owned rows would cost four-plus heap allocations each (path
 /// `String`, optional owner `String`, and a fresh lowercase `String` per
-/// `extension()` call in every analysis pass). This table stores all
-/// paths in one arena string, interns the handful of distinct owner
-/// names per host, and precomputes lowercase extensions into a side
-/// arena; each row's offsets and scalar fields sit together in one
-/// fixed-size `Row`, so a row costs one push to `rows` rather than
-/// one per column. Row access hands out [`FileEntryRef`] slices and
-/// never allocates.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// `extension()` call in every analysis pass). This table keeps three
+/// arenas instead: the listed names, the listed directories and the
+/// precomputed lowercase extensions, and interns the handful of
+/// distinct owner names per host. A row references its directory
+/// rather than repeating it: a listing's rows arrive one after another
+/// and share one directory, which the arena stores once per listing
+/// (paths would repeat it once per file, most of a path's bytes). Each
+/// row's offsets and scalar columns sit together in one 32-byte
+/// `Row`, so a row costs one push to `rows` rather than one per
+/// column. Row access hands out [`FileEntryRef`] slices and never
+/// allocates.
+///
+/// `Debug` prints, and `==` compares, the logical rows (path, is_dir,
+/// size, readability, owner, other_writable), so neither depends on the
+/// arena layout.
+#[derive(Clone, Default, Serialize, Deserialize)]
 pub struct FileTable {
-    /// Every path, concatenated; row `i` is
-    /// `paths[rows[i-1].path_end..rows[i].path_end]`.
-    paths: String,
+    /// Every listed name, concatenated; row `i` is
+    /// `names[rows[i-1].name_end..rows[i].name_end]`.
+    names: String,
+    /// Listed directories, concatenated, one per run of rows sharing
+    /// it; directory `d` is `dirs[dir_ends[d-1]..dir_ends[d]]`.
+    dirs: String,
+    dir_ends: Vec<u32>,
     /// Lower-cased extensions, concatenated; zero-length slice = none.
     ext_buf: String,
     rows: Vec<Row>,
@@ -170,22 +212,52 @@ pub struct FileTable {
 }
 
 /// One [`FileTable`] row: arena offsets plus the scalar columns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy)]
 struct Row {
-    /// End of the row's path in `paths` (it starts at the previous
+    /// End of the row's name in `names` (it starts at the previous
     /// row's end).
-    path_end: u32,
-    /// Byte offset into `paths` where the row's final component begins.
-    name_start: u32,
+    name_end: u32,
     /// End of the row's extension in `ext_buf` (it starts at the
     /// previous row's end).
     ext_end: u32,
+    /// Index into `dir_ends`.
+    dir_ix: u32,
     /// Index into `owners`, or `u32::MAX` for "owner column absent".
     owner_ix: u32,
-    size: Option<u64>,
-    is_dir: bool,
-    readability: Readability,
-    other_writable: Option<bool>,
+    /// The listed size when [`HAS_SIZE`] is set, else 0.
+    size: u64,
+    /// [`IS_DIR`], [`HAS_SIZE`], the readability and write-bit flags.
+    flags: u8,
+}
+
+const _: () = assert!(std::mem::size_of::<Row>() <= 32);
+
+/// How many of the latest distinct owners a new row's owner is looked
+/// up among.
+const OWNER_PROBE: usize = 16;
+
+const IS_DIR: u8 = 1;
+const HAS_SIZE: u8 = 1 << 1;
+/// Neither readability flag: [`Readability::Unknown`].
+const READABLE: u8 = 1 << 2;
+const NON_READABLE: u8 = 1 << 3;
+/// Set when the all-users write bit was exposed; [`OTHER_WRITABLE`]
+/// then holds it.
+const WRITE_KNOWN: u8 = 1 << 4;
+const OTHER_WRITABLE: u8 = 1 << 5;
+
+/// Bytes a [`FileTable`] stores, by structure: lengths, not capacities,
+/// so growth slack is left out.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TableFootprint {
+    /// The fixed-size rows.
+    pub rows: usize,
+    /// The name arena.
+    pub names: usize,
+    /// The directory arena and its offsets.
+    pub dirs: usize,
+    /// The extension arena.
+    pub exts: usize,
 }
 
 impl FileTable {
@@ -199,9 +271,9 @@ impl FileTable {
         self.rows.is_empty()
     }
 
-    /// Appends a row from its parts without materializing the joined
-    /// path: `dir` + `/` + `name` is written straight into the arena.
-    /// Canonical directories never end in `/` except the root itself.
+    /// Appends a row from its parts, without joining them into a path.
+    /// `dir` is canonical (`/`, or `/a/b` with no trailing `/`); it is
+    /// stored only when it differs from the previous row's directory.
     #[allow(clippy::too_many_arguments)]
     pub fn push_parts(
         &mut self,
@@ -213,12 +285,16 @@ impl FileTable {
         owner: Option<&str>,
         other_writable: Option<bool>,
     ) {
-        if dir != "/" {
-            self.paths.push_str(dir);
+        debug_assert!(dir.starts_with('/'), "directories are canonical: {dir:?}");
+        let last_dir_start = match self.dir_ends.len() {
+            0 | 1 => 0,
+            n => self.dir_ends[n - 2] as usize,
+        };
+        if self.dir_ends.is_empty() || self.dirs[last_dir_start..] != *dir {
+            self.dirs.push_str(dir);
+            self.dir_ends.push(self.dirs.len() as u32);
         }
-        self.paths.push('/');
-        let name_start = self.paths.len() as u32;
-        self.paths.push_str(name);
+        self.names.push_str(name);
         if let Some(dot) = name.rfind('.') {
             if dot != 0 && dot + 1 != name.len() {
                 // ASCII lowercasing leaves every other byte alone, so it
@@ -230,49 +306,82 @@ impl FileTable {
         }
         let owner_ix = match owner {
             None => u32::MAX,
-            // Hosts expose a handful of distinct owners at most, so a
-            // linear probe beats a hash map here.
-            Some(o) => match self.owners.iter().position(|have| have == o) {
-                Some(i) => i as u32,
-                None => {
-                    self.owners.push(o.to_owned());
-                    (self.owners.len() - 1) as u32
+            // Hosts expose a handful of distinct owners, so a short
+            // linear probe beats a hash map. It looks at the latest
+            // `OWNER_PROBE` only: a listing showing more stores some
+            // twice, which costs bytes, not meaning, and keeps a hostile
+            // listing of distinct owners linear.
+            Some(o) => {
+                let probed = self.owners.len().saturating_sub(OWNER_PROBE);
+                match self.owners[probed..].iter().position(|have| have == o) {
+                    Some(i) => (probed + i) as u32,
+                    None => {
+                        self.owners.push(o.to_owned());
+                        (self.owners.len() - 1) as u32
+                    }
                 }
-            },
+            }
         };
+        let mut flags = match readability {
+            Readability::Readable => READABLE,
+            Readability::NonReadable => NON_READABLE,
+            Readability::Unknown => 0,
+        };
+        if is_dir {
+            flags |= IS_DIR;
+        }
+        if size.is_some() {
+            flags |= HAS_SIZE;
+        }
+        match other_writable {
+            Some(true) => flags |= WRITE_KNOWN | OTHER_WRITABLE,
+            Some(false) => flags |= WRITE_KNOWN,
+            None => {}
+        }
         self.rows.push(Row {
-            path_end: self.paths.len() as u32,
-            name_start,
+            name_end: self.names.len() as u32,
             ext_end: self.ext_buf.len() as u32,
+            dir_ix: (self.dir_ends.len() - 1) as u32,
             owner_ix,
-            size,
-            is_dir,
-            readability,
-            other_writable,
+            size: size.unwrap_or(0),
+            flags,
         });
     }
 
     /// The row at `ix`. Panics when out of bounds, like slice indexing.
     pub fn get(&self, ix: usize) -> FileEntryRef<'_> {
         let row = self.rows[ix];
-        let (path_start, ext_start) = match ix.checked_sub(1).map(|p| self.rows[p]) {
-            Some(prev) => (prev.path_end as usize, prev.ext_end as usize),
+        let (name_start, ext_start) = match ix.checked_sub(1).map(|p| self.rows[p]) {
+            Some(prev) => (prev.name_end as usize, prev.ext_end as usize),
             None => (0, 0),
         };
-        let path_end = row.path_end as usize;
+        let d = row.dir_ix as usize;
+        let dir_start = d.checked_sub(1).map_or(0, |p| self.dir_ends[p] as usize);
+        let flag = |f: u8| row.flags & f != 0;
         FileEntryRef {
-            path: &self.paths[path_start..path_end],
-            name: &self.paths[row.name_start as usize..path_end],
+            dir: &self.dirs[dir_start..self.dir_ends[d] as usize],
+            name: &self.names[name_start..row.name_end as usize],
             ext: &self.ext_buf[ext_start..row.ext_end as usize],
-            is_dir: row.is_dir,
-            size: row.size,
-            readability: row.readability,
+            is_dir: flag(IS_DIR),
+            size: flag(HAS_SIZE).then_some(row.size),
+            readability: if flag(READABLE) {
+                Readability::Readable
+            } else if flag(NON_READABLE) {
+                Readability::NonReadable
+            } else {
+                Readability::Unknown
+            },
             owner: match row.owner_ix {
                 u32::MAX => None,
                 i => Some(self.owners[i as usize].as_str()),
             },
-            other_writable: row.other_writable,
+            other_writable: flag(WRITE_KNOWN).then_some(flag(OTHER_WRITABLE)),
         }
+    }
+
+    /// The most recently pushed row, if any.
+    pub(crate) fn last(&self) -> Option<FileEntryRef<'_>> {
+        Some(self.get(self.len().checked_sub(1)?))
     }
 
     /// Iterates rows as borrowed [`FileEntryRef`] views.
@@ -280,13 +389,43 @@ impl FileTable {
         FileTableIter { table: self, ix: 0 }
     }
 
-    /// The most recently pushed path, if any — lets the traversal loop
-    /// build its visited/queue keys without re-joining the path.
-    pub fn last_path(&self) -> Option<&str> {
-        let ix = self.len().checked_sub(1)?;
-        Some(self.get(ix).path)
+    /// Bytes the table stores, by structure.
+    pub fn footprint(&self) -> TableFootprint {
+        TableFootprint {
+            rows: self.rows.len() * std::mem::size_of::<Row>(),
+            names: self.names.len(),
+            dirs: self.dirs.len() + self.dir_ends.len() * std::mem::size_of::<u32>(),
+            exts: self.ext_buf.len(),
+        }
     }
 }
+
+impl fmt::Debug for FileTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list()
+            .entries(
+                self.iter().map(|e| {
+                    (e.path(), e.is_dir, e.size, e.readability, e.owner, e.other_writable)
+                }),
+            )
+            .finish()
+    }
+}
+
+impl PartialEq for FileTable {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len()
+            && self.iter().zip(other).all(|(a, b)| {
+                a.is_dir == b.is_dir
+                    && a.size == b.size
+                    && a.readability == b.readability
+                    && a.owner == b.owner
+                    && a.other_writable == b.other_writable
+                    && a.path_bytes().eq(b.path_bytes())
+            })
+    }
+}
+impl Eq for FileTable {}
 
 /// Borrowing iterator over [`FileTable`] rows.
 #[derive(Debug, Clone)]
@@ -429,6 +568,7 @@ impl HostRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn name_and_extension() {
@@ -444,8 +584,9 @@ mod tests {
         ] {
             t.push_parts(dir, name, false, None, Readability::Unknown, None, None);
         }
+        let paths: Vec<String> = t.iter().map(FileEntryRef::path).collect();
         let rows: Vec<(&str, &str, Option<&str>)> =
-            t.iter().map(|r| (r.path, r.name(), r.extension())).collect();
+            t.iter().zip(&paths).map(|(r, p)| (p.as_str(), r.name(), r.extension())).collect();
         assert_eq!(
             rows,
             [
@@ -475,11 +616,13 @@ mod tests {
         );
         t.push_parts("/", "pub", true, None, Readability::Unknown, None, None);
         t.push_parts("/etc", "shadow", false, None, Readability::NonReadable, Some("root"), None);
-        t.push_parts("/", "root-file", false, None, Readability::Unknown, None, None);
+        t.push_parts("/", "top-file", false, None, Readability::Unknown, None, None);
         assert_eq!(t.len(), 4);
+        let paths: Vec<String> = t.iter().map(FileEntryRef::path).collect();
         let rows: Vec<_> = t
             .iter()
-            .map(|r| (r.path, r.is_dir, r.size, r.readability, r.owner, r.other_writable))
+            .zip(&paths)
+            .map(|(r, p)| (p.as_str(), r.is_dir, r.size, r.readability, r.owner, r.other_writable))
             .collect();
         assert_eq!(
             rows,
@@ -494,10 +637,10 @@ mod tests {
                 ),
                 ("/pub", true, None, Readability::Unknown, None, None),
                 ("/etc/shadow", false, None, Readability::NonReadable, Some("root"), None),
-                ("/root-file", false, None, Readability::Unknown, None, None),
+                ("/top-file", false, None, Readability::Unknown, None, None),
             ]
         );
-        assert_eq!(t.last_path(), Some("/root-file"));
+        assert_eq!(t.last().map(FileEntryRef::path).as_deref(), Some("/top-file"));
     }
 
     #[test]
@@ -518,6 +661,149 @@ mod tests {
         assert!(!r.is_anonymous());
         assert_eq!(r.login, LoginOutcome::Aborted);
         assert_eq!(r.port_accepts_third_party, None);
+    }
+
+    /// A naive row: what [`FileTable`]'s `Debug` prints and `==` compares.
+    type ModelRow = (String, bool, Option<u64>, Readability, Option<String>, Option<bool>);
+
+    fn logical_rows(t: &FileTable) -> Vec<ModelRow> {
+        t.iter()
+            .map(|e| {
+                let owner = e.owner.map(str::to_owned);
+                (e.path(), e.is_dir, e.size, e.readability, owner, e.other_writable)
+            })
+            .collect()
+    }
+
+    /// Draws bounded choices from one random word.
+    struct Bits(u64);
+
+    impl Bits {
+        fn take(&mut self, n: usize) -> usize {
+            let v = self.0 % n as u64;
+            self.0 /= n as u64;
+            v as usize
+        }
+    }
+
+    const DIRS: [&str; 6] = ["/", "/pub", "/pub/photos", "/a b", "/ü/日本", "/pub/photos/2015"];
+    /// Listed names: a `/` inside a name, spaces, non-ASCII, and every
+    /// extension edge case.
+    const NAMES: [&str; 9] = [
+        "readme.TXT",
+        "a/b.Tar",
+        "my file.jpg",
+        "ÜBER.TÄR",
+        ".hidden",
+        "trailing.",
+        "noext",
+        "x.y.Z",
+        "dir/",
+    ];
+
+    fn model_extension(name: &str) -> Option<String> {
+        match name.rfind('.') {
+            Some(dot) if dot != 0 && dot + 1 != name.len() => {
+                Some(name[dot + 1..].to_ascii_lowercase())
+            }
+            _ => None,
+        }
+    }
+
+    proptest! {
+        /// Any sequence of listings reads back as the naive rows, with
+        /// each row's directory, name and extension.
+        #[test]
+        fn table_matches_a_naive_model(
+            ops in proptest::collection::vec(any::<u64>(), 1..200)
+        ) {
+            let mut table = FileTable::default();
+            let mut model: Vec<ModelRow> = Vec::new();
+            let mut parts: Vec<(&str, &str)> = Vec::new();
+            let mut dir = "/";
+            for op in ops {
+                let mut bits = Bits(op);
+                // Rows arrive in listings. A quarter of them start a new
+                // one, in any directory, so a directory can come back
+                // after another.
+                if bits.take(4) == 0 {
+                    dir = DIRS[bits.take(DIRS.len())];
+                }
+                let name = NAMES[bits.take(NAMES.len())];
+                let is_dir = bits.take(2) == 1;
+                let size = match bits.take(4) {
+                    0 => None,
+                    1 => Some(u64::MAX),
+                    2 => Some(0),
+                    _ => Some(bits.take(1 << 20) as u64),
+                };
+                let readability =
+                    [Readability::Readable, Readability::NonReadable, Readability::Unknown]
+                        [bits.take(3)];
+                let owner = match bits.take(5) {
+                    0 => None,
+                    k => Some(format!("user{k}")),
+                };
+                let other_writable = [None, Some(false), Some(true)][bits.take(3)];
+                table.push_parts(
+                    dir,
+                    name,
+                    is_dir,
+                    size,
+                    readability,
+                    owner.as_deref(),
+                    other_writable,
+                );
+                let path =
+                    if dir == "/" { format!("/{name}") } else { format!("{dir}/{name}") };
+                model.push((path, is_dir, size, readability, owner, other_writable));
+                parts.push((dir, name));
+            }
+            prop_assert_eq!(table.len(), model.len());
+            prop_assert_eq!(logical_rows(&table), model.clone());
+            prop_assert_eq!(format!("{table:?}"), format!("{model:?}"));
+            for (e, &(dir, name)) in table.iter().zip(&parts) {
+                prop_assert_eq!(e.dir, dir);
+                prop_assert_eq!(e.name(), name);
+                prop_assert_eq!(e.extension().map(str::to_owned), model_extension(name));
+            }
+            let last = table.last().map(FileEntryRef::path);
+            prop_assert_eq!(last, model.last().map(|r| r.0.clone()));
+            prop_assert_eq!(table.clone(), table);
+        }
+    }
+
+    #[test]
+    fn equality_and_debug_follow_the_joined_path() {
+        let mut split_late = FileTable::default();
+        split_late.push_parts("/a", "b/c", false, Some(1), Readability::Unknown, None, None);
+        let mut split_early = FileTable::default();
+        split_early.push_parts("/a/b", "c", false, Some(1), Readability::Unknown, None, None);
+        assert_eq!(split_late, split_early);
+        assert_eq!(format!("{split_late:?}"), format!("{split_early:?}"));
+        assert_eq!(
+            format!("{split_late:?}"),
+            r#"[("/a/b/c", false, Some(1), Unknown, None, None)]"#
+        );
+        let mut other = FileTable::default();
+        other.push_parts("/a/b", "c", false, None, Readability::Unknown, None, None);
+        assert_ne!(split_early, other, "a missing size differs from any size");
+    }
+
+    #[test]
+    fn many_owners_keep_their_names() {
+        // More distinct owners than a u16 index holds, then the first
+        // ones again, interleaved with rows showing none.
+        const OWNERS: usize = 70_000;
+        let mut t = FileTable::default();
+        let owner = |i: usize| (!i.is_multiple_of(3)).then(|| format!("o{}", i % OWNERS));
+        for i in 0..OWNERS + 100 {
+            let o = owner(i);
+            t.push_parts("/d", "f", false, None, Readability::Unknown, o.as_deref(), None);
+        }
+        for (i, e) in t.iter().enumerate() {
+            assert_eq!(e.owner, owner(i).as_deref(), "row {i}");
+        }
     }
 }
 

@@ -63,7 +63,8 @@ fn enumerates_anonymous_server_fully() {
     assert!(r.ftp_compliant);
     assert_eq!(r.login, LoginOutcome::Anonymous);
     assert!(r.banner.as_deref().unwrap().contains("ProFTPD"));
-    let paths: Vec<&str> = r.files.iter().map(|f| f.path).collect();
+    let paths: Vec<String> = r.files.iter().map(|f| f.path()).collect();
+    let paths: Vec<&str> = paths.iter().map(String::as_str).collect();
     assert!(paths.contains(&"/pub"), "{paths:?}");
     assert!(paths.contains(&"/pub/readme.txt"), "{paths:?}");
     assert!(paths.contains(&"/pub/photos/DSC_0001.JPG"), "{paths:?}");
@@ -79,7 +80,7 @@ fn enumerates_anonymous_server_fully() {
     // robots.txt absent.
     assert!(!r.robots.present);
     // Readability captured from permissions.
-    let shadow = r.files.iter().find(|f| f.path == "/etc/shadow").unwrap();
+    let shadow = r.files.iter().find(|f| f.path() == "/etc/shadow").unwrap();
     assert_eq!(shadow.readability, ftp_proto::listing::Readability::NonReadable);
 }
 
@@ -110,7 +111,8 @@ fn respects_robots_partial_exclusion() {
     let r = &records[0];
     assert!(r.robots.present);
     assert!(!r.robots.denies_all);
-    let paths: Vec<&str> = r.files.iter().map(|f| f.path).collect();
+    let paths: Vec<String> = r.files.iter().map(|f| f.path()).collect();
+    let paths: Vec<&str> = paths.iter().map(String::as_str).collect();
     assert!(paths.contains(&"/pub/readme.txt"));
     // The /backup dir entry is listed (it appears in /'s listing) but its
     // contents are never traversed.
@@ -465,11 +467,11 @@ fn bfs_beats_dfs_on_breadth_coverage_under_cap() {
     let top_dirs = |r: &enumerator::HostRecord| {
         r.files
             .iter()
-            .filter(|f| f.is_dir && f.path.starts_with("/wide"))
+            .filter(|f| f.is_dir && f.path().starts_with("/wide"))
             .count()
     };
     let max_depth = |r: &enumerator::HostRecord| {
-        r.files.iter().map(|f| f.path.matches('/').count()).max().unwrap_or(0)
+        r.files.iter().map(|f| f.path().matches('/').count()).max().unwrap_or(0)
     };
     assert!(
         max_depth(&dfs) > max_depth(&bfs),
@@ -480,7 +482,7 @@ fn bfs_beats_dfs_on_breadth_coverage_under_cap() {
     // Both list "/" so both see the wide dir *entries*; the difference
     // is whose *contents* get listed. Compare listed wide files.
     let wide_files = |r: &enumerator::HostRecord| {
-        r.files.iter().filter(|f| !f.is_dir && f.path.starts_with("/wide")).count()
+        r.files.iter().filter(|f| !f.is_dir && f.path().starts_with("/wide")).count()
     };
     assert!(
         wide_files(&bfs) > wide_files(&dfs),

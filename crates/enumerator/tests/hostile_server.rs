@@ -114,7 +114,7 @@ proptest! {
         for n in 6..=7u8 {
             let r = records.iter().find(|r| r.ip == ip(n)).expect("record");
             prop_assert!(r.is_anonymous(), "honest host lost: {:?}", r.login);
-            prop_assert!(r.files.iter().any(|f| f.path == "/pub/data.txt"));
+            prop_assert!(r.files.iter().any(|f| f.path() == "/pub/data.txt"));
         }
         // No hostile server was ever recorded as anonymous with files —
         // garbage must not synthesize data.
@@ -180,7 +180,7 @@ proptest! {
         prop_assert!(clean.is_anonymous(), "control host lost: {:?}", clean.login);
         prop_assert!(clean.gave_up.is_none());
         prop_assert!(clean.faults.is_clean(), "control host saw faults: {:?}", clean.faults);
-        prop_assert!(clean.files.iter().any(|f| f.path == "/pub/data.txt"));
+        prop_assert!(clean.files.iter().any(|f| f.path() == "/pub/data.txt"));
     }
 
     /// Each fault shape individually, with generated parameters: the

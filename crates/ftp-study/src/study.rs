@@ -330,4 +330,37 @@ mod tests {
         assert!(funnel.open_port > funnel.ftp_servers, "non-FTP responders exist");
         assert!(funnel.anonymous > 0);
     }
+
+    /// Prints what the records of `ftpcloud study`'s default run (the
+    /// benchmark's `paper`) hold in their file tables, by structure.
+    /// Asserts nothing about memory; run with `cargo test --release --
+    /// --ignored --nocapture memory_breakdown` (the trees half is in
+    /// `worldgen`).
+    #[test]
+    #[ignore]
+    #[allow(clippy::print_stdout)]
+    fn memory_breakdown() {
+        let mut cfg = StudyConfig::new(PopulationSpec::study(42, 4_096));
+        cfg.request_gap = SimDuration::from_millis(20);
+        let results = run_study_sharded(&cfg, 1);
+        let mb = |bytes: usize| bytes as f64 / 1e6;
+        let rows: usize = results.records.iter().map(|r| r.files.len()).sum();
+        let mut total = enumerator::TableFootprint::default();
+        for r in &results.records {
+            let f = r.files.footprint();
+            total.rows += f.rows;
+            total.names += f.names;
+            total.dirs += f.dirs;
+            total.exts += f.exts;
+        }
+        println!(
+            "{} records, {rows} file-table rows at {} B each",
+            results.records.len(),
+            total.rows / rows
+        );
+        println!("  rows         {:8.1} MB", mb(total.rows));
+        println!("  names        {:8.1} MB", mb(total.names));
+        println!("  directories  {:8.1} MB", mb(total.dirs));
+        println!("  extensions   {:8.1} MB", mb(total.exts));
+    }
 }

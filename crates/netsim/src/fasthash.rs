@@ -66,9 +66,14 @@ impl Hasher for FxHasher {
         self.add(n as u64);
     }
 
+    /// The multiply carries each input bit only upward, so the product's
+    /// low bits, which pick the bucket, see only the key's low bits (for
+    /// an `Ipv4Addr`, hashed as `u32::from_ne_bytes`, the network octets
+    /// on little-endian machines). Rotating brings the well-mixed high
+    /// bits down, as rustc-hash 2 does.
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        self.hash.rotate_left(26)
     }
 }
 
@@ -91,6 +96,20 @@ mod tests {
             seen.insert(h.finish());
         }
         assert_eq!(seen.len(), 10_000, "small consecutive keys must not collide");
+    }
+
+    #[test]
+    fn addresses_spread_over_low_bits() {
+        // Every address of a /12: the low 13 bits pick among 8,192
+        // buckets, and a world's hosts share their leading octets.
+        let mut seen = std::collections::HashSet::new();
+        let base = u32::from(std::net::Ipv4Addr::new(10, 16, 0, 0));
+        for i in 0..1u32 << 20 {
+            let mut h = FxHasher::default();
+            std::hash::Hash::hash(&std::net::Ipv4Addr::from(base + i), &mut h);
+            seen.insert(h.finish() & 0x1fff);
+        }
+        assert!(seen.len() >= 4_096, "low bits took only {} values", seen.len());
     }
 
     #[test]

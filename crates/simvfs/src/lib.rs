@@ -16,16 +16,22 @@
 //! # Arena representation
 //!
 //! Internally the tree is *not* a pointer structure: nodes live in a
-//! single slab (`Vec<NodeSlot>`) indexed by `u32`, names and mtimes are
-//! interned into a shared string arena (photo mtimes repeat across
-//! thousands of files), and each directory holds a `Vec<u32>` of child
-//! slot indices kept **sorted by name bytes**. That sort order is what
-//! the previous `BTreeMap<String, Node>` representation iterated in, so
+//! single slab of 24-byte nodes indexed by `u32`, and names and mtimes
+//! are interned into a shared string arena (photo mtimes repeat across
+//! thousands of files). A node holds a file's size or a directory's
+//! index, its name and mtime ids, owner, permissions and kind; what
+//! only some nodes need lives beside the slab. Directory `d`'s children
+//! are a `Vec<u32>` of slot indices, `children[d]`, kept **sorted by
+//! name bytes**, and the rare file contents sit in a map keyed by slot.
+//! Files are most of a generated tree, so they pay for no child list,
+//! and dropping a tree frees the slab and one `Vec` per directory
+//! without visiting each node. The sort order is what the previous
+//! `BTreeMap<String, Node>` representation iterated in, so
 //! [`Vfs::list`] and [`Vfs::walk`] produce byte-identical orderings —
 //! the rendered `LIST` bodies the whole study pipeline hashes against
-//! do not change. What changes is the cost: inserting a file allocates
-//! only when an arena grows (amortized ~0 per file) instead of one
-//! owned `String` key plus tree nodes per path segment.
+//! do not change. Inserting a file allocates only when an arena grows
+//! (amortized ~0 per file) instead of one owned `String` key plus tree
+//! nodes per path segment.
 //!
 //! Generated trees insert most names in ascending order and give long
 //! runs of files one mtime, so the insert paths compare a name with the
@@ -56,6 +62,7 @@
 
 use ftp_proto::listing::Permissions;
 use ftp_proto::FtpPath;
+use std::collections::BTreeMap;
 use std::fmt;
 
 mod scratch;
@@ -328,41 +335,48 @@ pub struct NodeId(u32);
 pub struct DirId(u32);
 
 const ROOT: u32 = 0;
-/// Sentinel for "no content" in a file slot.
-const NO_CONTENT: u32 = u32::MAX;
 
-#[derive(Debug, Clone, PartialEq)]
-struct FileData {
-    size: u64,
-    perms: Permissions,
-    owner: Owner,
-    mtime: StrId,
-    /// Index into `Vfs::contents`, or `NO_CONTENT`.
-    content: u32,
+/// What a node is. Only `FileWithContent` nodes have an entry in
+/// `Vfs::contents`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    File,
+    FileWithContent,
+    Dir,
 }
 
-#[derive(Debug, Clone, PartialEq)]
-struct DirData {
-    perms: Permissions,
-    owner: Owner,
-    mtime: StrId,
-    /// Child slot indices, sorted by name bytes — the same order the
-    /// old `BTreeMap<String, _>` iterated in, so listings are
-    /// byte-identical.
-    children: Vec<u32>,
-}
-
-#[derive(Debug, Clone, PartialEq)]
-enum Slot {
-    File(FileData),
-    Dir(DirData),
-}
-
-#[derive(Debug, Clone, PartialEq)]
-struct NodeSlot {
+/// One node of the slab: its listing-visible attributes, with `val`
+/// holding a file's size or a directory's index into `Vfs::children`.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    val: u64,
     /// Interned name (the root's is the empty string).
     name: StrId,
-    kind: Slot,
+    /// Interned mtime text.
+    mtime: StrId,
+    owner: Owner,
+    perms: Permissions,
+    kind: Kind,
+}
+
+const _: () = assert!(std::mem::size_of::<Node>() <= 24);
+
+impl Node {
+    fn is_dir(self) -> bool {
+        self.kind == Kind::Dir
+    }
+}
+
+/// Bytes a [`Vfs`] stores, by structure: lengths, not capacities, so
+/// growth slack is left out.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Footprint {
+    /// The node slab.
+    pub slab: usize,
+    /// The per-directory child lists, their headers included.
+    pub children: usize,
+    /// The name/mtime intern arena, its span and hash tables included.
+    pub interner: usize,
 }
 
 // ---------------------------------------------------------------------
@@ -425,8 +439,8 @@ impl<'v> Iterator for DirList<'v> {
 
     fn next(&mut self) -> Option<Self::Item> {
         let &child = self.children.next()?;
-        let slot = &self.vfs.nodes[child as usize];
-        Some((self.vfs.strings.get(slot.name), self.vfs.node_ref(child)))
+        let node = self.vfs.nodes[child as usize];
+        Some((self.vfs.strings.get(node.name), self.vfs.node_ref(child)))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -443,12 +457,16 @@ pub struct Vfs {
     /// Node slab; slot 0 is the root directory. Slots detached by
     /// `remove` simply become unreachable — removal is rare (FTP `DELE`
     /// on simulated hosts) and the slab lives only as long as its host.
-    nodes: Vec<NodeSlot>,
+    nodes: Vec<Node>,
+    /// Child slot indices of each directory (indexed by the directory
+    /// node's `val`), sorted by name bytes — the same order the old
+    /// `BTreeMap<String, _>` iterated in, so listings are byte-identical.
+    children: Vec<Vec<u32>>,
     /// Interned names and mtimes.
     strings: Interner,
-    /// File contents (write probes, scripts, robots.txt) — rare, so
-    /// they live out-of-line from the slots.
-    contents: Vec<Box<str>>,
+    /// File contents (write probes, scripts, robots.txt) by node — rare,
+    /// so they live out-of-line from the slab.
+    contents: BTreeMap<u32, Box<str>>,
     /// The last file mtime interned: generators give runs of files one
     /// mtime (a deep tree ~7,000 of them), which then skip the hash.
     last_mtime: StrId,
@@ -472,32 +490,30 @@ impl Default for Vfs {
 impl PartialEq for Vfs {
     fn eq(&self, other: &Self) -> bool {
         fn dir_eq(a: &Vfs, an: u32, b: &Vfs, bn: u32) -> bool {
-            let (Slot::Dir(da), Slot::Dir(db)) =
-                (&a.nodes[an as usize].kind, &b.nodes[bn as usize].kind)
-            else {
-                return false;
-            };
-            if da.children.len() != db.children.len()
+            let (da, db) = (a.nodes[an as usize], b.nodes[bn as usize]);
+            if !da.is_dir()
+                || !db.is_dir()
+                || a.children(an).len() != b.children(bn).len()
                 || da.perms != db.perms
                 || da.owner != db.owner
                 || a.strings.get(da.mtime) != b.strings.get(db.mtime)
             {
                 return false;
             }
-            da.children.iter().zip(&db.children).all(|(&ca, &cb)| {
-                let (sa, sb) = (&a.nodes[ca as usize], &b.nodes[cb as usize]);
+            a.children(an).iter().zip(b.children(bn)).all(|(&ca, &cb)| {
+                let (sa, sb) = (a.nodes[ca as usize], b.nodes[cb as usize]);
                 if a.strings.get(sa.name) != b.strings.get(sb.name) {
                     return false;
                 }
-                match (&sa.kind, &sb.kind) {
-                    (Slot::File(fa), Slot::File(fb)) => {
-                        fa.size == fb.size
-                            && fa.perms == fb.perms
-                            && fa.owner == fb.owner
-                            && a.strings.get(fa.mtime) == b.strings.get(fb.mtime)
-                            && a.content_of(fa) == b.content_of(fb)
+                match (sa.is_dir(), sb.is_dir()) {
+                    (false, false) => {
+                        sa.val == sb.val
+                            && sa.perms == sb.perms
+                            && sa.owner == sb.owner
+                            && a.strings.get(sa.mtime) == b.strings.get(sb.mtime)
+                            && a.content_of(ca) == b.content_of(cb)
                     }
-                    (Slot::Dir(_), Slot::Dir(_)) => dir_eq(a, ca, b, cb),
+                    (true, true) => dir_eq(a, ca, b, cb),
                     _ => false,
                 }
             })
@@ -513,16 +529,21 @@ impl Vfs {
         let mut strings = Interner::default();
         let root_name = strings.intern("");
         let default_mtime = strings.intern(DEFAULT_MTIME);
-        let root = NodeSlot {
+        let root = Node {
+            val: 0,
             name: root_name,
-            kind: Slot::Dir(DirData {
-                perms: Permissions::public_dir(),
-                owner: Owner::Ftp,
-                mtime: default_mtime,
-                children: Vec::new(),
-            }),
+            mtime: default_mtime,
+            owner: Owner::Ftp,
+            perms: Permissions::public_dir(),
+            kind: Kind::Dir,
         };
-        Vfs { nodes: vec![root], strings, contents: Vec::new(), last_mtime: default_mtime }
+        Vfs {
+            nodes: vec![root],
+            children: vec![Vec::new()],
+            strings,
+            contents: BTreeMap::new(),
+            last_mtime: default_mtime,
+        }
     }
 
     /// Node slots ever created (the root included; detached slots too —
@@ -534,6 +555,19 @@ impl Vfs {
     /// Bytes held by the name/mtime intern arena.
     pub fn interned_bytes(&self) -> usize {
         self.strings.bytes()
+    }
+
+    /// Bytes the tree stores, by structure.
+    pub fn footprint(&self) -> Footprint {
+        let child_ids: usize = self.children.iter().map(Vec::len).sum();
+        Footprint {
+            slab: self.nodes.len() * std::mem::size_of::<Node>(),
+            children: self.children.len() * std::mem::size_of::<Vec<u32>>()
+                + child_ids * std::mem::size_of::<u32>(),
+            interner: self.strings.buf.len()
+                + self.strings.spans.len() * std::mem::size_of::<(u32, u32)>()
+                + self.strings.table.len() * std::mem::size_of::<u32>(),
+        }
     }
 
     fn canon(path: &str) -> Result<FtpPath, VfsError> {
@@ -557,33 +591,51 @@ impl Vfs {
                 }))
     }
 
-    fn content_of<'v>(&'v self, f: &FileData) -> Option<&'v str> {
-        (f.content != NO_CONTENT).then(|| &*self.contents[f.content as usize])
+    fn is_dir_node(&self, ix: u32) -> bool {
+        self.nodes[ix as usize].is_dir()
+    }
+
+    fn content_of(&self, ix: u32) -> Option<&str> {
+        match self.nodes[ix as usize].kind {
+            Kind::FileWithContent => Some(&self.contents[&ix]),
+            Kind::File | Kind::Dir => None,
+        }
     }
 
     fn node_ref(&self, ix: u32) -> NodeRef<'_> {
-        match &self.nodes[ix as usize].kind {
-            Slot::File(f) => NodeRef::File(FileAttrs {
-                size: f.size,
-                perms: f.perms,
-                owner: f.owner,
-                mtime: self.strings.get(f.mtime),
-                content: self.content_of(f),
+        let n = self.nodes[ix as usize];
+        let mtime = self.strings.get(n.mtime);
+        match n.kind {
+            Kind::Dir => NodeRef::Dir(DirRef {
+                perms: n.perms,
+                owner: n.owner,
+                mtime,
+                len: self.children[n.val as usize].len(),
             }),
-            Slot::Dir(d) => NodeRef::Dir(DirRef {
-                perms: d.perms,
-                owner: d.owner,
-                mtime: self.strings.get(d.mtime),
-                len: d.children.len(),
+            Kind::File | Kind::FileWithContent => NodeRef::File(FileAttrs {
+                size: n.val,
+                perms: n.perms,
+                owner: n.owner,
+                mtime,
+                content: self.content_of(ix),
             }),
         }
     }
 
+    /// Index of directory node `dir` into `self.children`.
+    fn dir_ix(&self, dir: u32) -> usize {
+        let n = self.nodes[dir as usize];
+        assert!(n.is_dir(), "children of a file node");
+        n.val as usize
+    }
+
     fn children(&self, dir: u32) -> &[u32] {
-        match &self.nodes[dir as usize].kind {
-            Slot::Dir(d) => &d.children,
-            Slot::File(_) => unreachable!("children of a file slot"),
-        }
+        &self.children[self.dir_ix(dir)]
+    }
+
+    fn children_mut(&mut self, dir: u32) -> &mut Vec<u32> {
+        let ix = self.dir_ix(dir);
+        &mut self.children[ix]
     }
 
     fn name_bytes(&self, node: u32) -> &[u8] {
@@ -620,7 +672,7 @@ impl Vfs {
     fn resolve_canonical(&self, path: &str) -> Result<u32, VfsError> {
         let mut cur = ROOT;
         for comp in path.split('/').filter(|s| !s.is_empty()) {
-            if !matches!(self.nodes[cur as usize].kind, Slot::Dir(_)) {
+            if !self.is_dir_node(cur) {
                 return Err(VfsError::NotADirectory { path: path.to_owned() });
             }
             cur = self
@@ -638,48 +690,58 @@ impl Vfs {
         self.resolve_canonical(p.as_str())
     }
 
-    /// Allocates a node slot and links it into `dir`'s children at
-    /// `pos` (from a failed [`Self::find_child_for_insert`] for `name`).
-    fn insert_child(&mut self, dir: u32, pos: usize, name: &str, kind: Slot) -> u32 {
+    /// Allocates a slot for `node`, named `name`, and links it into
+    /// `dir`'s children at `pos` (from a failed
+    /// [`Self::find_child_for_insert`] for `name`).
+    fn insert_child(&mut self, dir: u32, pos: usize, name: &str, node: Node) -> u32 {
         let name = self.strings.intern(name);
         let id = self.nodes.len() as u32;
-        self.nodes.push(NodeSlot { name, kind });
+        self.nodes.push(Node { name, ..node });
         if obs::enabled() {
             obs::counter(obs::Counter::VfsNodes, 1);
         }
-        match &mut self.nodes[dir as usize].kind {
-            Slot::Dir(d) => d.children.insert(pos, id),
-            Slot::File(_) => unreachable!("insert_child on a file slot"),
-        }
+        self.children_mut(dir).insert(pos, id);
         id
     }
 
-    fn new_dir_slot(&mut self) -> Slot {
-        Slot::Dir(DirData {
-            perms: Permissions::public_dir(),
-            owner: Owner::Ftp,
+    /// A new, empty directory node (its name is set on insertion).
+    fn new_dir_node(&mut self) -> Node {
+        self.children.push(Vec::new());
+        Node {
+            val: (self.children.len() - 1) as u64,
+            name: 0,
             mtime: self.strings.intern(DEFAULT_MTIME),
-            children: Vec::new(),
-        })
+            owner: Owner::Ftp,
+            perms: Permissions::public_dir(),
+            kind: Kind::Dir,
+        }
     }
 
-    fn file_data(&mut self, attrs: FileAttrs<'_>) -> FileData {
-        let content = match attrs.content {
-            Some(c) => {
-                self.contents.push(c.into());
-                (self.contents.len() - 1) as u32
-            }
-            None => NO_CONTENT,
-        };
+    /// A file node for `attrs` (its name is set on insertion, its
+    /// content by [`Self::set_content`] once it has a slot).
+    fn file_node(&mut self, attrs: FileAttrs<'_>) -> Node {
         if self.strings.bytes_of(self.last_mtime) != attrs.mtime.as_bytes() {
             self.last_mtime = self.strings.intern(attrs.mtime);
         }
-        FileData {
-            size: attrs.size,
-            perms: attrs.perms,
-            owner: attrs.owner,
+        Node {
+            val: attrs.size,
+            name: 0,
             mtime: self.last_mtime,
-            content,
+            owner: attrs.owner,
+            perms: attrs.perms,
+            kind: if attrs.content.is_some() { Kind::FileWithContent } else { Kind::File },
+        }
+    }
+
+    /// Stores (or drops) the content of file slot `ix`.
+    fn set_content(&mut self, ix: u32, content: Option<&str>) {
+        match content {
+            Some(c) => {
+                self.contents.insert(ix, c.into());
+            }
+            None => {
+                self.contents.remove(&ix);
+            }
         }
     }
 
@@ -732,19 +794,19 @@ impl Vfs {
     fn descend_creating(&mut self, path: &str) -> Result<u32, VfsError> {
         let mut cur = ROOT;
         for comp in path.split('/').filter(|s| !s.is_empty()) {
-            if !matches!(self.nodes[cur as usize].kind, Slot::Dir(_)) {
+            if !self.is_dir_node(cur) {
                 return Err(VfsError::NotADirectory { path: path.to_owned() });
             }
             cur = match self.find_child_for_insert(cur, comp) {
                 Ok(child) => {
-                    if matches!(self.nodes[child as usize].kind, Slot::File(_)) {
+                    if !self.is_dir_node(child) {
                         return Err(VfsError::NotADirectory { path: path.to_owned() });
                     }
                     child
                 }
                 Err(pos) => {
-                    let slot = self.new_dir_slot();
-                    self.insert_child(cur, pos, comp, slot)
+                    let node = self.new_dir_node();
+                    self.insert_child(cur, pos, comp, node)
                 }
             };
         }
@@ -763,15 +825,15 @@ impl Vfs {
             return Err(VfsError::BadPath { path: path.to_owned() });
         };
         let parent = self.resolve(p.parent().as_str())?;
-        if !matches!(self.nodes[parent as usize].kind, Slot::Dir(_)) {
+        if !self.is_dir_node(parent) {
             return Err(VfsError::NotADirectory { path: path.to_owned() });
         }
         match self.find_child(parent, name) {
             Ok(_) => Err(VfsError::AlreadyExists { path: path.to_owned() }),
             Err(pos) => {
                 let name = name.to_owned();
-                let slot = self.new_dir_slot();
-                self.insert_child(parent, pos, &name, slot);
+                let node = self.new_dir_node();
+                self.insert_child(parent, pos, &name, node);
                 Ok(())
             }
         }
@@ -860,18 +922,18 @@ impl Vfs {
     /// that name. `false` (and nothing placed) when a directory holds
     /// the name.
     fn put_file(&mut self, dir: u32, name: &str, attrs: FileAttrs<'_>) -> bool {
-        let data = self.file_data(attrs);
-        match self.find_child_for_insert(dir, name) {
-            Ok(child) if matches!(self.nodes[child as usize].kind, Slot::Dir(_)) => false,
+        let file = self.file_node(attrs);
+        let child = match self.find_child_for_insert(dir, name) {
+            Ok(child) if self.is_dir_node(child) => return false,
             Ok(child) => {
-                self.nodes[child as usize].kind = Slot::File(data);
-                true
+                let slot = &mut self.nodes[child as usize];
+                *slot = Node { name: slot.name, ..file };
+                child
             }
-            Err(pos) => {
-                self.insert_child(dir, pos, name, Slot::File(data));
-                true
-            }
-        }
+            Err(pos) => self.insert_child(dir, pos, name, file),
+        };
+        self.set_content(child, attrs.content);
+        true
     }
 
     /// Canonicalizes a file `path` (into `owned` only when it is not
@@ -920,9 +982,14 @@ impl Vfs {
         use fmt::Write as _;
         let mut owned = None;
         let (_, parent, name) = self.file_parent(path, &mut owned)?;
+        let place = |vfs: &mut Vfs, pos: usize, name: &str| {
+            let file = vfs.file_node(attrs);
+            let id = vfs.insert_child(parent, pos, name, file);
+            vfs.set_content(id, attrs.content);
+            NodeId(id)
+        };
         if let Err(pos) = self.find_child_for_insert(parent, name) {
-            let data = self.file_data(attrs);
-            return Ok(NodeId(self.insert_child(parent, pos, name, Slot::File(data))));
+            return Ok(place(self, pos, name));
         }
         // Candidate names are probed inside the already-resolved parent:
         // one suffix scratch reused across candidates, no re-descent.
@@ -931,8 +998,7 @@ impl Vfs {
             candidate.clear();
             let _ = write!(candidate, "{name}.{n}");
             if let Err(pos) = self.find_child_for_insert(parent, &candidate) {
-                let data = self.file_data(attrs);
-                return Ok(NodeId(self.insert_child(parent, pos, &candidate, Slot::File(data))));
+                return Ok(place(self, pos, &candidate));
             }
         }
         unreachable!("u32 suffix space exhausted")
@@ -946,8 +1012,8 @@ impl Vfs {
             if cur == target {
                 return true;
             }
-            if let Slot::Dir(d) = &vfs.nodes[cur as usize].kind {
-                for &c in &d.children {
+            if vfs.is_dir_node(cur) {
+                for &c in vfs.children(cur) {
                     out.push('/');
                     out.push_str(vfs.strings.get(vfs.nodes[c as usize].name));
                     if rec(vfs, c, target, out) {
@@ -979,7 +1045,7 @@ impl Vfs {
             return Err(VfsError::BadPath { path: path.to_owned() });
         };
         let parent = self.resolve(p.parent().as_str())?;
-        if !matches!(self.nodes[parent as usize].kind, Slot::Dir(_)) {
+        if !self.is_dir_node(parent) {
             return Err(VfsError::NotADirectory { path: path.to_owned() });
         }
         match self.detach_child(parent, name) {
@@ -1002,8 +1068,8 @@ impl Vfs {
         let mut n = 0u64;
         while let Some(ix) = stack.pop() {
             n += 1;
-            if let Slot::Dir(d) = &self.nodes[ix as usize].kind {
-                stack.extend_from_slice(&d.children);
+            if self.is_dir_node(ix) {
+                stack.extend_from_slice(self.children(ix));
             }
         }
         n
@@ -1038,7 +1104,7 @@ impl Vfs {
             return Err(VfsError::BadPath { path: to.to_owned() });
         }
         let parent = self.resolve(pf.parent().as_str())?;
-        if !matches!(self.nodes[parent as usize].kind, Slot::Dir(_)) {
+        if !self.is_dir_node(parent) {
             return Err(VfsError::NotADirectory { path: from.to_owned() });
         }
         if self.descent_blocked(pt.parent().as_str()) {
@@ -1055,10 +1121,7 @@ impl Vfs {
         let Err(pos) = self.child_pos(new_parent, to_name) else {
             unreachable!("`to` was checked absent");
         };
-        match &mut self.nodes[new_parent as usize].kind {
-            Slot::Dir(d) => d.children.insert(pos, node),
-            Slot::File(_) => unreachable!("descend_creating returns dirs"),
-        }
+        self.children_mut(new_parent).insert(pos, node);
         Ok(())
     }
 
@@ -1069,7 +1132,7 @@ impl Vfs {
         let mut cur = ROOT;
         for comp in path.split('/').filter(|s| !s.is_empty()) {
             match self.find_child(cur, comp) {
-                Ok(child) if matches!(self.nodes[child as usize].kind, Slot::Dir(_)) => cur = child,
+                Ok(child) if self.is_dir_node(child) => cur = child,
                 Ok(_) => return true,
                 // Everything from here down would be created.
                 Err(_) => return false,
@@ -1081,10 +1144,7 @@ impl Vfs {
     /// Unlinks `name` from `dir`'s child list, returning its slot.
     fn detach_child(&mut self, dir: u32, name: &str) -> Option<u32> {
         let pos = self.child_pos(dir, name).ok()?;
-        match &mut self.nodes[dir as usize].kind {
-            Slot::Dir(d) => Some(d.children.remove(pos)),
-            Slot::File(_) => unreachable!("child_pos searched a directory"),
-        }
+        Some(self.children_mut(dir).remove(pos))
     }
 
     /// Lists a directory's children as `(name, node)` pairs in name
@@ -1098,10 +1158,10 @@ impl Vfs {
             obs::counter(obs::Counter::VfsOps, 1);
         }
         let ix = self.resolve(path)?;
-        match &self.nodes[ix as usize].kind {
-            Slot::Dir(d) => Ok(DirList { vfs: self, children: d.children.iter() }),
-            Slot::File(_) => Err(VfsError::NotADirectory { path: path.to_owned() }),
+        if !self.is_dir_node(ix) {
+            return Err(VfsError::NotADirectory { path: path.to_owned() });
         }
+        Ok(DirList { vfs: self, children: self.children(ix).iter() })
     }
 
     /// File metadata at `path`.
@@ -1123,18 +1183,20 @@ impl Vfs {
     /// [`VfsError::NotFound`] if absent or a directory.
     pub fn file_mut(&mut self, path: &str) -> Result<FileMut<'_>, VfsError> {
         let ix = self.resolve(path)?;
-        match &mut self.nodes[ix as usize].kind {
-            Slot::File(f) => Ok(FileMut { size: &mut f.size, perms: &mut f.perms, owner: &mut f.owner }),
-            Slot::Dir(_) => Err(VfsError::NotFound { path: path.to_owned() }),
+        let node = &mut self.nodes[ix as usize];
+        if node.is_dir() {
+            return Err(VfsError::NotFound { path: path.to_owned() });
         }
+        Ok(FileMut { size: &mut node.val, perms: &mut node.perms, owner: &mut node.owner })
     }
 
     /// Total number of files in the (live) tree.
     pub fn file_count(&self) -> usize {
         fn rec(vfs: &Vfs, ix: u32) -> usize {
-            match &vfs.nodes[ix as usize].kind {
-                Slot::File(_) => 1,
-                Slot::Dir(d) => d.children.iter().map(|&c| rec(vfs, c)).sum(),
+            if vfs.is_dir_node(ix) {
+                vfs.children(ix).iter().map(|&c| rec(vfs, c)).sum()
+            } else {
+                1
             }
         }
         rec(self, ROOT)
@@ -1143,17 +1205,7 @@ impl Vfs {
     /// Total number of directories (excluding the root).
     pub fn dir_count(&self) -> usize {
         fn rec(vfs: &Vfs, ix: u32) -> usize {
-            match &vfs.nodes[ix as usize].kind {
-                Slot::File(_) => 0,
-                Slot::Dir(d) => d
-                    .children
-                    .iter()
-                    .map(|&c| match &vfs.nodes[c as usize].kind {
-                        Slot::Dir(_) => 1 + rec(vfs, c),
-                        Slot::File(_) => 0,
-                    })
-                    .sum(),
-            }
+            vfs.children(ix).iter().filter(|&&c| vfs.is_dir_node(c)).map(|&c| 1 + rec(vfs, c)).sum()
         }
         rec(self, ROOT)
     }
@@ -1168,8 +1220,10 @@ impl Vfs {
     }
 
     fn walk_rec(&self, dir: u32, path: &mut String, f: &mut impl FnMut(&str, NodeRef<'_>)) {
-        let Slot::Dir(d) = &self.nodes[dir as usize].kind else { return };
-        for &child in &d.children {
+        if !self.is_dir_node(dir) {
+            return;
+        }
+        for &child in self.children(dir) {
             let len = path.len();
             path.push('/');
             path.push_str(self.strings.get(self.nodes[child as usize].name));

@@ -2042,6 +2042,47 @@ mod tests {
         }
     }
 
+    /// Prints what the trees of `ftpcloud study`'s default world (the
+    /// benchmark's `paper`) hold, by structure, and the wall time to drop
+    /// them all. Asserts nothing about memory; run with `cargo test
+    /// --release -- --ignored --nocapture memory_breakdown` (the records
+    /// half is in `ftp-study`).
+    #[test]
+    #[ignore]
+    #[allow(clippy::print_stdout)]
+    fn memory_breakdown() {
+        let spec = PopulationSpec::study(42, 4_096);
+        let plan = plan_world(&spec);
+        let weights: Vec<f64> = catalog::HOSTING_CERTS.iter().map(|&(_, w, _)| w).collect();
+        let mut scratch = content::GenScratch::default();
+        let trees: Vec<Vfs> = plan
+            .plans
+            .iter()
+            .map(|p| {
+                let mut rng = host_rng(spec.seed, p.truth.ip);
+                build_profile(p, &mut rng, &weights);
+                build_vfs(p, &mut rng, &mut scratch)
+            })
+            .collect();
+        let mb = |bytes: usize| bytes as f64 / 1e6;
+        let nodes: usize = trees.iter().map(Vfs::node_count).sum();
+        let dirs: usize = trees.iter().map(|t| t.dir_count() + 1).sum();
+        let mut total = simvfs::Footprint::default();
+        for t in &trees {
+            let f = t.footprint();
+            total.slab += f.slab;
+            total.children += f.children;
+            total.interner += f.interner;
+        }
+        println!("{} trees, {nodes} nodes at {} B each", trees.len(), total.slab / nodes);
+        println!("  slab      {:8.1} MB", mb(total.slab));
+        println!("  children  {:8.1} MB ({dirs} directories)", mb(total.children));
+        println!("  interner  {:8.1} MB", mb(total.interner));
+        let start = std::time::Instant::now();
+        drop(trees);
+        println!("dropping every tree: {:.1?}", start.elapsed());
+    }
+
     /// Shares an engine with the test while a simulator drives its
     /// control sessions.
     struct Shared(std::rc::Rc<std::cell::RefCell<FtpServerEngine>>);

@@ -93,7 +93,7 @@ const NORMALIZED_DIGEST: u64 = 5_978_285_795_313_635_603;
 static TABLE: [Row; 3] = [
     Row {
         fault: 0.0,
-        results: 0x3bed_ae28_88ca_cb99,
+        results: 0x51ac_c4cf_0193_4d3e,
         aggregate: 0x4cab_8d48_705b_6a03,
         full_report: 0x030b_d56a_0517_6be6,
         stream_report: 0xc49f_8a80_14fc_72ec,
@@ -107,7 +107,7 @@ static TABLE: [Row; 3] = [
     },
     Row {
         fault: 0.1,
-        results: 0xb0d3_aa85_49bd_f71a,
+        results: 0x466c_e48f_469e_ecb0,
         aggregate: 0xf2d2_111a_ae42_e52d,
         full_report: 0x4107_80c2_d8ac_0be5,
         stream_report: 0x94cf_170b_4d17_779c,
@@ -121,7 +121,7 @@ static TABLE: [Row; 3] = [
     },
     Row {
         fault: 0.5,
-        results: 0x9f44_6f80_511e_d336,
+        results: 0xbc77_8441_981b_36e9,
         aggregate: 0x3f2f_be9e_4974_fd00,
         full_report: 0x1987_8f10_23d1_0097,
         stream_report: 0x2f1f_105a_628c_0ad5,
