@@ -332,7 +332,10 @@ mod tests {
     }
 
     /// Prints what the records of `ftpcloud study`'s default run (the
-    /// benchmark's `paper`) hold in their file tables, by structure.
+    /// benchmark's `paper`) hold in their file tables, by structure,
+    /// and the buffers its simulator keeps once enumeration has
+    /// drained. Runs the shard loop's one cell by hand to reach the
+    /// simulator, without the HTTP sweep (which changes no record).
     /// Asserts nothing about memory; run with `cargo test --release --
     /// --ignored --nocapture memory_breakdown` (the trees half is in
     /// `worldgen`).
@@ -342,11 +345,30 @@ mod tests {
     fn memory_breakdown() {
         let mut cfg = StudyConfig::new(PopulationSpec::study(42, 4_096));
         cfg.request_gap = SimDuration::from_millis(20);
-        let results = run_study_sharded(&cfg, 1);
+        cfg.probe_http = false;
+        let plan = worldgen::plan_world(&cfg.population);
+        let seed = cfg.population.seed;
+        let mut sim = Simulator::new(seed);
+        plan.materialize(&mut sim, |_| true);
+        let shard = HashShard { seed, index: 0, shards: 1 };
+        let out = run_partition(&cfg, &mut sim, scan_config(&cfg, shard, None), None);
         let mb = |bytes: usize| bytes as f64 / 1e6;
-        let rows: usize = results.records.iter().map(|r| r.files.len()).sum();
+
+        let sim_fp = sim.footprint();
+        let peak = sim_fp.peak_entries as usize;
+        println!("simulator after enumeration, buffers kept for reuse:");
+        println!(
+            "  wheel slots  {:8.2} MB  (peak {peak} live entries = {:.2} MB at {} B)",
+            mb(sim_fp.wheel_slots),
+            mb(peak * sim_fp.entry_bytes),
+            sim_fp.entry_bytes
+        );
+        println!("  payload pool {:8.2} MB", mb(sim_fp.payload_pool));
+        println!("  probe pool   {:8.2} MB", mb(sim_fp.probe_pool));
+
+        let rows: usize = out.records.iter().map(|r| r.files.len()).sum();
         let mut total = enumerator::TableFootprint::default();
-        for r in &results.records {
+        for r in &out.records {
             let f = r.files.footprint();
             total.rows += f.rows;
             total.names += f.names;
@@ -355,7 +377,7 @@ mod tests {
         }
         println!(
             "{} records, {rows} file-table rows at {} B each",
-            results.records.len(),
+            out.records.len(),
             total.rows / rows
         );
         println!("  rows         {:8.1} MB", mb(total.rows));

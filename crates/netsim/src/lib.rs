@@ -58,7 +58,8 @@ mod wheel;
 pub use fault::{FaultKind, FaultProfile};
 pub use ip::{batch_of, shard_of, Ipv4Net};
 pub use sim::{
-    ConnId, ConnectError, Ctx, Endpoint, EndpointId, ProbeStatus, SimConfig, Simulator,
+    ConnId, ConnectError, Ctx, Endpoint, EndpointId, ProbeStatus, SimConfig, SimFootprint,
+    Simulator,
 };
 pub use time::{SimDuration, SimTime};
 pub use topology::{AsKind, AsRegistry, Asn};

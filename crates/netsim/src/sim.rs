@@ -237,21 +237,34 @@ pub struct SimCore {
     /// here and reused by the next send instead of hitting the
     /// allocator each time. Purely an allocation cache: contents are
     /// always overwritten before reuse, so determinism is unaffected.
+    /// At most [`BUF_POOL_MAX`] buffers of at most
+    /// [`BUF_POOL_MAX_CAPACITY`] bytes each.
     buf_pool: Vec<Vec<u8>>,
     /// Recycled `Ev::ProbeBatch` payload vectors (same contract as
-    /// `buf_pool`: allocation cache only).
+    /// `buf_pool`: allocation cache only), at most [`PROBE_POOL_MAX`].
     probe_pool: Vec<Vec<(Ipv4Addr, ProbeStatus)>>,
     /// Scratch for [`Ctx::probe_batch`]'s delay grouping:
     /// `(delay µs, call index, target, status)`.
     probe_scratch: Vec<(u64, u32, Ipv4Addr, ProbeStatus)>,
 }
 
-/// Bounds on the [`SimCore`] buffer pool: don't hoard more buffers
-/// than a busy event queue keeps in flight, and don't retain jumbo
-/// allocations (payloads here are FTP reply lines and listings — a
-/// buffer that grew past this came from an outlier transfer).
+/// Bounds on the [`SimCore`] payload pool: don't hoard more buffers
+/// than a busy event queue keeps in flight, and don't retain large
+/// ones. Payloads here are FTP reply lines and listings; on the study's
+/// worlds a listing body's median is 1.1–1.2 KB and its 99th percentile
+/// about 2 KB, and 0.4–0.7% exceed 4 KiB (the largest, 36 KB). The pool
+/// is last in, first out, so a buffer that once carried a large listing
+/// would otherwise be handed to 20-byte replies and kept for the rest
+/// of the run: a larger payload gets a buffer of its own, freed once
+/// delivered.
 const BUF_POOL_MAX: usize = 1024;
-const BUF_POOL_MAX_CAPACITY: usize = 64 * 1024;
+const BUF_POOL_MAX_CAPACITY: usize = 4 * 1024;
+/// Bound on the probe-group pool. A sweep keeps one group in flight per
+/// pacing tick within the probe timeout, hundreds at once, and all of
+/// them come back when it drains. While it runs, groups return as fast
+/// as they are taken, so a few pooled vectors serve it; keeping every
+/// one would hold them idle through enumeration.
+const PROBE_POOL_MAX: usize = 64;
 
 impl SimCore {
     /// A buffer holding a copy of `bytes`, reusing a pooled allocation
@@ -284,7 +297,7 @@ impl SimCore {
 
     /// Returns a dispatched probe-batch payload to the pool.
     fn recycle_probe_group(&mut self, group: Vec<(Ipv4Addr, ProbeStatus)>) {
-        if self.probe_pool.len() < BUF_POOL_MAX {
+        if self.probe_pool.len() < PROBE_POOL_MAX {
             self.probe_pool.push(group);
         }
     }
@@ -651,6 +664,23 @@ impl<'a> Ctx<'a> {
     }
 }
 
+/// Buffer capacity a [`Simulator`] keeps for reuse, in bytes unless
+/// stated (see [`Simulator::footprint`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SimFootprint {
+    /// The timer wheel's slot vectors and their drain scratch.
+    pub wheel_slots: usize,
+    /// Most entries the wheel ever held at once (a count, see
+    /// [`WheelStats::max_occupancy`]).
+    pub peak_entries: u64,
+    /// Bytes per wheel entry.
+    pub entry_bytes: usize,
+    /// Pooled stream payload buffers.
+    pub payload_pool: usize,
+    /// Pooled probe-batch vectors.
+    pub probe_pool: usize,
+}
+
 /// The simulator: owns the clock, hosts, connections, and endpoints.
 pub struct Simulator {
     core: SimCore,
@@ -704,12 +734,25 @@ impl Simulator {
     }
 
     /// Rewinds this simulator to the state [`Simulator::with_config`]
-    /// would produce for `seed` and the current config, but keeps every
-    /// allocation cache and container capacity (timer-wheel slots,
-    /// payload pools, host/connection tables, the drain buffer). A
-    /// caller running many bounded simulations back to back — the
-    /// streaming study runner's `(shard, batch)` grid — reuses one
-    /// arena instead of rebuilding it per cell.
+    /// would produce for `seed` and the current config, but keeps its
+    /// allocation caches and container capacity. A caller running many
+    /// bounded simulations back to back — the streaming study runner's
+    /// `(shard, batch)` grid — reuses one arena instead of rebuilding it
+    /// per cell.
+    ///
+    /// What is kept is bounded by live work, not by everything that ever
+    /// passed through ([`Simulator::footprint`] reports the wheel slots
+    /// and the pools):
+    /// - timer-wheel slots and their scratch: at most 64 entries of
+    ///   capacity each (a slot holding more drops its buffer);
+    /// - the wheel's now queue and overflow heap, and the drain buffer:
+    ///   at most one run's peak of queued (or same-instant) entries;
+    /// - the payload pool: at most 1,024 buffers of at most 4 KiB;
+    /// - the probe-group pool: at most 64 vectors, each at most one
+    ///   [`Ctx::probe_batch`] call long, and the probe scratch: the
+    ///   longest such call;
+    /// - the host, connection and endpoint tables: the most hosts,
+    ///   live connections and endpoints one run had.
     ///
     /// Behavior from a reset simulator is byte-identical to a fresh
     /// one: every piece of state consulted by the event loop (clock,
@@ -748,6 +791,21 @@ impl Simulator {
     /// occupancy) for this simulator's event queue.
     pub fn wheel_stats(&self) -> WheelStats {
         self.core.queue.stats()
+    }
+
+    /// Bytes of buffer capacity the simulator keeps for reuse, by
+    /// buffer, next to the wheel's peak live entries.
+    pub fn footprint(&self) -> SimFootprint {
+        let core = &self.core;
+        let entry = std::mem::size_of::<Entry<Ev>>();
+        let probe = std::mem::size_of::<(Ipv4Addr, ProbeStatus)>();
+        SimFootprint {
+            wheel_slots: core.queue.slot_capacity() * entry,
+            peak_entries: core.queue.stats().max_occupancy,
+            entry_bytes: entry,
+            payload_pool: core.buf_pool.iter().map(Vec::capacity).sum(),
+            probe_pool: core.probe_pool.iter().map(Vec::capacity).sum::<usize>() * probe,
+        }
     }
 
     /// Registers a host (idempotent).
@@ -1629,5 +1687,64 @@ mod more_tests {
         sim.schedule_timer(did, SimDuration::ZERO, 0);
         sim.run(); // must terminate without panic
         assert!(sim.events_processed() > 0);
+    }
+
+    #[test]
+    fn payload_pool_drops_large_buffers() {
+        // A 32 KiB listing, then small replies that reuse the pool.
+        struct Lister;
+        impl Endpoint for Lister {
+            fn on_inbound(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, _p: u16) {
+                ctx.send(conn, &[b'x'; 32 * 1024]);
+                for _ in 0..3 {
+                    ctx.send(conn, b"226 ok\r\n");
+                }
+            }
+        }
+        struct Reader(Rc<RefCell<usize>>);
+        impl Endpoint for Reader {
+            fn on_timer(&mut self, ctx: &mut Ctx<'_>, _t: u64) {
+                ctx.connect(Ipv4Addr::new(1, 1, 1, 1), Ipv4Addr::new(2, 2, 2, 2), 20, 0);
+            }
+            fn on_data(&mut self, _ctx: &mut Ctx<'_>, _c: ConnId, data: &[u8]) {
+                *self.0.borrow_mut() += data.len();
+            }
+        }
+        let mut sim = Simulator::new(3);
+        let sid = sim.register_endpoint(Box::new(Lister));
+        sim.bind(Ipv4Addr::new(2, 2, 2, 2), 20, sid);
+        let got = Rc::new(RefCell::new(0));
+        let rid = sim.register_endpoint(Box::new(Reader(got.clone())));
+        sim.schedule_timer(rid, SimDuration::ZERO, 0);
+        sim.run();
+        assert_eq!(*got.borrow(), 32 * 1024 + 3 * 8, "every byte delivered");
+        let pool = &sim.core.buf_pool;
+        assert!(!pool.is_empty(), "small replies are pooled");
+        assert!(
+            pool.iter().all(|b| b.capacity() <= BUF_POOL_MAX_CAPACITY && b.capacity() < 32 * 1024),
+            "pooled capacities {:?}",
+            pool.iter().map(Vec::capacity).collect::<Vec<_>>()
+        );
+        assert_eq!(sim.footprint().payload_pool, pool.iter().map(Vec::capacity).sum::<usize>());
+    }
+
+    #[test]
+    fn probe_pool_keeps_a_few_groups() {
+        // 200 two-target batches in one handler: 200 groups in flight,
+        // all sharing the probe timeout, all returned when it fires.
+        struct Sweeper;
+        impl Endpoint for Sweeper {
+            fn on_timer(&mut self, ctx: &mut Ctx<'_>, _t: u64) {
+                for i in 0..200u8 {
+                    ctx.probe_batch(&[Ipv4Addr::new(5, 0, i, 1), Ipv4Addr::new(5, 0, i, 2)], 21);
+                }
+            }
+        }
+        let mut sim = Simulator::new(3);
+        let id = sim.register_endpoint(Box::new(Sweeper));
+        sim.schedule_timer(id, SimDuration::ZERO, 0);
+        sim.run();
+        assert_eq!(sim.events_processed(), 201, "one event per group");
+        assert_eq!(sim.core.probe_pool.len(), PROBE_POOL_MAX);
     }
 }

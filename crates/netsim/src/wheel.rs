@@ -48,6 +48,29 @@
 //!   from a dispatch handler) append to the now queue directly; their
 //!   `seq` is monotonically larger than anything already there, so the
 //!   common case is an ordered `push_back`.
+//!
+//! # Retained memory
+//!
+//! Every buffer the wheel reuses keeps only what live entries need plus
+//! a small fixed spare, so a long-lived wheel (one arena across a
+//! streamed study's batches) does not grow with the number of bursts it
+//! has seen:
+//!
+//! * **Slots.** Draining a slot swaps its `Vec` with the cascade
+//!   scratch; the drained buffer becomes the next scratch only if its
+//!   capacity is at most [`SLOT_KEEP`] entries, and is freed otherwise.
+//!   So an *empty* slot, like the scratch, holds at most `SLOT_KEEP`
+//!   entries of capacity, and the wheel holds at most about twice its
+//!   live entries (a `Vec` grows by doubling) plus `(6 × 64 + 1) ×
+//!   SLOT_KEEP` spare entries. Keeping whatever passed through instead
+//!   lets each of the 385 buffers grow to the largest occupancy it ever
+//!   meets.
+//! * **Now queue and overflow heap.** Both hold a subset of the live
+//!   entries, so their capacity is bounded by the peak live count of
+//!   one run (the now queue by the largest same-instant burst).
+//!
+//! [`TimerWheel::reset`] keeps these buffers, dropping any slot buffer
+//! above `SLOT_KEEP`, so the bound holds across resets too.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
@@ -61,6 +84,11 @@ const SLOTS: usize = 1 << SLOT_BITS;
 const LEVELS: usize = 6;
 /// The wheel covers deadlines within `2^SPAN_BITS` µs of the cursor.
 const SPAN_BITS: u32 = SLOT_BITS * LEVELS as u32;
+/// Largest capacity, in entries, a drained slot buffer may have and
+/// still be kept for reuse (3.5 KiB at 56 bytes per simulator entry).
+/// Most slots hold a handful of entries; a burst larger than this
+/// allocates its own buffer, which is freed once the slot drains.
+const SLOT_KEEP: usize = 64;
 
 /// A scheduled entry: deadline, global insertion sequence, payload.
 pub(crate) struct Entry<T> {
@@ -126,8 +154,9 @@ pub(crate) struct TimerWheel<T> {
     /// Entries beyond the wheel's span; strictly later than everything
     /// in the wheel, drained in as the cursor's epoch reaches them.
     overflow: BinaryHeap<Reverse<Entry<T>>>,
-    /// Recycled scratch for cascades, so re-filing a slot's entries
-    /// doesn't allocate.
+    /// Recycled scratch for draining slots, so re-filing a slot's
+    /// entries doesn't allocate. Always empty, with at most
+    /// [`SLOT_KEEP`] entries of capacity.
     cascade_buf: Vec<Entry<T>>,
     /// Entries with `at == cursor`, popped before anything in `levels`.
     /// Sorted ascending by `seq` unless `now_dirty` is set.
@@ -163,17 +192,24 @@ impl<T> TimerWheel<T> {
         self.stats
     }
 
-    /// Empties the wheel and rewinds the cursor to 0 while keeping
-    /// every allocation (slot vectors, heaps, scratch buffers) for
-    /// reuse. Statistics are *not* cleared — they describe the wheel's
-    /// lifetime across resets (see [`crate::Simulator::reset`]).
+    /// Empties the wheel and rewinds the cursor to 0. What it keeps for
+    /// reuse is what a drained wheel keeps (see the module docs' *Retained
+    /// memory*): every slot buffer of at most [`SLOT_KEEP`] entries, the
+    /// scratch, and the now queue's and overflow heap's capacity. A slot
+    /// still holding a larger buffer drops it. Statistics are *not*
+    /// cleared — they describe the wheel's lifetime across resets (see
+    /// [`crate::Simulator::reset`]).
     pub fn reset(&mut self) {
         self.cursor = 0;
         self.in_levels = 0;
         for level in &mut self.levels {
             if level.occupied != 0 {
                 for slot in &mut level.slots {
-                    slot.clear();
+                    if slot.capacity() > SLOT_KEEP {
+                        *slot = Vec::new();
+                    } else {
+                        slot.clear();
+                    }
                 }
                 level.occupied = 0;
             }
@@ -186,6 +222,13 @@ impl<T> TimerWheel<T> {
     /// Total stored entries.
     pub fn len(&self) -> usize {
         self.in_levels + self.now_q.len() + self.overflow.len()
+    }
+
+    /// Entry capacity held by the slot vectors and the scratch.
+    pub fn slot_capacity(&self) -> usize {
+        let slots: usize =
+            self.levels.iter().flat_map(|level| &level.slots).map(Vec::capacity).sum();
+        slots + self.cascade_buf.capacity()
     }
 
     /// Files an entry, preserving `(at, seq)` pop order.
@@ -235,6 +278,25 @@ impl<T> TimerWheel<T> {
             }
         }
         self.now_q.push_back(entry);
+    }
+
+    /// Empties slot `idx` of `level` and returns its entries; the slot
+    /// gets the empty scratch buffer in exchange.
+    fn take_slot(&mut self, level: usize, idx: usize) -> Vec<Entry<T>> {
+        let scratch = std::mem::take(&mut self.cascade_buf);
+        let drained = std::mem::replace(&mut self.levels[level].slots[idx], scratch);
+        self.levels[level].occupied &= !(1u64 << idx);
+        self.in_levels -= drained.len();
+        drained
+    }
+
+    /// Keeps an emptied slot buffer as the next scratch if it is at
+    /// most [`SLOT_KEEP`] entries, and frees it otherwise.
+    fn recycle_slot(&mut self, buf: Vec<Entry<T>>) {
+        debug_assert!(buf.is_empty());
+        if buf.capacity() <= SLOT_KEEP {
+            self.cascade_buf = buf;
+        }
     }
 
     /// Pops the smallest-`seq` now-queue entry, sorting first if needed.
@@ -340,28 +402,22 @@ impl<T> TimerWheel<T> {
                 // All entries here share one `at` (== the cursor now):
                 // drain the whole slot into the now queue, sort once,
                 // then pop O(1) per event.
-                let mut drained = std::mem::take(&mut self.cascade_buf);
-                std::mem::swap(&mut self.levels[0].slots[idx], &mut drained);
-                self.levels[0].occupied &= !(1u64 << idx);
-                self.in_levels -= drained.len();
+                let mut drained = self.take_slot(0, idx);
                 self.now_dirty = true;
                 self.now_q.extend(drained.drain(..));
-                self.cascade_buf = drained;
+                self.recycle_slot(drained);
                 return self.pop_now();
             }
             // Cascade: advance the cursor to the slot start (done
             // above) and re-file its entries at strictly lower levels
             // (or into the now queue when their `at` is the slot start).
-            let mut drained = std::mem::take(&mut self.cascade_buf);
-            std::mem::swap(&mut self.levels[level].slots[idx], &mut drained);
-            self.levels[level].occupied &= !(1u64 << idx);
-            self.in_levels -= drained.len();
+            let mut drained = self.take_slot(level, idx);
             self.stats.cascades += 1;
             self.stats.cascaded_entries += drained.len() as u64;
             for entry in drained.drain(..) {
                 self.place(entry);
             }
-            self.cascade_buf = drained;
+            self.recycle_slot(drained);
         }
     }
 }
@@ -592,6 +648,59 @@ mod tests {
             got.push((e.at.as_micros(), e.seq));
         }
         assert_eq!(got, vec![(0, 5), (10, 1), (10, 2), (10, 4), (50, 0), (7000, 3)]);
+    }
+
+    /// Capacity of every slot buffer, scratch last.
+    fn slot_capacities(wheel: &TimerWheel<u64>) -> Vec<usize> {
+        let mut caps: Vec<usize> =
+            wheel.levels.iter().flat_map(|level| &level.slots).map(Vec::capacity).collect();
+        caps.push(wheel.cascade_buf.capacity());
+        caps
+    }
+
+    #[test]
+    fn drained_slots_keep_only_small_buffers() {
+        // Bursts of 1,000 entries at distinct deadlines filed at levels
+        // 0–3; the coarser ones cascade through the finer levels on
+        // their way to the now queue. Keeping every drained buffer
+        // leaves a burst-sized one in each slot that ever held a burst.
+        fn bursts(wheel: &mut TimerWheel<u64>, base: u64, seq: &mut u64) {
+            for level in 0..4u32 {
+                for k in 1..20u64 {
+                    let at = base + (k << (SLOT_BITS * level)) + k;
+                    for _ in 0..1_000 {
+                        wheel.insert(entry(at, *seq));
+                        *seq += 1;
+                    }
+                }
+            }
+        }
+        let bound = (LEVELS * SLOTS + 1) * SLOT_KEEP;
+        let mut wheel = TimerWheel::new();
+        let mut seq = 0u64;
+        bursts(&mut wheel, 0, &mut seq);
+        let mut popped = Vec::new();
+        while let Some(e) = wheel.pop() {
+            popped.push((e.at.as_micros(), e.seq));
+        }
+        assert_eq!(popped.len() as u64, seq);
+        assert!(popped.is_sorted(), "pop order");
+        assert!(wheel.stats().cascaded_entries > 0, "no cascade exercised");
+        let caps = slot_capacities(&wheel);
+        assert!(caps.iter().all(|&c| c <= SLOT_KEEP), "an empty slot kept a burst: {caps:?}");
+        assert!(wheel.slot_capacity() <= bound, "{} > {bound}", wheel.slot_capacity());
+
+        // A reset with bursts still filed drops their buffers too.
+        let cursor = wheel.cursor;
+        bursts(&mut wheel, cursor, &mut seq);
+        for _ in 0..5_000 {
+            wheel.pop();
+        }
+        assert!(wheel.len() > 0);
+        wheel.reset();
+        let caps = slot_capacities(&wheel);
+        assert!(caps.iter().all(|&c| c <= SLOT_KEEP), "reset kept a burst: {caps:?}");
+        assert!(wheel.slot_capacity() <= bound);
     }
 
     #[test]
