@@ -39,6 +39,12 @@ pub fn is_nated(record: &HostRecord) -> bool {
     }
 }
 
+/// True when `record` is an FTP server that accepted a third-party
+/// `PORT`: the servers whose collector hits count as confirmed.
+pub fn accepted_third_party(record: &HostRecord) -> bool {
+    record.ftp_compliant && record.port_accepts_third_party == Some(true)
+}
+
 /// Computes the §VII-B statistics. `collector_hits` is the set of server
 /// addresses whose bounced connections the study's collector observed.
 pub fn summarize(records: &[HostRecord], collector_hits: &HashSet<Ipv4Addr>) -> BounceSummary {

@@ -150,9 +150,12 @@ impl StreamingAggregate {
     }
 
     /// Folds one enumeration record. `collector_hit` says whether the
-    /// bounce collector observed a connection from this host's address;
-    /// `registry`, when available, resolves the host's AS for the
-    /// writable-AS count (mirroring [`writable::detect`]).
+    /// bounce collector observed a connection from this host's address
+    /// (it counts only for [`bounce::accepted_third_party`] hosts; a
+    /// caller that learns it later folds `false` and adds those hits to
+    /// `bounce.confirmed` itself); `registry`, when available, resolves
+    /// the host's AS for the writable-AS count (mirroring
+    /// [`writable::detect`]).
     pub fn fold_record(
         &mut self,
         r: &HostRecord,
@@ -240,6 +243,11 @@ impl StreamingAggregate {
             }
         }
 
+        // §VII-B (bounce.rs): the confirmation join.
+        if collector_hit && bounce::accepted_third_party(r) {
+            self.bounce.confirmed += 1;
+        }
+
         // Everything below replicates loops that filter on FTP
         // compliance.
         if !r.ftp_compliant {
@@ -291,9 +299,6 @@ impl StreamingAggregate {
             Some(true) => {
                 self.bounce.probed += 1;
                 self.bounce.accepted += 1;
-                if collector_hit {
-                    self.bounce.confirmed += 1;
-                }
                 if nated {
                     self.bounce.nat_and_vulnerable += 1;
                 }

@@ -31,11 +31,21 @@ use simtls::SimCertificate;
 use std::cell::RefCell;
 use netsim::fasthash::{FastMap, FastSet};
 use std::collections::VecDeque;
+use std::fmt;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 
-/// Shared handle to the accumulated records.
+/// Shared handle to the records [`Enumerator::new`] collects.
 pub type EnumResults = Rc<RefCell<Vec<HostRecord>>>;
+
+/// Where an [`Enumerator`] hands each record when its session closes.
+struct RecordSink(Box<dyn FnMut(HostRecord)>);
+
+impl fmt::Debug for RecordSink {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("RecordSink")
+    }
+}
 
 /// Commands reserved after traversal for the wrap-up phases
 /// (SYST/HELP/FEAT/SITE/PORT/LIST/AUTH/QUIT).
@@ -200,9 +210,12 @@ impl Session {
     }
 }
 
-/// The enumerator endpoint. Build with [`Enumerator::new`], register,
-/// kick with a timer, run the simulator, then read the records from the
-/// returned handle.
+/// The enumerator endpoint. Build it with [`Enumerator::with_sink`],
+/// register it, kick it with a timer and run the simulator: each
+/// session's record goes to the sink as the session closes, so the
+/// enumerator keeps no finished record. [`Enumerator::new`] builds one
+/// whose sink collects the records into a shared vector, to be read
+/// from the returned handle once the simulator drains.
 #[derive(Debug)]
 pub struct Enumerator {
     cfg: EnumConfig,
@@ -214,31 +227,46 @@ pub struct Enumerator {
     slot_gens: Vec<u32>,
     free_slots: Vec<usize>,
     conns: FastMap<ConnId, (usize, bool)>,
-    results: EnumResults,
+    sink: RecordSink,
     active: usize,
     /// Reused wire buffer for `"{line}\r\n"` command rendering.
     send_buf: Vec<u8>,
 }
 
 impl Enumerator {
-    /// Creates an enumerator over `targets` and returns it with the
-    /// shared results handle.
+    /// Creates an enumerator over `targets` that hands every record to
+    /// `sink` when its session closes, in the order sessions finish.
+    pub fn with_sink(
+        cfg: EnumConfig,
+        targets: Vec<Ipv4Addr>,
+        sink: impl FnMut(HostRecord) + 'static,
+    ) -> Self {
+        Enumerator {
+            cfg,
+            targets: targets.into_iter(),
+            sessions: Vec::new(),
+            slot_gens: Vec::new(),
+            free_slots: Vec::new(),
+            conns: FastMap::default(),
+            sink: RecordSink(Box::new(sink)),
+            active: 0,
+            send_buf: Vec::new(),
+        }
+    }
+
+    /// Creates an enumerator over `targets` whose sink collects the
+    /// records, in finish order, and returns it with the shared handle
+    /// to them. Each record's file table is compacted as it is
+    /// collected ([`FileTable::compact`](crate::FileTable::compact)),
+    /// so a held record keeps none of its session's growth slack.
     pub fn new(cfg: EnumConfig, targets: Vec<Ipv4Addr>) -> (Self, EnumResults) {
-        let results: EnumResults = Rc::new(RefCell::new(Vec::new()));
-        (
-            Enumerator {
-                cfg,
-                targets: targets.into_iter(),
-                sessions: Vec::new(),
-                slot_gens: Vec::new(),
-                free_slots: Vec::new(),
-                conns: FastMap::default(),
-                results: results.clone(),
-                active: 0,
-                send_buf: Vec::new(),
-            },
-            results,
-        )
+        let results = EnumResults::default();
+        let collected = results.clone();
+        let sink = move |mut record: HostRecord| {
+            record.files.compact();
+            collected.borrow_mut().push(record);
+        };
+        (Enumerator::with_sink(cfg, targets, sink), results)
     }
 
     fn start_next(&mut self, ctx: &mut Ctx<'_>) {
@@ -311,7 +339,7 @@ impl Enumerator {
                 files: session.record.files.len() as u64,
             }
         );
-        self.results.borrow_mut().push(session.record);
+        (self.sink.0)(session.record);
         self.free_slots.push(slot);
         self.active -= 1;
         self.start_next(ctx);

@@ -247,7 +247,8 @@ const WRITE_KNOWN: u8 = 1 << 4;
 const OTHER_WRITABLE: u8 = 1 << 5;
 
 /// Bytes a [`FileTable`] stores, by structure: lengths, not capacities,
-/// so growth slack is left out.
+/// so growth slack is left out of the four columns and shows only in
+/// `capacity`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TableFootprint {
     /// The fixed-size rows.
@@ -258,6 +259,9 @@ pub struct TableFootprint {
     pub dirs: usize,
     /// The extension arena.
     pub exts: usize,
+    /// Bytes the same four columns have allocated: their sum plus any
+    /// growth slack.
+    pub capacity: usize,
 }
 
 impl FileTable {
@@ -391,12 +395,26 @@ impl FileTable {
 
     /// Bytes the table stores, by structure.
     pub fn footprint(&self) -> TableFootprint {
+        let u32_bytes = std::mem::size_of::<u32>();
         TableFootprint {
             rows: self.rows.len() * std::mem::size_of::<Row>(),
             names: self.names.len(),
-            dirs: self.dirs.len() + self.dir_ends.len() * std::mem::size_of::<u32>(),
+            dirs: self.dirs.len() + self.dir_ends.len() * u32_bytes,
             exts: self.ext_buf.len(),
+            capacity: self.rows.capacity() * std::mem::size_of::<Row>()
+                + self.names.capacity()
+                + self.dirs.capacity()
+                + self.dir_ends.capacity() * u32_bytes
+                + self.ext_buf.capacity(),
         }
+    }
+
+    /// Moves every column into an allocation of exactly its length and
+    /// frees the growth buffers whole. A table grows a row at a time
+    /// while its session lists directories; once the session closes it
+    /// is only read.
+    pub fn compact(&mut self) {
+        *self = self.clone();
     }
 }
 

@@ -492,3 +492,81 @@ fn bfs_beats_dfs_on_breadth_coverage_under_cap() {
     );
     assert_eq!(top_dirs(&bfs), 30, "BFS lists every top-level dir entry");
 }
+
+/// A tree of eight directories with 40 files each: enough rows that a
+/// growing file table overshoots its length.
+fn wide_vfs() -> Vfs {
+    let mut v = Vfs::new();
+    for d in 0..8 {
+        for f in 0..40 {
+            v.add_file(&format!("/dir{d}/file{f:02}.dat"), FileAttrs::public(f)).unwrap();
+        }
+    }
+    v
+}
+
+/// Three hosts whose sessions start together and end in another order
+/// than they start: a wide listing, a refused login and a short one.
+fn mixed_servers(sim: &mut Simulator) -> Vec<Ipv4Addr> {
+    let servers = [
+        (ip(1), anon_profile(), wide_vfs()),
+        (ip(2), ServerProfile::new("Members only FTP"), sample_vfs()),
+        (ip(3), anon_profile(), sample_vfs()),
+    ];
+    let mut targets = Vec::new();
+    for (ip, profile, vfs) in servers {
+        let id = sim.register_endpoint(Box::new(FtpServerEngine::new(ip, profile, vfs)));
+        sim.bind(ip, 21, id);
+        targets.push(ip);
+    }
+    targets
+}
+
+fn run_enumerator(mut sim: Simulator, en: Enumerator) {
+    let id = sim.register_endpoint(Box::new(en));
+    sim.schedule_timer(id, SimDuration::ZERO, 0);
+    sim.run();
+}
+
+#[test]
+fn sink_gets_every_record_once_in_finish_order() {
+    let mut sim = Simulator::new(99);
+    let targets = mixed_servers(&mut sim);
+    let handed = Rc::new(RefCell::new(Vec::new()));
+    let sink = {
+        let handed = handed.clone();
+        move |record: HostRecord| handed.borrow_mut().push(record)
+    };
+    run_enumerator(sim, Enumerator::with_sink(EnumConfig::new(SCANNER), targets.clone(), sink));
+    let handed = handed.borrow();
+
+    let mut seen: Vec<Ipv4Addr> = handed.iter().map(|r| r.ip).collect();
+    assert_ne!(seen, targets, "sessions that start together finish in another order");
+    seen.sort();
+    assert_eq!(seen, targets, "every target's record, each once");
+    // Every session starts at once and paces each command by the same
+    // gap, so a session that sends fewer commands closes first.
+    let requests: Vec<u32> = handed.iter().map(|r| r.requests_used).collect();
+    assert!(requests.windows(2).all(|w| w[0] < w[1]), "not in finish order: {requests:?}");
+
+    let mut sim = Simulator::new(99);
+    mixed_servers(&mut sim);
+    let (en, collected) = Enumerator::new(EnumConfig::new(SCANNER), targets);
+    run_enumerator(sim, en);
+    assert_eq!(*collected.borrow(), *handed, "Enumerator::new collects what a sink is handed");
+}
+
+#[test]
+fn collected_records_keep_no_spare_capacity() {
+    let mut sim = Simulator::new(99);
+    let targets = mixed_servers(&mut sim);
+    let (en, collected) = Enumerator::new(EnumConfig::new(SCANNER), targets);
+    run_enumerator(sim, en);
+    let collected = collected.borrow();
+    let wide = collected.iter().find(|r| r.ip == ip(1)).expect("the wide host's record");
+    assert_eq!(wide.file_count(), 320, "the whole tree was listed");
+    for r in collected.iter() {
+        let fp = r.files.footprint();
+        assert_eq!(fp.capacity, fp.rows + fp.names + fp.dirs + fp.exts, "{}: {fp:?}", r.ip);
+    }
+}

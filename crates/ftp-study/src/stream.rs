@@ -15,9 +15,11 @@
 //!
 //! Both runners are this loop. [`crate::run_study_sharded`] runs it at
 //! one batch per shard and keeps each cell whole. [`run_study_streamed`]
-//! runs `ceil(hosts / batch_size)` batches per shard, folds each cell
-//! into a constant-size [`StreamingAggregate`], and drops everything
-//! else, so its peak memory is O(batch), regardless of world size.
+//! runs `ceil(hosts / batch_size)` batches per shard, folds each record
+//! into a constant-size [`StreamingAggregate`] as its session closes,
+//! merges each finished cell into the shard's aggregate and drops
+//! everything else, so its peak memory is O(batch), regardless of
+//! world size.
 //!
 //! Correctness rests on one purity argument: every per-host outcome is
 //! a pure function of `(seed, ip)`, so a host observes identical
@@ -34,9 +36,11 @@
 //! no generator state to save.
 
 use crate::checkpoint::{Checkpoint, CheckpointError};
-use crate::study::{run_partition, scan_config, PartitionOutput, StudyConfig, StudyResults};
+use crate::study::{
+    run_partition, scan_config, CellRecords, PartitionOutput, StudyConfig, StudyResults,
+};
 use crate::webprobe::HttpObservation;
-use analysis::StreamingAggregate;
+use analysis::{Funnel, StreamingAggregate};
 use enumerator::HostRecord;
 use netsim::{AsRegistry, Simulator};
 use std::collections::{HashMap, HashSet};
@@ -46,10 +50,11 @@ use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::Ipv4Addr;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use worldgen::{HostTruth, PopulationSpec, WorldPlan};
-use zscan::{HashBatch, HashShard};
+use zscan::{HashBatch, HashShard, HostDiscovery};
 
 /// Streaming-specific knobs, on top of a [`StudyConfig`].
 #[derive(Debug, Clone)]
@@ -390,7 +395,9 @@ pub(crate) fn run_shards<T: Send>(
 /// Runs the batches `range` of `shard`'s slice, cut into `batches`
 /// batches, one at a time in one reset simulator, and hands each
 /// finished [`Cell`] to `on_cell`. Stops at the first error `on_cell`
-/// returns.
+/// returns. With `fold`, each cell folds every record as its session
+/// closes and keeps none ([`CellRecords::Folded`]); without it, cells
+/// keep their records.
 ///
 /// Every simulator is seeded with the *master* seed — not a derived
 /// one — because per-path latency is a pure function of the simulator
@@ -402,6 +409,7 @@ pub(crate) fn run_shard_batches<E>(
     shard: HashShard,
     batches: u64,
     range: Range<u64>,
+    fold: bool,
     mut on_cell: impl FnMut(Cell) -> Result<(), E>,
 ) -> Result<(), E> {
     let shard_span = obs::span!("shard.run");
@@ -419,16 +427,19 @@ pub(crate) fn run_shard_batches<E>(
     // `materialize_order` would produce. A single batch's scanner walks
     // the shard's orbit itself.
     let mut sim = Simulator::new(seed);
+    // The record sinks are `'static`, so a folding shard gives them its
+    // own shared copy of the plan's registry.
+    let registry = fold.then(|| Rc::new(plan.registry().clone()));
     let buckets = plan.bucket_shard((shard.index, shard.shards), batches);
     let mut batch_orders: Vec<Vec<u64>> = Vec::new();
     if batches > 1 {
         batch_orders.resize(batches as usize, Vec::new());
-        for ix in scan_config(cfg, shard, None).materialize_order() {
+        scan_config(cfg, shard, None).walk_order(|ix| {
             let batch = netsim::ip::batch_of(seed, space.addr_at(ix), batches);
             if range.contains(&batch) {
                 batch_orders[batch as usize].push(ix);
             }
-        }
+        });
     }
 
     for batch in range {
@@ -444,17 +455,21 @@ pub(crate) fn run_shard_batches<E>(
             let _span = obs::span!("stage.worldgen");
             plan.materialize_bucket(&mut sim, &buckets, batch)
         };
-        let (hash_batch, order) = match batch_orders.get_mut(batch as usize) {
-            None => (None, None),
+        let (scanner, scan_results) = match batch_orders.get_mut(batch as usize) {
+            None => HostDiscovery::new(scan_config(cfg, shard, None)),
             Some(order) => {
-                (Some(HashBatch { seed, index: batch, batches }), Some(std::mem::take(order)))
+                let hash_batch = HashBatch { seed, index: batch, batches };
+                HostDiscovery::with_order(
+                    scan_config(cfg, shard, Some(hash_batch)),
+                    std::mem::take(order),
+                )
             }
         };
-        let out = run_partition(cfg, &mut sim, scan_config(cfg, shard, hash_batch), order);
+        let out = run_partition(cfg, &mut sim, Box::new(scanner), &scan_results, registry.as_ref());
         if obs::enabled() {
             count_funnel_violations(&out);
             obs::counter(obs::Counter::HttpObservations, out.http.len() as u64);
-            obs::event!("batch.done", batch = batch, records = out.records.len());
+            obs::event!("batch.done", batch = batch, records = out.records.count());
         }
         on_cell(Cell { batch, hosts, non_ftp, out })?;
     }
@@ -479,7 +494,16 @@ pub(crate) fn run_shard_batches<E>(
 /// recorder. A cell is a funnel of its own (its scan found every host
 /// it enumerated), so a healthy run counts none.
 fn count_funnel_violations(out: &PartitionOutput) {
-    let funnel = analysis::Funnel::tally(out.ips_scanned, out.open_port, &out.records);
+    let funnel = match &out.records {
+        CellRecords::Kept(records) => Funnel::tally(out.ips_scanned, out.open_port, records),
+        CellRecords::Folded(aggregate) => Funnel {
+            ips_scanned: out.ips_scanned,
+            open_port: out.open_port,
+            ftp_servers: aggregate.summary.ftp,
+            anonymous: aggregate.summary.anonymous,
+            gave_up: aggregate.summary.gave_up,
+        },
+    };
     let violations = funnel.invariant_violations().len() as u64;
     if violations > 0 {
         obs::counter(obs::Counter::FunnelInvariantViolations, violations);
@@ -538,22 +562,14 @@ pub fn run_study_streamed(
         let mut journal_buf = obs::JournalBuf::default();
         let fold_cell = |cell: Cell| -> Result<(), StreamError> {
             let out = &cell.out;
-            fold_partition(
-                &mut aggregate,
-                out.ips_scanned,
-                out.open_port,
-                &out.records,
-                &out.bounce_hits,
-                &out.http,
-                plan.registry(),
-            );
+            fold_output(&mut aggregate, out, plan.registry());
             // Flush this cell's journals to disk now so the recorder
             // never holds more than one batch's worth of them.
             if let Some(sink) = &journal_sink {
                 sink.flush_batch(&mut journal_buf)?;
             }
             if let Some(progress) = &progress {
-                progress.tick(out.records.len() as u64);
+                progress.tick(out.records.count());
             }
             if let Some(dir) = &opts.checkpoint_dir {
                 if let Some(sink) = &journal_sink {
@@ -571,7 +587,7 @@ pub fn run_study_streamed(
             }
             Ok(())
         };
-        run_shard_batches(cfg, &plan, shard, batches, start..end, fold_cell)?;
+        run_shard_batches(cfg, &plan, shard, batches, start..end, true, fold_cell)?;
         Ok::<_, StreamError>((aggregate, end))
     });
     if let Some(sink) = &journal_sink {
@@ -601,10 +617,33 @@ pub fn run_study_streamed(
     })))
 }
 
+/// Folds one cell's output into `agg`: its scan counters, its records
+/// (merged when the cell folded them at session close) and its HTTP
+/// observations.
+fn fold_output(agg: &mut StreamingAggregate, out: &PartitionOutput, registry: &AsRegistry) {
+    let records: &[HostRecord] = match &out.records {
+        CellRecords::Kept(records) => records,
+        CellRecords::Folded(folded) => {
+            agg.merge(folded);
+            &[]
+        }
+    };
+    fold_partition(
+        agg,
+        out.ips_scanned,
+        out.open_port,
+        records,
+        &out.bounce_hits,
+        &out.http,
+        registry,
+    );
+}
+
 /// Folds one partition's measurements into `agg`: its scan counters,
 /// every record (with whether its bounce reached the collector), and
-/// every HTTP observation. The streamed runner folds each cell with it;
-/// [`aggregate_of`] folds a whole in-memory study.
+/// every HTTP observation. [`aggregate_of`] folds a whole in-memory
+/// study with it, and the streamed runner a cell's scan counters and
+/// HTTP observations, its records folded already.
 fn fold_partition(
     agg: &mut StreamingAggregate,
     ips_scanned: u64,
@@ -673,6 +712,39 @@ mod tests {
         assert_ne!(base, config_fingerprint(&faulty, 2, 5, 16));
     }
 
+    /// One cell, folded at session close, aggregates to what folding
+    /// the same cell's collected records does, line by line of the
+    /// encoded aggregate (one line per field), `bounce.confirmed`
+    /// included.
+    #[test]
+    fn session_close_fold_matches_the_collected_records() {
+        for fault in [0.0, 0.5] {
+            let cfg = StudyConfig::small(7177, 150).with_fault_fraction(fault);
+            let plan = worldgen::plan_world(&cfg.population);
+            let seed = cfg.population.seed;
+            let cell = |registry: Option<&Rc<AsRegistry>>| {
+                let mut sim = Simulator::new(seed);
+                plan.materialize(&mut sim, |_| true);
+                let shard = HashShard { seed, index: 0, shards: 1 };
+                let (scanner, scan_results) = HostDiscovery::new(scan_config(&cfg, shard, None));
+                let out = run_partition(&cfg, &mut sim, Box::new(scanner), &scan_results, registry);
+                let mut aggregate = StreamingAggregate::default();
+                fold_output(&mut aggregate, &out, plan.registry());
+                (out.records, aggregate)
+            };
+            let (kept, want) = cell(None);
+            let (folded, got) = cell(Some(&Rc::new(plan.registry().clone())));
+            assert!(matches!(kept, CellRecords::Kept(_)), "no registry keeps the records");
+            assert!(matches!(folded, CellRecords::Folded(_)), "a registry folds them");
+            assert!(want.bounce.confirmed > 0, "the cell confirms a bounce at {fault}");
+            let (want, got) = (want.encode(), got.encode());
+            for (w, g) in want.lines().zip(got.lines()) {
+                assert_eq!(g, w, "at {fault} faults");
+            }
+            assert_eq!(got, want);
+        }
+    }
+
     /// A cell whose scan opened more ports than it probed moves
     /// `funnel_invariant_violations` on the recorder it runs under.
     #[test]
@@ -680,7 +752,7 @@ mod tests {
         let cell = PartitionOutput {
             ips_scanned: 3,
             open_port: 4,
-            records: Vec::new(),
+            records: CellRecords::Kept(Vec::new()),
             bounce_hits: HashSet::new(),
             http: HashMap::new(),
         };

@@ -10,14 +10,17 @@
 
 use crate::stream::{run_shard_batches, run_shards};
 use crate::webprobe::{HttpObservation, WebProbe};
+use analysis::StreamingAggregate;
 use enumerator::{BounceCollector, EnumConfig, Enumerator, HostRecord, RunSummary};
 use ftp_proto::HostPort;
-use netsim::{SimDuration, Simulator};
+use netsim::{AsRegistry, Endpoint, SimDuration, Simulator};
+use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::convert::Infallible;
 use std::net::Ipv4Addr;
+use std::rc::Rc;
 use worldgen::{PopulationSpec, WorldTruth};
-use zscan::{Blocklist, HashBatch, HashShard, HostDiscovery, ScanConfig};
+use zscan::{Blocklist, HashBatch, HashShard, ScanConfig, ScanResults};
 
 /// Addresses the study's own machines occupy (outside the population
 /// space).
@@ -134,12 +137,71 @@ pub(crate) struct PartitionOutput {
     pub(crate) ips_scanned: u64,
     /// Hosts answering on TCP/21.
     pub(crate) open_port: u64,
-    /// Per-host enumeration records.
-    pub(crate) records: Vec<HostRecord>,
+    /// Per-host enumeration records, kept or folded.
+    pub(crate) records: CellRecords,
     /// Server addresses whose bounced connections reached the collector.
     pub(crate) bounce_hits: HashSet<Ipv4Addr>,
     /// HTTP sweep observations.
     pub(crate) http: HashMap<Ipv4Addr, HttpObservation>,
+}
+
+/// A partition's enumeration records, as their sessions closed.
+pub(crate) enum CellRecords {
+    /// Every record, in finish order, each file table at exact size:
+    /// the in-memory study keeps them until its report.
+    Kept(Vec<HostRecord>),
+    /// The records' share of the cell aggregate, each folded as its
+    /// session closed and dropped: a streamed cell keeps no record.
+    /// Boxed: the aggregate is a kilobyte-scale struct.
+    Folded(Box<StreamingAggregate>),
+}
+
+impl CellRecords {
+    /// How many records the partition's sessions produced.
+    pub(crate) fn count(&self) -> u64 {
+        match self {
+            CellRecords::Kept(records) => records.len() as u64,
+            CellRecords::Folded(aggregate) => aggregate.summary.hosts,
+        }
+    }
+}
+
+/// What a streamed cell keeps of the records it folds at session close.
+#[derive(Default)]
+struct SessionFold {
+    /// The records' share of the cell aggregate.
+    aggregate: StreamingAggregate,
+    /// FTP-compliant addresses in finish order: the HTTP sweep's
+    /// targets.
+    ftp_ips: Vec<Ipv4Addr>,
+    /// Addresses that accepted a third-party `PORT`. Whether their
+    /// bounce reached the collector is settled at cell end: a bounce
+    /// connection may land after its session closed (a step timeout
+    /// can end the session first).
+    accepted: Vec<Ipv4Addr>,
+}
+
+impl SessionFold {
+    /// Folds a closed session's record, its collector hit still
+    /// unknown.
+    fn fold(&mut self, r: &HostRecord, registry: &AsRegistry) {
+        self.aggregate.fold_record(r, false, Some(registry));
+        if r.ftp_compliant {
+            self.ftp_ips.push(r.ip);
+        }
+        if analysis::bounce::accepted_third_party(r) {
+            self.accepted.push(r.ip);
+        }
+    }
+
+    /// The folded records, with the accepted addresses the collector
+    /// saw counted as confirmed.
+    fn settle(self, bounce_hits: &HashSet<Ipv4Addr>) -> StreamingAggregate {
+        let mut aggregate = self.aggregate;
+        let confirmed = self.accepted.iter().filter(|ip| bounce_hits.contains(ip)).count();
+        aggregate.bounce.confirmed += confirmed as u64;
+        aggregate
+    }
 }
 
 /// The study's TCP/21 discovery sweep, restricted to `hash_shard` and,
@@ -159,23 +221,22 @@ pub(crate) fn scan_config(
 
 /// Runs the three measurement stages — ZMap-style discovery,
 /// enumeration, HTTP sweep — against a simulator that already holds the
-/// partition's hosts. `scan_cfg` restricts discovery to the slice the
-/// caller materialized; `scan_order`, when given, is that slice's
-/// precomputed permutation order and must match what `scan_cfg`'s
-/// filters would have produced. The caller owns recorder installation.
+/// partition's hosts. `scanner` is the discovery endpoint, restricted
+/// to the slice the caller materialized, and `scan_results` its results
+/// handle. With a `registry`, each record is folded as its session
+/// closes and dropped, resolving writable ASes in the registry (a
+/// streamed cell); without one the records are kept. The caller owns
+/// recorder installation.
 pub(crate) fn run_partition(
     cfg: &StudyConfig,
     sim: &mut Simulator,
-    scan_cfg: ScanConfig,
-    scan_order: Option<Vec<u64>>,
+    scanner: Box<dyn Endpoint>,
+    scan_results: &RefCell<ScanResults>,
+    registry: Option<&Rc<AsRegistry>>,
 ) -> PartitionOutput {
     // Stage 1: host discovery over this partition's slice of the
     // population space.
-    let (scanner, scan_results) = match scan_order {
-        Some(order) => HostDiscovery::with_order(scan_cfg, order),
-        None => HostDiscovery::new(scan_cfg),
-    };
-    let sid = sim.register_endpoint(Box::new(scanner));
+    let sid = sim.register_endpoint(scanner);
     sim.schedule_timer(sid, SimDuration::ZERO, 0);
     {
         let _span = obs::span!("stage.scan");
@@ -201,20 +262,40 @@ pub(crate) fn run_partition(
     if cfg.probe_bounce {
         enum_cfg = enum_cfg.with_bounce_probe(HostPort::new(COLLECTOR_IP, COLLECTOR_PORT));
     }
-    let (enumerator, records) = Enumerator::new(enum_cfg, open);
+    let folds = Rc::new(RefCell::new(SessionFold::default()));
+    let (enumerator, kept) = match registry {
+        None => {
+            let (enumerator, records) = Enumerator::new(enum_cfg, open);
+            (enumerator, Some(records))
+        }
+        Some(registry) => {
+            let (folds, registry) = (folds.clone(), registry.clone());
+            let sink = move |r: HostRecord| folds.borrow_mut().fold(&r, &registry);
+            (Enumerator::with_sink(enum_cfg, open, sink), None)
+        }
+    };
     let eid = sim.register_endpoint(Box::new(enumerator));
     sim.schedule_timer(eid, SimDuration::ZERO, 0);
     {
         let _span = obs::span!("stage.enumerate");
         sim.run();
     }
-    obs::event!("shard.stage", stage = "enumerate", records = records.borrow().len());
+    // The enumerator has drained, so its handles can be emptied; the
+    // spent endpoint is dropped with the simulator or its next reset.
+    let kept = kept.map(|records| std::mem::take(&mut *records.borrow_mut()));
+    let mut folds = std::mem::take(&mut *folds.borrow_mut());
+    let (count, ftp_ips) = match &kept {
+        Some(records) => {
+            let ftp_ips = records.iter().filter(|r| r.ftp_compliant).map(|r| r.ip).collect();
+            (records.len(), ftp_ips)
+        }
+        None => (folds.aggregate.summary.hosts as usize, std::mem::take(&mut folds.ftp_ips)),
+    };
+    obs::event!("shard.stage", stage = "enumerate", records = count);
 
     // Stage 3: HTTP overlap sweep of the FTP-responsive hosts.
     let mut http = HashMap::new();
     if cfg.probe_http {
-        let ftp_ips: Vec<Ipv4Addr> =
-            records.borrow().iter().filter(|r| r.ftp_compliant).map(|r| r.ip).collect();
         let (probe, web_results) = WebProbe::new(WEB_IP, ftp_ips);
         let wid = sim.register_endpoint(Box::new(probe));
         sim.schedule_timer(wid, SimDuration::ZERO, 0);
@@ -225,12 +306,11 @@ pub(crate) fn run_partition(
         http = std::mem::take(&mut *web_results.borrow_mut());
     }
 
-    // Move the stage outputs out of their shared handles instead of
-    // cloning: the endpoints holding the other ends are spent (their
-    // simulations drained) and are dropped with the simulator or its
-    // next reset.
-    let records = std::mem::take(&mut *records.borrow_mut());
     let bounce_hits = std::mem::take(&mut *bounce_hits.borrow_mut());
+    let records = match kept {
+        Some(records) => CellRecords::Kept(records),
+        None => CellRecords::Folded(Box::new(folds.settle(&bounce_hits))),
+    };
     PartitionOutput { ips_scanned, open_port, records, bounce_hits, http }
 }
 
@@ -271,7 +351,7 @@ pub fn run_study_sharded(cfg: &StudyConfig, shards: u64) -> StudyResults {
     let (shard_cells, mut obs_report) = run_shards(cfg, shards, |index| {
         let mut cells = Vec::with_capacity(1);
         let shard = HashShard { seed, index, shards };
-        let Ok(()) = run_shard_batches(cfg, &plan, shard, 1, 0..1, |cell| {
+        let Ok(()) = run_shard_batches(cfg, &plan, shard, 1, 0..1, false, |cell| {
             cells.push(cell);
             Ok::<_, Infallible>(())
         });
@@ -295,7 +375,10 @@ pub fn run_study_sharded(cfg: &StudyConfig, shards: u64) -> StudyResults {
         non_ftp.extend(cell.non_ftp);
         ips_scanned += cell.out.ips_scanned;
         open_port += cell.out.open_port;
-        records.extend(cell.out.records);
+        let CellRecords::Kept(cell_records) = cell.out.records else {
+            unreachable!("in-memory cells keep their records")
+        };
+        records.extend(cell_records);
         bounce_hits.extend(cell.out.bounce_hits);
         http.extend(cell.out.http);
     }
@@ -331,12 +414,33 @@ mod tests {
         assert!(funnel.anonymous > 0);
     }
 
+    /// Forwards the simulator's calls to a scanner the test keeps a
+    /// handle on, so its footprint can be read after the run.
+    struct Watched(Rc<RefCell<zscan::HostDiscovery>>);
+
+    impl Endpoint for Watched {
+        fn on_timer(&mut self, ctx: &mut netsim::Ctx<'_>, token: u64) {
+            self.0.borrow_mut().on_timer(ctx, token);
+        }
+
+        fn on_probe(
+            &mut self,
+            ctx: &mut netsim::Ctx<'_>,
+            target: Ipv4Addr,
+            port: u16,
+            status: netsim::ProbeStatus,
+        ) {
+            self.0.borrow_mut().on_probe(ctx, target, port, status);
+        }
+    }
+
     /// Prints what the records of `ftpcloud study`'s default run (the
-    /// benchmark's `paper`) hold in their file tables, by structure,
-    /// and the buffers its simulator keeps once enumeration has
-    /// drained. Runs the shard loop's one cell by hand to reach the
-    /// simulator, without the HTTP sweep (which changes no record).
-    /// Asserts nothing about memory; run with `cargo test --release --
+    /// benchmark's `paper`) hold in their file tables, by structure and
+    /// against what they have allocated, and the buffers its simulator
+    /// and scanner keep once enumeration has drained. Runs the shard
+    /// loop's one cell by hand to reach the simulator and the scanner,
+    /// without the HTTP sweep (which changes no record). Asserts
+    /// nothing about memory; run with `cargo test --release --
     /// --ignored --nocapture memory_breakdown` (the trees half is in
     /// `worldgen`).
     #[test]
@@ -351,7 +455,11 @@ mod tests {
         let mut sim = Simulator::new(seed);
         plan.materialize(&mut sim, |_| true);
         let shard = HashShard { seed, index: 0, shards: 1 };
-        let out = run_partition(&cfg, &mut sim, scan_config(&cfg, shard, None), None);
+        let (scanner, scan_results) = zscan::HostDiscovery::new(scan_config(&cfg, shard, None));
+        let scanner = Rc::new(RefCell::new(scanner));
+        let watched = Box::new(Watched(scanner.clone()));
+        let out = run_partition(&cfg, &mut sim, watched, &scan_results, None);
+        let CellRecords::Kept(records) = &out.records else { unreachable!("records kept") };
         let mb = |bytes: usize| bytes as f64 / 1e6;
 
         let sim_fp = sim.footprint();
@@ -365,24 +473,35 @@ mod tests {
         );
         println!("  payload pool {:8.2} MB", mb(sim_fp.payload_pool));
         println!("  probe pool   {:8.2} MB", mb(sim_fp.probe_pool));
+        let scan_fp = scanner.borrow().footprint();
+        println!("scanner after enumeration, sweep state kept:");
+        println!("  probe order  {:8.2} MB", mb(scan_fp.order));
+        println!("  probe slots  {:8.2} MB", mb(scan_fp.slots));
 
-        let rows: usize = out.records.iter().map(|r| r.files.len()).sum();
+        let rows: usize = records.iter().map(|r| r.files.len()).sum();
         let mut total = enumerator::TableFootprint::default();
-        for r in &out.records {
+        for r in records {
             let f = r.files.footprint();
             total.rows += f.rows;
             total.names += f.names;
             total.dirs += f.dirs;
             total.exts += f.exts;
+            total.capacity += f.capacity;
         }
         println!(
             "{} records, {rows} file-table rows at {} B each",
-            out.records.len(),
+            records.len(),
             total.rows / rows
         );
         println!("  rows         {:8.1} MB", mb(total.rows));
         println!("  names        {:8.1} MB", mb(total.names));
         println!("  directories  {:8.1} MB", mb(total.dirs));
         println!("  extensions   {:8.1} MB", mb(total.exts));
+        let used = total.rows + total.names + total.dirs + total.exts;
+        println!(
+            "  allocated    {:8.1} MB  ({:.1} MB over the length)",
+            mb(total.capacity),
+            mb(total.capacity - used)
+        );
     }
 }

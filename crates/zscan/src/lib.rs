@@ -29,4 +29,4 @@ pub mod scanner;
 
 pub use blocklist::Blocklist;
 pub use cyclic::CyclicPermutation;
-pub use scanner::{HashBatch, HashShard, HostDiscovery, ScanConfig, ScanResults};
+pub use scanner::{HashBatch, HashShard, HostDiscovery, ScanConfig, ScanFootprint, ScanResults};

@@ -116,25 +116,32 @@ impl ScanConfig {
         }
     }
 
-    /// Materializes the permutation order this config sweeps: the
-    /// permutation's orbit, filtered by the hash shard/batch filters,
-    /// as permutation indices into `space`. This is exactly
-    /// the list [`HostDiscovery::new`] computes; exposing it lets a
-    /// caller that runs many scans over one space (the streaming study
-    /// runner's batch grid) walk the orbit once and split the result,
-    /// feeding each piece to [`HostDiscovery::with_order`].
-    pub fn materialize_order(&self) -> Vec<u64> {
+    /// Hands `f` each index of the permutation order this config
+    /// sweeps, in order, without collecting them: the permutation's
+    /// orbit, filtered by the hash shard/batch filters, as permutation
+    /// indices into `space`. This lets a caller that runs many scans
+    /// over one space (the streaming study runner's batch grid) walk
+    /// the orbit once and split it as it goes, feeding each piece to
+    /// [`HostDiscovery::with_order`], without holding the whole orbit
+    /// next to its pieces.
+    pub fn walk_order(&self, mut f: impl FnMut(u64)) {
         let perm = CyclicPermutation::new(self.space.size(), self.seed);
-        let space = self.space;
-        let hash_shard = self.hash_shard;
-        let hash_batch = self.hash_batch;
-        perm.iter()
-            .filter(|&ix| {
-                let ip = space.addr_at(ix);
-                hash_shard.is_none_or(|hs| hs.contains(ip))
-                    && hash_batch.is_none_or(|hb| hb.contains(ip))
-            })
-            .collect()
+        for ix in perm.iter() {
+            let ip = self.space.addr_at(ix);
+            if self.hash_shard.is_none_or(|hs| hs.contains(ip))
+                && self.hash_batch.is_none_or(|hb| hb.contains(ip))
+            {
+                f(ix);
+            }
+        }
+    }
+
+    /// Materializes the order [`Self::walk_order`] walks. This is
+    /// exactly the list [`HostDiscovery::new`] computes.
+    pub fn materialize_order(&self) -> Vec<u64> {
+        let mut order = Vec::new();
+        self.walk_order(|ix| order.push(ix));
+        order
     }
 }
 
@@ -183,6 +190,17 @@ fn status_label(rank: u8) -> &'static str {
     }
 }
 
+/// Bytes of sweep state a [`HostDiscovery`] holds, by structure:
+/// allocated capacity, so a buffer the sweep has walked past still
+/// counts until it is freed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ScanFootprint {
+    /// The materialized probe order.
+    pub order: usize,
+    /// The per-address probe-slot table.
+    pub slots: usize,
+}
+
 /// The scanning endpoint. Register it, bind nothing, and kick it with a
 /// timer; when the simulator drains, read [`HostDiscovery`]'s results via
 /// the shared handle returned by [`HostDiscovery::new`].
@@ -192,11 +210,20 @@ fn status_label(rank: u8) -> &'static str {
 /// flat `ProbeSlot` table indexed by the address's offset in
 /// `cfg.space` ([`Ipv4Net::index_of`]) — one allocation for the whole
 /// sweep, O(1) untouched lookups, nothing per host.
+///
+/// The order and the slot table live only as long as the sweep: once
+/// the order is exhausted and every probed address has its verdict,
+/// both are freed, though the endpoint stays registered until its
+/// simulator is dropped or reset. A straggler answer after that finds
+/// no slot and is ignored, as an answer for a resolved address always
+/// was.
 #[derive(Debug)]
 pub struct HostDiscovery {
     cfg: ScanConfig,
-    /// Remaining permutation indices (pre-materialized for the shard).
-    queue: std::vec::IntoIter<u64>,
+    /// Permutation indices to probe (pre-materialized for the shard);
+    /// `next` is the first not yet taken.
+    order: Vec<u64>,
+    next: usize,
     /// Dense per-address probe state, indexed by position in
     /// `cfg.space`.
     slots: Vec<ProbeSlot>,
@@ -234,7 +261,8 @@ impl HostDiscovery {
         (
             HostDiscovery {
                 cfg,
-                queue: order.into_iter(),
+                order,
+                next: 0,
                 slots,
                 outstanding: 0,
                 targets: Vec::new(),
@@ -243,6 +271,23 @@ impl HostDiscovery {
             },
             results,
         )
+    }
+
+    /// Bytes of sweep state the scanner still holds.
+    pub fn footprint(&self) -> ScanFootprint {
+        ScanFootprint {
+            order: self.order.capacity() * std::mem::size_of::<u64>(),
+            slots: self.slots.capacity() * std::mem::size_of::<ProbeSlot>(),
+        }
+    }
+
+    /// Frees the order and the slot table once the sweep is complete:
+    /// the order is exhausted and no probed address awaits a verdict.
+    fn release_if_swept(&mut self) {
+        if self.done && self.outstanding == 0 {
+            self.order = Vec::new();
+            self.slots = Vec::new();
+        }
     }
 
     fn pump(&mut self, ctx: &mut Ctx<'_>) {
@@ -258,10 +303,11 @@ impl HostDiscovery {
         let mut sent = 0;
         let mut blocked = 0u64;
         while sent < self.cfg.batch {
-            let Some(ix) = self.queue.next() else {
+            let Some(&ix) = self.order.get(self.next) else {
                 self.done = true;
                 break;
             };
+            self.next += 1;
             let ip = self.cfg.space.addr_at(ix);
             if self.cfg.blocklist.is_blocked(ip) {
                 blocked += 1;
@@ -283,6 +329,7 @@ impl HostDiscovery {
         } else {
             ctx.probe_batch(&self.targets, self.cfg.port);
         }
+        self.release_if_swept();
         let mut r = self.results.borrow_mut();
         r.blocked += blocked;
         r.probes_sent += self.targets.len() as u64;
@@ -301,7 +348,8 @@ impl Endpoint for HostDiscovery {
     fn on_probe(&mut self, _ctx: &mut Ctx<'_>, target: Ipv4Addr, _port: u16, status: ProbeStatus) {
         let Some(ix) = self.cfg.space.index_of(target) else { return };
         obs::journal!(target, obs::JournalEvent::ProbeReply { status: status_label(rank(status)) });
-        let slot = &mut self.slots[ix as usize];
+        // No slot once the sweep is complete and its table freed.
+        let Some(slot) = self.slots.get_mut(ix as usize) else { return };
         if slot.remaining == 0 {
             // Never probed, or verdict already recorded (an Open answer
             // resolves early; stragglers land here).
@@ -331,6 +379,8 @@ impl Endpoint for HostDiscovery {
                     blocked = r.blocked,
                 );
             }
+            drop(r);
+            self.release_if_swept();
         }
     }
 }
@@ -339,6 +389,8 @@ impl Endpoint for HostDiscovery {
 mod tests {
     use super::*;
     use netsim::{SimDuration, Simulator};
+    use std::cell::{Cell, RefCell};
+    use std::rc::Rc;
 
     struct Sink;
     impl Endpoint for Sink {}
@@ -508,6 +560,71 @@ mod tests {
         // ≈ 7.8%, so ~18.4 of 20 recover in expectation. Assert ≥ 16
         // (mean - 2.5σ) to stay robust to the RNG stream.
         assert!(retried >= 16, "retries recover most hosts: {retried}");
+    }
+
+    /// Forwards the simulator's calls to a scanner the test keeps a
+    /// handle on, and checks every answer that arrives once the
+    /// scanner has freed its sweep state: it must change no count.
+    struct Watched {
+        scanner: Rc<RefCell<HostDiscovery>>,
+        results: Rc<RefCell<ScanResults>>,
+        late_answers: Rc<Cell<usize>>,
+    }
+
+    impl Endpoint for Watched {
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+            self.scanner.borrow_mut().on_timer(ctx, token);
+        }
+
+        fn on_probe(
+            &mut self,
+            ctx: &mut Ctx<'_>,
+            target: Ipv4Addr,
+            port: u16,
+            status: ProbeStatus,
+        ) {
+            let counts = |r: &ScanResults| (r.open.clone(), r.closed, r.filtered, r.probes_sent);
+            let released = self.scanner.borrow().footprint() == ScanFootprint::default();
+            let before = counts(&self.results.borrow());
+            self.scanner.borrow_mut().on_probe(ctx, target, port, status);
+            if released {
+                self.late_answers.set(self.late_answers.get() + 1);
+                assert_eq!(counts(&self.results.borrow()), before, "straggler from {target}");
+            }
+        }
+    }
+
+    #[test]
+    fn completed_sweep_frees_its_order_and_slots() {
+        let mut sim = Simulator::new(42);
+        let svc = sim.register_endpoint(Box::new(Sink));
+        for i in 0..16u8 {
+            sim.bind(Ipv4Addr::new(100, 0, 0, i), 21, svc);
+        }
+        let space: Ipv4Net = "100.0.0.0/28".parse().unwrap();
+        let mut cfg = ScanConfig::tcp21(space, 9);
+        cfg.blocklist = Blocklist::new();
+        // Every address is open and probed twice: its first answer
+        // settles it, so the second is a straggler, and the last
+        // address's straggler arrives after the sweep completes.
+        cfg.probes_per_target = 2;
+        let (scanner, results) = HostDiscovery::new(cfg);
+        assert_eq!(scanner.footprint(), ScanFootprint { order: 16 * 8, slots: 16 * 2 });
+        let scanner = Rc::new(RefCell::new(scanner));
+        let late_answers = Rc::new(Cell::new(0));
+        let watched = Watched {
+            scanner: scanner.clone(),
+            results: results.clone(),
+            late_answers: late_answers.clone(),
+        };
+        let id = sim.register_endpoint(Box::new(watched));
+        sim.schedule_timer(id, SimDuration::ZERO, 0);
+        sim.run();
+        assert_eq!(scanner.borrow().footprint(), ScanFootprint::default());
+        assert!(late_answers.get() > 0, "no answer arrived after the release");
+        let r = results.borrow();
+        assert_eq!(r.open.len(), 16);
+        assert_eq!((r.closed, r.filtered, r.probes_sent), (0, 0, 32));
     }
 
     #[test]
