@@ -260,7 +260,7 @@ fn keep_checkpointed_lines(path: &Path, next_batches: &[u64]) -> std::io::Result
     let mut line = Vec::new();
     while input.read_until(b'\n', &mut line)? > 0 {
         let checkpointed = line.ends_with(b"\n")
-            && std::str::from_utf8(&line).ok().and_then(obs::ParsedJournal::cell).is_some_and(
+            && std::str::from_utf8(&line).ok().and_then(obs::JournalFile::cell).is_some_and(
                 |(shard, batch)| {
                     usize::try_from(shard)
                         .ok()

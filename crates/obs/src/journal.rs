@@ -8,7 +8,8 @@
 //! appends each event to a flat [`JournalLog`] as it arrives; draining
 //! sorts the log by host once and folds each host's run of events into
 //! one [`HostJournal`] wide record, rendered as a single versioned JSONL
-//! *host row*.
+//! *host row*. [`HostJournal::parse_line`] reads a host row back into
+//! the same type, so a row has one type whether folded or read.
 //!
 //! Almost every probed address never answers. An address whose only
 //! events are probes ending in a `filtered` verdict gets no row: the
@@ -23,14 +24,19 @@
 //! shard holding fewer hosts scans each of them sooner); the
 //! partition-invariant content is the event sequence itself — statuses,
 //! phases in order, retry counts, backoff durations, reply tallies, and
-//! final outcome. [`ParsedJournal::normalized`] strips the
+//! final outcome. [`HostJournal::normalized`] strips the
 //! geometry-dependent coordinates so tests can assert that invariance.
 //!
 //! The line format is versioned (`"v":2` leads every row) and the key
 //! order of both row kinds is pinned by a golden schema test, so
 //! downstream consumers can parse by position or by name and CI catches
-//! drift.
+//! drift. The reader here accepts exactly what the writer emits: each
+//! key in the writer's order, numbers that fit the field they came
+//! from, and every string escaped by the one rule [`escape_json`]
+//! applies. A file another tool reformatted is refused.
 
+use crate::recorder::escape_json;
+use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::net::Ipv4Addr;
 
@@ -103,28 +109,47 @@ pub enum JournalEvent {
     },
 }
 
-/// The accumulated wide record for one host: every journal event folded
-/// into per-category timelines and tallies, rendered to one JSONL line.
-/// A drain reuses one record for every host in its log.
-#[derive(Debug, Clone, Default)]
+/// One host's journal row: every journal event for the host folded into
+/// per-category timelines and tallies. The drain folds events into one
+/// reused row and renders it as a JSONL line; [`HostJournal::parse_line`]
+/// reads such a line back into this type. Folded labels borrow the
+/// recorder's `'static` ones; labels read from a file are owned.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HostJournal {
-    ip: u32,
-    shard: u64,
-    batch: u64,
-    probe_tx: Vec<(u64, u8)>,
-    probe_rx: Vec<(u64, &'static str)>,
-    verdict: Option<&'static str>,
-    faults: Vec<(u64, &'static str)>,
-    phases: Vec<(u64, &'static str)>,
-    retries: Vec<(u64, u32, u64)>,
-    replies: [u64; REPLY_CLASSES],
-    listing_bytes: u64,
-    requests: u32,
-    files: u64,
-    login: Option<&'static str>,
-    gave_up: Option<&'static str>,
-    start_us: Option<u64>,
-    end_us: Option<u64>,
+    /// The host this journal describes.
+    pub ip: Ipv4Addr,
+    /// Shard that executed the host.
+    pub shard: u64,
+    /// Batch (streamed runs; 0 in-memory) that executed the host.
+    pub batch: u64,
+    /// Probe transmissions as `(sim_us, attempt)`.
+    pub probe_tx: Vec<(u64, u8)>,
+    /// Probe answers as `(sim_us, status)`.
+    pub probe_rx: Vec<(u64, Cow<'static, str>)>,
+    /// Final scan verdict, when the scanner resolved one.
+    pub verdict: Option<Cow<'static, str>>,
+    /// Fault-layer encounters as `(sim_us, kind)`.
+    pub faults: Vec<(u64, Cow<'static, str>)>,
+    /// Session phase transitions as `(sim_us, phase)`.
+    pub phases: Vec<(u64, Cow<'static, str>)>,
+    /// Connect retries as `(sim_us, attempt, backoff_us)`.
+    pub retries: Vec<(u64, u32, u64)>,
+    /// Reply tallies by class (1xx..5xx, other).
+    pub replies: [u64; REPLY_CLASSES],
+    /// Bytes received on data channels.
+    pub listing_bytes: u64,
+    /// Control-channel requests issued.
+    pub requests: u32,
+    /// Files enumerated.
+    pub files: u64,
+    /// Login outcome label, when a session finished.
+    pub login: Option<Cow<'static, str>>,
+    /// Give-up reason label, when the enumerator gave up.
+    pub gave_up: Option<Cow<'static, str>>,
+    /// Session open sim-time.
+    pub start_us: Option<u64>,
+    /// Session close sim-time.
+    pub end_us: Option<u64>,
 }
 
 impl HostJournal {
@@ -132,11 +157,29 @@ impl HostJournal {
     /// batch the stream runner is currently executing.
     #[must_use]
     pub fn new(ip: Ipv4Addr, shard: u64, batch: u64) -> Self {
-        HostJournal { ip: u32::from(ip), shard, batch, ..HostJournal::default() }
+        HostJournal {
+            ip,
+            shard,
+            batch,
+            probe_tx: Vec::new(),
+            probe_rx: Vec::new(),
+            verdict: None,
+            faults: Vec::new(),
+            phases: Vec::new(),
+            retries: Vec::new(),
+            replies: [0; REPLY_CLASSES],
+            listing_bytes: 0,
+            requests: 0,
+            files: 0,
+            login: None,
+            gave_up: None,
+            start_us: None,
+            end_us: None,
+        }
     }
 
     /// Empties the record for another host, keeping the lists' capacity.
-    fn reset(&mut self, ip: u32, shard: u64, batch: u64) {
+    fn reset(&mut self, ip: Ipv4Addr, shard: u64, batch: u64) {
         self.ip = ip;
         self.shard = shard;
         self.batch = batch;
@@ -160,11 +203,11 @@ impl HostJournal {
     pub fn note(&mut self, sim_us: u64, ev: &JournalEvent) {
         match *ev {
             JournalEvent::ProbeSent { attempt } => self.probe_tx.push((sim_us, attempt)),
-            JournalEvent::ProbeReply { status } => self.probe_rx.push((sim_us, status)),
-            JournalEvent::ProbeVerdict { verdict } => self.verdict = Some(verdict),
-            JournalEvent::FaultHit { kind } => self.faults.push((sim_us, kind)),
+            JournalEvent::ProbeReply { status } => self.probe_rx.push((sim_us, status.into())),
+            JournalEvent::ProbeVerdict { verdict } => self.verdict = Some(verdict.into()),
+            JournalEvent::FaultHit { kind } => self.faults.push((sim_us, kind.into())),
             JournalEvent::SessionStart => self.start_us = Some(sim_us),
-            JournalEvent::Phase { phase } => self.phases.push((sim_us, phase)),
+            JournalEvent::Phase { phase } => self.phases.push((sim_us, phase.into())),
             JournalEvent::Reply { code } => {
                 let class = match code {
                     100..=599 => (code / 100) as usize - 1,
@@ -177,8 +220,8 @@ impl HostJournal {
             }
             JournalEvent::DataBytes { n } => self.listing_bytes += n,
             JournalEvent::SessionEnd { login, gave_up, requests, files } => {
-                self.login = Some(login);
-                self.gave_up = gave_up;
+                self.login = Some(login.into());
+                self.gave_up = gave_up.map(Cow::Borrowed);
                 self.requests = requests;
                 self.files = files;
                 self.end_us = Some(sim_us);
@@ -197,7 +240,7 @@ impl HostJournal {
         out.push_str("{\"v\":");
         push_u64(out, JOURNAL_VERSION);
         out.push_str(",\"ip\":\"");
-        for (i, octet) in self.ip.to_be_bytes().into_iter().enumerate() {
+        for (i, octet) in self.ip.octets().into_iter().enumerate() {
             if i > 0 {
                 out.push('.');
             }
@@ -216,7 +259,7 @@ impl HostJournal {
         out.push_str("],\"probe_rx\":[");
         push_labelled(out, &self.probe_rx);
         out.push_str("],\"verdict\":");
-        push_opt_str(out, self.verdict);
+        push_opt_str(out, self.verdict.as_deref());
         out.push_str(",\"faults\":[");
         push_labelled(out, &self.faults);
         out.push_str("],\"phases\":[");
@@ -243,14 +286,135 @@ impl HostJournal {
         out.push_str(",\"files\":");
         push_u64(out, self.files);
         out.push_str(",\"login\":");
-        push_opt_str(out, self.login);
+        push_opt_str(out, self.login.as_deref());
         out.push_str(",\"gave_up\":");
-        push_opt_str(out, self.gave_up);
+        push_opt_str(out, self.gave_up.as_deref());
         out.push_str(",\"start_us\":");
         push_opt_u64(out, self.start_us);
         out.push_str(",\"end_us\":");
         push_opt_u64(out, self.end_us);
         out.push('}');
+    }
+
+    /// Reads a host row back into the record it was rendered from: the
+    /// writer's keys in the writer's order, numbers that fit the field
+    /// they were written from, and strings as the writer escapes them. `None` for a tally row, another version, or anything else,
+    /// a reformatted row included.
+    #[must_use]
+    pub fn parse_line(line: &str) -> Option<HostJournal> {
+        let mut r = Reader::row(line)?;
+        let row = HostJournal {
+            ip: r.field("ip", Reader::string)?.parse().ok()?,
+            shard: r.field("shard", Reader::num)?,
+            batch: r.field("batch", Reader::num)?,
+            probe_tx: r.field("probe_tx", |r| r.timeline(Reader::num))?,
+            probe_rx: r.field("probe_rx", |r| r.timeline(Reader::string))?,
+            verdict: r.field("verdict", |r| r.opt(Reader::string))?,
+            faults: r.field("faults", |r| r.timeline(Reader::string))?,
+            phases: r.field("phases", |r| r.timeline(Reader::string))?,
+            retries: r.field("retries", |r| {
+                r.list(|r| r.bracketed(|r| Some((r.num()?, r.then(Reader::num)?, r.then(Reader::num)?))))
+            })?,
+            replies: r.field("replies", |r| r.list(Reader::num)?.try_into().ok())?,
+            listing_bytes: r.field("listing_bytes", Reader::num)?,
+            requests: r.field("requests", Reader::num)?,
+            files: r.field("files", Reader::num)?,
+            login: r.field("login", |r| r.opt(Reader::string))?,
+            gave_up: r.field("gave_up", |r| r.opt(Reader::string))?,
+            start_us: r.field("start_us", |r| r.opt(Reader::num))?,
+            end_us: r.field("end_us", |r| r.opt(Reader::num))?,
+        };
+        (r.rest == "}").then_some(row)
+    }
+
+    /// The partition-invariant projection of this journal: shard, batch,
+    /// and every sim-time coordinate zeroed, keeping event order,
+    /// statuses, attempt counts, backoff *durations* (pure per-host
+    /// quantities), tallies, and outcomes. Two runs of the same world at
+    /// any shard count × batch size agree on this projection.
+    #[must_use]
+    pub fn normalized(&self) -> HostJournal {
+        let mut n = self.clone();
+        n.shard = 0;
+        n.batch = 0;
+        for (us, _) in &mut n.probe_tx {
+            *us = 0;
+        }
+        for (us, _) in n.probe_rx.iter_mut().chain(&mut n.faults).chain(&mut n.phases) {
+            *us = 0;
+        }
+        for (us, _, _) in &mut n.retries {
+            *us = 0;
+        }
+        n.start_us = n.start_us.map(|_| 0);
+        n.end_us = n.end_us.map(|_| 0);
+        n
+    }
+
+    /// Renders the human-readable timeline `ftpcloud explain` prints:
+    /// every journal event in sim-time order, then an outcome summary.
+    /// Purely a function of the row, so the output is stable across
+    /// re-renders and re-runs.
+    #[must_use]
+    pub fn timeline(&self) -> String {
+        let mut entries: Vec<(u64, u8, String)> = Vec::new();
+        for (us, attempt) in &self.probe_tx {
+            entries.push((*us, 0, format!("probe #{attempt} sent")));
+        }
+        for (us, status) in &self.probe_rx {
+            entries.push((*us, 1, format!("probe reply: {status}")));
+        }
+        if let Some(start) = self.start_us {
+            entries.push((start, 2, "session opened".to_owned()));
+        }
+        for (us, kind) in &self.faults {
+            entries.push((*us, 3, format!("fault encountered: {kind}")));
+        }
+        for (us, attempt, backoff) in &self.retries {
+            entries.push((
+                *us,
+                4,
+                format!("connect retry #{attempt} scheduled (backoff {:.1} ms)", *backoff as f64 / 1_000.0),
+            ));
+        }
+        for (us, phase) in &self.phases {
+            entries.push((*us, 5, format!("phase -> {phase}")));
+        }
+        if let Some(end) = self.end_us {
+            entries.push((end, 6, "session closed".to_owned()));
+        }
+        entries.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
+
+        let mut out = String::new();
+        let _ = writeln!(out, "host {} — journal timeline (shard {}, batch {})", self.ip, self.shard, self.batch);
+        if let Some(v) = &self.verdict {
+            let _ = writeln!(out, "  scan verdict: {v}");
+        }
+        for (us, _, text) in &entries {
+            let _ = writeln!(out, "  [{:>12.3} ms] {text}", *us as f64 / 1_000.0);
+        }
+        let classes = ["1xx", "2xx", "3xx", "4xx", "5xx", "other"];
+        let tallies: Vec<String> = classes
+            .iter()
+            .zip(self.replies.iter())
+            .filter(|(_, n)| **n > 0)
+            .map(|(c, n)| format!("{c}×{n}"))
+            .collect();
+        let _ = writeln!(
+            out,
+            "  replies: {}; data bytes: {}; requests: {}; files: {}",
+            if tallies.is_empty() { "none".to_owned() } else { tallies.join(" ") },
+            self.listing_bytes,
+            self.requests,
+            self.files
+        );
+        let _ = writeln!(
+            out,
+            "  outcome: login={}, gave_up={}",
+            self.login.as_deref().unwrap_or("-"),
+            self.gave_up.as_deref().unwrap_or("-")
+        );
+        out
     }
 }
 
@@ -281,22 +445,22 @@ fn push_pair_head(out: &mut String, i: usize, us: u64) {
     out.push(',');
 }
 
-/// Appends a `[[sim_us,"label"],…]` timeline body. Labels are
-/// `'static` identifiers written verbatim.
-fn push_labelled(out: &mut String, items: &[(u64, &'static str)]) {
-    for (i, &(us, label)) in items.iter().enumerate() {
-        push_pair_head(out, i, us);
-        out.push('"');
-        out.push_str(label);
-        out.push_str("\"]");
+/// Appends a `[[sim_us,"label"],…]` timeline body, each label escaped
+/// as every string on a row is.
+fn push_labelled(out: &mut String, items: &[(u64, Cow<'static, str>)]) {
+    for (i, (us, label)) in items.iter().enumerate() {
+        push_pair_head(out, i, *us);
+        push_opt_str(out, Some(label));
+        out.push(']');
     }
 }
 
+/// Appends `v` as a quoted, escaped JSON string, or `null`.
 fn push_opt_str(out: &mut String, v: Option<&str>) {
     match v {
         Some(s) => {
             out.push('"');
-            crate::recorder::escape_json(s, out);
+            escape_json(s, out);
             out.push('"');
         }
         None => out.push_str("null"),
@@ -360,25 +524,10 @@ impl JournalBuf {
         self.lines = 0;
     }
 
-    fn push(&mut self, journal: &HostJournal) {
-        journal.render(&mut self.text);
+    /// Appends the row `render` writes, and its newline.
+    fn push(&mut self, render: impl FnOnce(&mut String)) {
+        render(&mut self.text);
         self.text.push('\n');
-        self.lines += 1;
-    }
-
-    /// Appends the tally row of `silent` addresses in one `(shard,
-    /// batch)` cell: `{"v":2,"shard":S,"batch":B,"silent":N}`.
-    fn push_tally(&mut self, shard: u64, batch: u64, silent: u64) {
-        let out = &mut self.text;
-        out.push_str("{\"v\":");
-        push_u64(out, JOURNAL_VERSION);
-        out.push_str(",\"shard\":");
-        push_u64(out, shard);
-        out.push_str(",\"batch\":");
-        push_u64(out, batch);
-        out.push_str(",\"silent\":");
-        push_u64(out, silent);
-        out.push_str("}\n");
         self.lines += 1;
     }
 }
@@ -505,7 +654,7 @@ impl JournalLog {
         // Keys are unique, so the unstable sort orders each host's
         // events by arrival exactly.
         self.keys.sort_unstable();
-        let mut journal = HostJournal::default();
+        let mut journal = HostJournal::new(Ipv4Addr::UNSPECIFIED, shard, 0);
         // `(batch, silent hosts)`; the runners drain once per batch, so
         // this holds one entry.
         let mut silent: Vec<(u64, u64)> = Vec::new();
@@ -522,16 +671,16 @@ impl JournalLog {
                 }
                 continue;
             }
-            journal.reset((host[0] >> 32) as u32, shard, batch);
+            journal.reset(Ipv4Addr::from((host[0] >> 32) as u32), shard, batch);
             for &key in host {
                 let entry = self.entries[entry_of(key)];
                 journal.note(entry.sim_us, &self.event(entry.word));
             }
-            out.push(&journal);
+            out.push(|text| journal.render(text));
         }
         silent.sort_unstable();
         for (batch, n) in silent {
-            out.push_tally(shard, batch, n);
+            out.push(|text| SilentTally { shard, batch, silent: n }.render(text));
         }
         self.entries.clear();
         self.wide.clear();
@@ -568,16 +717,15 @@ fn payload(ix: usize) -> u32 {
 }
 
 // ---------------------------------------------------------------------
-// Parsing: owned journal records, reconstructed from the JSONL file
-// alone (the vendored serde is a stub, so this is a hand-rolled reader
-// for the pinned v2 schema).
+// Parsing: a journal file read back into the rows that were rendered,
+// by a reader that walks the writer's own layout.
 // ---------------------------------------------------------------------
 
 /// A journal file parsed back: its host rows and its silent tallies.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct JournalFile {
     /// One record per host row, in file order.
-    pub hosts: Vec<ParsedJournal>,
+    pub hosts: Vec<HostJournal>,
     /// One entry per tally row, in file order.
     pub tallies: Vec<SilentTally>,
 }
@@ -588,147 +736,15 @@ impl JournalFile {
     pub fn silent(&self) -> u64 {
         self.tallies.iter().map(|t| t.silent).sum()
     }
-}
-
-/// A tally row: how many addresses of one `(shard, batch)` cell were
-/// probed and never answered, and so have no host row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SilentTally {
-    /// Shard that probed them.
-    pub shard: u64,
-    /// Batch (streamed runs; 0 in-memory) that probed them.
-    pub batch: u64,
-    /// Silent addresses counted.
-    pub silent: u64,
-}
-
-impl SilentTally {
-    /// Parses one tally row; `None` for anything else.
-    #[must_use]
-    pub fn parse_line(line: &str) -> Option<SilentTally> {
-        let fields = row_fields(line)?;
-        if fields.len() != 4 {
-            return None;
-        }
-        let get = |k: &str| fields.iter().find(|(key, _)| key == k)?.1.as_u64();
-        Some(SilentTally { shard: get("shard")?, batch: get("batch")?, silent: get("silent")? })
-    }
-}
-
-/// The top-level fields of a row of this journal version.
-fn row_fields(line: &str) -> Option<Vec<(String, Json)>> {
-    let Json::Obj(fields) = Json::parse(line)? else { return None };
-    let version = fields.iter().find(|(key, _)| key == "v")?.1.as_u64()?;
-    (version == JOURNAL_VERSION).then_some(fields)
-}
-
-/// A journal line parsed back into owned data; everything `ftpcloud
-/// explain` needs to reconstruct a host's timeline.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParsedJournal {
-    /// The host this journal describes.
-    pub ip: Ipv4Addr,
-    /// Shard that executed the host.
-    pub shard: u64,
-    /// Batch (streamed runs; 0 in-memory) that executed the host.
-    pub batch: u64,
-    /// Probe transmissions as `(sim_us, attempt)`.
-    pub probe_tx: Vec<(u64, u64)>,
-    /// Probe answers as `(sim_us, status)`.
-    pub probe_rx: Vec<(u64, String)>,
-    /// Final scan verdict, when the scanner resolved one.
-    pub verdict: Option<String>,
-    /// Fault-layer encounters as `(sim_us, kind)`.
-    pub faults: Vec<(u64, String)>,
-    /// Session phase transitions as `(sim_us, phase)`.
-    pub phases: Vec<(u64, String)>,
-    /// Connect retries as `(sim_us, attempt, backoff_us)`.
-    pub retries: Vec<(u64, u64, u64)>,
-    /// Reply tallies by class (1xx..5xx, other).
-    pub replies: [u64; REPLY_CLASSES],
-    /// Bytes received on data channels.
-    pub listing_bytes: u64,
-    /// Control-channel requests issued.
-    pub requests: u64,
-    /// Files enumerated.
-    pub files: u64,
-    /// Login outcome label, when a session finished.
-    pub login: Option<String>,
-    /// Give-up reason label, when the enumerator gave up.
-    pub gave_up: Option<String>,
-    /// Session open sim-time.
-    pub start_us: Option<u64>,
-    /// Session close sim-time.
-    pub end_us: Option<u64>,
-}
-
-impl ParsedJournal {
-    /// Parses one host row; `None` for a tally row, malformed input or
-    /// another version.
-    #[must_use]
-    pub fn parse_line(line: &str) -> Option<ParsedJournal> {
-        let obj = row_fields(line)?;
-        let get = |k: &str| obj.iter().find(|(key, _)| key == k).map(|(_, v)| v);
-        let ip: Ipv4Addr = get("ip")?.as_str()?.parse().ok()?;
-        let pair_num = |v: &Json| -> Option<(u64, u64)> {
-            let a = v.as_arr()?;
-            Some((a.first()?.as_u64()?, a.get(1)?.as_u64()?))
-        };
-        let pair_str = |v: &Json| -> Option<(u64, String)> {
-            let a = v.as_arr()?;
-            Some((a.first()?.as_u64()?, a.get(1)?.as_str()?.to_owned()))
-        };
-        let triple = |v: &Json| -> Option<(u64, u64, u64)> {
-            let a = v.as_arr()?;
-            Some((a.first()?.as_u64()?, a.get(1)?.as_u64()?, a.get(2)?.as_u64()?))
-        };
-        let mut replies = [0u64; REPLY_CLASSES];
-        for (slot, v) in replies.iter_mut().zip(get("replies")?.as_arr()?.iter()) {
-            *slot = v.as_u64()?;
-        }
-        Some(ParsedJournal {
-            ip,
-            shard: get("shard")?.as_u64()?,
-            batch: get("batch")?.as_u64()?,
-            probe_tx: get("probe_tx")?.as_arr()?.iter().filter_map(pair_num).collect(),
-            probe_rx: get("probe_rx")?.as_arr()?.iter().filter_map(pair_str).collect(),
-            verdict: get("verdict")?.as_str().map(str::to_owned),
-            faults: get("faults")?.as_arr()?.iter().filter_map(pair_str).collect(),
-            phases: get("phases")?.as_arr()?.iter().filter_map(pair_str).collect(),
-            retries: get("retries")?.as_arr()?.iter().filter_map(triple).collect(),
-            replies,
-            listing_bytes: get("listing_bytes")?.as_u64()?,
-            requests: get("requests")?.as_u64()?,
-            files: get("files")?.as_u64()?,
-            login: get("login")?.as_str().map(str::to_owned),
-            gave_up: get("gave_up")?.as_str().map(str::to_owned),
-            start_us: get("start_us")?.as_u64(),
-            end_us: get("end_us")?.as_u64(),
-        })
-    }
-
-    /// Reads the `(shard, batch)` tags of a host or tally row from its
-    /// fixed prefix, without parsing the rest; `None` for anything else.
-    #[must_use]
-    pub fn cell(line: &str) -> Option<(u64, u64)> {
-        let (version, rest) = leading_version(line)?;
-        let rest = match rest.strip_prefix(",\"ip\":\"") {
-            Some(ip) => ip.split_once('"')?.1,
-            None => rest,
-        };
-        let (shard, rest) = leading_u64(rest.strip_prefix(",\"shard\":")?)?;
-        let (batch, rest) = leading_u64(rest.strip_prefix(",\"batch\":")?)?;
-        (version == JOURNAL_VERSION && rest.starts_with(',')).then_some((shard, batch))
-    }
 
     /// Parses a whole journal file into its host rows and tallies,
     /// skipping blank lines. Any other line that is neither row kind of
     /// this version is an error naming the line (and its version, when
     /// it leads with another one).
-    pub fn parse_file(text: &str) -> Result<JournalFile, String> {
+    pub fn parse(text: &str) -> Result<JournalFile, String> {
         let mut file = JournalFile::default();
         for (n, line) in text.lines().enumerate().filter(|(_, l)| !l.trim().is_empty()) {
-            if let Some(host) = ParsedJournal::parse_line(line) {
+            if let Some(host) = HostJournal::parse_line(line) {
                 file.hosts.push(host);
             } else if let Some(tally) = SilentTally::parse_line(line) {
                 file.tallies.push(tally);
@@ -745,100 +761,166 @@ impl ParsedJournal {
         Ok(file)
     }
 
-    /// The partition-invariant projection of this journal: shard, batch,
-    /// and every sim-time coordinate zeroed, keeping event order,
-    /// statuses, attempt counts, backoff *durations* (pure per-host
-    /// quantities), tallies, and outcomes. Two runs of the same world at
-    /// any shard count × batch size agree on this projection.
+    /// Reads the `(shard, batch)` tags of a host or tally row: the
+    /// row reader's first steps, without reading the rest. `None` for
+    /// anything else.
     #[must_use]
-    pub fn normalized(&self) -> ParsedJournal {
-        let mut n = self.clone();
-        n.shard = 0;
-        n.batch = 0;
-        for (us, _) in &mut n.probe_tx {
-            *us = 0;
+    pub fn cell(line: &str) -> Option<(u64, u64)> {
+        let mut r = Reader::row(line)?;
+        if r.key("ip").is_some() {
+            r.string()?;
         }
-        for (us, _) in &mut n.probe_rx {
-            *us = 0;
-        }
-        for (us, _) in &mut n.faults {
-            *us = 0;
-        }
-        for (us, _) in &mut n.phases {
-            *us = 0;
-        }
-        for (us, _, _) in &mut n.retries {
-            *us = 0;
-        }
-        n.start_us = n.start_us.map(|_| 0);
-        n.end_us = n.end_us.map(|_| 0);
-        n
+        let cell = (r.field("shard", Reader::num)?, r.field("batch", Reader::num)?);
+        r.rest.starts_with(',').then_some(cell)
+    }
+}
+
+/// A tally row: how many addresses of one `(shard, batch)` cell were
+/// probed and never answered, and so have no host row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SilentTally {
+    /// Shard that probed them.
+    pub shard: u64,
+    /// Batch (streamed runs; 0 in-memory) that probed them.
+    pub batch: u64,
+    /// Silent addresses counted.
+    pub silent: u64,
+}
+
+impl SilentTally {
+    /// Renders the tally row, `{"v":2,"shard":S,"batch":B,"silent":N}`
+    /// (no trailing newline).
+    pub fn render(&self, out: &mut String) {
+        out.push_str("{\"v\":");
+        push_u64(out, JOURNAL_VERSION);
+        out.push_str(",\"shard\":");
+        push_u64(out, self.shard);
+        out.push_str(",\"batch\":");
+        push_u64(out, self.batch);
+        out.push_str(",\"silent\":");
+        push_u64(out, self.silent);
+        out.push('}');
     }
 
-    /// Renders the human-readable timeline `ftpcloud explain` prints:
-    /// every journal event in sim-time order, then an outcome summary.
-    /// Purely a function of the parsed record, so the output is stable
-    /// across re-renders and re-runs.
+    /// Reads a tally row back; `None` for anything else.
     #[must_use]
-    pub fn timeline(&self) -> String {
-        let mut entries: Vec<(u64, u8, String)> = Vec::new();
-        for (us, attempt) in &self.probe_tx {
-            entries.push((*us, 0, format!("probe #{attempt} sent")));
-        }
-        for (us, status) in &self.probe_rx {
-            entries.push((*us, 1, format!("probe reply: {status}")));
-        }
-        if let Some(start) = self.start_us {
-            entries.push((start, 2, "session opened".to_owned()));
-        }
-        for (us, kind) in &self.faults {
-            entries.push((*us, 3, format!("fault encountered: {kind}")));
-        }
-        for (us, attempt, backoff) in &self.retries {
-            entries.push((
-                *us,
-                4,
-                format!("connect retry #{attempt} scheduled (backoff {:.1} ms)", *backoff as f64 / 1_000.0),
-            ));
-        }
-        for (us, phase) in &self.phases {
-            entries.push((*us, 5, format!("phase -> {phase}")));
-        }
-        if let Some(end) = self.end_us {
-            entries.push((end, 6, "session closed".to_owned()));
-        }
-        entries.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
+    pub fn parse_line(line: &str) -> Option<SilentTally> {
+        let mut r = Reader::row(line)?;
+        let tally = SilentTally {
+            shard: r.field("shard", Reader::num)?,
+            batch: r.field("batch", Reader::num)?,
+            silent: r.field("silent", Reader::num)?,
+        };
+        (r.rest == "}").then_some(tally)
+    }
+}
 
-        let mut out = String::new();
-        let _ = writeln!(out, "host {} — journal timeline (shard {}, batch {})", self.ip, self.shard, self.batch);
-        if let Some(v) = &self.verdict {
-            let _ = writeln!(out, "  scan verdict: {v}");
+/// A cursor over one row that reads exactly what the writer writes:
+/// each literal in order, numbers as [`push_u64`] writes them, strings
+/// as [`escape_json`] escapes them.
+struct Reader<'a> {
+    rest: &'a str,
+}
+
+impl<'a> Reader<'a> {
+    /// Opens a row of this version, past its leading `{"v":2`.
+    fn row(line: &'a str) -> Option<Reader<'a>> {
+        let (version, rest) = leading_version(line)?;
+        (version == JOURNAL_VERSION).then_some(Reader { rest })
+    }
+
+    fn lit(&mut self, lit: &str) -> Option<()> {
+        self.rest = self.rest.strip_prefix(lit)?;
+        Some(())
+    }
+
+    /// Consumes the key `,"name":`, or nothing.
+    fn key(&mut self, name: &str) -> Option<()> {
+        self.rest = self.rest.strip_prefix(",\"")?.strip_prefix(name)?.strip_prefix("\":")?;
+        Some(())
+    }
+
+    /// The value of key `name`, read by `value`.
+    fn field<T>(&mut self, name: &str, value: impl FnOnce(&mut Self) -> Option<T>) -> Option<T> {
+        self.key(name)?;
+        value(self)
+    }
+
+    /// A `,`, then what `value` reads.
+    fn then<T>(&mut self, value: impl FnOnce(&mut Self) -> Option<T>) -> Option<T> {
+        self.lit(",")?;
+        value(self)
+    }
+
+    /// `[`, what `inner` reads, `]`.
+    fn bracketed<T>(&mut self, inner: impl FnOnce(&mut Self) -> Option<T>) -> Option<T> {
+        self.lit("[")?;
+        let value = inner(self)?;
+        self.lit("]")?;
+        Some(value)
+    }
+
+    /// A number that fits `T`, the type the writer wrote it from.
+    fn num<T: TryFrom<u64>>(&mut self) -> Option<T> {
+        let (n, rest) = leading_u64(self.rest)?;
+        self.rest = rest;
+        T::try_from(n).ok()
+    }
+
+    /// `null`, or what `value` reads.
+    fn opt<T>(&mut self, value: impl FnOnce(&mut Self) -> Option<T>) -> Option<Option<T>> {
+        match self.lit("null") {
+            Some(()) => Some(None),
+            None => value(self).map(Some),
         }
-        for (us, _, text) in &entries {
-            let _ = writeln!(out, "  [{:>12.3} ms] {text}", *us as f64 / 1_000.0);
+    }
+
+    /// `[item,…]`, each item read by `item`.
+    fn list<T>(&mut self, mut item: impl FnMut(&mut Self) -> Option<T>) -> Option<Vec<T>> {
+        self.lit("[")?;
+        let mut items = Vec::new();
+        while self.lit("]").is_none() {
+            if !items.is_empty() {
+                self.lit(",")?;
+            }
+            items.push(item(self)?);
         }
-        let classes = ["1xx", "2xx", "3xx", "4xx", "5xx", "other"];
-        let tallies: Vec<String> = classes
-            .iter()
-            .zip(self.replies.iter())
-            .filter(|(_, n)| **n > 0)
-            .map(|(c, n)| format!("{c}×{n}"))
-            .collect();
-        let _ = writeln!(
-            out,
-            "  replies: {}; data bytes: {}; requests: {}; files: {}",
-            if tallies.is_empty() { "none".to_owned() } else { tallies.join(" ") },
-            self.listing_bytes,
-            self.requests,
-            self.files
-        );
-        let _ = writeln!(
-            out,
-            "  outcome: login={}, gave_up={}",
-            self.login.as_deref().unwrap_or("-"),
-            self.gave_up.as_deref().unwrap_or("-")
-        );
-        out
+        Some(items)
+    }
+
+    /// A timeline `[[sim_us,value],…]`.
+    fn timeline<T>(&mut self, value: impl Fn(&mut Self) -> Option<T>) -> Option<Vec<(u64, T)>> {
+        self.list(|r| r.bracketed(|r| Some((r.num()?, r.then(&value)?))))
+    }
+
+    /// A quoted string as [`escape_json`] escapes it; `None` for any
+    /// other spelling of the same text.
+    fn string(&mut self) -> Option<Cow<'static, str>> {
+        let body = self.rest.strip_prefix('"')?;
+        let mut text = String::new();
+        let mut chars = body.chars();
+        loop {
+            match chars.next()? {
+                '"' => break,
+                '\\' => text.push(match chars.next()? {
+                    'n' => '\n',
+                    'r' => '\r',
+                    't' => '\t',
+                    'u' => {
+                        let hex = chars.as_str().get(..4)?;
+                        chars = chars.as_str()[4..].chars();
+                        char::from_u32(u32::from_str_radix(hex, 16).ok()?)?
+                    }
+                    quoted => quoted,
+                }),
+                c => text.push(c),
+            }
+        }
+        self.rest = chars.as_str();
+        let raw = &body[..body.len() - self.rest.len() - 1];
+        let mut escaped = String::with_capacity(raw.len());
+        escape_json(&text, &mut escaped);
+        (escaped == raw).then_some(Cow::Owned(text))
     }
 }
 
@@ -847,9 +929,13 @@ fn leading_version(line: &str) -> Option<(u64, &str)> {
     leading_u64(line.strip_prefix("{\"v\":")?)
 }
 
-/// Splits the decimal number leading `s` from what follows it.
+/// Splits the decimal number leading `s`, as [`push_u64`] writes it (no
+/// sign, no leading zero), from what follows it.
 fn leading_u64(s: &str) -> Option<(u64, &str)> {
     let end = s.bytes().position(|b| !b.is_ascii_digit()).unwrap_or(s.len());
+    if end > 1 && s.starts_with('0') {
+        return None;
+    }
     Some((s[..end].parse().ok()?, &s[end..]))
 }
 
@@ -880,8 +966,8 @@ pub struct JournalSummary {
 #[must_use]
 pub fn summarize(file: &JournalFile) -> JournalSummary {
     use std::collections::BTreeMap;
-    let mut gave: BTreeMap<String, u64> = BTreeMap::new();
-    let mut faults: BTreeMap<String, u64> = BTreeMap::new();
+    let mut gave: BTreeMap<&str, u64> = BTreeMap::new();
+    let mut faults: BTreeMap<&str, u64> = BTreeMap::new();
     let hosts = file.hosts.len() as u64 + file.silent();
     let mut s = JournalSummary { hosts, ..JournalSummary::default() };
     for j in &file.hosts {
@@ -900,185 +986,21 @@ pub fn summarize(file: &JournalFile) -> JournalSummary {
             _ => {}
         }
         if let Some(reason) = &j.gave_up {
-            *gave.entry(reason.clone()).or_default() += 1;
+            *gave.entry(reason).or_default() += 1;
         }
         for (_, kind) in &j.faults {
-            *faults.entry(kind.clone()).or_default() += 1;
+            *faults.entry(kind).or_default() += 1;
         }
         s.retries += j.retries.len() as u64;
     }
-    let rank = |m: BTreeMap<String, u64>| {
-        let mut v: Vec<(String, u64)> = m.into_iter().collect();
+    let rank = |m: BTreeMap<&str, u64>| {
+        let mut v: Vec<(String, u64)> = m.into_iter().map(|(k, n)| (k.to_owned(), n)).collect();
         v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         v
     };
     s.gave_up = rank(gave);
     s.faults = rank(faults);
     s
-}
-
-// ---------------------------------------------------------------------
-// Minimal JSON reader for the journal's own output (numbers are u64,
-// no nested objects beyond the top level).
-// ---------------------------------------------------------------------
-
-#[derive(Debug, Clone)]
-enum Json {
-    Null,
-    Num(u64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn parse(text: &str) -> Option<Json> {
-        let bytes = text.as_bytes();
-        let mut pos = 0;
-        let v = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        (pos == bytes.len()).then_some(v)
-    }
-
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(a) => Some(a),
-            _ => None,
-        }
-    }
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Option<Json> {
-    skip_ws(b, pos);
-    match *b.get(*pos)? {
-        b'n' => {
-            if b.get(*pos..*pos + 4)? == b"null" {
-                *pos += 4;
-                Some(Json::Null)
-            } else {
-                None
-            }
-        }
-        b'"' => parse_string(b, pos).map(Json::Str),
-        b'[' => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Some(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match *b.get(*pos)? {
-                    b',' => *pos += 1,
-                    b']' => {
-                        *pos += 1;
-                        return Some(Json::Arr(items));
-                    }
-                    _ => return None,
-                }
-            }
-        }
-        b'{' => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Some(Json::Obj(fields));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
-                skip_ws(b, pos);
-                if *b.get(*pos)? != b':' {
-                    return None;
-                }
-                *pos += 1;
-                fields.push((key, parse_value(b, pos)?));
-                skip_ws(b, pos);
-                match *b.get(*pos)? {
-                    b',' => *pos += 1,
-                    b'}' => {
-                        *pos += 1;
-                        return Some(Json::Obj(fields));
-                    }
-                    _ => return None,
-                }
-            }
-        }
-        b'0'..=b'9' => {
-            let start = *pos;
-            while *pos < b.len() && b[*pos].is_ascii_digit() {
-                *pos += 1;
-            }
-            std::str::from_utf8(&b[start..*pos]).ok()?.parse().ok().map(Json::Num)
-        }
-        _ => None,
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Option<String> {
-    if *b.get(*pos)? != b'"' {
-        return None;
-    }
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match *b.get(*pos)? {
-            b'"' => {
-                *pos += 1;
-                return Some(out);
-            }
-            b'\\' => {
-                *pos += 1;
-                match *b.get(*pos)? {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'u' => {
-                        let hex = std::str::from_utf8(b.get(*pos + 1..*pos + 5)?).ok()?;
-                        let code = u32::from_str_radix(hex, 16).ok()?;
-                        out.push(char::from_u32(code)?);
-                        *pos += 4;
-                    }
-                    _ => return None,
-                }
-                *pos += 1;
-            }
-            _ => {
-                // Multi-byte UTF-8 passes through; find the char span.
-                let s = std::str::from_utf8(&b[*pos..]).ok()?;
-                let ch = s.chars().next()?;
-                out.push(ch);
-                *pos += ch.len_utf8();
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1167,35 +1089,86 @@ mod tests {
         );
     }
 
+    /// Renders `row` and reads it back.
+    fn roundtrip(row: &HostJournal) -> Option<HostJournal> {
+        let mut line = String::new();
+        row.render(&mut line);
+        HostJournal::parse_line(&line)
+    }
+
     #[test]
     fn render_parse_roundtrip() {
         let mut line = String::new();
         sample().render(&mut line);
         assert!(line.starts_with("{\"v\":2,\"ip\":\"10.3.7.9\",\"shard\":2,\"batch\":5,"));
-        let p = ParsedJournal::parse_line(&line).expect("line parses");
-        assert_eq!(p.ip, Ipv4Addr::new(10, 3, 7, 9));
-        assert_eq!(p.shard, 2);
-        assert_eq!(p.batch, 5);
-        assert_eq!(p.probe_tx, vec![(1_000, 1)]);
-        assert_eq!(p.probe_rx, vec![(21_000, "open".to_owned())]);
-        assert_eq!(p.verdict.as_deref(), Some("open"));
-        assert_eq!(p.faults, vec![(32_000, "tarpit".to_owned())]);
-        assert_eq!(p.retries, vec![(35_000, 1, 250_000)]);
-        assert_eq!(p.replies, [0, 1, 0, 0, 1, 0]);
-        assert_eq!(p.listing_bytes, 512);
-        assert_eq!(p.requests, 7);
-        assert_eq!(p.files, 0);
-        assert_eq!(p.login.as_deref(), Some("denied"));
-        assert_eq!(p.gave_up.as_deref(), Some("step_timeout"));
-        assert_eq!(p.start_us, Some(30_000));
-        assert_eq!(p.end_us, Some(90_000));
+        assert_eq!(HostJournal::parse_line(&line), Some(sample()));
+        for ip in [Ipv4Addr::new(0, 0, 0, 0), Ipv4Addr::new(255, 255, 255, 255)] {
+            assert_eq!(roundtrip(&extremes(ip)), Some(extremes(ip)));
+        }
+    }
+
+    /// Every label is escaped as the optional strings are, so a quoted
+    /// label renders as valid JSON and reads back.
+    #[test]
+    fn quoted_labels_round_trip() {
+        let mut row = HostJournal::new(Ipv4Addr::new(10, 3, 7, 9), 0, 0);
+        row.phases.push((5, Cow::Borrowed("a\"b")));
+        row.faults.push((6, Cow::Borrowed("back\\slash\n\u{1}ünï")));
+        row.probe_rx.push((7, Cow::Borrowed("")));
+        let mut line = String::new();
+        row.render(&mut line);
+        assert!(line.contains(r#""phases":[[5,"a\"b"]]"#), "{line}");
+        assert!(line.contains(r#""faults":[[6,"back\\slash\n\u0001ünï"]]"#), "{line}");
+        assert_eq!(HostJournal::parse_line(&line), Some(row));
+    }
+
+    /// The reader refuses what the writer cannot write, and a file
+    /// holding such a row is refused naming its line.
+    #[test]
+    fn rows_the_writer_cannot_write_are_refused() {
+        let mut line = String::new();
+        extremes(Ipv4Addr::new(10, 3, 7, 9)).render(&mut line);
+        let spaced = line.replacen(",\"shard\"", ", \"shard\"", 1);
+        let swapped = line.replacen("\"shard\":18446744073709551615,\"batch\"", "\"batch\":18446744073709551615,\"shard\"", 1);
+        let attempt = line.replacen("255]],\"probe_rx\"", "256]],\"probe_rx\"", 1);
+        let requests = line.replacen("\"requests\":4294967295", "\"requests\":4294967296", 1);
+        let padded = line.replacen("\"listing_bytes\":", "\"listing_bytes\":0", 1);
+        let uppercase = line.replacen("\"tarpit\"", "\"tarpi\\u0074\"", 1);
+        let torn = line[..line.len() - 1].to_owned();
+        for (why, bad) in [
+            ("a space after a comma", &spaced),
+            ("two keys swapped", &swapped),
+            ("a probe attempt of 256", &attempt),
+            ("requests of 2^32", &requests),
+            ("a leading zero", &padded),
+            ("an escape escape_json does not write", &uppercase),
+            ("a torn row", &torn),
+        ] {
+            assert_ne!(bad, &line, "{why}: the case changes the row");
+            assert_eq!(HostJournal::parse_line(bad), None, "{why}: {bad}");
+            assert_eq!(
+                JournalFile::parse(&format!("{line}\n{bad}\n")),
+                Err("line 2 is not a v2 journal row".into()),
+                "{why}"
+            );
+        }
+        let tally = r#"{"v":2,"shard":1,"batch":3,"silent":40}"#;
+        for bad in [
+            r#"{"v":2, "shard":1,"batch":3,"silent":40}"#,
+            r#"{"v":2,"batch":3,"shard":1,"silent":40}"#,
+            r#"{"v":2,"shard":01,"batch":3,"silent":40}"#,
+            r#"{"v":2,"shard":1,"batch":3,"silent":40"#,
+        ] {
+            assert_eq!(SilentTally::parse_line(bad), None, "{bad}");
+        }
+        assert!(SilentTally::parse_line(tally).is_some());
     }
 
     #[test]
     fn normalization_strips_partition_coordinates() {
         let mut line = String::new();
         sample().render(&mut line);
-        let p = ParsedJournal::parse_line(&line).unwrap();
+        let p = HostJournal::parse_line(&line).unwrap();
         let n = p.normalized();
         assert_eq!(n.shard, 0);
         assert_eq!(n.batch, 0);
@@ -1210,7 +1183,7 @@ mod tests {
     fn timeline_is_stable_and_ordered() {
         let mut line = String::new();
         sample().render(&mut line);
-        let p = ParsedJournal::parse_line(&line).unwrap();
+        let p = HostJournal::parse_line(&line).unwrap();
         let a = p.timeline();
         let b = p.timeline();
         assert_eq!(a, b);
@@ -1225,11 +1198,11 @@ mod tests {
     fn summary_tallies_outcomes() {
         let mut line = String::new();
         sample().render(&mut line);
-        let p = ParsedJournal::parse_line(&line).unwrap();
+        let p = HostJournal::parse_line(&line).unwrap();
         let mut other = p.clone();
         other.ip = Ipv4Addr::new(10, 3, 7, 10);
         other.gave_up = None;
-        other.login = Some("anonymous".to_owned());
+        other.login = Some("anonymous".into());
         other.faults.clear();
         let mut file = JournalFile { hosts: vec![p, other], tallies: vec![] };
         let s = summarize(&file);
@@ -1253,26 +1226,26 @@ mod tests {
 
     #[test]
     fn malformed_and_wrong_version_lines_are_rejected() {
-        assert!(ParsedJournal::parse_line("not json").is_none());
-        assert!(ParsedJournal::parse_line("{\"v\":99,\"ip\":\"1.2.3.4\"}").is_none());
+        assert!(HostJournal::parse_line("not json").is_none());
+        assert!(HostJournal::parse_line("{\"v\":99,\"ip\":\"1.2.3.4\"}").is_none());
         let mut line = String::new();
         sample().render(&mut line);
         let tally = r#"{"v":2,"shard":1,"batch":3,"silent":40}"#;
-        let file = ParsedJournal::parse_file(&format!("{line}\n\n{line}\n{tally}\n"))
+        let file = JournalFile::parse(&format!("{line}\n\n{line}\n{tally}\n"))
             .expect("rows and a tally parse");
         assert_eq!(file.hosts.len(), 2);
         assert_eq!(file.tallies, vec![SilentTally { shard: 1, batch: 3, silent: 40 }]);
         assert_eq!(file.silent(), 40);
-        assert!(ParsedJournal::parse_line(tally).is_none(), "a tally is not a host row");
+        assert!(HostJournal::parse_line(tally).is_none(), "a tally is not a host row");
         assert!(SilentTally::parse_line(&line).is_none(), "a host row is not a tally");
         assert!(SilentTally::parse_line(r#"{"v":1,"shard":1,"batch":3,"silent":40}"#).is_none());
         assert!(SilentTally::parse_line(r#"{"v":2,"shard":1,"batch":3}"#).is_none());
-        assert_eq!(ParsedJournal::parse_file("{}\n"), Err("line 1 is not a v2 journal row".into()));
+        assert_eq!(JournalFile::parse("{}\n"), Err("line 1 is not a v2 journal row".into()));
 
         // A v1 journal is refused with both versions named.
         let v1 = line.replacen("\"v\":2", "\"v\":1", 1);
         assert_eq!(
-            ParsedJournal::parse_file(&format!("\n{v1}\n")),
+            JournalFile::parse(&format!("\n{v1}\n")),
             Err("line 2 is a v1 journal row; this reader reads v2 only".into())
         );
     }
@@ -1281,24 +1254,27 @@ mod tests {
     fn cell_reads_the_partition_tags() {
         let mut line = String::new();
         sample().render(&mut line);
-        assert_eq!(ParsedJournal::cell(&line), Some((2, 5)));
+        assert_eq!(JournalFile::cell(&line), Some((2, 5)));
         let mut line = String::new();
         extremes(Ipv4Addr::new(255, 255, 255, 255)).render(&mut line);
-        assert_eq!(ParsedJournal::cell(&line), Some((u64::MAX, u64::MAX)));
-        assert_eq!(ParsedJournal::cell(&line[..40]), None, "torn inside the tags");
-        assert_eq!(ParsedJournal::cell(&line.replacen("\"v\":2", "\"v\":1", 1)), None);
-        assert_eq!(ParsedJournal::cell("not json"), None);
+        assert_eq!(JournalFile::cell(&line), Some((u64::MAX, u64::MAX)));
+        assert_eq!(JournalFile::cell(&line[..40]), None, "torn inside the tags");
+        assert_eq!(JournalFile::cell(&line.replacen("\"v\":2", "\"v\":1", 1)), None);
+        assert_eq!(JournalFile::cell("not json"), None);
 
         // Tally rows carry the same tags at the same place.
         let mut buf = JournalBuf::default();
-        buf.push_tally(3, 11, 250);
-        buf.push_tally(u64::MAX, u64::MAX, u64::MAX);
+        for (shard, batch, silent) in [(3, 11, 250), (u64::MAX, u64::MAX, u64::MAX)] {
+            let tally = SilentTally { shard, batch, silent };
+            buf.push(|text| tally.render(text));
+            assert_eq!(SilentTally::parse_line(buf.iter().next_back().unwrap()), Some(tally));
+        }
         let rows: Vec<&str> = buf.iter().collect();
         assert_eq!(rows[0], r#"{"v":2,"shard":3,"batch":11,"silent":250}"#);
-        assert_eq!(ParsedJournal::cell(rows[0]), Some((3, 11)));
-        assert_eq!(ParsedJournal::cell(rows[1]), Some((u64::MAX, u64::MAX)));
-        assert_eq!(ParsedJournal::cell(&rows[0][..26]), None, "torn inside the tags");
-        assert_eq!(ParsedJournal::cell(&rows[0].replacen("\"v\":2", "\"v\":1", 1)), None);
+        assert_eq!(JournalFile::cell(rows[0]), Some((3, 11)));
+        assert_eq!(JournalFile::cell(rows[1]), Some((u64::MAX, u64::MAX)));
+        assert_eq!(JournalFile::cell(&rows[0][..26]), None, "torn inside the tags");
+        assert_eq!(JournalFile::cell(&rows[0].replacen("\"v\":2", "\"v\":1", 1)), None);
     }
 
     /// Logs `events` for `ip` in batch `batch`, at ascending sim times.
@@ -1343,7 +1319,7 @@ mod tests {
         let rows: Vec<&str> = out.iter().collect();
         assert_eq!(out.len(), kept.len() + 1, "one row per kept address, one tally:\n{rows:#?}");
         for (row, (why, ip, _)) in rows.iter().zip(&kept) {
-            let host = ParsedJournal::parse_line(row).unwrap_or_else(|| panic!("{why}: {row}"));
+            let host = HostJournal::parse_line(row).unwrap_or_else(|| panic!("{why}: {row}"));
             assert_eq!(host.ip, Ipv4Addr::from(*ip), "{why} keeps its row, in address order");
         }
         assert_eq!(rows[kept.len()], r#"{"v":2,"shard":2,"batch":6,"silent":2}"#);
@@ -1354,7 +1330,7 @@ mod tests {
         journal.drain_into(2, &mut out);
         let rows: Vec<&str> = out.iter().skip(kept.len() + 1).collect();
         assert_eq!(rows.len(), 2);
-        assert_eq!(ParsedJournal::cell(rows[0]), Some((2, 7)));
+        assert_eq!(JournalFile::cell(rows[0]), Some((2, 7)));
         assert_eq!(rows[1], r#"{"v":2,"shard":2,"batch":7,"silent":1}"#);
 
         // A drain with no silent address writes no tally.
@@ -1362,6 +1338,6 @@ mod tests {
         let mut only_rows = JournalBuf::default();
         journal.drain_into(2, &mut only_rows);
         assert_eq!(only_rows.len(), 1);
-        assert!(ParsedJournal::parse_line(only_rows.as_str().trim_end()).is_some());
+        assert!(HostJournal::parse_line(only_rows.as_str().trim_end()).is_some());
     }
 }

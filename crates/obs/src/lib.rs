@@ -36,8 +36,8 @@ mod metrics;
 mod recorder;
 
 pub use journal::{
-    summarize, HostJournal, JournalBuf, JournalEvent, JournalFile, JournalSummary, ParsedJournal,
-    SilentTally, JOURNAL_VERSION, REPLY_CLASSES,
+    summarize, HostJournal, JournalBuf, JournalEvent, JournalFile, JournalSummary, SilentTally,
+    JOURNAL_VERSION, REPLY_CLASSES,
 };
 pub use metrics::{
     reply_class_counter, Counter, Gauge, Hist, Histogram, MetricsSnapshot, HIST_BUCKETS,

@@ -11,6 +11,7 @@
 use crate::journal::{JournalBuf, JournalEvent, JournalLog};
 use crate::metrics::{Counter, Gauge, Hist, MetricsSnapshot};
 use crate::ObsConfig;
+use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -22,10 +23,8 @@ use std::time::Instant;
 pub enum Value<'a> {
     /// Unsigned integer.
     U64(u64),
-    /// Borrowed string.
-    Str(&'a str),
-    /// Owned string (e.g. a rendered address).
-    Owned(String),
+    /// String, borrowed or owned (e.g. a rendered address).
+    Str(Cow<'a, str>),
 }
 
 macro_rules! value_from_unsigned {
@@ -42,19 +41,19 @@ value_from_unsigned!(u64, u32, u16, u8, usize);
 
 impl<'a> From<&'a str> for Value<'a> {
     fn from(v: &'a str) -> Self {
-        Value::Str(v)
+        Value::Str(Cow::Borrowed(v))
     }
 }
 
 impl<'a> From<String> for Value<'a> {
     fn from(v: String) -> Self {
-        Value::Owned(v)
+        Value::Str(Cow::Owned(v))
     }
 }
 
 impl<'a> From<std::net::Ipv4Addr> for Value<'a> {
     fn from(v: std::net::Ipv4Addr) -> Self {
-        Value::Owned(v.to_string())
+        Value::Str(Cow::Owned(v.to_string()))
     }
 }
 
@@ -486,11 +485,6 @@ fn render_fields(fields: &[Field<'_>], out: &mut String) {
                 escape_json(v, out);
                 out.push('"');
             }
-            Value::Owned(v) => {
-                out.push('"');
-                escape_json(v, out);
-                out.push('"');
-            }
         }
     }
 }
@@ -539,7 +533,7 @@ mod tests {
     /// in between.
     #[test]
     fn journal_orders_hosts_by_address_and_events_by_arrival() {
-        use crate::journal::ParsedJournal;
+        use crate::journal::HostJournal;
         let cfg = ObsConfig { journal: true, ..ObsConfig::default() };
         let rec = CollectingRecorder::with_config(5, cfg);
         let (a, b, c) =
@@ -558,8 +552,8 @@ mod tests {
         rec.journal(a, 80, 2, &JournalEvent::ProbeReply { status: "closed" });
 
         let report = rec.finish();
-        let lines: Vec<ParsedJournal> =
-            report.journal.iter().map(|l| ParsedJournal::parse_line(l).expect("parses")).collect();
+        let lines: Vec<HostJournal> =
+            report.journal.iter().map(|l| HostJournal::parse_line(l).expect("parses")).collect();
         assert_eq!(report.journal.len(), 3);
         assert_eq!(lines.iter().map(|j| j.ip).collect::<Vec<_>>(), vec![a, b, c]);
         assert!(lines.iter().all(|j| j.shard == 5));
@@ -567,13 +561,13 @@ mod tests {
         assert_eq!(lines[0].probe_tx, vec![(20, 1), (40, 2)]);
         assert_eq!(
             lines[0].probe_rx,
-            vec![(60, "filtered".to_owned()), (80, "closed".to_owned())],
+            vec![(60, "filtered".into()), (80, "closed".into())],
             "arrival order, not sorted by label"
         );
         assert_eq!(lines[1].retries, vec![(70, 1, u64::MAX)]);
         assert_eq!(
             lines[2].phases,
-            vec![(50, "banner".to_owned()), (45, "user".to_owned())],
+            vec![(50, "banner".into()), (45, "user".into())],
             "arrival order, not sim-time order"
         );
     }

@@ -397,7 +397,7 @@ fn explain(args: &Args) {
             std::process::exit(1);
         }
     };
-    let journal = obs::ParsedJournal::parse_file(&text).unwrap_or_else(|e| {
+    let journal = obs::JournalFile::parse(&text).unwrap_or_else(|e| {
         eprintln!("error: {path}: {e}");
         std::process::exit(1);
     });

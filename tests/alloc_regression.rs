@@ -307,7 +307,7 @@ fn streamed_study_peak_heap_stays_bounded_with_journaling() {
 
     // Host rows and silent addresses: what a journal accounts for.
     let addresses = |text: &str| {
-        let file = obs::ParsedJournal::parse_file(text).expect("journal parses");
+        let file = obs::JournalFile::parse(text).expect("journal parses");
         (file.hosts.len(), file.silent())
     };
 
@@ -416,7 +416,7 @@ fn journaled_study_allocation_count_stays_near_unjournaled() {
     let results = run_study(&journaled);
     let journal = results.obs.as_ref().expect("journaling requested").journal_jsonl();
     let journaled_allocs = bench::snapshot().allocs;
-    let file = obs::ParsedJournal::parse_file(&journal).expect("journal parses");
+    let file = obs::JournalFile::parse(&journal).expect("journal parses");
     assert_eq!(
         file.hosts.len() as u64 + file.silent(),
         results.ips_scanned,

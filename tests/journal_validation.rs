@@ -15,7 +15,7 @@ mod equivalence;
 
 use equivalence::{cell, run, Run};
 use ftp_study::{run_study_streamed, StreamOptions, StreamOutcome, StudyConfig};
-use obs::ParsedJournal;
+use obs::JournalFile;
 
 #[test]
 fn journaling_is_invisible_to_study_results() {
@@ -67,7 +67,7 @@ fn streamed_600_server_journal_explains_a_gave_up_host() {
     }
     let text = std::fs::read_to_string(&path).expect("journal written");
     let _ = std::fs::remove_file(&path);
-    let journal = ParsedJournal::parse_file(&text).expect("every flushed line parses");
+    let journal = JournalFile::parse(&text).expect("every flushed line parses");
 
     let batches: std::collections::HashSet<u64> = journal.hosts.iter().map(|j| j.batch).collect();
     assert!(batches.len() > 1, "journals span multiple batches");

@@ -323,3 +323,105 @@ proptest! {
         prop_assert_eq!(got, expected);
     }
 }
+
+/// A number of at most `max` biased toward the edges a renderer gets
+/// wrong: 0, the one- to two-digit boundary, `max` and its neighbour.
+fn edgy(rng: &mut rand::rngs::StdRng, max: u64) -> u64 {
+    use rand::Rng;
+    match rng.random_range(0..6u8) {
+        0 => 0,
+        1 => rng.random_range(9..=10u64).min(max),
+        2 => max,
+        3 => max - 1,
+        _ => rng.random_range(0..=max),
+    }
+}
+
+/// Labels no recorder writes but a row must still carry: quotes,
+/// backslashes, control characters and non-ASCII text.
+fn label(rng: &mut rand::rngs::StdRng) -> std::borrow::Cow<'static, str> {
+    use rand::Rng;
+    const CHARS: [char; 10] = ['a', '"', '\\', '\n', '\r', '\t', '\u{1}', '\u{7f}', 'é', '✓'];
+    let len = rng.random_range(0..6usize);
+    (0..len).map(|_| CHARS[rng.random_range(0..CHARS.len())]).collect::<String>().into()
+}
+
+/// A host row with every list empty or holding several entries and
+/// every number drawn toward its type's edges.
+fn random_row(rng: &mut rand::rngs::StdRng) -> obs::HostJournal {
+    use rand::Rng;
+    let mut row = obs::HostJournal::new(
+        Ipv4Addr::from(edgy(rng, u32::MAX.into()) as u32),
+        edgy(rng, u64::MAX),
+        edgy(rng, u64::MAX),
+    );
+    for _ in 0..rng.random_range(0..4usize) {
+        row.probe_tx.push((edgy(rng, u64::MAX), edgy(rng, u8::MAX.into()) as u8));
+        row.probe_rx.push((edgy(rng, u64::MAX), label(rng)));
+        row.faults.push((edgy(rng, u64::MAX), label(rng)));
+        row.phases.push((edgy(rng, u64::MAX), label(rng)));
+        row.retries.push((edgy(rng, u64::MAX), edgy(rng, u32::MAX.into()) as u32, edgy(rng, u64::MAX)));
+    }
+    for slot in &mut row.replies {
+        *slot = edgy(rng, u64::MAX);
+    }
+    row.listing_bytes = edgy(rng, u64::MAX);
+    row.requests = edgy(rng, u32::MAX.into()) as u32;
+    row.files = edgy(rng, u64::MAX);
+    let maybe = |rng: &mut rand::rngs::StdRng| rng.random_bool(0.5).then(|| label(rng));
+    row.verdict = maybe(rng);
+    row.login = maybe(rng);
+    row.gave_up = maybe(rng);
+    row.start_us = rng.random_bool(0.5).then(|| edgy(rng, u64::MAX));
+    row.end_us = rng.random_bool(0.5).then(|| edgy(rng, u64::MAX));
+    row
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every rendered host and tally row reads back equal to itself, and
+    /// a row changed at one byte is either refused or re-renders to
+    /// exactly the changed bytes: the reader accepts only what the
+    /// writer can write.
+    #[test]
+    fn journal_rows_read_back_what_was_rendered(seed in any::<u64>(), pos in any::<usize>(), byte in any::<u8>()) {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let row = random_row(&mut rng);
+        let mut line = String::new();
+        row.render(&mut line);
+        prop_assert_eq!(obs::HostJournal::parse_line(&line), Some(row), "{}", line);
+
+        let tally = obs::SilentTally {
+            shard: edgy(&mut rng, u64::MAX),
+            batch: edgy(&mut rng, u64::MAX),
+            silent: edgy(&mut rng, u64::MAX),
+        };
+        let mut tally_line = String::new();
+        tally.render(&mut tally_line);
+        prop_assert_eq!(obs::SilentTally::parse_line(&tally_line), Some(tally));
+
+        for text in [&line, &tally_line] {
+            let at = pos % text.len();
+            let bytes = text.as_bytes();
+            for edit in 0..3 {
+                let mut changed = bytes.to_vec();
+                match edit {
+                    0 => { changed.remove(at); }
+                    1 => changed.insert(at, byte),
+                    _ => changed[at] = byte,
+                }
+                let Ok(changed) = String::from_utf8(changed) else { continue };
+                let mut again = String::new();
+                if let Some(host) = obs::HostJournal::parse_line(&changed) {
+                    host.render(&mut again);
+                    prop_assert_eq!(&again, &changed);
+                } else if let Some(tally) = obs::SilentTally::parse_line(&changed) {
+                    tally.render(&mut again);
+                    prop_assert_eq!(&again, &changed);
+                }
+            }
+        }
+    }
+}
